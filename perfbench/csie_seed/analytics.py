@@ -1,0 +1,364 @@
+"""Series alignment, smoothing, descriptive statistics, and comparison grids.
+
+The comparison workflow mirrors how the daily market entropy is judged
+against classic index estimators: smooth the daily cross-sectional series
+with a w-day moving average, roll each estimator over the index with the
+same w, align the two series on dates, keep the trailing time interval, and
+compute a statistic (mean, variance, Pearson correlation, or volatility
+beta).  Grids hold one cell per (interval, window, column) and mark cells
+that cannot be computed with an "NA" sentinel instead of dropping them.
+
+Mean, variance, covariance all use the population divisor n throughout.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Mapping, Sequence
+
+import numpy as np
+
+from ._util import exact_dot, exact_mean
+from .cross_section import CsieDay
+from .estimators import (
+    vol_close_to_close,
+    vol_garman_klass,
+    vol_parkinson,
+    vol_rogers_satchell,
+    vol_yang_zhang,
+    windows,
+)
+from .intrinsic import ie_estimate
+from .market_data import IndexSeries
+
+ESTIMATOR_TAGS = ("cc", "pk", "gk", "rs", "yz", "ie")
+STATISTICS = ("mean", "variance", "pearson", "beta")
+INTERVAL_SEMANTICS = ("smoothed-points", "raw-days")
+
+_POINT_FUNCS = {
+    "cc": vol_close_to_close,
+    "pk": vol_parkinson,
+    "gk": vol_garman_klass,
+    "rs": vol_rogers_satchell,
+    "yz": vol_yang_zhang,
+}
+_NEEDS_SEED = {"cc": True, "pk": False, "gk": False, "rs": False, "yz": True, "ie": True}
+_MIN_WINDOW = {"yz": 2, "ie": 2}
+
+
+@dataclass(frozen=True)
+class DatedSeries:
+    """Real values on strictly increasing dates."""
+
+    dates: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        dates = np.asarray(self.dates, dtype="datetime64[D]")
+        values = np.asarray(self.values, dtype=float)
+        if dates.shape != values.shape:
+            raise ValueError("dates and values differ in length")
+        if len(dates) > 1 and not (dates[1:] > dates[:-1]).all():
+            raise ValueError("dates must be strictly increasing")
+        object.__setattr__(self, "dates", dates)
+        object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+
+@dataclass(frozen=True)
+class VolSeries(DatedSeries):
+    """One estimator's rolling values: tag plus window length."""
+
+    tag: str
+    window: int
+
+
+def csie_dated_series(rows: Sequence[CsieDay], *, use_abs: bool = False) -> DatedSeries:
+    """Daily market entropy as a dated series (signed by default)."""
+    ordered = sorted(rows, key=lambda r: r.day)
+    return DatedSeries(
+        np.array([r.day for r in ordered], dtype="datetime64[D]"),
+        np.array(
+            [r.csie_abs if use_abs else r.csie_signed for r in ordered], dtype=float
+        ),
+    )
+
+
+def moving_average(s: DatedSeries, w: int) -> DatedSeries:
+    """Trailing w-point uniform mean; the output starts at the w-th date."""
+    if w < 1:
+        raise ValueError("window must be at least 1")
+    if len(s) < w:
+        raise ValueError(f"insufficient data: {len(s)} points for window {w}")
+    vals = [exact_mean(s.values[i - w + 1 : i + 1]) for i in range(w - 1, len(s))]
+    return DatedSeries(s.dates[w - 1 :], np.array(vals, dtype=float))
+
+
+def rolling_estimate(
+    series: IndexSeries, tag: str, w: int, *, use_abs: bool = False
+) -> VolSeries:
+    """Apply the tagged estimator to every trailing w-bar window.
+
+    Estimators that look back at the previous close start one date later
+    than range-only ones because the first bar must seed the window.
+    ``use_abs`` selects the absolute blend for the intrinsic-entropy
+    estimator; the others are nonnegative by construction.
+    """
+    if tag not in ESTIMATOR_TAGS:
+        raise ValueError(f"unknown estimator {tag!r}")
+    if w < _MIN_WINDOW.get(tag, 1):
+        raise ValueError(f"estimator {tag!r} needs a window of at least 2")
+    needs_seed = _NEEDS_SEED[tag]
+    required = w + 1 if needs_seed else w
+    if len(series) < required:
+        raise ValueError(
+            f"estimator {tag!r} with window {w} needs {required} bars, "
+            f"series has {len(series)}"
+        )
+    dates: list[np.datetime64] = []
+    values: list[float] = []
+    for win in windows(series, w, needs_seed):
+        if tag == "ie":
+            est = ie_estimate(win)
+            v = est.value_abs if use_abs else est.value_signed
+        else:
+            v = _POINT_FUNCS[tag](win)
+        dates.append(win.end)
+        values.append(v)
+    return VolSeries(
+        np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=float), tag, w
+    )
+
+
+def mean_var(values: Sequence[float] | np.ndarray) -> tuple[float, float]:
+    """Population mean and variance (divisor n, never n-1)."""
+    values = np.asarray(values, dtype=float)
+    if len(values) == 0:
+        raise ValueError("mean_var of empty sequence")
+    mu = exact_mean(values)
+    d = values - mu
+    return mu, exact_dot(d, d) / len(values)
+
+
+def align(a: DatedSeries, b: DatedSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Inner join on dates: (common dates, a values, b values)."""
+    common, ia, ib = np.intersect1d(a.dates, b.dates, return_indices=True)
+    if len(common) == 0:
+        raise ValueError("no common dates")
+    return common, a.values[ia], b.values[ib]
+
+
+def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
+    """Pearson correlation; errors when either side has zero variance."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("length mismatch")
+    n = len(a)
+    if n < 2:
+        raise ValueError("correlation needs at least 2 points")
+    da = a - exact_mean(a)
+    db = b - exact_mean(b)
+    va = exact_dot(da, da)
+    vb = exact_dot(db, db)
+    if va == 0.0 or vb == 0.0:
+        raise ValueError("undefined correlation: zero variance")
+    r = exact_dot(da, db) / math.sqrt(va * vb)
+    return min(1.0, max(-1.0, r))
+
+
+def vol_beta(
+    index_vol: Sequence[float] | np.ndarray, market_csie: Sequence[float] | np.ndarray
+) -> float:
+    """Cov(index volatility, market entropy) / Var(market entropy)."""
+    v = np.asarray(index_vol, dtype=float)
+    m = np.asarray(market_csie, dtype=float)
+    if v.shape != m.shape:
+        raise ValueError("length mismatch")
+    if len(v) < 2:
+        raise ValueError("beta needs at least 2 points")
+    dv = v - exact_mean(v)
+    dm = m - exact_mean(m)
+    var_m = exact_dot(dm, dm) / len(m)
+    if var_m == 0.0:
+        raise ValueError("zero market variance")
+    cov = exact_dot(dv, dm) / len(m)
+    return cov / var_m
+
+
+ALL_INTERVAL = "all"
+
+Interval = int | str
+CellKey = tuple[Interval, int, str]
+
+
+@dataclass(frozen=True)
+class ComparisonGrid:
+    """One statistic over every (interval, window, column) combination.
+
+    ``cells`` maps (interval, window, column) to a float, or to None for
+    combinations the data cannot support.  Mean and variance grids carry a
+    trailing "csie" column holding the statistic of the smoothed market
+    series itself.
+    """
+
+    statistic: str
+    intervals: tuple[Interval, ...]
+    windows: tuple[int, ...]
+    columns: tuple[str, ...]
+    cells: Mapping[CellKey, float | None]
+
+    def cell(self, interval: Interval, window: int, column: str) -> float | None:
+        return self.cells[(interval, window, column)]
+
+    def to_csv(self) -> str:
+        """Rows grouped by window, intervals in order; 8-decimal fixed point."""
+        lines = ["interval,window," + ",".join(self.columns)]
+        for w in self.windows:
+            for t in self.intervals:
+                cells = []
+                for col in self.columns:
+                    v = self.cells[(t, w, col)]
+                    cells.append("NA" if v is None else f"{v:.8f}")
+                lines.append(f"{t},{w}," + ",".join(cells))
+        return "\n".join(lines) + "\n"
+
+
+def _tail(arr: np.ndarray, t: Interval) -> np.ndarray | None:
+    """Last t entries, or None when fewer than t are available."""
+    if t == ALL_INTERVAL:
+        return arr
+    assert isinstance(t, int)
+    if len(arr) < t:
+        return None
+    return arr[len(arr) - t :]
+
+
+def _apply_stat(
+    statistic: str, est: np.ndarray | None, market: np.ndarray | None
+) -> float | None:
+    try:
+        if statistic == "mean":
+            return None if est is None or len(est) == 0 else mean_var(est)[0]
+        if statistic == "variance":
+            return None if est is None or len(est) == 0 else mean_var(est)[1]
+        if est is None or market is None:
+            return None
+        if statistic == "pearson":
+            return pearson(est, market)
+        if statistic == "beta":
+            return vol_beta(est, market)
+    except ValueError:
+        return None
+    raise ValueError(f"unknown statistic {statistic!r}")
+
+
+def comparison_grid(
+    index: IndexSeries,
+    market: Sequence[CsieDay],
+    estimators: Sequence[str],
+    intervals: Sequence[Interval],
+    windows_: Sequence[int],
+    statistic: str,
+    *,
+    semantics: str = "smoothed-points",
+) -> ComparisonGrid:
+    """Evaluate one statistic over the interval x window grid.
+
+    For each (t, w, estimator): roll the estimator over the index with
+    window w, smooth the daily market entropy with a w-day moving average
+    (absolute variant for pearson/beta, signed for mean/variance), align on
+    dates, keep the trailing interval t, and apply the statistic.  With
+    ``semantics="smoothed-points"`` (default) the interval counts aligned
+    smoothed points; with "raw-days" it counts raw trailing days before any
+    windowing.  Unsupported cells become None ("NA" in CSV); the grid shape
+    never varies with the data.
+    """
+    if statistic not in STATISTICS:
+        raise ValueError(f"unknown statistic {statistic!r}")
+    if semantics not in INTERVAL_SEMANTICS:
+        raise ValueError(f"unknown interval semantics {semantics!r}")
+    for tag in estimators:
+        if tag not in ESTIMATOR_TAGS:
+            raise ValueError(f"unknown estimator {tag!r}")
+    use_abs = statistic in ("pearson", "beta")
+    market_rows = sorted(market, key=lambda r: r.day)
+    for r1, r2 in zip(market_rows, market_rows[1:]):
+        if r1.day == r2.day:
+            raise ValueError(f"duplicate market day {r1.day.isoformat()}")
+    daily = csie_dated_series(market_rows, use_abs=use_abs)
+
+    with_csie_col = statistic in ("mean", "variance")
+    columns = tuple(estimators) + (("csie",) if with_csie_col else ())
+    cells: dict[CellKey, float | None] = {}
+
+    if semantics == "smoothed-points":
+        for w in windows_:
+            try:
+                ma = moving_average(daily, w)
+            except ValueError:
+                ma = None
+            for tag in estimators:
+                pair = None
+                if ma is not None:
+                    try:
+                        vol = rolling_estimate(index, tag, w, use_abs=use_abs)
+                        _, est_vals, ma_vals = align(vol, ma)
+                        pair = (est_vals, ma_vals)
+                    except ValueError:
+                        pair = None
+                for t in intervals:
+                    est_t = _tail(pair[0], t) if pair is not None else None
+                    ma_t = _tail(pair[1], t) if pair is not None else None
+                    if pair is not None and (est_t is None or ma_t is None):
+                        est_t = ma_t = None
+                    cells[(t, w, tag)] = _apply_stat(statistic, est_t, ma_t)
+            if with_csie_col:
+                for t in intervals:
+                    own = _tail(ma.values, t) if ma is not None else None
+                    cells[(t, w, "csie")] = _apply_stat(statistic, own, None)
+    else:
+        for w in windows_:
+            for t in intervals:
+                if t == ALL_INTERVAL:
+                    sub_index, sub_rows = index, market_rows
+                else:
+                    assert isinstance(t, int)
+                    sub_index = (
+                        index.slice(len(index) - t, len(index))
+                        if len(index) >= t
+                        else None
+                    )
+                    sub_rows = market_rows[-t:] if len(market_rows) >= t else None
+                ma = None
+                if sub_rows is not None:
+                    try:
+                        ma = moving_average(
+                            csie_dated_series(sub_rows, use_abs=use_abs), w
+                        )
+                    except ValueError:
+                        ma = None
+                for tag in estimators:
+                    pair = None
+                    if ma is not None and sub_index is not None:
+                        try:
+                            vol = rolling_estimate(sub_index, tag, w, use_abs=use_abs)
+                            _, est_vals, ma_vals = align(vol, ma)
+                            pair = (est_vals, ma_vals)
+                        except ValueError:
+                            pair = None
+                    cells[(t, w, tag)] = _apply_stat(
+                        statistic,
+                        pair[0] if pair is not None else None,
+                        pair[1] if pair is not None else None,
+                    )
+                if with_csie_col:
+                    own = ma.values if ma is not None else None
+                    cells[(t, w, "csie")] = _apply_stat(statistic, own, None)
+
+    return ComparisonGrid(
+        statistic, tuple(intervals), tuple(windows_), columns, cells
+    )

@@ -1,0 +1,484 @@
+"""Command-line interface: ingest EOD/index CSV files, emit tables and charts.
+
+Subcommands:
+
+* ``csie``     - per-day market entropy CSV plus a series SVG
+* ``indexvol`` - rolling estimator columns for one index plus stacked SVG
+* ``compare``  - mean/variance/pearson/beta grids of index estimators vs CSIE
+* ``cluster``  - OHLC dendrogram (Newick, merge table, SVG) for one day
+
+Options resolve as CLI flag > config file > built-in default.  The config
+file is flat ``key = value`` text with the same names as the long flags
+(underscores for dashes).  ``CSIE_THREADS`` caps file-parsing parallelism;
+outputs are byte-identical for any thread count.
+
+Exit codes: 0 all outputs written, 1 partial or processing failure
+(per-output status on stderr), 2 unusable input (unreadable directory,
+unparseable index, bad configuration).
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import sys
+from dataclasses import dataclass, field
+from datetime import date, datetime
+from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
+
+from .analytics import (
+    ALL_INTERVAL,
+    ESTIMATOR_TAGS,
+    INTERVAL_SEMANTICS,
+    STATISTICS,
+    DatedSeries,
+    comparison_grid,
+    csie_dated_series,
+    moving_average,
+    rolling_estimate,
+)
+from .clustering import cluster_day
+from .cross_section import ALPHA_DEFAULT, csie_csv, csie_series
+from .market_data import read_eod_dir, read_eod_file, read_index_csv
+from .svg import dendrogram_svg, line_chart, small_multiples
+
+_FIG_STACK_ORDER = ("ie", "yz", "rs", "gk", "pk", "cc")
+_LONG_NAMES = {
+    "cc": "close-to-close (raw)",
+    "pk": "Parkinson",
+    "gk": "Garman-Klass",
+    "rs": "Rogers-Satchell",
+    "yz": "Yang-Zhang",
+    "ie": "intrinsic entropy",
+}
+
+DEFAULTS = {
+    "estimators": "cc,pk,gk,rs,yz,ie",
+    "windows": "5,10,20,30",
+    "intervals": "30,60,120,260,520,780,1300,all",
+    "alpha": str(ALPHA_DEFAULT),
+    "interval_semantics": "smoothed-points",
+    "out": ".",
+    "abs": "false",
+    "log_prices": "false",
+}
+
+_CONFIG_KEYS = {
+    "market_dir",
+    "index",
+    "estimators",
+    "windows",
+    "intervals",
+    "alpha",
+    "abs",
+    "ma",
+    "bubble",
+    "out",
+    "interval_semantics",
+    "date",
+    "log_prices",
+}
+
+
+class ConfigError(ValueError):
+    """The run cannot start: missing or malformed configuration."""
+
+
+class InputError(RuntimeError):
+    """The run cannot start: input files are unreadable or unusable."""
+
+
+@dataclass
+class RunConfig:
+    market_dir: Path | None
+    index: Path | None
+    estimators: tuple[str, ...]
+    windows: tuple[int, ...]
+    intervals: tuple[int | str, ...]
+    alpha: float
+    use_abs: bool
+    ma: int | None
+    bubble: str | None
+    out: Path
+    interval_semantics: str
+    cluster_date: date | None
+    log_prices: bool
+    threads: int
+
+
+def load_config_file(path: str | Path) -> dict[str, str]:
+    """Flat ``key = value`` lines; blank lines and # comments ignored."""
+    out: dict[str, str] = {}
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    for i, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{i}: expected key = value")
+        key, _, value = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{path}:{i}: unknown key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
+def _parse_bool(s: str, name: str) -> bool:
+    low = s.strip().lower()
+    if low in ("1", "true", "yes", "on"):
+        return True
+    if low in ("0", "false", "no", "off"):
+        return False
+    raise ConfigError(f"{name} must be a boolean, got {s!r}")
+
+
+def _parse_windows(s: str) -> tuple[int, ...]:
+    try:
+        values = tuple(int(p) for p in s.split(",") if p.strip())
+    except ValueError as exc:
+        raise ConfigError(f"bad windows list {s!r}") from exc
+    if not values or any(w < 1 for w in values):
+        raise ConfigError("windows must be positive integers")
+    return tuple(sorted(values))
+
+
+def _parse_intervals(s: str) -> tuple[int | str, ...]:
+    numeric: list[int] = []
+    has_all = False
+    for p in (p.strip() for p in s.split(",") if p.strip()):
+        if p == ALL_INTERVAL:
+            has_all = True
+            continue
+        try:
+            t = int(p)
+        except ValueError as exc:
+            raise ConfigError(f"bad interval {p!r}") from exc
+        if t < 1:
+            raise ConfigError("intervals must be positive")
+        numeric.append(t)
+    if not numeric and not has_all:
+        raise ConfigError("empty intervals list")
+    out: tuple[int | str, ...] = tuple(sorted(numeric))
+    return out + ((ALL_INTERVAL,) if has_all else ())
+
+
+def _parse_estimators(s: str) -> tuple[str, ...]:
+    tags = tuple(p.strip() for p in s.split(",") if p.strip())
+    if not tags:
+        raise ConfigError("empty estimator list")
+    for t in tags:
+        if t not in ESTIMATOR_TAGS:
+            raise ConfigError(f"unknown estimator {t!r}")
+    if len(set(tags)) != len(tags):
+        raise ConfigError("duplicate estimator tags")
+    return tags
+
+
+def _parse_date_opt(s: str) -> date:
+    for parse in (date.fromisoformat, lambda v: datetime.strptime(v, "%Y%m%d").date()):
+        try:
+            return parse(s)
+        except ValueError:
+            continue
+    raise ConfigError(f"bad date {s!r} (want YYYY-MM-DD or YYYYMMDD)")
+
+
+def _threads_from_env() -> int:
+    raw = os.environ.get("CSIE_THREADS", "").strip()
+    if raw:
+        try:
+            n = int(raw)
+        except ValueError as exc:
+            raise ConfigError(f"CSIE_THREADS must be an integer, got {raw!r}") from exc
+        if n < 1:
+            raise ConfigError("CSIE_THREADS must be at least 1")
+        return n
+    return min(8, os.cpu_count() or 1)
+
+
+def _resolve(args: argparse.Namespace) -> RunConfig:
+    file_cfg = load_config_file(args.config) if args.config else {}
+
+    def pick(key: str) -> str | None:
+        cli = getattr(args, key, None)
+        if cli is not None:
+            return str(cli)
+        if key in file_cfg:
+            return file_cfg[key]
+        return DEFAULTS.get(key)
+
+    alpha_s = pick("alpha")
+    try:
+        alpha = float(alpha_s)  # type: ignore[arg-type]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad alpha {alpha_s!r}") from exc
+    if not alpha > 1.0:
+        raise ConfigError("alpha must exceed 1")
+
+    semantics = pick("interval_semantics")
+    if semantics not in INTERVAL_SEMANTICS:
+        raise ConfigError(f"interval-semantics must be one of {INTERVAL_SEMANTICS}")
+
+    bubble = pick("bubble")
+    if bubble is not None and bubble not in ("count", "value"):
+        raise ConfigError("bubble must be 'count' or 'value'")
+
+    ma_s = pick("ma")
+    ma = None
+    if ma_s is not None:
+        try:
+            ma = int(ma_s)
+        except ValueError as exc:
+            raise ConfigError(f"bad ma {ma_s!r}") from exc
+        if ma < 1:
+            raise ConfigError("ma must be at least 1")
+
+    market_dir = pick("market_dir")
+    index = pick("index")
+    cluster_date = pick("date")
+    return RunConfig(
+        market_dir=Path(market_dir) if market_dir else None,
+        index=Path(index) if index else None,
+        estimators=_parse_estimators(pick("estimators")),  # type: ignore[arg-type]
+        windows=_parse_windows(pick("windows")),  # type: ignore[arg-type]
+        intervals=_parse_intervals(pick("intervals")),  # type: ignore[arg-type]
+        alpha=alpha,
+        use_abs=_parse_bool(pick("abs"), "abs"),  # type: ignore[arg-type]
+        ma=ma,
+        bubble=bubble,
+        out=Path(pick("out")),  # type: ignore[arg-type]
+        interval_semantics=semantics,  # type: ignore[arg-type]
+        cluster_date=_parse_date_opt(cluster_date) if cluster_date else None,
+        log_prices=_parse_bool(pick("log_prices"), "log_prices"),  # type: ignore[arg-type]
+        threads=_threads_from_env(),
+    )
+
+
+def _load_market(cfg: RunConfig) -> list:
+    if cfg.market_dir is None:
+        raise ConfigError("--market-dir is required for this command")
+    try:
+        return read_eod_dir(cfg.market_dir, threads=cfg.threads)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
+
+
+def _load_index(cfg: RunConfig):
+    if cfg.index is None:
+        raise ConfigError("--index is required for this command")
+    try:
+        return read_index_csv(cfg.index)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot load index from {cfg.index}: {exc}") from exc
+
+
+class _Emitter:
+    """Writes outputs one by one and keeps the per-output status report."""
+
+    def __init__(self, out_dir: Path) -> None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
+        self.out_dir = out_dir
+        self.failures = 0
+
+    def emit(self, name: str, build: Callable[[], str]) -> None:
+        path = self.out_dir / name
+        try:
+            path.write_text(build())
+        except (OSError, ValueError) as exc:
+            self.failures += 1
+            print(f"failed {path}: {exc}", file=sys.stderr)
+            return
+        print(f"wrote {path}")
+
+    def status(self) -> int:
+        return 1 if self.failures else 0
+
+
+def cmd_csie(cfg: RunConfig) -> int:
+    days = _load_market(cfg)
+    rows = csie_series(days, cfg.alpha)
+    emitter = _Emitter(cfg.out)
+    emitter.emit("csie_daily.csv", lambda: csie_csv(rows))
+
+    def build_chart() -> str:
+        series = csie_dated_series(rows, use_abs=cfg.use_abs)
+        overlay = moving_average(series, cfg.ma) if cfg.ma else None
+        sizes = None
+        label = ""
+        if cfg.bubble == "count":
+            sizes = np.array([r.m for r in rows], dtype=float)
+            label = "symbols traded"
+        elif cfg.bubble == "value":
+            sizes = np.array([r.total_value for r in rows], dtype=float)
+            label = "traded value"
+        kind = "absolute" if cfg.use_abs else "signed"
+        return line_chart(
+            series,
+            title=f"Cross-sectional intrinsic entropy ({kind})",
+            ma=overlay,
+            ma_label=f"{cfg.ma}-day moving average" if cfg.ma else "",
+            bubble_sizes=sizes,
+            bubble_label=label,
+        )
+
+    emitter.emit("csie_series.svg", build_chart)
+    return emitter.status()
+
+
+def cmd_indexvol(cfg: RunConfig) -> int:
+    index = _load_index(cfg)
+    w = cfg.windows[0]
+    series_by_tag: dict[str, DatedSeries] = {}
+    for tag in cfg.estimators:
+        try:
+            series_by_tag[tag] = rolling_estimate(index, tag, w, use_abs=cfg.use_abs)
+        except ValueError as exc:
+            raise InputError(f"estimator {tag!r}, window {w}: {exc}") from exc
+    common = series_by_tag[cfg.estimators[0]].dates
+    for s in series_by_tag.values():
+        common = np.intersect1d(common, s.dates)
+    emitter = _Emitter(cfg.out)
+
+    def build_csv() -> str:
+        lines = ["date," + ",".join(cfg.estimators)]
+        at = {
+            tag: dict(zip(s.dates.tolist(), s.values.tolist()))
+            for tag, s in series_by_tag.items()
+        }
+        for d in common.tolist():
+            lines.append(
+                d.isoformat()
+                + ","
+                + ",".join(repr(at[tag][d]) for tag in cfg.estimators)
+            )
+        return "\n".join(lines) + "\n"
+
+    emitter.emit("indexvol.csv", build_csv)
+    panels = [
+        (f"{_LONG_NAMES[tag]} ({w}d)", series_by_tag[tag])
+        for tag in _FIG_STACK_ORDER
+        if tag in series_by_tag
+    ]
+    emitter.emit(
+        "indexvol.svg",
+        lambda: small_multiples(panels, title=f"{index.name}: rolling volatility, window {w}"),
+    )
+    return emitter.status()
+
+
+def cmd_compare(cfg: RunConfig) -> int:
+    days = _load_market(cfg)
+    index = _load_index(cfg)
+    rows = csie_series(days, cfg.alpha)
+    emitter = _Emitter(cfg.out)
+    for stat in STATISTICS:
+        grid = comparison_grid(
+            index,
+            rows,
+            cfg.estimators,
+            cfg.intervals,
+            cfg.windows,
+            stat,
+            semantics=cfg.interval_semantics,
+        )
+        emitter.emit(f"grid_{stat}.csv", grid.to_csv)
+    return emitter.status()
+
+
+def cmd_cluster(cfg: RunConfig) -> int:
+    if cfg.market_dir is None:
+        raise ConfigError("--market-dir is required for this command")
+    if cfg.cluster_date is None:
+        raise ConfigError("--date is required for cluster")
+    stamp = cfg.cluster_date.strftime("%Y%m%d")
+    matches = sorted(Path(cfg.market_dir).glob(f"*_{stamp}.csv"))
+    if not matches:
+        raise InputError(
+            f"no EOD file for {cfg.cluster_date.isoformat()} in {cfg.market_dir}"
+        )
+    try:
+        day = read_eod_file(matches[0])
+        dendro = cluster_day(day, log_prices=cfg.log_prices)
+    except ValueError as exc:
+        raise InputError(f"{matches[0]}: {exc}") from exc
+    iso = cfg.cluster_date.isoformat()
+    emitter = _Emitter(cfg.out)
+    emitter.emit(f"cluster_{iso}.newick", lambda: dendro.newick() + "\n")
+    emitter.emit(f"cluster_{iso}_merges.csv", dendro.merge_csv)
+    emitter.emit(f"cluster_{iso}.svg", lambda: dendrogram_svg(dendro))
+    return emitter.status()
+
+
+_COMMANDS = {
+    "csie": cmd_csie,
+    "indexvol": cmd_indexvol,
+    "compare": cmd_compare,
+    "cluster": cmd_cluster,
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="csie",
+        description="Cross-sectional intrinsic entropy and OHLC volatility toolkit",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    specs = {
+        "csie": "daily market entropy CSV and chart from an EOD directory",
+        "indexvol": "rolling volatility estimators for one index CSV",
+        "compare": "mean/variance/pearson/beta grids of index vs market entropy",
+        "cluster": "OHLC price-column dendrogram for one day",
+    }
+    for name, help_text in specs.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--market-dir", dest="market_dir", help="directory of <MARKET>_<YYYYMMDD>.csv files")
+        p.add_argument("--index", help="index OHLCV CSV path")
+        p.add_argument("--estimators", help="comma list from cc,pk,gk,rs,yz,ie")
+        p.add_argument("--windows", help="comma list of rolling windows (indexvol uses the first)")
+        p.add_argument("--intervals", help="comma list of trailing intervals, 'all' allowed")
+        p.add_argument("--alpha", help="entropy blend alpha (> 1)")
+        p.add_argument("--abs", action="store_const", const=True, help="use absolute entropy variants")
+        p.add_argument("--ma", help="moving-average overlay window for charts")
+        p.add_argument("--bubble", choices=("count", "value"), help="bubble sizing for the csie chart")
+        p.add_argument("--out", help="output directory")
+        p.add_argument(
+            "--interval-semantics",
+            dest="interval_semantics",
+            choices=INTERVAL_SEMANTICS,
+            help="interval counts smoothed points (default) or raw days",
+        )
+        p.add_argument("--date", help="day to cluster, YYYY-MM-DD or YYYYMMDD")
+        p.add_argument("--log-prices", dest="log_prices", action="store_const", const=True,
+                       help="correlate log prices when clustering")
+    return parser
+
+
+def main(argv: Sequence[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        cfg = _resolve(args)
+        return _COMMANDS[args.command](cfg)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except InputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,0 +1,179 @@
+"""Cross-sectional intrinsic entropy (CSIE) of one market day.
+
+Each traded symbol contributes its share of the day's total traded value,
+psi_i = C_i * V_i / S.  Those shares weight two price-movement terms:
+
+* an open-to-close term, sum of -(C_i/O_i - 1) * psi_i * ln(psi_i)
+* a range term built from (H_i/O_i - 1)(H_i/C_i - 1) + (L_i/O_i - 1)(L_i/C_i - 1)
+
+and the day's estimate blends them as (1 - f) * H_oc + f * H_olhc, where f
+depends only on the cross-section width m.  The signed blend keeps direction
+(negative means predominantly selling); the absolute blend is the magnitude
+variant used when comparing against classic volatility estimators.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from datetime import date
+from typing import Iterable, Sequence
+
+import numpy as np
+
+from ._util import exact_sum, xlogx
+from .market_data import MarketDay
+
+ALPHA_DEFAULT = 1.34
+
+CSIE_CSV_HEADER = (
+    "date,m,total_value,f,h_oc,h_olhc,csie_signed,csie_abs,degenerate_flag"
+)
+
+
+@dataclass(frozen=True, slots=True)
+class SymbolWeight:
+    """A symbol's share of the day's traded value."""
+
+    symbol: str
+    psi: float
+
+
+@dataclass(frozen=True, slots=True)
+class CsieDay:
+    """One day's cross-sectional entropy estimate and its components."""
+
+    day: date
+    m: int
+    total_value: float
+    f: float
+    h_oc: float
+    h_olhc: float
+    csie_signed: float
+    csie_abs: float
+    degenerate: bool
+
+
+def _tradable_columns(day: MarketDay) -> tuple[np.ndarray, ...]:
+    mask = day.tradable
+    return (
+        day.symbols[mask],
+        day.open[mask],
+        day.high[mask],
+        day.low[mask],
+        day.close[mask],
+        day.volume[mask],
+    )
+
+
+def total_traded_value(day: MarketDay) -> float:
+    """Sum of close * volume over bars that actually traded."""
+    _, _, _, _, close, volume = _tradable_columns(day)
+    if len(close) == 0:
+        raise ValueError("empty cross-section")
+    return exact_sum(close * volume)
+
+
+def symbol_weights(day: MarketDay) -> list[SymbolWeight]:
+    """Traded-value shares psi_i in ascending symbol order; they sum to ~1."""
+    symbols, _, _, _, close, volume = _tradable_columns(day)
+    if len(symbols) == 0:
+        raise ValueError("empty cross-section")
+    values = close * volume
+    total = exact_sum(values)
+    psi = values / total
+    return [SymbolWeight(str(s), float(p)) for s, p in zip(symbols, psi)]
+
+
+def _check_weights(symbols: np.ndarray, weights: Sequence[SymbolWeight]) -> np.ndarray:
+    if len(weights) != len(symbols):
+        raise ValueError("weights do not match the day's tradable symbols")
+    for s, w in zip(symbols, weights):
+        if w.symbol != s:
+            raise ValueError(f"weight for {w.symbol!r} does not match symbol {s!r}")
+    return np.array([w.psi for w in weights], dtype=float)
+
+
+def _h_oc_terms(o: np.ndarray, c: np.ndarray, ent: np.ndarray) -> float:
+    return -exact_sum((c / o - 1.0) * ent)
+
+
+def _h_olhc_terms(
+    o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray, ent: np.ndarray
+) -> float:
+    spread = (h / o - 1.0) * (h / c - 1.0) + (l / o - 1.0) * (l / c - 1.0)
+    return -exact_sum(spread * ent)
+
+
+def csie_h_oc(day: MarketDay, weights: Sequence[SymbolWeight]) -> float:
+    """Open-to-close entropy component under the given value weights."""
+    symbols, o, _, _, c, _ = _tradable_columns(day)
+    psi = _check_weights(symbols, weights)
+    return _h_oc_terms(o, c, xlogx(psi))
+
+
+def csie_h_olhc(day: MarketDay, weights: Sequence[SymbolWeight]) -> float:
+    """Range (open/low/high/close) entropy component under the given weights."""
+    symbols, o, h, l, c, _ = _tradable_columns(day)
+    psi = _check_weights(symbols, weights)
+    return _h_olhc_terms(o, h, l, c, xlogx(psi))
+
+
+def csie_weight_f(m: int, alpha: float = ALPHA_DEFAULT) -> float:
+    """Blend weight on the range component for a cross-section of m symbols.
+
+    Increases with m and stays below (alpha - 1)/(alpha + 1); needs m >= 2.
+    """
+    if m < 2:
+        raise ValueError("degenerate cross-section: f needs at least two traded symbols")
+    if alpha <= 1.0:
+        raise ValueError("alpha must exceed 1")
+    return (alpha - 1.0) / (alpha + (m + 1.0) / (m - 1.0))
+
+
+def csie_day(day: MarketDay, alpha: float = ALPHA_DEFAULT) -> CsieDay:
+    """Compute one day's CSIE from its traded bars.
+
+    A single traded symbol is a degenerate cross-section: its weight is 1, so
+    every entropy term vanishes and the day is reported as exactly zero with
+    the flag set.  No traded symbol at all is an error.
+    """
+    _, o, h, l, c, v = _tradable_columns(day)
+    m = len(o)
+    if m == 0:
+        raise ValueError(f"empty cross-section on {day.day.isoformat()}")
+    values = c * v
+    total = exact_sum(values)
+    ent = xlogx(values / total)
+    h_oc = _h_oc_terms(o, c, ent)
+    h_olhc = _h_olhc_terms(o, h, l, c, ent)
+    if m == 1:
+        return CsieDay(day.day, 1, total, 0.0, h_oc, h_olhc, 0.0, 0.0, True)
+    f = csie_weight_f(m, alpha)
+    signed = (1.0 - f) * h_oc + f * h_olhc
+    magnitude = (1.0 - f) * abs(h_oc) + f * abs(h_olhc)
+    return CsieDay(day.day, m, total, f, h_oc, h_olhc, signed, magnitude, False)
+
+
+def csie_series(days: Iterable[MarketDay], alpha: float = ALPHA_DEFAULT) -> list[CsieDay]:
+    """CSIE for a run of market days, which must be in strictly increasing order."""
+    out: list[CsieDay] = []
+    for day in days:
+        if out and day.day <= out[-1].day:
+            raise ValueError(
+                f"market days out of order: {day.day.isoformat()} after "
+                f"{out[-1].day.isoformat()}"
+            )
+        out.append(csie_day(day, alpha))
+    return out
+
+
+def csie_csv(rows: Sequence[CsieDay]) -> str:
+    """Serialize CSIE days with full-precision floats, one row per day."""
+    lines = [CSIE_CSV_HEADER]
+    for r in rows:
+        lines.append(
+            f"{r.day.isoformat()},{r.m},{float(r.total_value)!r},{float(r.f)!r},"
+            f"{float(r.h_oc)!r},{float(r.h_olhc)!r},{float(r.csie_signed)!r},"
+            f"{float(r.csie_abs)!r},{int(r.degenerate)}"
+        )
+    return "\n".join(lines) + "\n"

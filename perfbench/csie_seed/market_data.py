@@ -1,0 +1,543 @@
+"""End-of-day market data: bar records, validation, and CSV ingestion.
+
+Daily files carry one row per listed symbol (Symbol,Open,High,Low,Close,Volume);
+index files carry one row per trading day (Date,Open,High,Low,Close[,AdjClose],
+Volume).  Both parsers are tolerant of header rows and of thousands separators
+inside the volume field, and report every skipped row through an ``on_reject``
+callback instead of failing the whole file.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import re
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from datetime import date, datetime
+from pathlib import Path
+from typing import Callable, Iterator, Sequence
+
+import numpy as np
+
+# Reason codes for rows a parser cannot use.
+NONPOSITIVE_PRICE = "nonpositive-price"
+OHLC_ORDERING = "ohlc-ordering"
+FIELD_COUNT = "field-count"
+UNPARSEABLE_FIELD = "unparseable-field"
+DUPLICATE_SYMBOL = "duplicate-symbol"
+MALFORMED_DATE = "malformed-date"
+
+# Not a rejection: the bar stays in the day but is excluded from trade-value
+# weighting (nothing changed hands, so it carries no information).
+ZERO_VOLUME = "zero-volume"
+
+_EOD_NAME = re.compile(r"^(?P<market>.+)_(?P<date>\d{8})\.csv$")
+
+OnReject = Callable[["RejectedRow"], None]
+
+
+@dataclass(frozen=True, slots=True)
+class DailyBar:
+    """One symbol's OHLCV for one day."""
+
+    symbol: str
+    open: float
+    high: float
+    low: float
+    close: float
+    volume: int
+
+
+@dataclass(frozen=True, slots=True)
+class RejectedRow:
+    """A source row that was skipped, with the 1-based line it came from."""
+
+    line: int
+    content: str
+    reason: str
+
+
+def validate_bar(bar: DailyBar) -> str | None:
+    """Return None for a fully usable bar, else the reason code.
+
+    ``nonpositive-price`` and ``ohlc-ordering`` mean the bar is unusable and
+    must be dropped; ``zero-volume`` means it is structurally fine but carries
+    no traded value (callers keep it, weighting ignores it).
+    """
+    prices = (bar.open, bar.high, bar.low, bar.close)
+    if any(not np.isfinite(p) or p <= 0.0 for p in prices):
+        return NONPOSITIVE_PRICE
+    if bar.low > min(bar.open, bar.close) or bar.high < max(bar.open, bar.close):
+        return OHLC_ORDERING
+    if bar.volume < 0:
+        return UNPARSEABLE_FIELD
+    if bar.volume == 0:
+        return ZERO_VOLUME
+    return None
+
+
+class MarketDay:
+    """All accepted bars for one trading day, held as columns.
+
+    Symbols are stored in ascending order regardless of source order, so any
+    computation that runs over the columns is independent of file layout.
+    """
+
+    __slots__ = ("day", "symbols", "open", "high", "low", "close", "volume")
+
+    def __init__(
+        self,
+        day: date,
+        symbols: Sequence[str] | np.ndarray,
+        open: Sequence[float] | np.ndarray,
+        high: Sequence[float] | np.ndarray,
+        low: Sequence[float] | np.ndarray,
+        close: Sequence[float] | np.ndarray,
+        volume: Sequence[int] | np.ndarray,
+    ) -> None:
+        symbols = np.asarray(symbols, dtype=str)
+        cols = [np.asarray(c, dtype=float) for c in (open, high, low, close)]
+        vol = np.asarray(volume, dtype=np.int64)
+        n = len(symbols)
+        if n == 0:
+            raise ValueError("empty market day")
+        for c in (*cols, vol):
+            if c.shape != (n,):
+                raise ValueError("column lengths differ")
+        o, h, l, c = cols
+        if not np.isfinite(np.concatenate(cols)).all() or min(col.min() for col in cols) <= 0.0:
+            raise ValueError(NONPOSITIVE_PRICE)
+        if (l > np.minimum(o, c)).any() or (h < np.maximum(o, c)).any():
+            raise ValueError(OHLC_ORDERING)
+        if (vol < 0).any():
+            raise ValueError("negative volume")
+        order = np.argsort(symbols, kind="stable")
+        symbols = symbols[order]
+        if n > 1 and (symbols[1:] == symbols[:-1]).any():
+            raise ValueError(DUPLICATE_SYMBOL)
+        self.day = day
+        self.symbols = symbols
+        self.open = o[order]
+        self.high = h[order]
+        self.low = l[order]
+        self.close = c[order]
+        self.volume = vol[order]
+
+    @classmethod
+    def from_bars(cls, day: date, bars: Sequence[DailyBar]) -> "MarketDay":
+        return cls(
+            day,
+            [b.symbol for b in bars],
+            [b.open for b in bars],
+            [b.high for b in bars],
+            [b.low for b in bars],
+            [b.close for b in bars],
+            [b.volume for b in bars],
+        )
+
+    def __len__(self) -> int:
+        return len(self.symbols)
+
+    def __repr__(self) -> str:
+        return f"MarketDay({self.day.isoformat()}, {len(self)} symbols)"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, MarketDay):
+            return NotImplemented
+        return (
+            self.day == other.day
+            and np.array_equal(self.symbols, other.symbols)
+            and np.array_equal(self.open, other.open)
+            and np.array_equal(self.high, other.high)
+            and np.array_equal(self.low, other.low)
+            and np.array_equal(self.close, other.close)
+            and np.array_equal(self.volume, other.volume)
+        )
+
+    @property
+    def tradable(self) -> np.ndarray:
+        """Boolean mask of bars with volume > 0."""
+        return self.volume > 0
+
+    @property
+    def n_tradable(self) -> int:
+        return int(self.tradable.sum())
+
+    def bars(self) -> Iterator[DailyBar]:
+        for i in range(len(self)):
+            yield DailyBar(
+                str(self.symbols[i]),
+                float(self.open[i]),
+                float(self.high[i]),
+                float(self.low[i]),
+                float(self.close[i]),
+                int(self.volume[i]),
+            )
+
+    def bar(self, symbol: str) -> DailyBar:
+        i = int(np.searchsorted(self.symbols, symbol))
+        if i >= len(self) or self.symbols[i] != symbol:
+            raise KeyError(symbol)
+        return DailyBar(
+            symbol,
+            float(self.open[i]),
+            float(self.high[i]),
+            float(self.low[i]),
+            float(self.close[i]),
+            int(self.volume[i]),
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class IndexBar:
+    """One trading day of an index, same ordering constraints as DailyBar."""
+
+    day: date
+    open: float
+    high: float
+    low: float
+    close: float
+    volume: int
+
+
+class IndexSeries:
+    """An index's daily bars in strictly increasing date order."""
+
+    __slots__ = ("name", "dates", "open", "high", "low", "close", "volume")
+
+    def __init__(
+        self,
+        name: str,
+        dates: Sequence[date] | np.ndarray,
+        open: Sequence[float] | np.ndarray,
+        high: Sequence[float] | np.ndarray,
+        low: Sequence[float] | np.ndarray,
+        close: Sequence[float] | np.ndarray,
+        volume: Sequence[int] | np.ndarray,
+    ) -> None:
+        dates = np.asarray(dates, dtype="datetime64[D]")
+        cols = [np.asarray(c, dtype=float) for c in (open, high, low, close)]
+        vol = np.asarray(volume, dtype=np.int64)
+        n = len(dates)
+        if n == 0:
+            raise ValueError("empty index series")
+        for c in (*cols, vol):
+            if c.shape != (n,):
+                raise ValueError("column lengths differ")
+        order = np.argsort(dates, kind="stable")
+        dates = dates[order]
+        if n > 1 and (dates[1:] == dates[:-1]).any():
+            dup = dates[:-1][dates[1:] == dates[:-1]][0]
+            raise ValueError(f"duplicate date {dup}")
+        o, h, l, c = (col[order] for col in cols)
+        if not all(np.isfinite(col).all() and (col > 0.0).all() for col in (o, h, l, c)):
+            raise ValueError(NONPOSITIVE_PRICE)
+        if (l > np.minimum(o, c)).any() or (h < np.maximum(o, c)).any():
+            raise ValueError(OHLC_ORDERING)
+        if (vol < 0).any():
+            raise ValueError("negative volume")
+        self.name = name
+        self.dates = dates
+        self.open = o
+        self.high = h
+        self.low = l
+        self.close = c
+        self.volume = vol[order]
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __repr__(self) -> str:
+        return f"IndexSeries({self.name!r}, {len(self)} days)"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IndexSeries):
+            return NotImplemented
+        return (
+            self.name == other.name
+            and np.array_equal(self.dates, other.dates)
+            and np.array_equal(self.open, other.open)
+            and np.array_equal(self.high, other.high)
+            and np.array_equal(self.low, other.low)
+            and np.array_equal(self.close, other.close)
+            and np.array_equal(self.volume, other.volume)
+        )
+
+    def slice(self, start: int, stop: int) -> "IndexSeries":
+        if not 0 <= start < stop <= len(self):
+            raise ValueError("bad slice bounds")
+        return IndexSeries(
+            self.name,
+            self.dates[start:stop],
+            self.open[start:stop],
+            self.high[start:stop],
+            self.low[start:stop],
+            self.close[start:stop],
+            self.volume[start:stop],
+        )
+
+    def bars(self) -> Iterator[IndexBar]:
+        for i in range(len(self)):
+            yield IndexBar(
+                self.dates[i].astype(date),
+                float(self.open[i]),
+                float(self.high[i]),
+                float(self.low[i]),
+                float(self.close[i]),
+                int(self.volume[i]),
+            )
+
+
+def _strip_thousands(field: str) -> str:
+    return field.replace(",", "").replace('"', "").strip()
+
+
+def _split_row(row: list[str], n_fixed: int) -> list[str] | None:
+    """Collapse a row whose trailing volume was split on embedded commas.
+
+    ``n_fixed`` is the number of columns preceding volume; anything beyond the
+    expected width is rejoined into the volume field.
+    """
+    if len(row) < n_fixed + 1:
+        return None
+    if len(row) == n_fixed + 1:
+        return row
+    tail = row[n_fixed:]
+    if not all(part.strip().isdigit() for part in tail):
+        return None
+    return row[:n_fixed] + ["".join(p.strip() for p in tail)]
+
+
+def parse_eod_file(
+    data: str | bytes,
+    day: date,
+    *,
+    on_reject: OnReject | None = None,
+) -> MarketDay:
+    """Parse one daily Symbol,Open,High,Low,Close,Volume file.
+
+    Rows that cannot be used are skipped and reported through ``on_reject``;
+    zero-volume rows are kept (they are flagged through ``MarketDay.tradable``).
+    Duplicate symbols keep the first occurrence.  Raises ValueError when no
+    usable row remains.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+
+    def reject(line: int, content: str, reason: str) -> None:
+        if on_reject is not None:
+            on_reject(RejectedRow(line, content, reason))
+
+    bars: list[DailyBar] = []
+    seen: set[str] = set()
+    reader = csv.reader(io.StringIO(data))
+    for line_no, row in enumerate(reader, start=1):
+        if not row or all(not f.strip() for f in row):
+            continue
+        raw = ",".join(row)
+        if line_no == 1 and row[0].strip().lower() == "symbol":
+            continue
+        row = _split_row(row, 5)
+        if row is None:
+            reject(line_no, raw, FIELD_COUNT)
+            continue
+        symbol = row[0].strip()
+        try:
+            o, h, l, c = (float(_strip_thousands(f)) for f in row[1:5])
+            volume = int(_strip_thousands(row[5]))
+        except ValueError:
+            reject(line_no, raw, UNPARSEABLE_FIELD)
+            continue
+        if not symbol:
+            reject(line_no, raw, UNPARSEABLE_FIELD)
+            continue
+        bar = DailyBar(symbol, o, h, l, c, volume)
+        verdict = validate_bar(bar)
+        if verdict in (NONPOSITIVE_PRICE, OHLC_ORDERING, UNPARSEABLE_FIELD):
+            reject(line_no, raw, verdict)
+            continue
+        if symbol in seen:
+            reject(line_no, raw, DUPLICATE_SYMBOL)
+            continue
+        seen.add(symbol)
+        bars.append(bar)
+    if not bars:
+        raise ValueError(f"no usable rows for {day.isoformat()}")
+    return MarketDay.from_bars(day, bars)
+
+
+def to_eod_csv(day: MarketDay) -> str:
+    """Serialize a MarketDay so that parsing the result reproduces it exactly."""
+    lines = ["Symbol,Open,High,Low,Close,Volume"]
+    for b in day.bars():
+        lines.append(
+            f"{b.symbol},{b.open!r},{b.high!r},{b.low!r},{b.close!r},{b.volume}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def eod_filename_date(name: str) -> tuple[str, date]:
+    """Split ``<MARKET>_<YYYYMMDD>.csv`` into market name and date."""
+    m = _EOD_NAME.match(name)
+    if m is None:
+        raise ValueError(f"not an EOD file name: {name}")
+    try:
+        d = datetime.strptime(m.group("date"), "%Y%m%d").date()
+    except ValueError as exc:
+        raise ValueError(f"bad date in file name: {name}") from exc
+    return m.group("market"), d
+
+
+def read_eod_file(
+    path: str | Path,
+    day: date | None = None,
+    *,
+    on_reject: OnReject | None = None,
+) -> MarketDay:
+    """Read one EOD file; the date comes from the file name unless given."""
+    path = Path(path)
+    if day is None:
+        _, day = eod_filename_date(path.name)
+    return parse_eod_file(path.read_bytes(), day, on_reject=on_reject)
+
+
+def read_eod_dir(
+    path: str | Path,
+    *,
+    threads: int = 1,
+    on_reject: OnReject | None = None,
+) -> list[MarketDay]:
+    """Read every ``<MARKET>_<YYYYMMDD>.csv`` in a directory, sorted by date.
+
+    Files not matching the naming convention are ignored.  ``threads`` > 1
+    parses files concurrently; results are assembled in date order either way.
+    """
+    path = Path(path)
+    dated: list[tuple[date, Path]] = []
+    for p in sorted(path.iterdir()):
+        if not p.is_file():
+            continue
+        try:
+            _, d = eod_filename_date(p.name)
+        except ValueError:
+            continue
+        dated.append((d, p))
+    dated.sort()
+    for (d1, p1), (d2, p2) in zip(dated, dated[1:]):
+        if d1 == d2:
+            raise ValueError(f"duplicate date {d1.isoformat()}: {p1.name}, {p2.name}")
+    if not dated:
+        raise ValueError(f"no EOD files in {path}")
+
+    def load(item: tuple[date, Path]) -> MarketDay:
+        return read_eod_file(item[1], item[0], on_reject=on_reject)
+
+    if threads <= 1 or len(dated) == 1:
+        return [load(item) for item in dated]
+    with ThreadPoolExecutor(max_workers=min(threads, len(dated))) as pool:
+        return list(pool.map(load, dated))
+
+
+_INDEX_COLUMNS = {"date", "open", "high", "low", "close", "volume"}
+_ADJ_CLOSE = {"adjclose", "adj close", "adj_close", "adj.close"}
+
+
+def _parse_day(field: str) -> date:
+    return date.fromisoformat(field.strip())
+
+
+def parse_index_csv(
+    data: str | bytes,
+    name: str = "index",
+    *,
+    on_reject: OnReject | None = None,
+) -> IndexSeries:
+    """Parse a Date,Open,High,Low,Close[,AdjClose],Volume index file.
+
+    Column order is taken from the header when present (an adjusted-close
+    column is ignored), otherwise assumed positional.  Bad rows are skipped
+    and reported; duplicate dates are an error.
+    """
+    if isinstance(data, bytes):
+        data = data.decode("utf-8")
+
+    def reject(line: int, content: str, reason: str) -> None:
+        if on_reject is not None:
+            on_reject(RejectedRow(line, content, reason))
+
+    rows = list(csv.reader(io.StringIO(data)))
+    col_of = {"date": 0, "open": 1, "high": 2, "low": 3, "close": 4, "volume": 5}
+    start = 0
+    if rows:
+        header = [f.strip().lower() for f in rows[0]]
+        if "date" in header:
+            col_of = {}
+            for i, field in enumerate(header):
+                if field in _INDEX_COLUMNS:
+                    col_of[field] = i
+                elif field in _ADJ_CLOSE:
+                    continue
+            missing = _INDEX_COLUMNS - col_of.keys()
+            if missing:
+                raise ValueError(f"index header missing columns: {sorted(missing)}")
+            start = 1
+
+    days: list[date] = []
+    cols: dict[str, list[float]] = {k: [] for k in ("open", "high", "low", "close")}
+    volumes: list[int] = []
+    width = max(col_of.values())
+    for line_no, row in enumerate(rows[start:], start=start + 1):
+        if not row or all(not f.strip() for f in row):
+            continue
+        raw = ",".join(row)
+        if len(row) <= width:
+            reject(line_no, raw, FIELD_COUNT)
+            continue
+        try:
+            d = _parse_day(row[col_of["date"]])
+        except ValueError:
+            reject(line_no, raw, MALFORMED_DATE)
+            continue
+        try:
+            o, h, l, c = (
+                float(_strip_thousands(row[col_of[k]]))
+                for k in ("open", "high", "low", "close")
+            )
+            volume = int(float(_strip_thousands(row[col_of["volume"]])))
+        except ValueError:
+            reject(line_no, raw, UNPARSEABLE_FIELD)
+            continue
+        bar = IndexBar(d, o, h, l, c, volume)
+        verdict = validate_bar(
+            DailyBar(d.isoformat(), o, h, l, c, max(volume, 0))
+        )
+        if verdict in (NONPOSITIVE_PRICE, OHLC_ORDERING):
+            reject(line_no, raw, verdict)
+            continue
+        if volume < 0:
+            reject(line_no, raw, UNPARSEABLE_FIELD)
+            continue
+        days.append(bar.day)
+        cols["open"].append(o)
+        cols["high"].append(h)
+        cols["low"].append(l)
+        cols["close"].append(c)
+        volumes.append(volume)
+    if not days:
+        raise ValueError(f"no usable rows in index {name!r}")
+    return IndexSeries(
+        name, days, cols["open"], cols["high"], cols["low"], cols["close"], volumes
+    )
+
+
+def read_index_csv(
+    path: str | Path,
+    name: str | None = None,
+    *,
+    on_reject: OnReject | None = None,
+) -> IndexSeries:
+    path = Path(path)
+    return parse_index_csv(
+        path.read_bytes(), name if name is not None else path.stem, on_reject=on_reject
+    )
