@@ -32,6 +32,13 @@ def exact_dot(a: np.ndarray, b: np.ndarray) -> float:
     return exact_sum(np.multiply(a, b))
 
 
+def exact_mean_var(values: np.ndarray) -> tuple[float, float]:
+    """Population mean and variance: (mean, fsum((x - mean)^2) / n)."""
+    mu = exact_mean(values)
+    d = values - mu
+    return mu, exact_mean(d * d)
+
+
 def xlogx(p: np.ndarray) -> np.ndarray:
     """Elementwise p*ln(p) with the 0*ln(0) = 0 limit made explicit."""
     p = np.asarray(p, dtype=float)

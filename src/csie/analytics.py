@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._util import exact_dot, exact_mean
+from ._util import exact_dot, exact_mean, exact_mean_var
 from .cross_section import CsieDay
 from .estimators import (
     vol_close_to_close,
@@ -97,6 +97,15 @@ def moving_average(s: DatedSeries, w: int) -> DatedSeries:
     return DatedSeries(s.dates[w - 1 :], np.array(vals, dtype=float))
 
 
+class RollingError(ValueError):
+    """The first failed window's message; ``series`` has NaN at every failed
+    window and ``last_failed`` is the position of the newest one."""
+
+    def __init__(self, first: ValueError, series: VolSeries, last_failed: int) -> None:
+        super().__init__(str(first))
+        self.series, self.last_failed = series, last_failed
+
+
 def rolling_estimate(
     series: IndexSeries, tag: str, w: int, *, use_abs: bool = False
 ) -> VolSeries:
@@ -105,7 +114,8 @@ def rolling_estimate(
     Estimators that look back at the previous close start one date later
     than range-only ones because the first bar must seed the window.
     ``use_abs`` selects the absolute blend for the intrinsic-entropy
-    estimator; the others are nonnegative by construction.
+    estimator; the others are nonnegative by construction.  Windows where
+    the estimator raises (``ie`` with no traded volume) give a RollingError.
     """
     if tag not in ESTIMATOR_TAGS:
         raise ValueError(f"unknown estimator {tag!r}")
@@ -120,17 +130,25 @@ def rolling_estimate(
         )
     dates: list[np.datetime64] = []
     values: list[float] = []
-    for win in windows(series, w, needs_seed):
-        if tag == "ie":
-            est = ie_estimate(win)
-            v = est.value_abs if use_abs else est.value_signed
-        else:
-            v = _POINT_FUNCS[tag](win)
+    failed: list[tuple[int, ValueError]] = []
+    for i, win in enumerate(windows(series, w, needs_seed)):
+        try:
+            if tag == "ie":
+                est = ie_estimate(win)
+                v = est.value_abs if use_abs else est.value_signed
+            else:
+                v = _POINT_FUNCS[tag](win)
+        except ValueError as exc:
+            failed.append((i, exc))
+            v = math.nan
         dates.append(win.end)
         values.append(v)
-    return VolSeries(
+    out = VolSeries(
         np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=float), tag, w
     )
+    if failed:
+        raise RollingError(failed[0][1], out, failed[-1][0]) from failed[0][1]
+    return out
 
 
 def mean_var(values: Sequence[float] | np.ndarray) -> tuple[float, float]:
@@ -138,9 +156,7 @@ def mean_var(values: Sequence[float] | np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ValueError("mean_var of empty sequence")
-    mu = exact_mean(values)
-    d = values - mu
-    return mu, exact_dot(d, d) / len(values)
+    return exact_mean_var(values)
 
 
 def align(a: DatedSeries, b: DatedSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -227,14 +243,19 @@ class ComparisonGrid:
         return "\n".join(lines) + "\n"
 
 
-def _tail(arr: np.ndarray, t: Interval) -> np.ndarray | None:
-    """Last t entries, or None when fewer than t are available."""
+def _keep(
+    need: np.ndarray, capacity: int, reach: float, t: Interval
+) -> np.ndarray | slice | None:
+    """Which entries interval t keeps (those with ``need <= t``: ``need[i]``
+    is how many trailing points entry i reaches back over), or None when t
+    exceeds ``capacity`` (too few points) or ``reach`` (the largest interval
+    with no failed estimator window; "all" reaches every window)."""
     if t == ALL_INTERVAL:
-        return arr
+        return slice(None) if reach == math.inf else None
     assert isinstance(t, int)
-    if len(arr) < t:
+    if t > min(capacity, reach):
         return None
-    return arr[len(arr) - t :]
+    return need <= t
 
 
 def _apply_stat(
@@ -268,14 +289,17 @@ def comparison_grid(
 ) -> ComparisonGrid:
     """Evaluate one statistic over the interval x window grid.
 
-    For each (t, w, estimator): roll the estimator over the index with
-    window w, smooth the daily market entropy with a w-day moving average
-    (absolute variant for pearson/beta, signed for mean/variance), align on
-    dates, keep the trailing interval t, and apply the statistic.  With
-    ``semantics="smoothed-points"`` (default) the interval counts aligned
-    smoothed points; with "raw-days" it counts raw trailing days before any
-    windowing.  Unsupported cells become None ("NA" in CSV); the grid shape
-    never varies with the data.
+    For each window w, the w-day moving average of the daily market entropy
+    (absolute for pearson/beta, signed for mean/variance) and each estimator
+    rolled over the whole index are computed once and aligned on dates; an
+    interval t only selects entries.  ``semantics="smoothed-points"``
+    (default) keeps the last t aligned points.  "raw-days" keeps only the
+    estimator windows (seed bar included) within the last t index bars and
+    the moving-average windows within the last t market days, and is NA when
+    either has fewer than t, or when those bars hold a failed estimator
+    window (``ie`` with no traded volume; smoothed-points: any failed window).
+    "all" keeps everything.  Unsupported cells become None ("NA" in CSV);
+    the grid shape never varies with the data.
     """
     if statistic not in STATISTICS:
         raise ValueError(f"unknown statistic {statistic!r}")
@@ -290,74 +314,49 @@ def comparison_grid(
         if r1.day == r2.day:
             raise ValueError(f"duplicate market day {r1.day.isoformat()}")
     daily = csie_dated_series(market_rows, use_abs=use_abs)
+    raw_days = semantics == "raw-days"
+    n_bars, n_days = len(index), len(daily)
 
     with_csie_col = statistic in ("mean", "variance")
     columns = tuple(estimators) + (("csie",) if with_csie_col else ())
     cells: dict[CellKey, float | None] = {}
 
-    if semantics == "smoothed-points":
-        for w in windows_:
-            try:
-                ma = moving_average(daily, w)
-            except ValueError:
-                ma = None
+    for w in windows_:
+        # column -> (column values, market values, need, capacity, reach)
+        series: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, int, float]] = {}
+        try:
+            ma = moving_average(daily, w)
+        except ValueError:
+            ma = None
+        if ma is not None:
             for tag in estimators:
-                pair = None
-                if ma is not None:
-                    try:
-                        vol = rolling_estimate(index, tag, w, use_abs=use_abs)
-                        _, est_vals, ma_vals = align(vol, ma)
-                        pair = (est_vals, ma_vals)
-                    except ValueError:
-                        pair = None
-                for t in intervals:
-                    est_t = _tail(pair[0], t) if pair is not None else None
-                    ma_t = _tail(pair[1], t) if pair is not None else None
-                    if pair is not None and (est_t is None or ma_t is None):
-                        est_t = ma_t = None
-                    cells[(t, w, tag)] = _apply_stat(statistic, est_t, ma_t)
-            if with_csie_col:
-                for t in intervals:
-                    own = _tail(ma.values, t) if ma is not None else None
-                    cells[(t, w, "csie")] = _apply_stat(statistic, own, None)
-    else:
-        for w in windows_:
-            for t in intervals:
-                if t == ALL_INTERVAL:
-                    sub_index, sub_rows = index, market_rows
+                try:
+                    vol, reach = rolling_estimate(index, tag, w, use_abs=use_abs), math.inf
+                except RollingError as err:  # window i spans the last n_bars - i bars
+                    vol = err.series
+                    reach = n_bars - err.last_failed - 1 if raw_days else 0
+                except ValueError:
+                    continue
+                _, iv, im = np.intersect1d(vol.dates, ma.dates, return_indices=True)
+                if raw_days:
+                    need = np.maximum(n_bars - iv, n_days - im)
+                    capacity = min(n_bars, n_days)
                 else:
-                    assert isinstance(t, int)
-                    sub_index = (
-                        index.slice(len(index) - t, len(index))
-                        if len(index) >= t
-                        else None
-                    )
-                    sub_rows = market_rows[-t:] if len(market_rows) >= t else None
-                ma = None
-                if sub_rows is not None:
-                    try:
-                        ma = moving_average(
-                            csie_dated_series(sub_rows, use_abs=use_abs), w
-                        )
-                    except ValueError:
-                        ma = None
-                for tag in estimators:
-                    pair = None
-                    if ma is not None and sub_index is not None:
-                        try:
-                            vol = rolling_estimate(sub_index, tag, w, use_abs=use_abs)
-                            _, est_vals, ma_vals = align(vol, ma)
-                            pair = (est_vals, ma_vals)
-                        except ValueError:
-                            pair = None
-                    cells[(t, w, tag)] = _apply_stat(
-                        statistic,
-                        pair[0] if pair is not None else None,
-                        pair[1] if pair is not None else None,
-                    )
-                if with_csie_col:
-                    own = ma.values if ma is not None else None
-                    cells[(t, w, "csie")] = _apply_stat(statistic, own, None)
+                    need, capacity = len(iv) - np.arange(len(iv)), len(iv)
+                series[tag] = (vol.values[iv], ma.values[im], need, capacity, reach)
+            if with_csie_col:
+                source = n_days if raw_days else len(ma)
+                need = source - np.arange(len(ma))
+                series["csie"] = (ma.values, ma.values, need, source, math.inf)
+        for t in intervals:
+            for col in columns:
+                est = mkt = None
+                if col in series:
+                    vals, mkt_vals, need, capacity, reach = series[col]
+                    keep = _keep(need, capacity, reach, t)
+                    if keep is not None:
+                        est, mkt = vals[keep], mkt_vals[keep]
+                cells[(t, w, col)] = _apply_stat(statistic, est, mkt)
 
     return ComparisonGrid(
         statistic, tuple(intervals), tuple(windows_), columns, cells

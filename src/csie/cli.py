@@ -469,10 +469,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         cfg = _resolve(args)
         return _COMMANDS[args.command](cfg)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InputError as exc:
+    except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

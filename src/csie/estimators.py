@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ._util import exact_mean, exact_sum
+from ._util import exact_mean, exact_mean_var, exact_sum
 from .market_data import IndexSeries
 
 _LN2 = math.log(2.0)
@@ -169,18 +169,12 @@ def yz_k(n: int) -> float:
 
 def vol_overnight(w: OhlcWindow) -> float:
     """De-meaned variance of overnight gaps ln(O_i/C_{i-1}); not a square root."""
-    g = np.log(w.open / w.prev_closes)
-    mu = exact_mean(g)
-    d = g - mu
-    return exact_mean(d * d)
+    return exact_mean_var(np.log(w.open / w.prev_closes))[1]
 
 
 def vol_open_to_close(w: OhlcWindow) -> float:
     """De-meaned variance of intraday log returns ln(C_i/O_i); not a square root."""
-    r = np.log(w.close / w.open)
-    mu = exact_mean(r)
-    d = r - mu
-    return exact_mean(d * d)
+    return exact_mean_var(np.log(w.close / w.open))[1]
 
 
 def vol_yang_zhang(w: OhlcWindow) -> float:

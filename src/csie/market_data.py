@@ -32,6 +32,9 @@ MALFORMED_DATE = "malformed-date"
 # weighting (nothing changed hands, so it carries no information).
 ZERO_VOLUME = "zero-volume"
 
+# Volumes are held as int64; a larger one is an unusable number.
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
 _EOD_NAME = re.compile(r"^(?P<market>.+)_(?P<date>\d{8})\.csv$")
 
 OnReject = Callable[["RejectedRow"], None]
@@ -65,16 +68,31 @@ def validate_bar(bar: DailyBar) -> str | None:
     must be dropped; ``zero-volume`` means it is structurally fine but carries
     no traded value (callers keep it, weighting ignores it).
     """
-    prices = (bar.open, bar.high, bar.low, bar.close)
-    if any(not np.isfinite(p) or p <= 0.0 for p in prices):
+    return _verdict(bar.open, bar.high, bar.low, bar.close, bar.volume)
+
+
+def _verdict(o: float, h: float, l: float, c: float, volume: int) -> str | None:
+    if any(not np.isfinite(p) or p <= 0.0 for p in (o, h, l, c)):
         return NONPOSITIVE_PRICE
-    if bar.low > min(bar.open, bar.close) or bar.high < max(bar.open, bar.close):
+    if l > min(o, c) or h < max(o, c):
         return OHLC_ORDERING
-    if bar.volume < 0:
+    if not 0 <= volume <= _INT64_MAX:
         return UNPARSEABLE_FIELD
-    if bar.volume == 0:
+    if volume == 0:
         return ZERO_VOLUME
     return None
+
+
+def _check_ohlcv(
+    o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray, vol: np.ndarray
+) -> None:
+    """Raise unless prices are positive, low/high bracket open/close, volume >= 0."""
+    if not all(np.isfinite(col).all() and (col > 0.0).all() for col in (o, h, l, c)):
+        raise ValueError(NONPOSITIVE_PRICE)
+    if (l > np.minimum(o, c)).any() or (h < np.maximum(o, c)).any():
+        raise ValueError(OHLC_ORDERING)
+    if (vol < 0).any():
+        raise ValueError("negative volume")
 
 
 class MarketDay:
@@ -106,12 +124,7 @@ class MarketDay:
             if c.shape != (n,):
                 raise ValueError("column lengths differ")
         o, h, l, c = cols
-        if not np.isfinite(np.concatenate(cols)).all() or min(col.min() for col in cols) <= 0.0:
-            raise ValueError(NONPOSITIVE_PRICE)
-        if (l > np.minimum(o, c)).any() or (h < np.maximum(o, c)).any():
-            raise ValueError(OHLC_ORDERING)
-        if (vol < 0).any():
-            raise ValueError("negative volume")
+        _check_ohlcv(o, h, l, c, vol)
         order = np.argsort(symbols, kind="stable")
         symbols = symbols[order]
         if n > 1 and (symbols[1:] == symbols[:-1]).any():
@@ -231,12 +244,7 @@ class IndexSeries:
             dup = dates[:-1][dates[1:] == dates[:-1]][0]
             raise ValueError(f"duplicate date {dup}")
         o, h, l, c = (col[order] for col in cols)
-        if not all(np.isfinite(col).all() and (col > 0.0).all() for col in (o, h, l, c)):
-            raise ValueError(NONPOSITIVE_PRICE)
-        if (l > np.minimum(o, c)).any() or (h < np.maximum(o, c)).any():
-            raise ValueError(OHLC_ORDERING)
-        if (vol < 0).any():
-            raise ValueError("negative volume")
+        _check_ohlcv(o, h, l, c, vol)
         self.name = name
         self.dates = dates
         self.open = o
@@ -505,20 +513,14 @@ def parse_index_csv(
                 for k in ("open", "high", "low", "close")
             )
             volume = int(float(_strip_thousands(row[col_of["volume"]])))
-        except ValueError:
+        except (ValueError, OverflowError):
             reject(line_no, raw, UNPARSEABLE_FIELD)
             continue
-        bar = IndexBar(d, o, h, l, c, volume)
-        verdict = validate_bar(
-            DailyBar(d.isoformat(), o, h, l, c, max(volume, 0))
-        )
-        if verdict in (NONPOSITIVE_PRICE, OHLC_ORDERING):
+        verdict = _verdict(o, h, l, c, volume)
+        if verdict not in (None, ZERO_VOLUME):
             reject(line_no, raw, verdict)
             continue
-        if volume < 0:
-            reject(line_no, raw, UNPARSEABLE_FIELD)
-            continue
-        days.append(bar.day)
+        days.append(d)
         cols["open"].append(o)
         cols["high"].append(h)
         cols["low"].append(l)

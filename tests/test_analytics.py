@@ -6,6 +6,7 @@ from datetime import date
 import numpy as np
 import pytest
 
+from csie import analytics
 from csie.analytics import (
     ALL_INTERVAL,
     DatedSeries,
@@ -19,6 +20,7 @@ from csie.analytics import (
     vol_beta,
 )
 from csie.cross_section import CsieDay, csie_series
+from csie.market_data import IndexSeries
 from csie.estimators import (
     vol_close_to_close,
     vol_parkinson,
@@ -333,6 +335,31 @@ def test_grid_na_for_undefined_statistic():
     assert math.isclose(gm.cell(ALL_INTERVAL, 3, "csie"), 0.25, rel_tol=1e-15)
 
 
+def reslice_reference(index, rows, column, t, w, statistic):
+    """One raw-days cell computed the direct way: slice the last t index bars
+    and market days, then smooth, roll, align and apply the statistic."""
+    use_abs = statistic in ("pearson", "beta")
+    rows = sorted(rows, key=lambda r: r.day)
+    if t != ALL_INTERVAL:
+        if len(index) < t or len(rows) < t:
+            return None
+        index, rows = index.slice(len(index) - t, len(index)), rows[-t:]
+    try:
+        ma = moving_average(csie_dated_series(rows, use_abs=use_abs), w)
+        if column == "csie":
+            est = mkt = ma.values
+        else:
+            vol = rolling_estimate(index, column, w, use_abs=use_abs)
+            _, est, mkt = align(vol, ma)
+        if statistic == "pearson":
+            return pearson(est, mkt)
+        if statistic == "beta":
+            return vol_beta(est, mkt)
+        return mean_var(est)[0 if statistic == "mean" else 1]
+    except ValueError:
+        return None
+
+
 def test_grid_raw_days_semantics_differ():
     index, rows = grid_world()
     t, w = 20, 5
@@ -341,13 +368,104 @@ def test_grid_raw_days_semantics_differ():
         index, rows, ["pk"], [t], [w], "pearson", semantics="raw-days"
     )
     # raw-days slices 20 trailing days then windows inside them
-    sub_index = index.slice(len(index) - t, len(index))
-    sub_rows = sorted(rows, key=lambda r: r.day)[-t:]
-    ma = moving_average(csie_dated_series(sub_rows, use_abs=True), w)
-    vol = rolling_estimate(sub_index, "pk", w, use_abs=True)
-    _, est, mkt = align(vol, ma)
-    assert math.isclose(raw.cell(t, w, "pk"), pearson(est, mkt), rel_tol=1e-13)
+    assert raw.cell(t, w, "pk") == reslice_reference(index, rows, "pk", t, w, "pearson")
     assert raw.cell(t, w, "pk") != smoothed.cell(t, w, "pk")
+
+
+def long_index_world():
+    """40 market days inside a 60-bar index that starts 15 weekdays earlier."""
+    rng = np.random.default_rng(45)
+    days = weekdays(date(2022, 1, 3), 60)
+    rows = csie_series([make_market_day(rng, d, 4) for d in days[15:55]])
+    return make_index_series(rng, 60, start=days[0]), rows
+
+
+@pytest.mark.parametrize(
+    "world, statistic, column, t, w, is_na",
+    [
+        ("same", "pearson", "pk", 3, 5, True),  # t < w
+        ("same", "beta", "yz", 60, 5, False),  # t == len(index)
+        ("same", "pearson", "ie", 61, 5, True),  # t > len(index)
+        ("same", "mean", "csie", 20, 5, False),
+        ("same", "mean", "yz", 12, 10, False),
+        ("long", "pearson", "yz", 41, 5, True),  # t > market days < len(index)
+        ("long", "variance", "ie", 30, 10, False),
+        ("long", "mean", "csie", 35, 5, False),
+        ("long", "beta", "pk", ALL_INTERVAL, 5, False),
+        ("long", "pearson", "cc", 40, 20, False),
+    ],
+)
+def test_grid_raw_days_matches_reslicing(world, statistic, column, t, w, is_na):
+    index, rows = grid_world() if world == "same" else long_index_world()
+    estimators = [] if column == "csie" else [column]
+    g = comparison_grid(index, rows, estimators, [t], [w], statistic, semantics="raw-days")
+    want = reslice_reference(index, rows, column, t, w, statistic)
+    assert (want is None) == is_na
+    assert g.cell(t, w, column) == want
+
+
+def test_grid_rolls_each_series_once(monkeypatch):
+    calls = []
+    real = analytics.rolling_estimate
+
+    def counting(series, tag, w, **kwargs):
+        calls.append((tag, w))
+        return real(series, tag, w, **kwargs)
+
+    monkeypatch.setattr(analytics, "rolling_estimate", counting)
+    index, rows = grid_world()
+    for semantics in ("smoothed-points", "raw-days"):
+        calls.clear()
+        comparison_grid(
+            index, rows, ["pk", "yz", "ie"], [10, 20, 40, ALL_INTERVAL], [5, 10],
+            "pearson", semantics=semantics,
+        )
+        assert sorted(calls) == sorted(
+            (tag, w) for tag in ("pk", "yz", "ie") for w in (5, 10)
+        )
+
+
+def zero_volume_world():
+    """grid_world with no index volume on bars 5-11: ie windows 4-6 fail."""
+    index, rows = grid_world()
+    volume = index.volume.copy()
+    volume[5:12] = 0
+    index = IndexSeries(
+        index.name, index.dates, index.open, index.high, index.low, index.close, volume
+    )
+    return index, rows
+
+
+def test_rolling_failed_windows_raise_after_the_roll():
+    index, _ = zero_volume_world()
+    with pytest.raises(analytics.RollingError, match="no volume in window") as info:
+        rolling_estimate(index, "ie", 5)
+    vol = info.value.series
+    assert len(vol) == len(index) - 5 and info.value.last_failed == 6
+    assert np.flatnonzero(np.isnan(vol.values)).tolist() == [4, 5, 6]
+
+
+@pytest.mark.parametrize(
+    "t, is_na",
+    [(10, False), (53, False), (54, True), (60, True), (ALL_INTERVAL, True)],
+)
+def test_grid_raw_days_failed_window_fails_only_the_intervals_reaching_it(t, is_na):
+    # the newest failed ie window (position 6) spans the last 54 bars
+    index, rows = zero_volume_world()
+    g = comparison_grid(
+        index, rows, ["ie", "pk"], [t], [5], "pearson", semantics="raw-days"
+    )
+    want = reslice_reference(index, rows, "ie", t, 5, "pearson")
+    assert (want is None) == is_na
+    assert g.cell(t, 5, "ie") == want
+    assert g.cell(t, 5, "pk") == reslice_reference(index, rows, "pk", t, 5, "pearson")
+
+
+def test_grid_smoothed_points_failed_window_fails_the_column():
+    index, rows = zero_volume_world()
+    g = comparison_grid(index, rows, ["ie", "pk"], [10, ALL_INTERVAL], [5], "pearson")
+    assert g.cell(10, 5, "ie") is None and g.cell(ALL_INTERVAL, 5, "ie") is None
+    assert g.cell(10, 5, "pk") is not None
 
 
 def test_grid_raw_days_interval_too_large_is_na():

@@ -94,6 +94,7 @@ def test_malformed_rows_rejected_with_reasons():
         "SHORT,1,2\n"
         "NEGP,-1,2,0.5,1.5,100\n"
         "ORD,1,0.9,0.5,0.8,100\n"
+        "HUGEVOL,1,2,0.5,1.5,99999999999999999999\n"
     )
     day = parse_eod_file(text, D, on_reject=on_reject)
     assert [str(s) for s in day.symbols] == ["OK"]
@@ -102,6 +103,7 @@ def test_malformed_rows_rejected_with_reasons():
         (4, FIELD_COUNT),
         (5, NONPOSITIVE_PRICE),
         (6, OHLC_ORDERING),
+        (7, UNPARSEABLE_FIELD),
     }
 
 
@@ -302,10 +304,16 @@ def test_index_malformed_date_rejected_reported():
         "Date,Open,High,Low,Close,Volume\n"
         "04/01/2021,10,11,9.5,10.5,1000\n"
         "2021-01-05,11,12,10.5,11.5,2000\n"
+        "2021-01-06,11,12,10.5,11.5,inf\n"
+        "2021-01-07,11,12,10.5,11.5,1e30\n"
     )
     s = parse_index_csv(text, on_reject=on_reject)
     assert len(s) == 1
-    assert [r.reason for r in rejected] == [MALFORMED_DATE]
+    assert [(r.line, r.reason) for r in rejected] == [
+        (2, MALFORMED_DATE),
+        (4, UNPARSEABLE_FIELD),
+        (5, UNPARSEABLE_FIELD),
+    ]
 
 
 def test_index_bad_ordering_row_rejected():
