@@ -13,11 +13,14 @@ def exact_sum(values: np.ndarray | list[float]) -> float:
     Because the compensated result equals the true real-valued sum rounded
     once, it does not depend on summation order; every reduction in this
     package funnels through here so that reruns and thread counts cannot
-    change any output bit.
+    change any output bit.  Overflow raises ValueError.
     """
     if isinstance(values, np.ndarray):
         values = values.tolist()
-    return math.fsum(values)
+    try:
+        return math.fsum(values)
+    except OverflowError as exc:
+        raise ValueError("sum overflows the float range") from exc
 
 
 def exact_mean(values: np.ndarray | list[float]) -> float:

@@ -21,28 +21,14 @@ import numpy as np
 
 from ._util import exact_dot, exact_mean, exact_mean_var
 from .cross_section import CsieDay
-from .estimators import (
-    vol_close_to_close,
-    vol_garman_klass,
-    vol_parkinson,
-    vol_rogers_satchell,
-    vol_yang_zhang,
-    windows,
-)
-from .intrinsic import ie_estimate
+from .estimators import REDUCERS, BarTerms, bar_terms
+from .intrinsic import _ie, _probs
 from .market_data import IndexSeries
 
 ESTIMATOR_TAGS = ("cc", "pk", "gk", "rs", "yz", "ie")
 STATISTICS = ("mean", "variance", "pearson", "beta")
 INTERVAL_SEMANTICS = ("smoothed-points", "raw-days")
 
-_POINT_FUNCS = {
-    "cc": vol_close_to_close,
-    "pk": vol_parkinson,
-    "gk": vol_garman_klass,
-    "rs": vol_rogers_satchell,
-    "yz": vol_yang_zhang,
-}
 _NEEDS_SEED = {"cc": True, "pk": False, "gk": False, "rs": False, "yz": True, "ie": True}
 _MIN_WINDOW = {"yz": 2, "ie": 2}
 
@@ -121,31 +107,29 @@ def rolling_estimate(
         raise ValueError(f"unknown estimator {tag!r}")
     if w < _MIN_WINDOW.get(tag, 1):
         raise ValueError(f"estimator {tag!r} needs a window of at least 2")
-    needs_seed = _NEEDS_SEED[tag]
-    required = w + 1 if needs_seed else w
+    required = w + 1 if _NEEDS_SEED[tag] else w
     if len(series) < required:
         raise ValueError(
             f"estimator {tag!r} with window {w} needs {required} bars, "
             f"series has {len(series)}"
         )
-    dates: list[np.datetime64] = []
-    values: list[float] = []
+    prev_close = np.concatenate(([np.nan], series.close[:-1]))
+    terms = bar_terms(series.open, series.high, series.low, series.close, prev_close)
+    volume = series.volume
+    values = np.full(len(series) - required + 1, math.nan)
     failed: list[tuple[int, ValueError]] = []
-    for i, win in enumerate(windows(series, w, needs_seed)):
+    for i in range(len(values)):
+        start = i + required - w  # the window's first bar; a seed bar sits before it
+        t = BarTerms._make(a[start : start + w] for a in terms)
         try:
             if tag == "ie":
-                est = ie_estimate(win)
-                v = est.value_abs if use_abs else est.value_signed
+                est = _ie(t, _probs(volume[start : start + w], volume[start - 1]))
+                values[i] = est.value_abs if use_abs else est.value_signed
             else:
-                v = _POINT_FUNCS[tag](win)
+                values[i] = REDUCERS[tag](t)
         except ValueError as exc:
             failed.append((i, exc))
-            v = math.nan
-        dates.append(win.end)
-        values.append(v)
-    out = VolSeries(
-        np.array(dates, dtype="datetime64[D]"), np.array(values, dtype=float), tag, w
-    )
+    out = VolSeries(series.dates[required - 1 :], values, tag, w)
     if failed:
         raise RollingError(failed[0][1], out, failed[-1][0]) from failed[0][1]
     return out

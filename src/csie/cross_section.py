@@ -135,14 +135,17 @@ def csie_day(day: MarketDay, alpha: float = ALPHA_DEFAULT) -> CsieDay:
 
     A single traded symbol is a degenerate cross-section: its weight is 1, so
     every entropy term vanishes and the day is reported as exactly zero with
-    the flag set.  No traded symbol at all is an error.
+    the flag set.  No traded symbol or an overflowing total value is an error.
     """
     _, o, h, l, c, v = _tradable_columns(day)
     m = len(o)
     if m == 0:
         raise ValueError(f"empty cross-section on {day.day.isoformat()}")
-    values = c * v
+    with np.errstate(over="ignore"):  # an infinite product fails the check below
+        values = c * v
     total = exact_sum(values)
+    if not np.isfinite(total):
+        raise ValueError(f"traded value on {day.day.isoformat()} is not finite")
     ent = xlogx(values / total)
     h_oc = _h_oc_terms(o, c, ent)
     h_olhc = _h_olhc_terms(o, h, l, c, ent)

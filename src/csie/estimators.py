@@ -5,6 +5,10 @@ returns), Parkinson, Garman-Klass, Rogers-Satchell, and Yang-Zhang.  Every
 formula consumes log price ratios, so each estimator is invariant under a
 common rescaling of all prices in the window.
 
+``bar_terms`` takes every price log, once per bar.  Each formula is one reducer
+over a window's slice of those terms (``REDUCERS``, ``intrinsic._ie``), shared
+by the single-window functions and ``analytics.rolling_estimate``.
+
 Estimators that look back at the previous close (close-to-close, the
 Yang-Zhang overnight term) need a seed bar one day before the window; the
 window carries its close and volume when available.
@@ -15,12 +19,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
 from ._util import exact_mean, exact_mean_var, exact_sum
-from .market_data import IndexSeries
 
 _LN2 = math.log(2.0)
 _GK_CLOSE_COEF = 2.0 * _LN2 - 1.0
@@ -28,6 +31,30 @@ _GK_CLOSE_COEF = 2.0 * _LN2 - 1.0
 
 class NegativeRadicandWarning(UserWarning):
     """A variance radicand came out negative and was clamped to zero."""
+
+
+class BarTerms(NamedTuple):
+    """Per-bar log terms of a run of bars, one array entry per bar."""
+
+    hl2: np.ndarray  # ln^2(H/L)
+    gk: np.ndarray  # 0.5 ln^2(H/L) - (2 ln 2 - 1) ln^2(C/O)
+    co: np.ndarray  # ln(C/O)
+    rs: np.ndarray  # ln(H/O) ln(H/C) + ln(L/O) ln(L/C)
+    cc2: np.ndarray | None  # ln^2(C/C_prev); None without previous closes
+    gap: np.ndarray | None  # ln(O/C_prev); None without previous closes
+
+
+def bar_terms(o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray,
+              prev_close: np.ndarray | None) -> BarTerms:
+    """Each bar's log terms; ``prev_close`` is NaN for a bar without one."""
+    hl = np.log(h / l)
+    co = np.log(c / o)
+    rs = np.log(h / o) * np.log(h / c) + np.log(l / o) * np.log(l / c)
+    cc2 = gap = None
+    if prev_close is not None:
+        r = np.log(c / prev_close)
+        cc2, gap = r * r, np.log(o / prev_close)
+    return BarTerms(hl * hl, 0.5 * hl * hl - _GK_CLOSE_COEF * co * co, co, rs, cc2, gap)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,10 +99,6 @@ class OhlcWindow:
             raise ValueError("nonpositive seed close")
 
     @property
-    def n(self) -> int:
-        return len(self.close)
-
-    @property
     def prev_closes(self) -> np.ndarray:
         """C_{i-1} for each bar; requires the seed bar."""
         if self.seed_close is None:
@@ -83,45 +106,41 @@ class OhlcWindow:
         return np.concatenate(([self.seed_close], self.close[:-1]))
 
 
-def window_at(series: IndexSeries, end: int, n: int, with_seed: bool) -> OhlcWindow:
-    """The n-bar window of ``series`` ending at index ``end`` (inclusive)."""
-    if n < 1:
-        raise ValueError("window length must be at least 1")
-    start = end - n + 1
-    if start < 0 or end >= len(series):
-        raise ValueError("window does not fit the series")
-    if with_seed and start == 0:
-        raise ValueError("no bar available to seed the window")
-    sl = slice(start, end + 1)
-    return OhlcWindow(
-        end=series.dates[end],
-        open=series.open[sl],
-        high=series.high[sl],
-        low=series.low[sl],
-        close=series.close[sl],
-        volume=series.volume[sl],
-        seed_close=float(series.close[start - 1]) if with_seed else None,
-        seed_volume=int(series.volume[start - 1]) if with_seed else None,
-    )
+def _window_terms(w: OhlcWindow, lagged: bool = False) -> BarTerms:
+    """The window's bar terms; ``lagged`` adds cc2/gap and needs the seed bar."""
+    return bar_terms(w.open, w.high, w.low, w.close, w.prev_closes if lagged else None)
 
 
-def windows(series: IndexSeries, n: int, with_seed: bool) -> Iterator[OhlcWindow]:
-    """All trailing n-bar windows, oldest first."""
-    first_end = n if with_seed else n - 1
-    for end in range(first_end, len(series)):
-        yield window_at(series, end, n, with_seed)
+def _clamped(radicand: float, name: str) -> float:
+    if radicand < 0.0:
+        msg = f"{name} radicand {radicand!r} clamped to 0"
+        warnings.warn(msg, NegativeRadicandWarning, stacklevel=4)
+    return max(radicand, 0.0)
+
+
+def _yz(t: BarTerms) -> float:
+    k = yz_k(len(t.co))
+    radicand = exact_mean_var(t.gap)[1] + k * exact_mean_var(t.co)[1]
+    return math.sqrt(_clamped(radicand + (1.0 - k) * exact_mean(t.rs), "Yang-Zhang"))
+
+
+REDUCERS = {
+    "cc": lambda t: math.sqrt(exact_mean(t.cc2)),
+    "pk": lambda t: math.sqrt(exact_sum(t.hl2) / (4.0 * len(t.hl2) * _LN2)),
+    "gk": lambda t: math.sqrt(_clamped(exact_mean(t.gk), "Garman-Klass")),
+    "rs": lambda t: math.sqrt(max(exact_mean(t.rs), 0.0)),
+    "yz": _yz,
+}
 
 
 def vol_close_to_close(w: OhlcWindow) -> float:
     """Root mean square of close-to-close log returns (raw, no de-meaning)."""
-    r = np.log(w.close / w.prev_closes)
-    return math.sqrt(exact_mean(r * r))
+    return REDUCERS["cc"](_window_terms(w, lagged=True))
 
 
 def vol_parkinson(w: OhlcWindow) -> float:
     """Range estimator: sqrt( sum(ln^2(H/L)) / (4 n ln 2) )."""
-    hl = np.log(w.high / w.low)
-    return math.sqrt(exact_sum(hl * hl) / (4.0 * w.n * _LN2))
+    return REDUCERS["pk"](_window_terms(w))
 
 
 def vol_garman_klass(w: OhlcWindow) -> float:
@@ -131,30 +150,12 @@ def vol_garman_klass(w: OhlcWindow) -> float:
     and close; on malformed bars it can dip below zero, in which case it is
     clamped and a NegativeRadicandWarning is issued so the series stays total.
     """
-    hl = np.log(w.high / w.low)
-    co = np.log(w.close / w.open)
-    radicand = exact_mean(0.5 * hl * hl - _GK_CLOSE_COEF * co * co)
-    if radicand < 0.0:
-        warnings.warn(
-            f"Garman-Klass radicand {radicand!r} clamped to 0",
-            NegativeRadicandWarning,
-            stacklevel=2,
-        )
-        radicand = 0.0
-    return math.sqrt(radicand)
-
-
-def _rs_terms(w: OhlcWindow) -> np.ndarray:
-    ho = np.log(w.high / w.open)
-    hc = np.log(w.high / w.close)
-    lo = np.log(w.low / w.open)
-    lc = np.log(w.low / w.close)
-    return ho * hc + lo * lc
+    return REDUCERS["gk"](_window_terms(w))
 
 
 def vol_rogers_satchell(w: OhlcWindow) -> float:
     """Drift-independent range estimator; each bar term is >= 0 for valid bars."""
-    return math.sqrt(max(exact_mean(_rs_terms(w)), 0.0))
+    return REDUCERS["rs"](_window_terms(w))
 
 
 def yz_k(n: int) -> float:
@@ -169,24 +170,14 @@ def yz_k(n: int) -> float:
 
 def vol_overnight(w: OhlcWindow) -> float:
     """De-meaned variance of overnight gaps ln(O_i/C_{i-1}); not a square root."""
-    return exact_mean_var(np.log(w.open / w.prev_closes))[1]
+    return exact_mean_var(_window_terms(w, lagged=True).gap)[1]
 
 
 def vol_open_to_close(w: OhlcWindow) -> float:
     """De-meaned variance of intraday log returns ln(C_i/O_i); not a square root."""
-    return exact_mean_var(np.log(w.close / w.open))[1]
+    return exact_mean_var(_window_terms(w).co)[1]
 
 
 def vol_yang_zhang(w: OhlcWindow) -> float:
     """sqrt( V_co^2 + k V_oc^2 + (1-k) V_rs^2 ) with k = yz_k(n)."""
-    k = yz_k(w.n)
-    rs_var = exact_mean(_rs_terms(w))
-    radicand = vol_overnight(w) + k * vol_open_to_close(w) + (1.0 - k) * rs_var
-    if radicand < 0.0:
-        warnings.warn(
-            f"Yang-Zhang radicand {radicand!r} clamped to 0",
-            NegativeRadicandWarning,
-            stacklevel=2,
-        )
-        radicand = 0.0
-    return math.sqrt(radicand)
+    return REDUCERS["yz"](_window_terms(w, lagged=True))

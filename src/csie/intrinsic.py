@@ -9,7 +9,9 @@ outside the simplex (the window days' shares alone sum to one).
 
 The signed estimate (components added as-is) keeps direction: negative means
 a preponderantly sell movement.  The absolute variant adds component
-magnitudes and is the form used for cross-estimator comparisons.
+magnitudes and is the form used for cross-estimator comparisons.  ``_ie``
+reduces a window's slice of ``estimators.bar_terms`` and its volume shares
+(``_probs``) for ``ie_estimate`` and ``rolling_estimate`` alike.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._util import exact_sum, xlogx
-from .estimators import OhlcWindow, _rs_terms, yz_k
+from .estimators import BarTerms, OhlcWindow, _window_terms, yz_k
 
 
 @dataclass(frozen=True, slots=True)
@@ -45,45 +47,60 @@ class IeEstimate:
     as_of: object
 
 
-def volume_probs(w: OhlcWindow) -> VolumeProbs:
-    """Volume shares over the window days; requires the seed bar's volume."""
-    if w.seed_volume is None:
+def _probs(volume: np.ndarray, seed_volume: int | None) -> VolumeProbs:
+    if seed_volume is None:
         raise ValueError("window has no seed bar")
-    total = exact_sum(w.volume.astype(float))
+    total = exact_sum(volume.astype(float))
     if total <= 0.0:
         raise ValueError("no volume in window")
-    return VolumeProbs(w.volume / total, w.seed_volume / total, total)
+    return VolumeProbs(volume / total, seed_volume / total, total)
+
+
+def volume_probs(w: OhlcWindow) -> VolumeProbs:
+    """Volume shares over the window days; requires the seed bar's volume."""
+    return _probs(w.volume, w.seed_volume)
 
 
 def _xlogx_scalar(p: float) -> float:
     return p * math.log(p) if p > 0.0 else 0.0
 
 
+def _h_co(t: BarTerms, p: VolumeProbs) -> float:
+    lagged = np.concatenate(([_xlogx_scalar(p.seed_prob)], xlogx(p.probs[:-1])))
+    return -exact_sum(t.gap * lagged)
+
+
+def _h_oc(t: BarTerms, p: VolumeProbs) -> float:
+    return -exact_sum(t.co * xlogx(p.probs))
+
+
+def _h_ohlc(t: BarTerms, p: VolumeProbs) -> float:
+    return -exact_sum(t.rs * xlogx(p.probs))
+
+
+def _ie(t: BarTerms, p: VolumeProbs, as_of: object = None) -> IeEstimate:
+    k = yz_k(len(t.co))
+    h_co, h_oc, h_ohlc = _h_co(t, p), _h_oc(t, p), _h_ohlc(t, p)
+    signed = h_co + k * h_oc + (1.0 - k) * h_ohlc
+    magnitude = abs(h_co) + k * abs(h_oc) + (1.0 - k) * abs(h_ohlc)
+    return IeEstimate(h_co, h_oc, h_ohlc, k, signed, magnitude, as_of)
+
+
 def ie_h_co(w: OhlcWindow, p: VolumeProbs) -> float:
     """Overnight component: -sum ln(O_i/C_{i-1}) p_{i-1} ln p_{i-1}."""
-    gaps = np.log(w.open / w.prev_closes)
-    lagged = np.concatenate(([_xlogx_scalar(p.seed_prob)], xlogx(p.probs[:-1])))
-    return -exact_sum(gaps * lagged)
+    return _h_co(_window_terms(w, lagged=True), p)
 
 
 def ie_h_oc(w: OhlcWindow, p: VolumeProbs) -> float:
     """Intraday component: -sum ln(C_i/O_i) p_i ln p_i."""
-    r = np.log(w.close / w.open)
-    return -exact_sum(r * xlogx(p.probs))
+    return _h_oc(_window_terms(w), p)
 
 
 def ie_h_ohlc(w: OhlcWindow, p: VolumeProbs) -> float:
     """Range component: -sum [ln(H/O)ln(H/C) + ln(L/O)ln(L/C)] p_i ln p_i."""
-    return -exact_sum(_rs_terms(w) * xlogx(p.probs))
+    return _h_ohlc(_window_terms(w), p)
 
 
 def ie_estimate(w: OhlcWindow) -> IeEstimate:
     """Blend the three components with k = yz_k(n) (signed and absolute)."""
-    k = yz_k(w.n)
-    p = volume_probs(w)
-    h_co = ie_h_co(w, p)
-    h_oc = ie_h_oc(w, p)
-    h_ohlc = ie_h_ohlc(w, p)
-    signed = h_co + k * h_oc + (1.0 - k) * h_ohlc
-    magnitude = abs(h_co) + k * abs(h_oc) + (1.0 - k) * abs(h_ohlc)
-    return IeEstimate(h_co, h_oc, h_ohlc, k, signed, magnitude, w.end)
+    return _ie(_window_terms(w, lagged=True), volume_probs(w), w.end)

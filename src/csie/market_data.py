@@ -21,6 +21,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 # Reason codes for rows a parser cannot use.
+NONFINITE_PRICE = "nonfinite-price"
 NONPOSITIVE_PRICE = "nonpositive-price"
 OHLC_ORDERING = "ohlc-ordering"
 FIELD_COUNT = "field-count"
@@ -64,15 +65,17 @@ class RejectedRow:
 def validate_bar(bar: DailyBar) -> str | None:
     """Return None for a fully usable bar, else the reason code.
 
-    ``nonpositive-price`` and ``ohlc-ordering`` mean the bar is unusable and
-    must be dropped; ``zero-volume`` means it is structurally fine but carries
-    no traded value (callers keep it, weighting ignores it).
+    Every code but ``zero-volume`` means the bar is unusable and must be
+    dropped; a ``zero-volume`` bar is structurally fine but carries no traded
+    value (callers keep it, weighting ignores it).
     """
     return _verdict(bar.open, bar.high, bar.low, bar.close, bar.volume)
 
 
 def _verdict(o: float, h: float, l: float, c: float, volume: int) -> str | None:
-    if any(not np.isfinite(p) or p <= 0.0 for p in (o, h, l, c)):
+    if not all(map(np.isfinite, (o, h, l, c))):
+        return NONFINITE_PRICE
+    if min(o, h, l, c) <= 0.0:
         return NONPOSITIVE_PRICE
     if l > min(o, c) or h < max(o, c):
         return OHLC_ORDERING
@@ -86,8 +89,10 @@ def _verdict(o: float, h: float, l: float, c: float, volume: int) -> str | None:
 def _check_ohlcv(
     o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray, vol: np.ndarray
 ) -> None:
-    """Raise unless prices are positive, low/high bracket open/close, volume >= 0."""
-    if not all(np.isfinite(col).all() and (col > 0.0).all() for col in (o, h, l, c)):
+    """Raise unless prices are finite positive, low/high bracket open/close, volume >= 0."""
+    if not all(np.isfinite(col).all() for col in (o, h, l, c)):
+        raise ValueError(NONFINITE_PRICE)
+    if not all((col > 0.0).all() for col in (o, h, l, c)):
         raise ValueError(NONPOSITIVE_PRICE)
     if (l > np.minimum(o, c)).any() or (h < np.maximum(o, c)).any():
         raise ValueError(OHLC_ORDERING)
@@ -362,7 +367,7 @@ def parse_eod_file(
             continue
         bar = DailyBar(symbol, o, h, l, c, volume)
         verdict = validate_bar(bar)
-        if verdict in (NONPOSITIVE_PRICE, OHLC_ORDERING, UNPARSEABLE_FIELD):
+        if verdict not in (None, ZERO_VOLUME):
             reject(line_no, raw, verdict)
             continue
         if symbol in seen:

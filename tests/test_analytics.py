@@ -22,10 +22,14 @@ from csie.analytics import (
 from csie.cross_section import CsieDay, csie_series
 from csie.market_data import IndexSeries
 from csie.estimators import (
+    OhlcWindow,
     vol_close_to_close,
+    vol_garman_klass,
     vol_parkinson,
-    window_at,
+    vol_rogers_satchell,
+    vol_yang_zhang,
 )
+from csie.intrinsic import ie_estimate
 
 from helpers import make_index_series, make_market_day, weekdays
 from oracles import naive_beta, naive_ma, naive_mean, naive_pearson, naive_var
@@ -104,16 +108,75 @@ def test_rolling_point_counts_and_dates():
     assert no_seed.tag == "pk" and no_seed.window == 5
 
 
+SINGLE_WINDOW = {
+    "cc": vol_close_to_close,
+    "pk": vol_parkinson,
+    "gk": vol_garman_klass,
+    "rs": vol_rogers_satchell,
+    "yz": vol_yang_zhang,
+}
+
+
+def hand_window(s, start, w, seeded):
+    """The w bars of ``s`` from ``start``, built by hand from array slices."""
+    sl = slice(start, start + w)
+    return OhlcWindow(
+        end=s.dates[start + w - 1],
+        open=s.open[sl], high=s.high[sl], low=s.low[sl], close=s.close[sl],
+        volume=s.volume[sl],
+        seed_close=float(s.close[start - 1]) if seeded else None,
+        seed_volume=int(s.volume[start - 1]) if seeded else None,
+    )
+
+
+def single_window_value(tag, win, use_abs):
+    """The single-window function's value, or None where it raises."""
+    try:
+        if tag == "ie":
+            est = ie_estimate(win)
+            return est.value_abs if use_abs else est.value_signed
+        return SINGLE_WINDOW[tag](win)
+    except ValueError:
+        return None
+
+
 def test_rolling_matches_direct_windows():
-    s = make_index_series(np.random.default_rng(34), 20)
-    out = rolling_estimate(s, "pk", 5)
-    for i, end in enumerate(range(4, 20)):
-        w = window_at(s, end=end, n=5, with_seed=False)
-        assert out.values[i] == vol_parkinson(w)
-    out = rolling_estimate(s, "cc", 5)
-    for i, end in enumerate(range(5, 20)):
-        w = window_at(s, end=end, n=5, with_seed=True)
-        assert out.values[i] == vol_close_to_close(w)
+    s = make_index_series(np.random.default_rng(34), 80)
+    volume = s.volume.copy()
+    volume[40:46] = 0  # ie windows inside this stretch fail at w = 2 and 5
+    s = IndexSeries(s.name, s.dates, s.open, s.high, s.low, s.close, volume)
+    for tag in ("cc", "pk", "gk", "rs", "yz", "ie"):
+        seeded = tag in ("cc", "yz", "ie")
+        for w in (2, 5, 30):
+            for use_abs in (False, True):
+                try:
+                    out = rolling_estimate(s, tag, w, use_abs=use_abs)
+                except analytics.RollingError as exc:
+                    out = exc.series
+                starts = range(1 if seeded else 0, len(s) - w + 1)
+                assert list(out.dates) == [s.dates[i + w - 1] for i in starts]
+                want = [
+                    single_window_value(tag, hand_window(s, i, w, seeded), use_abs)
+                    for i in starts
+                ]
+                failed = [i for i, v in enumerate(want) if v is None]
+                assert np.flatnonzero(np.isnan(out.values)).tolist() == failed
+                if tag == "ie" and w < 30:
+                    assert len(failed) == 7 - w
+                for got, v in zip(out.values, want):
+                    assert v is None or got == v, (tag, w, use_abs)
+
+
+def test_rolling_builds_no_window_objects(monkeypatch):
+    def refuse(self):
+        raise AssertionError("rolling_estimate built an OhlcWindow")
+
+    monkeypatch.setattr(OhlcWindow, "__post_init__", refuse)
+    s = make_index_series(np.random.default_rng(36), 40)
+    for tag in ("cc", "pk", "gk", "rs", "yz", "ie"):
+        out = rolling_estimate(s, tag, 10)
+        assert len(out) == (30 if tag in ("cc", "yz", "ie") else 31)
+        assert np.isfinite(out.values).all()
 
 
 def test_rolling_errors():

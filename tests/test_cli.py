@@ -75,6 +75,28 @@ def test_csie_missing_market_dir(tmp_path, capsys):
     assert "cannot load market data" in stderr
 
 
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # each close*volume is finite, their sum is not
+        (["AA,1e299,1e299,1e299,1e299,1000000000",
+          "BB,1e299,1e299,1e299,1e299,1000000000"], "sum overflows"),
+        # one close*volume is already infinite
+        (["AA,1e300,1e300,1e300,1e300,1000000000", "BB,1,1,1,1,5"], "not finite"),
+    ],
+    ids=["sum-overflows", "product-overflows"],
+)
+def test_csie_overflowing_traded_value_is_an_error(tmp_path, capsys, rows, message):
+    eod = tmp_path / "eod"
+    eod.mkdir()
+    (eod / "M_20210104.csv").write_text("Symbol,Open,High,Low,Close,Volume\n" + "\n".join(rows))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(["csie", "--market-dir", str(eod), "--out", str(out)], capsys)
+    assert code == 1
+    assert stderr.startswith("error:") and message in stderr
+    assert not (out / "csie_daily.csv").exists() and "inf" not in stdout
+
+
 def test_csie_reruns_byte_identical(world, tmp_path, capsys):
     eod, _ = world
     a, b = tmp_path / "a", tmp_path / "b"

@@ -17,12 +17,10 @@ from csie.estimators import (
     vol_parkinson,
     vol_rogers_satchell,
     vol_yang_zhang,
-    window_at,
-    windows,
     yz_k,
 )
 
-from helpers import make_index_series, random_bars
+from helpers import random_bars
 from oracles import (
     naive_cc,
     naive_gk,
@@ -302,26 +300,3 @@ def test_window_constructor_validation():
     with pytest.raises(ValueError, match="lengths"):
         OhlcWindow(end="w", open=np.array([1.0]), high=np.array([2.0, 2.0]),
                    low=np.array([0.5]), close=np.array([1.0]))
-
-
-def test_window_at_seed_and_bounds():
-    s = make_index_series(np.random.default_rng(15), 10)
-    w = window_at(s, end=9, n=5, with_seed=True)
-    assert w.n == 5
-    assert w.seed_close == float(s.close[4])
-    assert w.end == s.dates[9]
-    assert np.array_equal(w.close, s.close[5:10])
-    with pytest.raises(ValueError, match="seed"):
-        window_at(s, end=4, n=5, with_seed=True)
-    with pytest.raises(ValueError, match="fit"):
-        window_at(s, end=3, n=5, with_seed=False)
-    with pytest.raises(ValueError, match="fit"):
-        window_at(s, end=10, n=5, with_seed=False)
-
-
-def test_windows_iteration_counts():
-    s = make_index_series(np.random.default_rng(16), 12)
-    assert len(list(windows(s, 5, False))) == 8   # ends 4..11
-    assert len(list(windows(s, 5, True))) == 7    # ends 5..11
-    ends = [w.end for w in windows(s, 5, True)]
-    assert ends == list(s.dates[5:])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from datetime import date
 
 import numpy as np
@@ -11,6 +12,7 @@ from csie.market_data import (
     DUPLICATE_SYMBOL,
     FIELD_COUNT,
     MALFORMED_DATE,
+    NONFINITE_PRICE,
     NONPOSITIVE_PRICE,
     OHLC_ORDERING,
     UNPARSEABLE_FIELD,
@@ -95,6 +97,8 @@ def test_malformed_rows_rejected_with_reasons():
         "NEGP,-1,2,0.5,1.5,100\n"
         "ORD,1,0.9,0.5,0.8,100\n"
         "HUGEVOL,1,2,0.5,1.5,99999999999999999999\n"
+        "NANP,nan,2,0.5,1.5,100\n"
+        "INFP,1,inf,0.5,1.5,100\n"
     )
     day = parse_eod_file(text, D, on_reject=on_reject)
     assert [str(s) for s in day.symbols] == ["OK"]
@@ -104,6 +108,8 @@ def test_malformed_rows_rejected_with_reasons():
         (5, NONPOSITIVE_PRICE),
         (6, OHLC_ORDERING),
         (7, UNPARSEABLE_FIELD),
+        (8, NONFINITE_PRICE),
+        (9, NONFINITE_PRICE),
     }
 
 
@@ -148,6 +154,7 @@ def test_validate_bar_flags_zero_volume():
 def test_validate_bar_rejects_nonpositive_price():
     assert validate_bar(DailyBar("X", 0.0, 1, 0.5, 0.5, 10)) == NONPOSITIVE_PRICE
     assert validate_bar(DailyBar("X", 1, 1, -0.5, 1, 10)) == NONPOSITIVE_PRICE
+    assert validate_bar(DailyBar("X", math.nan, 1, 0.5, 0.5, 10)) == NONFINITE_PRICE
 
 
 # --- round-trip and order insensitivity --------------------------------------
@@ -207,8 +214,10 @@ def test_market_day_rejects_duplicates_and_bad_columns():
         MarketDay(D, ["A"], [1, 1], [2], [0.5], [1.5], [1])
     with pytest.raises(ValueError, match="empty"):
         MarketDay(D, [], [], [], [], [], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=NONPOSITIVE_PRICE):
         MarketDay(D, ["A"], [-1.0], [2], [0.5], [1.5], [1])
+    with pytest.raises(ValueError, match=NONFINITE_PRICE):
+        MarketDay(D, ["A"], [1.0], [np.inf], [0.5], [1.5], [1])
     with pytest.raises(ValueError):
         MarketDay(D, ["A"], [1.0], [0.9], [0.5], [1.5], [1])
     with pytest.raises(ValueError, match="volume"):
@@ -306,6 +315,8 @@ def test_index_malformed_date_rejected_reported():
         "2021-01-05,11,12,10.5,11.5,2000\n"
         "2021-01-06,11,12,10.5,11.5,inf\n"
         "2021-01-07,11,12,10.5,11.5,1e30\n"
+        "2021-01-08,nan,12,10.5,11.5,2000\n"
+        "2021-01-11,11,inf,10.5,11.5,2000\n"
     )
     s = parse_index_csv(text, on_reject=on_reject)
     assert len(s) == 1
@@ -313,6 +324,8 @@ def test_index_malformed_date_rejected_reported():
         (2, MALFORMED_DATE),
         (4, UNPARSEABLE_FIELD),
         (5, UNPARSEABLE_FIELD),
+        (6, NONFINITE_PRICE),
+        (7, NONFINITE_PRICE),
     ]
 
 
@@ -346,3 +359,5 @@ def test_index_series_constructor_rejects_duplicates():
             [date(2021, 1, 4), date(2021, 1, 4)],
             [10, 10], [11, 11], [9, 9], [10, 10], [1, 1],
         )
+    with pytest.raises(ValueError, match=NONFINITE_PRICE):
+        IndexSeries("X", [date(2021, 1, 4)], [10], [11], [9], [np.nan], [1])
