@@ -14,7 +14,9 @@ outputs are byte-identical for any thread count.
 
 Exit codes: 0 all outputs written, 1 partial or processing failure
 (per-output status on stderr), 2 unusable input (unreadable directory,
-unparseable index, bad configuration).
+unparseable index, bad configuration).  A market day whose cross-section
+cannot be computed is skipped with an ``error:`` line on stderr; the outputs
+cover the other days and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -41,8 +43,8 @@ from .analytics import (
     rolling_estimate,
 )
 from .clustering import cluster_day
-from .cross_section import ALPHA_DEFAULT, csie_csv, csie_series
-from .market_data import read_eod_dir, read_eod_file, read_index_csv
+from .cross_section import ALPHA_DEFAULT, CsieDay, csie_csv, csie_day
+from .market_data import MarketDay, read_eod_dir, read_eod_file, read_index_csv
 from .svg import dendrogram_svg, line_chart, small_multiples
 
 _FIG_STACK_ORDER = ("ie", "yz", "rs", "gk", "pk", "cc")
@@ -261,7 +263,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _load_market(cfg: RunConfig) -> list:
+def _load_market(cfg: RunConfig) -> list[MarketDay]:
     if cfg.market_dir is None:
         raise ConfigError("--market-dir is required for this command")
     try:
@@ -277,6 +279,20 @@ def _load_index(cfg: RunConfig):
         return read_index_csv(cfg.index)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot load index from {cfg.index}: {exc}") from exc
+
+
+def _csie_rows(days: list[MarketDay], alpha: float) -> tuple[list[CsieDay], bool]:
+    """Each day's CSIE and whether a day csie_day rejects was skipped (with an
+    error line); no day left is an error."""
+    rows = []
+    for day in days:
+        try:
+            rows.append(csie_day(day, alpha))
+        except ValueError as exc:
+            print(f"error: skipped {day.day.isoformat()}: {exc}", file=sys.stderr)
+    if not rows:
+        raise ValueError("no market day has a usable cross-section")
+    return rows, len(rows) < len(days)
 
 
 class _Emitter:
@@ -305,8 +321,7 @@ class _Emitter:
 
 
 def cmd_csie(cfg: RunConfig) -> int:
-    days = _load_market(cfg)
-    rows = csie_series(days, cfg.alpha)
+    rows, skipped = _csie_rows(_load_market(cfg), cfg.alpha)
     emitter = _Emitter(cfg.out)
     emitter.emit("csie_daily.csv", lambda: csie_csv(rows))
 
@@ -332,7 +347,7 @@ def cmd_csie(cfg: RunConfig) -> int:
         )
 
     emitter.emit("csie_series.svg", build_chart)
-    return emitter.status()
+    return 1 if skipped else emitter.status()
 
 
 def cmd_indexvol(cfg: RunConfig) -> int:
@@ -379,7 +394,7 @@ def cmd_indexvol(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     days = _load_market(cfg)
     index = _load_index(cfg)
-    rows = csie_series(days, cfg.alpha)
+    rows, skipped = _csie_rows(days, cfg.alpha)
     emitter = _Emitter(cfg.out)
     for stat in STATISTICS:
         grid = comparison_grid(
@@ -392,7 +407,7 @@ def cmd_compare(cfg: RunConfig) -> int:
             semantics=cfg.interval_semantics,
         )
         emitter.emit(f"grid_{stat}.csv", grid.to_csv)
-    return emitter.status()
+    return 1 if skipped else emitter.status()
 
 
 def cmd_cluster(cfg: RunConfig) -> int:

@@ -65,23 +65,30 @@ def _tradable_columns(day: MarketDay) -> tuple[np.ndarray, ...]:
     )
 
 
-def total_traded_value(day: MarketDay) -> float:
-    """Sum of close * volume over bars that actually traded."""
+def _traded_values(day: MarketDay) -> tuple[np.ndarray, float]:
+    """close * volume of each traded bar and their exact total; ValueError if
+    no bar traded or the total is past the float range."""
     _, _, _, _, close, volume = _tradable_columns(day)
     if len(close) == 0:
-        raise ValueError("empty cross-section")
-    return exact_sum(close * volume)
+        raise ValueError(f"empty cross-section on {day.day.isoformat()}")
+    with np.errstate(over="ignore"):  # an infinite product fails the check below
+        values = close * volume
+    total = exact_sum(values)
+    if not np.isfinite(total):
+        raise ValueError(f"traded value on {day.day.isoformat()} is not finite")
+    return values, total
+
+
+def total_traded_value(day: MarketDay) -> float:
+    """Sum of close * volume over bars that actually traded."""
+    return _traded_values(day)[1]
 
 
 def symbol_weights(day: MarketDay) -> list[SymbolWeight]:
     """Traded-value shares psi_i in ascending symbol order; they sum to ~1."""
-    symbols, _, _, _, close, volume = _tradable_columns(day)
-    if len(symbols) == 0:
-        raise ValueError("empty cross-section")
-    values = close * volume
-    total = exact_sum(values)
+    values, total = _traded_values(day)
     psi = values / total
-    return [SymbolWeight(str(s), float(p)) for s, p in zip(symbols, psi)]
+    return [SymbolWeight(str(s), float(p)) for s, p in zip(day.symbols[day.tradable], psi)]
 
 
 def _check_weights(symbols: np.ndarray, weights: Sequence[SymbolWeight]) -> np.ndarray:
@@ -137,15 +144,9 @@ def csie_day(day: MarketDay, alpha: float = ALPHA_DEFAULT) -> CsieDay:
     every entropy term vanishes and the day is reported as exactly zero with
     the flag set.  No traded symbol or an overflowing total value is an error.
     """
-    _, o, h, l, c, v = _tradable_columns(day)
+    _, o, h, l, c, _ = _tradable_columns(day)
+    values, total = _traded_values(day)
     m = len(o)
-    if m == 0:
-        raise ValueError(f"empty cross-section on {day.day.isoformat()}")
-    with np.errstate(over="ignore"):  # an infinite product fails the check below
-        values = c * v
-    total = exact_sum(values)
-    if not np.isfinite(total):
-        raise ValueError(f"traded value on {day.day.isoformat()} is not finite")
     ent = xlogx(values / total)
     h_oc = _h_oc_terms(o, c, ent)
     h_olhc = _h_olhc_terms(o, h, l, c, ent)

@@ -1,10 +1,13 @@
-"""End-of-day market data: bar records, validation, and CSV ingestion.
+"""End-of-day market data: columnar days and index series, and CSV ingestion.
 
 Daily files carry one row per listed symbol (Symbol,Open,High,Low,Close,Volume);
 index files carry one row per trading day (Date,Open,High,Low,Close[,AdjClose],
 Volume).  Both parsers are tolerant of header rows and of thousands separators
-inside the volume field, and report every skipped row through an ``on_reject``
-callback instead of failing the whole file.
+inside the volume field.  One rule set, ``_ohlcv_faults``, judges the columns
+of a whole parsed file in one call and whatever a constructor is given.  Every
+skipped row is reported through an ``on_reject`` callback, in line order (and
+by ``read_eod_dir`` in date order, then line order), instead of failing the
+whole file.
 """
 
 from __future__ import annotations
@@ -62,42 +65,37 @@ class RejectedRow:
     reason: str
 
 
-def validate_bar(bar: DailyBar) -> str | None:
-    """Return None for a fully usable bar, else the reason code.
+def _ohlcv_faults(
+    o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray, volume: np.ndarray
+) -> np.ndarray:
+    """Each row's reason code, or "" for a usable row; the first that applies wins.
 
-    Every code but ``zero-volume`` means the bar is unusable and must be
-    dropped; a ``zero-volume`` bar is structurally fine but carries no traded
-    value (callers keep it, weighting ignores it).
+    Every code but ``zero-volume`` makes the row unusable.  A negative volume
+    is an unparseable field: the parsers store a volume past int64 as -1.
     """
-    return _verdict(bar.open, bar.high, bar.low, bar.close, bar.volume)
+    finite = np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)
+    positive = (o > 0.0) & (h > 0.0) & (l > 0.0) & (c > 0.0)
+    misordered = (l > np.minimum(o, c)) | (h < np.maximum(o, c))
+    return np.select(
+        [~finite, ~positive, misordered, volume < 0, volume == 0],
+        [NONFINITE_PRICE, NONPOSITIVE_PRICE, OHLC_ORDERING, UNPARSEABLE_FIELD, ZERO_VOLUME],
+        default="",
+    )
 
 
-def _verdict(o: float, h: float, l: float, c: float, volume: int) -> str | None:
-    if not all(map(np.isfinite, (o, h, l, c))):
-        return NONFINITE_PRICE
-    if min(o, h, l, c) <= 0.0:
-        return NONPOSITIVE_PRICE
-    if l > min(o, c) or h < max(o, c):
-        return OHLC_ORDERING
-    if not 0 <= volume <= _INT64_MAX:
-        return UNPARSEABLE_FIELD
-    if volume == 0:
-        return ZERO_VOLUME
-    return None
-
-
-def _check_ohlcv(
-    o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray, vol: np.ndarray
+def _check_ohlcv_rows(
+    labels: np.ndarray, o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray,
+    volume: np.ndarray,
 ) -> None:
-    """Raise unless prices are finite positive, low/high bracket open/close, volume >= 0."""
-    if not all(np.isfinite(col).all() for col in (o, h, l, c)):
-        raise ValueError(NONFINITE_PRICE)
-    if not all((col > 0.0).all() for col in (o, h, l, c)):
-        raise ValueError(NONPOSITIVE_PRICE)
-    if (l > np.minimum(o, c)).any() or (h < np.maximum(o, c)).any():
-        raise ValueError(OHLC_ORDERING)
-    if (vol < 0).any():
-        raise ValueError("negative volume")
+    """Raise ValueError with the reason code of the first unusable row."""
+    faults = _ohlcv_faults(o, h, l, c, volume)
+    bad = np.flatnonzero((faults != "") & (faults != ZERO_VOLUME))
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"{faults[i]} at {labels[i]}: open {o[i]}, high {h[i]}, low {l[i]}, "
+            f"close {c[i]}, volume {volume[i]}"
+        )
 
 
 class MarketDay:
@@ -129,7 +127,7 @@ class MarketDay:
             if c.shape != (n,):
                 raise ValueError("column lengths differ")
         o, h, l, c = cols
-        _check_ohlcv(o, h, l, c, vol)
+        _check_ohlcv_rows(symbols, o, h, l, c, vol)
         order = np.argsort(symbols, kind="stable")
         symbols = symbols[order]
         if n > 1 and (symbols[1:] == symbols[:-1]).any():
@@ -141,18 +139,6 @@ class MarketDay:
         self.low = l[order]
         self.close = c[order]
         self.volume = vol[order]
-
-    @classmethod
-    def from_bars(cls, day: date, bars: Sequence[DailyBar]) -> "MarketDay":
-        return cls(
-            day,
-            [b.symbol for b in bars],
-            [b.open for b in bars],
-            [b.high for b in bars],
-            [b.low for b in bars],
-            [b.close for b in bars],
-            [b.volume for b in bars],
-        )
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -207,18 +193,6 @@ class MarketDay:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class IndexBar:
-    """One trading day of an index, same ordering constraints as DailyBar."""
-
-    day: date
-    open: float
-    high: float
-    low: float
-    close: float
-    volume: int
-
-
 class IndexSeries:
     """An index's daily bars in strictly increasing date order."""
 
@@ -249,14 +223,15 @@ class IndexSeries:
             dup = dates[:-1][dates[1:] == dates[:-1]][0]
             raise ValueError(f"duplicate date {dup}")
         o, h, l, c = (col[order] for col in cols)
-        _check_ohlcv(o, h, l, c, vol)
+        vol = vol[order]
+        _check_ohlcv_rows(dates, o, h, l, c, vol)
         self.name = name
         self.dates = dates
         self.open = o
         self.high = h
         self.low = l
         self.close = c
-        self.volume = vol[order]
+        self.volume = vol
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -290,17 +265,6 @@ class IndexSeries:
             self.volume[start:stop],
         )
 
-    def bars(self) -> Iterator[IndexBar]:
-        for i in range(len(self)):
-            yield IndexBar(
-                self.dates[i].astype(date),
-                float(self.open[i]),
-                float(self.high[i]),
-                float(self.low[i]),
-                float(self.close[i]),
-                int(self.volume[i]),
-            )
-
 
 def _strip_thousands(field: str) -> str:
     return field.replace(",", "").replace('"', "").strip()
@@ -322,6 +286,42 @@ def _split_row(row: list[str], n_fixed: int) -> list[str] | None:
     return row[:n_fixed] + ["".join(p.strip() for p in tail)]
 
 
+def _volume_in_range(volume: int) -> int:
+    """The volume, or -1 when int64 cannot hold it (the rules reject that later)."""
+    return volume if 0 <= volume <= _INT64_MAX else -1
+
+
+def _judge(
+    converted: list[tuple], rejected: list[RejectedRow], on_reject: OnReject | None,
+    *, unique_keys: bool,
+) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Apply the OHLCV rules to a file's converted rows in one call.
+
+    ``converted`` holds (line, content, key, open, high, low, close, volume)
+    per row, ``rejected`` the rows that did not convert.  With ``unique_keys``
+    a key already kept makes a row a duplicate.  Delivers every reject in line
+    order and returns the kept rows' keys and columns.
+    """
+    lines, contents, keys, *prices, volumes = zip(*converted) if converted else ([],) * 8
+    o, h, l, c = (np.array(p, dtype=float) for p in prices)
+    volume = np.array(volumes, dtype=np.int64)
+    faults = _ohlcv_faults(o, h, l, c, volume).tolist()
+    kept: list[int] = []
+    seen = set()
+    for i, fault in enumerate(faults):
+        if fault and fault != ZERO_VOLUME:
+            rejected.append(RejectedRow(lines[i], contents[i], fault))
+        elif unique_keys and keys[i] in seen:
+            rejected.append(RejectedRow(lines[i], contents[i], DUPLICATE_SYMBOL))
+        else:
+            seen.add(keys[i])
+            kept.append(i)
+    if on_reject is not None:
+        for r in sorted(rejected, key=lambda r: r.line):
+            on_reject(r)
+    return [keys[i] for i in kept], o[kept], h[kept], l[kept], c[kept], volume[kept]
+
+
 def parse_eod_file(
     data: str | bytes,
     day: date,
@@ -337,15 +337,9 @@ def parse_eod_file(
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-
-    def reject(line: int, content: str, reason: str) -> None:
-        if on_reject is not None:
-            on_reject(RejectedRow(line, content, reason))
-
-    bars: list[DailyBar] = []
-    seen: set[str] = set()
-    reader = csv.reader(io.StringIO(data))
-    for line_no, row in enumerate(reader, start=1):
+    rejected: list[RejectedRow] = []
+    converted: list[tuple] = []
+    for line_no, row in enumerate(csv.reader(io.StringIO(data)), start=1):
         if not row or all(not f.strip() for f in row):
             continue
         raw = ",".join(row)
@@ -353,31 +347,23 @@ def parse_eod_file(
             continue
         row = _split_row(row, 5)
         if row is None:
-            reject(line_no, raw, FIELD_COUNT)
+            rejected.append(RejectedRow(line_no, raw, FIELD_COUNT))
             continue
         symbol = row[0].strip()
         try:
-            o, h, l, c = (float(_strip_thousands(f)) for f in row[1:5])
+            o, h, l, c = [float(_strip_thousands(f)) for f in row[1:5]]
             volume = int(_strip_thousands(row[5]))
         except ValueError:
-            reject(line_no, raw, UNPARSEABLE_FIELD)
+            rejected.append(RejectedRow(line_no, raw, UNPARSEABLE_FIELD))
             continue
         if not symbol:
-            reject(line_no, raw, UNPARSEABLE_FIELD)
+            rejected.append(RejectedRow(line_no, raw, UNPARSEABLE_FIELD))
             continue
-        bar = DailyBar(symbol, o, h, l, c, volume)
-        verdict = validate_bar(bar)
-        if verdict not in (None, ZERO_VOLUME):
-            reject(line_no, raw, verdict)
-            continue
-        if symbol in seen:
-            reject(line_no, raw, DUPLICATE_SYMBOL)
-            continue
-        seen.add(symbol)
-        bars.append(bar)
-    if not bars:
+        converted.append((line_no, raw, symbol, o, h, l, c, _volume_in_range(volume)))
+    symbols, o, h, l, c, volume = _judge(converted, rejected, on_reject, unique_keys=True)
+    if not symbols:
         raise ValueError(f"no usable rows for {day.isoformat()}")
-    return MarketDay.from_bars(day, bars)
+    return MarketDay(day, symbols, o, h, l, c, volume)
 
 
 def to_eod_csv(day: MarketDay) -> str:
@@ -425,6 +411,8 @@ def read_eod_dir(
 
     Files not matching the naming convention are ignored.  ``threads`` > 1
     parses files concurrently; results are assembled in date order either way.
+    Once every file is read, rejects reach ``on_reject`` in date order, then
+    line order.
     """
     path = Path(path)
     dated: list[tuple[date, Path]] = []
@@ -443,13 +431,20 @@ def read_eod_dir(
     if not dated:
         raise ValueError(f"no EOD files in {path}")
 
-    def load(item: tuple[date, Path]) -> MarketDay:
-        return read_eod_file(item[1], item[0], on_reject=on_reject)
+    def load(item: tuple[date, Path]) -> tuple[MarketDay, list[RejectedRow]]:
+        rejects: list[RejectedRow] = []
+        return read_eod_file(item[1], item[0], on_reject=rejects.append), rejects
 
     if threads <= 1 or len(dated) == 1:
-        return [load(item) for item in dated]
-    with ThreadPoolExecutor(max_workers=min(threads, len(dated))) as pool:
-        return list(pool.map(load, dated))
+        loaded = [load(item) for item in dated]
+    else:
+        with ThreadPoolExecutor(max_workers=min(threads, len(dated))) as pool:
+            loaded = list(pool.map(load, dated))
+    if on_reject is not None:
+        for _, rejects in loaded:
+            for r in rejects:
+                on_reject(r)
+    return [day for day, _ in loaded]
 
 
 _INDEX_COLUMNS = {"date", "open", "high", "low", "close", "volume"}
@@ -474,11 +469,6 @@ def parse_index_csv(
     """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
-
-    def reject(line: int, content: str, reason: str) -> None:
-        if on_reject is not None:
-            on_reject(RejectedRow(line, content, reason))
-
     rows = list(csv.reader(io.StringIO(data)))
     col_of = {"date": 0, "open": 1, "high": 2, "low": 3, "close": 4, "volume": 5}
     start = 0
@@ -496,46 +486,35 @@ def parse_index_csv(
                 raise ValueError(f"index header missing columns: {sorted(missing)}")
             start = 1
 
-    days: list[date] = []
-    cols: dict[str, list[float]] = {k: [] for k in ("open", "high", "low", "close")}
-    volumes: list[int] = []
+    rejected: list[RejectedRow] = []
+    converted: list[tuple] = []
     width = max(col_of.values())
     for line_no, row in enumerate(rows[start:], start=start + 1):
         if not row or all(not f.strip() for f in row):
             continue
         raw = ",".join(row)
         if len(row) <= width:
-            reject(line_no, raw, FIELD_COUNT)
+            rejected.append(RejectedRow(line_no, raw, FIELD_COUNT))
             continue
         try:
             d = _parse_day(row[col_of["date"]])
         except ValueError:
-            reject(line_no, raw, MALFORMED_DATE)
+            rejected.append(RejectedRow(line_no, raw, MALFORMED_DATE))
             continue
         try:
-            o, h, l, c = (
+            o, h, l, c = [
                 float(_strip_thousands(row[col_of[k]]))
                 for k in ("open", "high", "low", "close")
-            )
+            ]
             volume = int(float(_strip_thousands(row[col_of["volume"]])))
         except (ValueError, OverflowError):
-            reject(line_no, raw, UNPARSEABLE_FIELD)
+            rejected.append(RejectedRow(line_no, raw, UNPARSEABLE_FIELD))
             continue
-        verdict = _verdict(o, h, l, c, volume)
-        if verdict not in (None, ZERO_VOLUME):
-            reject(line_no, raw, verdict)
-            continue
-        days.append(d)
-        cols["open"].append(o)
-        cols["high"].append(h)
-        cols["low"].append(l)
-        cols["close"].append(c)
-        volumes.append(volume)
+        converted.append((line_no, raw, d, o, h, l, c, _volume_in_range(volume)))
+    days, o, h, l, c, volume = _judge(converted, rejected, on_reject, unique_keys=False)
     if not days:
         raise ValueError(f"no usable rows in index {name!r}")
-    return IndexSeries(
-        name, days, cols["open"], cols["high"], cols["low"], cols["close"], volumes
-    )
+    return IndexSeries(name, days, o, h, l, c, volume)
 
 
 def read_index_csv(

@@ -97,6 +97,39 @@ def test_csie_overflowing_traded_value_is_an_error(tmp_path, capsys, rows, messa
     assert not (out / "csie_daily.csv").exists() and "inf" not in stdout
 
 
+@pytest.mark.parametrize("command", ["csie", "compare"])
+def test_a_day_without_traded_value_costs_only_itself(tmp_path, capsys, command):
+    eod = tmp_path / "eod"
+    eod.mkdir()
+    header = "Symbol,Open,High,Low,Close,Volume\n"
+    for stamp, volume in (("20210601", 100), ("20210602", 0), ("20210603", 300)):
+        (eod / f"M_{stamp}.csv").write_text(
+            header + f"AA,10,11,9,10.5,{volume}\nBB,20,21,19,20.5,{volume}\n"
+        )
+    index = tmp_path / "index.csv"
+    index.write_text(
+        "Date,Open,High,Low,Close,Volume\n"
+        + "".join(f"2021-06-0{d},10,11,9,10.{d},{d}000\n" for d in (1, 2, 3))
+    )
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        [command, "--market-dir", str(eod), "--index", str(index), "--out", str(out),
+         "--estimators", "pk", "--windows", "1", "--intervals", "all"],
+        capsys,
+    )
+    assert code == 1
+    assert stderr.splitlines() == [
+        "error: skipped 2021-06-02: empty cross-section on 2021-06-02"
+    ]
+    if command == "csie":
+        rows = (out / "csie_daily.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["2021-06-01", "2021-06-03"]
+        assert stdout.count("wrote ") == 2
+    else:
+        assert stdout.count("wrote ") == 4
+        assert (out / "grid_mean.csv").read_text().splitlines()[1].startswith("all,1,")
+
+
 def test_csie_reruns_byte_identical(world, tmp_path, capsys):
     eod, _ = world
     a, b = tmp_path / "a", tmp_path / "b"

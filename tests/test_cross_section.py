@@ -79,6 +79,21 @@ def test_total_value_empty_cross_section_errors():
         total_traded_value(day)
 
 
+@pytest.mark.parametrize("fn", [total_traded_value, symbol_weights, csie_day],
+                         ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(1e300, 1e300, 1e300, 1e300, 10**9), (1, 1, 1, 1, 5)], "not finite"),
+        ([(1e299, 1e299, 1e299, 1e299, 10**9)] * 2, "sum overflows"),
+    ],
+    ids=["product-overflows", "sum-overflows"],
+)
+def test_traded_value_past_the_float_range_is_an_error(fn, rows, message):
+    with pytest.raises(ValueError, match=message):
+        fn(day_from_tuples(rows))
+
+
 # --- symbol weights -------------------------------------------------------------
 
 def test_weights_single_symbol_is_one():

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import math
 from datetime import date
 
 import numpy as np
@@ -25,7 +24,6 @@ from csie.market_data import (
     parse_index_csv,
     read_eod_dir,
     to_eod_csv,
-    validate_bar,
 )
 
 from helpers import FIXTURE_DAY, table1_csv
@@ -99,10 +97,16 @@ def test_malformed_rows_rejected_with_reasons():
         "HUGEVOL,1,2,0.5,1.5,99999999999999999999\n"
         "NANP,nan,2,0.5,1.5,100\n"
         "INFP,1,inf,0.5,1.5,100\n"
+        "NEGVOL,1,2,0.5,1.5,-5\n"
+        "NEGP_HUGEVOL,-1,2,0.5,1.5,99999999999999999999\n"
+        "ORD_NEGVOL,1,0.9,0.5,0.8,-5\n"
+        ",1,2,0.5,1.5,100\n"
+        "OK,3,4,2.5,3.5,200\n"
     )
     day = parse_eod_file(text, D, on_reject=on_reject)
     assert [str(s) for s in day.symbols] == ["OK"]
-    assert {(r.line, r.reason) for r in rejected} == {
+    # delivered in line order; a price fault outranks a bad volume on the same row
+    assert [(r.line, r.reason) for r in rejected] == [
         (3, UNPARSEABLE_FIELD),
         (4, FIELD_COUNT),
         (5, NONPOSITIVE_PRICE),
@@ -110,7 +114,12 @@ def test_malformed_rows_rejected_with_reasons():
         (7, UNPARSEABLE_FIELD),
         (8, NONFINITE_PRICE),
         (9, NONFINITE_PRICE),
-    }
+        (10, UNPARSEABLE_FIELD),
+        (11, NONPOSITIVE_PRICE),
+        (12, OHLC_ORDERING),
+        (13, UNPARSEABLE_FIELD),
+        (14, DUPLICATE_SYMBOL),
+    ]
 
 
 def test_zero_volume_bar_kept_but_not_tradable():
@@ -137,24 +146,33 @@ def test_bytes_input_accepted():
     assert len(parse_eod_file(table1_csv().encode(), D)) == 24
 
 
-# --- validate_bar ------------------------------------------------------------
+# --- one rule set for parser and constructor ----------------------------------
 
-def test_validate_bar_accepts_well_formed():
-    assert validate_bar(DailyBar("X", 1, 2, 0.5, 1.5, 100)) is None
-
-
-def test_validate_bar_rejects_high_below_open():
-    assert validate_bar(DailyBar("X", 1, 0.9, 0.5, 0.8, 100)) == OHLC_ORDERING
-
-
-def test_validate_bar_flags_zero_volume():
-    assert validate_bar(DailyBar("X", 1, 1, 1, 1, 0)) == ZERO_VOLUME
-
-
-def test_validate_bar_rejects_nonpositive_price():
-    assert validate_bar(DailyBar("X", 0.0, 1, 0.5, 0.5, 10)) == NONPOSITIVE_PRICE
-    assert validate_bar(DailyBar("X", 1, 1, -0.5, 1, 10)) == NONPOSITIVE_PRICE
-    assert validate_bar(DailyBar("X", math.nan, 1, 0.5, 0.5, 10)) == NONFINITE_PRICE
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ((1, 2, 0.5, 1.5, 100), None),
+        ((1, 1, 1, 1, 0), ZERO_VOLUME),
+        ((1, 0.9, 0.5, 0.8, 100), OHLC_ORDERING),
+        ((0.0, 1, 0.5, 0.5, 10), NONPOSITIVE_PRICE),
+        ((1, 1, -0.5, 1, 10), NONPOSITIVE_PRICE),
+        ((float("nan"), 1, 0.5, 0.5, 10), NONFINITE_PRICE),
+        ((float("nan"), 1, 0.5, 0.5, -1), NONFINITE_PRICE),
+    ],
+    ids=["usable", "zero-volume", "high-below-open", "zero-open", "negative-low", "nan-open",
+         "nan-open-negative-volume"],
+)
+def test_parser_and_constructor_apply_the_same_rules(row, reason):
+    rejected, on_reject = collect()
+    text = "X," + ",".join(map(str, row)) + "\nOK,1,2,0.5,1.5,100\n"
+    day = parse_eod_file(text, D, on_reject=on_reject)
+    if reason in (None, ZERO_VOLUME):
+        assert rejected == [] and day.bar("X").volume == row[4]
+        assert MarketDay(D, ["X"], *([v] for v in row)).n_tradable == (reason is None)
+    else:
+        assert [(r.line, r.reason) for r in rejected] == [(1, reason)]
+        with pytest.raises(ValueError, match=reason):
+            MarketDay(D, ["X"], *([v] for v in row))
 
 
 # --- round-trip and order insensitivity --------------------------------------
@@ -162,24 +180,15 @@ def test_validate_bar_rejects_nonpositive_price():
 @st.composite
 def market_days(draw):
     m = draw(st.integers(min_value=1, max_value=8))
-    bars = []
-    for i in range(m):
+    rows = []
+    for _ in range(m):
         o = draw(st.floats(0.01, 1000.0, allow_nan=False, allow_infinity=False))
         r = draw(st.floats(0.8, 1.25))
         up = draw(st.floats(1.0, 1.3))
         dn = draw(st.floats(1.0, 1.3))
         c = o * r
-        bars.append(
-            DailyBar(
-                f"S{i:03d}",
-                o,
-                max(o, c) * up,
-                min(o, c) / dn,
-                c,
-                draw(st.integers(0, 10**7)),
-            )
-        )
-    return MarketDay.from_bars(date(2022, 1, 21), bars)
+        rows.append((o, max(o, c) * up, min(o, c) / dn, c, draw(st.integers(0, 10**7))))
+    return MarketDay(date(2022, 1, 21), [f"S{i:03d}" for i in range(m)], *zip(*rows))
 
 
 @given(market_days())
@@ -259,8 +268,26 @@ def test_read_eod_dir_duplicate_date_errors(tmp_path):
 
 def test_read_eod_dir_threads_equivalent(tmp_path):
     for stamp in ("20210601", "20210602", "20210603", "20210604"):
-        (tmp_path / f"SYN_{stamp}.csv").write_text(f"AA,1,2,0.5,1.5,{stamp[-1]}0\n")
-    assert read_eod_dir(tmp_path, threads=1) == read_eod_dir(tmp_path, threads=4)
+        (tmp_path / f"SYN_{stamp}.csv").write_text(
+            f"AA,1,2,0.5,1.5,{stamp[-1]}0\nBAD{stamp},1,0.9,0.5,0.8,1\nSHORT{stamp},1\n"
+            f"AA,1,2,0.5,1.5,7{stamp}\n"
+        )
+    results = []
+    for threads in (1, 4):
+        rejected, on_reject = collect()
+        results.append((read_eod_dir(tmp_path, threads=threads, on_reject=on_reject), rejected))
+    (days1, rejected1), (days4, rejected4) = results
+    assert days1 == days4
+    assert rejected1 == rejected4
+    # date order, then line order
+    assert [r.content for r in rejected1] == [
+        row
+        for stamp in ("20210601", "20210602", "20210603", "20210604")
+        for row in (f"BAD{stamp},1,0.9,0.5,0.8,1", f"SHORT{stamp},1", f"AA,1,2,0.5,1.5,7{stamp}")
+    ]
+    assert [(r.line, r.reason) for r in rejected1] == [
+        (2, OHLC_ORDERING), (3, FIELD_COUNT), (4, DUPLICATE_SYMBOL)
+    ] * 4
 
 
 def test_read_eod_dir_empty_errors(tmp_path):
