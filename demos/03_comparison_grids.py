@@ -2,10 +2,11 @@
 """How index estimators track whole-market entropy.
 
 Builds a 300-day, 25-symbol market plus its capitalization-weighted index,
-then evaluates correlation and volatility-beta grids: each cell smooths the
-market entropy with a w-day moving average, rolls an index estimator with
-the same window, aligns the two series, and keeps the trailing interval.
-Cells a short series cannot support print as NA.
+then evaluates the mean, variance, correlation and volatility-beta grids in
+one pass: each cell smooths the market entropy with a w-day moving average,
+rolls an index estimator with the same window, aligns the two series, and
+keeps the trailing interval.  Each series is rolled once and shared by the
+four grids.  Cells a short series cannot support print as NA.
 """
 
 from datetime import date, timedelta
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from csie import IndexSeries, MarketDay, comparison_grid, csie_series
+from csie import IndexSeries, MarketDay, comparison_grids, csie_series
 
 rng = np.random.default_rng(23)
 
@@ -60,14 +61,13 @@ estimators = ("cc", "pk", "gk", "rs", "yz", "ie")
 windows = (5, 10, 20)
 intervals = (30, 120, 500, "all")
 
+grids = comparison_grids(index, rows, estimators, intervals, windows)
 for statistic in ("pearson", "beta"):
-    grid = comparison_grid(index, rows, estimators, intervals, windows, statistic)
     print(f"=== {statistic} ===")
-    print(grid.to_csv())
+    print(grids[statistic].to_csv())
 
 out_dir = Path(__file__).parent / "out"
 out_dir.mkdir(exist_ok=True)
-for statistic in ("mean", "variance", "pearson", "beta"):
-    grid = comparison_grid(index, rows, estimators, intervals, windows, statistic)
+for statistic, grid in grids.items():
     (out_dir / f"grid_{statistic}.csv").write_text(grid.to_csv())
 print(f"grids written to {out_dir}")

@@ -5,8 +5,10 @@ against classic index estimators: smooth the daily cross-sectional series
 with a w-day moving average, roll each estimator over the index with the
 same w, align the two series on dates, keep the trailing time interval, and
 compute a statistic (mean, variance, Pearson correlation, or volatility
-beta).  Grids hold one cell per (interval, window, column) and mark cells
-that cannot be computed with an "NA" sentinel instead of dropping them.
+beta).  ``comparison_grids`` builds the grids of all four statistics in one
+pass, rolling each (estimator, window) series once.  Grids hold one cell per
+(interval, window, column) and mark cells that cannot be computed with an
+"NA" sentinel instead of dropping them.
 
 Mean, variance, covariance all use the population divisor n throughout.
 """
@@ -254,28 +256,27 @@ def _apply_stat(
             return None
         if statistic == "pearson":
             return pearson(est, market)
-        if statistic == "beta":
-            return vol_beta(est, market)
+        return vol_beta(est, market)
     except ValueError:
         return None
-    raise ValueError(f"unknown statistic {statistic!r}")
 
 
-def comparison_grid(
+def comparison_grids(
     index: IndexSeries,
     market: Sequence[CsieDay],
     estimators: Sequence[str],
     intervals: Sequence[Interval],
     windows_: Sequence[int],
-    statistic: str,
     *,
     semantics: str = "smoothed-points",
-) -> ComparisonGrid:
-    """Evaluate one statistic over the interval x window grid.
+) -> dict[str, ComparisonGrid]:
+    """Evaluate every statistic over the interval x window grid, in one pass.
 
-    For each window w, the w-day moving average of the daily market entropy
-    (absolute for pearson/beta, signed for mean/variance) and each estimator
-    rolled over the whole index are computed once and aligned on dates; an
+    Returns one grid per entry of STATISTICS, in that order.  For each window
+    w, the w-day moving averages of the daily market entropy (signed for
+    mean/variance, absolute for pearson/beta) and each estimator rolled over
+    the whole index are computed once and aligned on dates, and serve all
+    four statistics; only ``ie`` is rolled twice, once per blend.  An
     interval t only selects entries.  ``semantics="smoothed-points"``
     (default) keeps the last t aligned points.  "raw-days" keeps only the
     estimator windows (seed bar included) within the last t index bars and
@@ -285,63 +286,67 @@ def comparison_grid(
     "all" keeps everything.  Unsupported cells become None ("NA" in CSV);
     the grid shape never varies with the data.
     """
-    if statistic not in STATISTICS:
-        raise ValueError(f"unknown statistic {statistic!r}")
     if semantics not in INTERVAL_SEMANTICS:
         raise ValueError(f"unknown interval semantics {semantics!r}")
     for tag in estimators:
         if tag not in ESTIMATOR_TAGS:
             raise ValueError(f"unknown estimator {tag!r}")
-    use_abs = statistic in ("pearson", "beta")
     market_rows = sorted(market, key=lambda r: r.day)
     for r1, r2 in zip(market_rows, market_rows[1:]):
         if r1.day == r2.day:
             raise ValueError(f"duplicate market day {r1.day.isoformat()}")
-    daily = csie_dated_series(market_rows, use_abs=use_abs)
+    daily = [csie_dated_series(market_rows, use_abs=use_abs) for use_abs in (False, True)]
     raw_days = semantics == "raw-days"
-    n_bars, n_days = len(index), len(daily)
+    n_bars, n_days = len(index), len(market_rows)
 
-    with_csie_col = statistic in ("mean", "variance")
-    columns = tuple(estimators) + (("csie",) if with_csie_col else ())
-    cells: dict[CellKey, float | None] = {}
-
+    columns = {
+        stat: tuple(estimators) + (("csie",) if stat in ("mean", "variance") else ())
+        for stat in STATISTICS
+    }
+    cells: dict[str, dict[CellKey, float | None]] = {stat: {} for stat in STATISTICS}
     for w in windows_:
-        # column -> (column values, market values, need, capacity, reach)
-        series: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, int, float]] = {}
+        # column -> (selection per interval, (column, market) values per blend)
+        series: dict[str, tuple[list, list[tuple[np.ndarray, np.ndarray]]]] = {}
         try:
-            ma = moving_average(daily, w)
+            ma = [moving_average(s, w) for s in daily]  # indexed by use_abs
         except ValueError:
-            ma = None
-        if ma is not None:
-            for tag in estimators:
-                try:
-                    vol, reach = rolling_estimate(index, tag, w, use_abs=use_abs), math.inf
-                except RollingError as err:  # window i spans the last n_bars - i bars
-                    vol = err.series
-                    reach = n_bars - err.last_failed - 1 if raw_days else 0
-                except ValueError:
-                    continue
-                _, iv, im = np.intersect1d(vol.dates, ma.dates, return_indices=True)
-                if raw_days:
-                    need = np.maximum(n_bars - iv, n_days - im)
-                    capacity = min(n_bars, n_days)
-                else:
-                    need, capacity = len(iv) - np.arange(len(iv)), len(iv)
-                series[tag] = (vol.values[iv], ma.values[im], need, capacity, reach)
-            if with_csie_col:
-                source = n_days if raw_days else len(ma)
-                need = source - np.arange(len(ma))
-                series["csie"] = (ma.values, ma.values, need, source, math.inf)
-        for t in intervals:
-            for col in columns:
-                est = mkt = None
-                if col in series:
-                    vals, mkt_vals, need, capacity, reach = series[col]
-                    keep = _keep(need, capacity, reach, t)
+            ma = []
+        for tag in estimators if ma else ():
+            vols, reach = [], math.inf  # ie is rolled per blend; one roll serves the others
+            try:
+                for use_abs in (False, True) if tag == "ie" else (False,):
+                    try:
+                        vols.append(rolling_estimate(index, tag, w, use_abs=use_abs))
+                    except RollingError as err:  # window i spans the last n_bars - i bars
+                        vols.append(err.series)
+                        reach = n_bars - err.last_failed - 1 if raw_days else 0
+            except ValueError:
+                continue
+            _, iv, im = np.intersect1d(vols[0].dates, ma[0].dates, return_indices=True)
+            if raw_days:
+                need, capacity = np.maximum(n_bars - iv, n_days - im), min(n_bars, n_days)
+            else:
+                need, capacity = len(iv) - np.arange(len(iv)), len(iv)
+            series[tag] = (
+                [_keep(need, capacity, reach, t) for t in intervals],
+                [(v.values[iv], m.values[im]) for v, m in zip((vols[0], vols[-1]), ma)],
+            )
+        if ma:
+            source = n_days if raw_days else len(ma[0])
+            need = source - np.arange(len(ma[0]))
+            keeps = [_keep(need, source, math.inf, t) for t in intervals]
+            series["csie"] = (keeps, [(ma[0].values, ma[0].values)])
+        for stat in STATISTICS:
+            use_abs = stat in ("pearson", "beta")
+            for col in columns[stat]:
+                keeps, blends = series.get(col, ([None] * len(intervals), []))
+                for t, keep in zip(intervals, keeps):
+                    est = mkt = None
                     if keep is not None:
-                        est, mkt = vals[keep], mkt_vals[keep]
-                cells[(t, w, col)] = _apply_stat(statistic, est, mkt)
+                        est, mkt = (v[keep] for v in blends[use_abs])
+                    cells[stat][(t, w, col)] = _apply_stat(stat, est, mkt)
 
-    return ComparisonGrid(
-        statistic, tuple(intervals), tuple(windows_), columns, cells
-    )
+    return {
+        stat: ComparisonGrid(stat, tuple(intervals), tuple(windows_), columns[stat], cells[stat])
+        for stat in STATISTICS
+    }

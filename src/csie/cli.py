@@ -4,7 +4,8 @@ Subcommands:
 
 * ``csie``     - per-day market entropy CSV plus a series SVG
 * ``indexvol`` - rolling estimator columns for one index plus stacked SVG
-* ``compare``  - mean/variance/pearson/beta grids of index estimators vs CSIE
+* ``compare``  - mean/variance/pearson/beta grids of index estimators vs CSIE,
+                 all four from one roll of each (estimator, window) series
 * ``cluster``  - OHLC dendrogram (Newick, merge table, SVG) for one day
 
 Options resolve as CLI flag > config file > built-in default.  The config
@@ -35,9 +36,8 @@ from .analytics import (
     ALL_INTERVAL,
     ESTIMATOR_TAGS,
     INTERVAL_SEMANTICS,
-    STATISTICS,
     DatedSeries,
-    comparison_grid,
+    comparison_grids,
     csie_dated_series,
     moving_average,
     rolling_estimate,
@@ -148,16 +148,15 @@ def _parse_windows(s: str) -> tuple[int, ...]:
         raise ConfigError(f"bad windows list {s!r}") from exc
     if not values or any(w < 1 for w in values):
         raise ConfigError("windows must be positive integers")
-    return tuple(sorted(values))
+    if len(set(values)) != len(values):
+        raise ConfigError("duplicate windows")
+    return values
 
 
 def _parse_intervals(s: str) -> tuple[int | str, ...]:
+    parts = [p.strip() for p in s.split(",") if p.strip()]
     numeric: list[int] = []
-    has_all = False
-    for p in (p.strip() for p in s.split(",") if p.strip()):
-        if p == ALL_INTERVAL:
-            has_all = True
-            continue
+    for p in (p for p in parts if p != ALL_INTERVAL):
         try:
             t = int(p)
         except ValueError as exc:
@@ -165,8 +164,11 @@ def _parse_intervals(s: str) -> tuple[int | str, ...]:
         if t < 1:
             raise ConfigError("intervals must be positive")
         numeric.append(t)
-    if not numeric and not has_all:
+    if not parts:
         raise ConfigError("empty intervals list")
+    has_all = ALL_INTERVAL in parts
+    if len(set(numeric)) + has_all != len(parts):
+        raise ConfigError("duplicate intervals")
     out: tuple[int | str, ...] = tuple(sorted(numeric))
     return out + ((ALL_INTERVAL,) if has_all else ())
 
@@ -396,16 +398,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     index = _load_index(cfg)
     rows, skipped = _csie_rows(days, cfg.alpha)
     emitter = _Emitter(cfg.out)
-    for stat in STATISTICS:
-        grid = comparison_grid(
-            index,
-            rows,
-            cfg.estimators,
-            cfg.intervals,
-            cfg.windows,
-            stat,
-            semantics=cfg.interval_semantics,
-        )
+    grids = comparison_grids(index, rows, cfg.estimators, cfg.intervals,
+                             tuple(sorted(cfg.windows)), semantics=cfg.interval_semantics)
+    for stat, grid in grids.items():
         emitter.emit(f"grid_{stat}.csv", grid.to_csv)
     return 1 if skipped else emitter.status()
 

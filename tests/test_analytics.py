@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import math
 from datetime import date
 
@@ -9,9 +10,10 @@ import pytest
 from csie import analytics
 from csie.analytics import (
     ALL_INTERVAL,
+    STATISTICS,
     DatedSeries,
     align,
-    comparison_grid,
+    comparison_grids,
     csie_dated_series,
     mean_var,
     moving_average,
@@ -315,7 +317,7 @@ def grid_world(n_days=60, seed=42):
 
 def test_grid_shape_never_varies():
     index, rows = grid_world()
-    g = comparison_grid(index, rows, ["cc", "pk"], [10, 5000, ALL_INTERVAL], [5, 10], "pearson")
+    g = comparison_grids(index, rows, ["cc", "pk"], [10, 5000, ALL_INTERVAL], [5, 10])["pearson"]
     assert g.columns == ("cc", "pk")
     assert g.intervals == (10, 5000, ALL_INTERVAL)
     assert g.windows == (5, 10)
@@ -330,17 +332,18 @@ def test_grid_shape_never_varies():
 
 def test_grid_mean_variance_carry_csie_column():
     index, rows = grid_world()
-    g = comparison_grid(index, rows, ["cc"], [20, ALL_INTERVAL], [5], "mean")
-    assert g.columns == ("cc", "csie")
-    assert g.cell(20, 5, "csie") is not None
-    gp = comparison_grid(index, rows, ["cc"], [20], [5], "pearson")
-    assert gp.columns == ("cc",)
+    grids = comparison_grids(index, rows, ["cc"], [20, ALL_INTERVAL], [5])
+    for stat in ("mean", "variance"):
+        assert grids[stat].columns == ("cc", "csie")
+        assert grids[stat].cell(20, 5, "csie") is not None
+    for stat in ("pearson", "beta"):
+        assert grids[stat].columns == ("cc",)
 
 
 def test_grid_cells_match_hand_computation():
     index, rows = grid_world()
     w, t = 5, 12
-    g = comparison_grid(index, rows, ["pk"], [t, ALL_INTERVAL], [w], "pearson")
+    g = comparison_grids(index, rows, ["pk"], [t, ALL_INTERVAL], [w])["pearson"]
     ma = moving_average(csie_dated_series(rows, use_abs=True), w)
     vol = rolling_estimate(index, "pk", w, use_abs=True)
     _, est, mkt = align(vol, ma)
@@ -353,7 +356,7 @@ def test_grid_cells_match_hand_computation():
 def test_grid_mean_uses_signed_series():
     index, rows = grid_world()
     w = 5
-    g = comparison_grid(index, rows, [], [ALL_INTERVAL], [w], "mean")
+    g = comparison_grids(index, rows, [], [ALL_INTERVAL], [w])["mean"]
     ma = moving_average(csie_dated_series(rows, use_abs=False), w)
     assert math.isclose(g.cell(ALL_INTERVAL, w, "csie"), mean_var(ma.values)[0], rel_tol=1e-13)
 
@@ -362,7 +365,7 @@ def test_grid_beta_of_self_is_one():
     # feed the market's own abs-MA back as a fake index estimator by checking
     # beta(v, v) through the public statistic instead
     index, rows = grid_world()
-    g = comparison_grid(index, rows, ["yz"], [ALL_INTERVAL], [5], "beta")
+    g = comparison_grids(index, rows, ["yz"], [ALL_INTERVAL], [5])["beta"]
     ma = moving_average(csie_dated_series(rows, use_abs=True), 5)
     vol = rolling_estimate(index, "yz", 5, use_abs=True)
     _, est, mkt = align(vol, ma)
@@ -371,7 +374,7 @@ def test_grid_beta_of_self_is_one():
 
 def test_grid_csv_layout():
     index, rows = grid_world(n_days=40)
-    g = comparison_grid(index, rows, ["cc", "pk"], [10, ALL_INTERVAL], [5, 10], "variance")
+    g = comparison_grids(index, rows, ["cc", "pk"], [10, ALL_INTERVAL], [5, 10])["variance"]
     text = g.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "interval,window,cc,pk,csie"
@@ -389,21 +392,22 @@ def test_grid_na_for_undefined_statistic():
     rows = [csie_row(d, 0.25) for d in days]
     rng = np.random.default_rng(43)
     index = make_index_series(rng, 30, start=days[0])
-    g = comparison_grid(index, rows, ["pk"], [ALL_INTERVAL], [3], "pearson")
-    assert g.cell(ALL_INTERVAL, 3, "pk") is None
-    gb = comparison_grid(index, rows, ["pk"], [ALL_INTERVAL], [3], "beta")
-    assert gb.cell(ALL_INTERVAL, 3, "pk") is None
+    grids = comparison_grids(index, rows, ["pk"], [ALL_INTERVAL], [3])
+    assert grids["pearson"].cell(ALL_INTERVAL, 3, "pk") is None
+    assert grids["beta"].cell(ALL_INTERVAL, 3, "pk") is None
     # but the mean grid is fine
-    gm = comparison_grid(index, rows, ["pk"], [ALL_INTERVAL], [3], "mean")
-    assert math.isclose(gm.cell(ALL_INTERVAL, 3, "csie"), 0.25, rel_tol=1e-15)
+    assert math.isclose(grids["mean"].cell(ALL_INTERVAL, 3, "csie"), 0.25, rel_tol=1e-15)
 
 
-def reslice_reference(index, rows, column, t, w, statistic):
-    """One raw-days cell computed the direct way: slice the last t index bars
-    and market days, then smooth, roll, align and apply the statistic."""
+def reslice_reference(index, rows, column, t, w, statistic, semantics="raw-days"):
+    """One cell computed the direct way.  raw-days: slice the last t index bars
+    and market days, then smooth, roll, align and apply the statistic.
+    smoothed-points: smooth, roll and align the whole series, then apply the
+    statistic to the last t aligned points."""
     use_abs = statistic in ("pearson", "beta")
     rows = sorted(rows, key=lambda r: r.day)
-    if t != ALL_INTERVAL:
+    raw_days = semantics == "raw-days"
+    if raw_days and t != ALL_INTERVAL:
         if len(index) < t or len(rows) < t:
             return None
         index, rows = index.slice(len(index) - t, len(index)), rows[-t:]
@@ -414,6 +418,10 @@ def reslice_reference(index, rows, column, t, w, statistic):
         else:
             vol = rolling_estimate(index, column, w, use_abs=use_abs)
             _, est, mkt = align(vol, ma)
+        if not raw_days and t != ALL_INTERVAL:
+            if len(est) < t:
+                return None
+            est, mkt = est[-t:], mkt[-t:]
         if statistic == "pearson":
             return pearson(est, mkt)
         if statistic == "beta":
@@ -426,10 +434,9 @@ def reslice_reference(index, rows, column, t, w, statistic):
 def test_grid_raw_days_semantics_differ():
     index, rows = grid_world()
     t, w = 20, 5
-    smoothed = comparison_grid(index, rows, ["pk"], [t], [w], "pearson")
-    raw = comparison_grid(
-        index, rows, ["pk"], [t], [w], "pearson", semantics="raw-days"
-    )
+    smoothed = comparison_grids(index, rows, ["pk"], [t], [w])["pearson"]
+    raw = comparison_grids(
+        index, rows, ["pk"], [t], [w], semantics="raw-days")["pearson"]
     # raw-days slices 20 trailing days then windows inside them
     assert raw.cell(t, w, "pk") == reslice_reference(index, rows, "pk", t, w, "pearson")
     assert raw.cell(t, w, "pk") != smoothed.cell(t, w, "pk")
@@ -461,7 +468,7 @@ def long_index_world():
 def test_grid_raw_days_matches_reslicing(world, statistic, column, t, w, is_na):
     index, rows = grid_world() if world == "same" else long_index_world()
     estimators = [] if column == "csie" else [column]
-    g = comparison_grid(index, rows, estimators, [t], [w], statistic, semantics="raw-days")
+    g = comparison_grids(index, rows, estimators, [t], [w], semantics="raw-days")[statistic]
     want = reslice_reference(index, rows, column, t, w, statistic)
     assert (want is None) == is_na
     assert g.cell(t, w, column) == want
@@ -471,21 +478,21 @@ def test_grid_rolls_each_series_once(monkeypatch):
     calls = []
     real = analytics.rolling_estimate
 
-    def counting(series, tag, w, **kwargs):
-        calls.append((tag, w))
-        return real(series, tag, w, **kwargs)
+    def counting(series, tag, w, *, use_abs=False):
+        calls.append((tag, w, use_abs))
+        return real(series, tag, w, use_abs=use_abs)
 
     monkeypatch.setattr(analytics, "rolling_estimate", counting)
     index, rows = grid_world()
     for semantics in ("smoothed-points", "raw-days"):
         calls.clear()
-        comparison_grid(
+        comparison_grids(
             index, rows, ["pk", "yz", "ie"], [10, 20, 40, ALL_INTERVAL], [5, 10],
-            "pearson", semantics=semantics,
+            semantics=semantics,
         )
-        assert sorted(calls) == sorted(
-            (tag, w) for tag in ("pk", "yz", "ie") for w in (5, 10)
-        )
+        # one roll per (tag, w) serves all four statistics; ie once per blend
+        want = [(tag, w, False) for tag in ("pk", "yz", "ie") for w in (5, 10)]
+        assert sorted(calls) == sorted(want + [("ie", w, True) for w in (5, 10)])
 
 
 def zero_volume_world():
@@ -515,9 +522,8 @@ def test_rolling_failed_windows_raise_after_the_roll():
 def test_grid_raw_days_failed_window_fails_only_the_intervals_reaching_it(t, is_na):
     # the newest failed ie window (position 6) spans the last 54 bars
     index, rows = zero_volume_world()
-    g = comparison_grid(
-        index, rows, ["ie", "pk"], [t], [5], "pearson", semantics="raw-days"
-    )
+    g = comparison_grids(
+        index, rows, ["ie", "pk"], [t], [5], semantics="raw-days")["pearson"]
     want = reslice_reference(index, rows, "ie", t, 5, "pearson")
     assert (want is None) == is_na
     assert g.cell(t, 5, "ie") == want
@@ -526,16 +532,15 @@ def test_grid_raw_days_failed_window_fails_only_the_intervals_reaching_it(t, is_
 
 def test_grid_smoothed_points_failed_window_fails_the_column():
     index, rows = zero_volume_world()
-    g = comparison_grid(index, rows, ["ie", "pk"], [10, ALL_INTERVAL], [5], "pearson")
+    g = comparison_grids(index, rows, ["ie", "pk"], [10, ALL_INTERVAL], [5])["pearson"]
     assert g.cell(10, 5, "ie") is None and g.cell(ALL_INTERVAL, 5, "ie") is None
     assert g.cell(10, 5, "pk") is not None
 
 
 def test_grid_raw_days_interval_too_large_is_na():
     index, rows = grid_world(n_days=30)
-    g = comparison_grid(
-        index, rows, ["pk"], [100], [5], "pearson", semantics="raw-days"
-    )
+    g = comparison_grids(
+        index, rows, ["pk"], [100], [5], semantics="raw-days")["pearson"]
     assert g.cell(100, 5, "pk") is None
 
 
@@ -543,30 +548,65 @@ def test_grid_duplicate_market_day_rejected():
     index, rows = grid_world(n_days=20)
     dup = list(rows) + [rows[3]]
     with pytest.raises(ValueError, match="duplicate market day"):
-        comparison_grid(index, dup, ["pk"], [ALL_INTERVAL], [5], "mean")
+        comparison_grids(index, dup, ["pk"], [ALL_INTERVAL], [5])
 
 
 def test_grid_input_validation():
     index, rows = grid_world(n_days=20)
-    with pytest.raises(ValueError, match="unknown statistic"):
-        comparison_grid(index, rows, ["pk"], [5], [5], "median")
+    grids = comparison_grids(index, rows, ["pk"], [5], [5])
+    assert tuple(grids) == STATISTICS
+    assert all(grids[stat].statistic == stat for stat in STATISTICS)
     with pytest.raises(ValueError, match="unknown estimator"):
-        comparison_grid(index, rows, ["zz"], [5], [5], "mean")
+        comparison_grids(index, rows, ["zz"], [5], [5])
     with pytest.raises(ValueError, match="unknown interval semantics"):
-        comparison_grid(index, rows, ["pk"], [5], [5], "mean", semantics="daily")
+        comparison_grids(index, rows, ["pk"], [5], [5], semantics="daily")
 
 
 def test_grid_market_row_order_does_not_matter():
     index, rows = grid_world(n_days=40)
     shuffled = list(rows)
     np.random.default_rng(44).shuffle(shuffled)
-    a = comparison_grid(index, rows, ["cc", "yz"], [10, ALL_INTERVAL], [5], "beta")
-    b = comparison_grid(index, shuffled, ["cc", "yz"], [10, ALL_INTERVAL], [5], "beta")
-    assert a.to_csv() == b.to_csv()
+    a = comparison_grids(index, rows, ["cc", "yz"], [10, ALL_INTERVAL], [5])
+    b = comparison_grids(index, shuffled, ["cc", "yz"], [10, ALL_INTERVAL], [5])
+    for stat in STATISTICS:
+        assert a[stat].to_csv() == b[stat].to_csv()
 
 
 def test_grid_deterministic_rebuild():
     index, rows = grid_world()
-    a = comparison_grid(index, rows, ["cc", "pk", "yz", "ie"], [15, ALL_INTERVAL], [5, 10], "pearson")
-    b = comparison_grid(index, rows, ["cc", "pk", "yz", "ie"], [15, ALL_INTERVAL], [5, 10], "pearson")
-    assert a.to_csv() == b.to_csv()
+    a = comparison_grids(index, rows, ["cc", "pk", "yz", "ie"], [15, ALL_INTERVAL], [5, 10])
+    b = comparison_grids(index, rows, ["cc", "pk", "yz", "ie"], [15, ALL_INTERVAL], [5, 10])
+    for stat in STATISTICS:
+        assert a[stat].to_csv() == b[stat].to_csv()
+
+
+WORLDS = {"grid": grid_world, "long_index": long_index_world, "zero_volume": zero_volume_world}
+# ie first, so a failed-window reach that leaks into the next column shows
+TAGS = ("ie", "cc", "pk", "gk", "rs", "yz")
+REF_INTERVALS = (1, 3, 10, 30, 39, 40, 41, 53, 54, 57, 60, 61, ALL_INTERVAL)
+REF_WINDOWS = (2, 5, 10)
+
+
+@functools.cache
+def _shared_pass(world, semantics):
+    index, rows = WORLDS[world]()
+    grids = comparison_grids(index, rows, TAGS, REF_INTERVALS, REF_WINDOWS, semantics=semantics)
+    return index, rows, grids
+
+
+@pytest.mark.parametrize("world", sorted(WORLDS))
+@pytest.mark.parametrize("column", TAGS + ("csie",))
+@pytest.mark.parametrize("statistic", STATISTICS)
+@pytest.mark.parametrize("semantics", ("smoothed-points", "raw-days"))
+def test_every_grid_cell_matches_the_direct_computation(semantics, statistic, column, world):
+    # one pass over all tags must give each statistic its own blend and each
+    # column its own failed-window reach
+    index, rows, grids = _shared_pass(world, semantics)
+    grid = grids[statistic]
+    if column not in grid.columns:
+        assert column == "csie" and statistic in ("pearson", "beta")
+        return
+    for t in REF_INTERVALS:
+        for w in REF_WINDOWS:
+            want = reslice_reference(index, rows, column, t, w, statistic, semantics)
+            assert grid.cell(t, w, column) == want, (t, w)

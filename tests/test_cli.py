@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from csie import analytics
 from csie.cli import load_config_file, main
 
 from helpers import weekdays, write_world
@@ -176,6 +177,18 @@ def test_indexvol_row_count(tmp_path, capsys):
     assert "window 60" in (out / "indexvol.svg").read_text()
 
 
+def test_indexvol_uses_the_first_window_as_written(tmp_path, capsys):
+    _, index = write_world(tmp_path / "w", np.random.default_rng(83), n_days=65)
+    out = tmp_path / "out"
+    code, _, stderr = run(
+        ["indexvol", "--index", str(index), "--out", str(out), "--windows", "60,5"],
+        capsys,
+    )
+    assert code == 0, stderr
+    assert "window 60" in (out / "indexvol.svg").read_text()
+    assert len((out / "indexvol.csv").read_text().strip().split("\n")) == 6
+
+
 def test_indexvol_estimator_subset(tmp_path, capsys):
     _, index = write_world(tmp_path / "w", np.random.default_rng(84), n_days=65)
     out = tmp_path / "out"
@@ -225,6 +238,46 @@ def test_compare_outputs_four_grids(world, tmp_path, capsys):
     pearson_text = (out / "grid_pearson.csv").read_text()
     assert ",NA" in pearson_text  # 1300 smoothed points never exist in 90 days
     assert (out / "grid_mean.csv").read_text().splitlines()[0].endswith(",csie")
+
+
+def test_compare_rolls_each_series_once(world, tmp_path, capsys, monkeypatch):
+    calls = []
+    real = analytics.rolling_estimate
+
+    def counting(series, tag, w, **kwargs):
+        calls.append((tag, w))
+        return real(series, tag, w, **kwargs)
+
+    monkeypatch.setattr(analytics, "rolling_estimate", counting)
+    eod, index = world
+    code, _, stderr = run(
+        ["compare", "--market-dir", str(eod), "--index", str(index), "--out", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0, stderr
+    # six tags x four default windows, plus the second ie blend per window
+    assert len(calls) == 28
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("windows", "5,5"), ("windows", "10,5,10"), ("intervals", "30,30"),
+     ("intervals", "all,20,all"), ("intervals", "30,030")],
+)
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_compare_repeated_window_or_interval_rejected(world, tmp_path, capsys, key, value, source):
+    eod, index = world
+    argv = ["compare", "--market-dir", str(eod), "--index", str(index), "--out", str(tmp_path / "o")]
+    if source == "flag":
+        argv += [f"--{key}", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        argv += ["--config", str(cfg)]
+    code, _, stderr = run(argv, capsys)
+    assert code == 2
+    assert stderr.startswith("error: ") and f"duplicate {key}" in stderr
+    assert not (tmp_path / "o").exists()
 
 
 def test_compare_deterministic(world, tmp_path, capsys):
