@@ -15,9 +15,10 @@ outputs are byte-identical for any thread count.
 
 Exit codes: 0 all outputs written, 1 partial or processing failure
 (per-output status on stderr), 2 unusable input (unreadable directory,
-unparseable index, bad configuration).  A market day whose cross-section
-cannot be computed is skipped with an ``error:`` line on stderr; the outputs
-cover the other days and the exit code is 1.
+unparseable index, bad configuration).  An EOD file that does not parse (no
+usable row, or bytes that are not UTF-8) and a market day whose
+cross-section cannot be computed are each skipped with an ``error:`` line on
+stderr; the outputs cover the other days and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -44,7 +46,7 @@ from .analytics import (
 )
 from .clustering import cluster_day
 from .cross_section import ALPHA_DEFAULT, CsieDay, csie_csv, csie_day
-from .market_data import MarketDay, read_eod_dir, read_eod_file, read_index_csv
+from .market_data import MarketDay, SkippedFileWarning, read_eod_dir, read_eod_file, read_index_csv
 from .svg import dendrogram_svg, line_chart, small_multiples
 
 _FIG_STACK_ORDER = ("ie", "yz", "rs", "gk", "pk", "cc")
@@ -112,11 +114,11 @@ class RunConfig:
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
-    """Flat ``key = value`` lines; blank lines and # comments ignored."""
+    """Flat ``key = value`` lines of UTF-8 text; blank lines and # comments ignored."""
     out: dict[str, str] = {}
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     for i, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -265,13 +267,20 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _load_market(cfg: RunConfig) -> list[MarketDay]:
+def _load_market(cfg: RunConfig) -> tuple[list[MarketDay], bool]:
+    """The market days and whether a file was skipped (with an error line)."""
     if cfg.market_dir is None:
         raise ConfigError("--market-dir is required for this command")
-    try:
-        return read_eod_dir(cfg.market_dir, threads=cfg.threads)
-    except (OSError, ValueError) as exc:
-        raise InputError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
+    with warnings.catch_warnings(record=True) as skipped:
+        warnings.simplefilter("always", SkippedFileWarning)
+        try:
+            days = read_eod_dir(cfg.market_dir, threads=cfg.threads)
+        except (OSError, ValueError) as exc:
+            raise InputError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
+        finally:
+            for w in skipped:
+                print(f"error: {w.message}", file=sys.stderr)
+    return days, bool(skipped)
 
 
 def _load_index(cfg: RunConfig):
@@ -323,7 +332,8 @@ class _Emitter:
 
 
 def cmd_csie(cfg: RunConfig) -> int:
-    rows, skipped = _csie_rows(_load_market(cfg), cfg.alpha)
+    days, files_skipped = _load_market(cfg)
+    rows, skipped = _csie_rows(days, cfg.alpha)
     emitter = _Emitter(cfg.out)
     emitter.emit("csie_daily.csv", lambda: csie_csv(rows))
 
@@ -349,7 +359,7 @@ def cmd_csie(cfg: RunConfig) -> int:
         )
 
     emitter.emit("csie_series.svg", build_chart)
-    return 1 if skipped else emitter.status()
+    return 1 if files_skipped or skipped else emitter.status()
 
 
 def cmd_indexvol(cfg: RunConfig) -> int:
@@ -394,7 +404,7 @@ def cmd_indexvol(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
-    days = _load_market(cfg)
+    days, files_skipped = _load_market(cfg)
     index = _load_index(cfg)
     rows, skipped = _csie_rows(days, cfg.alpha)
     emitter = _Emitter(cfg.out)
@@ -402,7 +412,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                              tuple(sorted(cfg.windows)), semantics=cfg.interval_semantics)
     for stat, grid in grids.items():
         emitter.emit(f"grid_{stat}.csv", grid.to_csv)
-    return 1 if skipped else emitter.status()
+    return 1 if files_skipped or skipped else emitter.status()
 
 
 def cmd_cluster(cfg: RunConfig) -> int:

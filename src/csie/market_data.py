@@ -2,12 +2,16 @@
 
 Daily files carry one row per listed symbol (Symbol,Open,High,Low,Close,Volume);
 index files carry one row per trading day (Date,Open,High,Low,Close[,AdjClose],
-Volume).  Both parsers are tolerant of header rows and of thousands separators
-inside the volume field.  One rule set, ``_ohlcv_faults``, judges the columns
-of a whole parsed file in one call and whatever a constructor is given.  Every
-skipped row is reported through an ``on_reject`` callback, in line order (and
-by ``read_eod_dir`` in date order, then line order), instead of failing the
-whole file.
+Volume).  Both parsers are tolerant of header rows, of a UTF-8 byte-order
+mark and of thousands separators inside the volume field.  The row loop of a
+parser only splits rows and rejects those of the wrong shape; ``_convert``
+then reads each price and volume column in one pass, and only a field that
+fails takes the per-field rule.  One rule set, ``_ohlcv_faults``, judges the
+columns of a whole parsed file in one call and whatever a constructor is
+given.  Every skipped row, including a record the csv module cannot read, is
+reported through an ``on_reject`` callback, in line order (and by
+``read_eod_dir`` in date order, then line order), instead of failing the
+whole file; a file that does not parse costs ``read_eod_dir`` only that file.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import csv
 import io
 import re
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -274,16 +279,93 @@ def _split_row(row: list[str], n_fixed: int) -> list[str] | None:
     """Collapse a row whose trailing volume was split on embedded commas.
 
     ``n_fixed`` is the number of columns preceding volume; anything beyond the
-    expected width is rejoined into the volume field.
+    expected width is rejoined into the volume field when every part is
+    digits, apart from surrounding whitespace.
     """
     if len(row) < n_fixed + 1:
         return None
     if len(row) == n_fixed + 1:
         return row
     tail = row[n_fixed:]
+    joined = "".join(tail)
+    if all(tail) and joined.isdigit():  # no part empty or with whitespace: one test
+        return row[:n_fixed] + [joined]
     if not all(part.strip().isdigit() for part in tail):
         return None
     return row[:n_fixed] + ["".join(p.strip() for p in tail)]
+
+
+def _decode(data: str | bytes) -> str:
+    """Text as given; bytes are UTF-8, with or without a byte-order mark."""
+    return data.decode("utf-8-sig") if isinstance(data, bytes) else data
+
+
+def _records(text: str, rejected: list[RejectedRow]) -> list[list[str]]:
+    """The csv records of ``text`` in order; record ``i`` is line ``i + 1``.
+
+    A record the csv module cannot read (a bare carriage return inside an
+    unquoted field, or a field longer than ``csv.field_size_limit()``) is an
+    unparseable-field reject holding the physical line where reading
+    stopped.  It stands in the list as an empty, that is blank, row, and
+    reading resumes on the next physical line.
+    """
+    reader = csv.reader(io.StringIO(text))
+    records: list[list[str]] = []
+    physical: list[str] | None = None
+    while True:
+        try:
+            for row in reader:
+                records.append(row)
+            return records
+        except csv.Error:
+            if physical is None:
+                physical = io.StringIO(text).readlines()
+            content = physical[reader.line_num - 1].rstrip("\r\n")
+            records.append([])
+            rejected.append(RejectedRow(len(records), content, UNPARSEABLE_FIELD))
+
+
+def _blank(row: list[str]) -> bool:
+    return not "".join(row).strip()
+
+
+def _without_commas(fields: Sequence[str]) -> list[str]:
+    """The fields with every comma removed, by one replace over the column
+    joined on newlines; a field holding a newline makes the split miscount,
+    and then each field is replaced on its own."""
+    parts = "\n".join(fields).replace(",", "").split("\n")
+    return parts if len(parts) == len(fields) else [f.replace(",", "") for f in fields]
+
+
+def _index_volume(field: str) -> int:
+    """An index volume; one written as a float (``1e3``) loses its fraction."""
+    return int(float(field))
+
+
+def _convert(fields: Sequence[str], convert: Callable[[str], float]) -> tuple[list, list[int]]:
+    """``convert`` applied to one column, and the positions it cannot read.
+
+    The column goes through ``convert`` in one pass.  Only a field that
+    raises takes the per-field rule: it is converted again with thousands
+    separators, quotes and surrounding whitespace stripped, and if that
+    raises too it is unparseable and holds 0.  The pass then resumes after
+    it; ``list.extend`` keeps what it appended before a raise, so the length
+    of ``values`` is the position of the field that raised.
+    """
+    values: list = []
+    failed: list[int] = []
+    rest = iter(fields)
+    while True:
+        try:
+            values.extend(map(convert, rest))
+            return values, failed
+        except (ValueError, OverflowError):
+            i = len(values)
+        try:
+            values.append(convert(_strip_thousands(fields[i])))
+        except (ValueError, OverflowError):
+            values.append(0)
+            failed.append(i)
 
 
 def _volume_in_range(volume: int) -> int:
@@ -292,34 +374,62 @@ def _volume_in_range(volume: int) -> int:
 
 
 def _judge(
-    converted: list[tuple], rejected: list[RejectedRow], on_reject: OnReject | None,
-    *, unique_keys: bool,
+    lines: list[int], records: list[list[str]], keys: list, fields: list[Sequence[str]],
+    to_volume: Callable[[str], int], rejected: list[RejectedRow],
+    on_reject: OnReject | None, *, unique_keys: bool,
 ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Apply the OHLCV rules to a file's converted rows in one call.
+    """Convert a file's price and volume columns and apply the OHLCV rules.
 
-    ``converted`` holds (line, content, key, open, high, low, close, volume)
-    per row, ``rejected`` the rows that did not convert.  With ``unique_keys``
-    a key already kept makes a row a duplicate.  Delivers every reject in line
-    order and returns the kept rows' keys and columns.
+    ``fields`` holds the open, high, low, close and volume field columns of
+    the rows that reached conversion: row ``i`` came from line ``lines[i]``,
+    whose fields are ``records[lines[i] - 1]``, and has key ``keys[i]``.
+    ``rejected`` holds the rows rejected before conversion.  Through
+    ``_convert``, prices are read with ``float`` and volumes, their commas
+    removed, with ``to_volume``.  A row with a field that cannot be read is
+    unparseable; the others are judged by ``_ohlcv_faults``.  With ``unique_keys`` a key already kept makes a row
+    a duplicate.  Delivers every reject in line order and returns the kept
+    rows' keys and columns.
     """
-    lines, contents, keys, *prices, volumes = zip(*converted) if converted else ([],) * 8
-    o, h, l, c = (np.array(p, dtype=float) for p in prices)
-    volume = np.array(volumes, dtype=np.int64)
+    columns = []
+    unparseable: set[int] = set()
+    opens, highs, lows, closes, volumes = fields
+    for column, convert in zip(
+        (opens, highs, lows, closes, _without_commas(volumes)),
+        (float, float, float, float, to_volume),
+    ):
+        values, failed = _convert(column, convert)
+        columns.append(values)
+        unparseable.update(failed)
+    o, h, l, c = (np.array(col, dtype=float) for col in columns[:4])
+    try:
+        volume = np.array(columns[4], dtype=np.int64)
+    except OverflowError:
+        volume = np.array([_volume_in_range(v) for v in columns[4]], dtype=np.int64)
     faults = _ohlcv_faults(o, h, l, c, volume).tolist()
+    for i in unparseable:
+        faults[i] = UNPARSEABLE_FIELD
     kept: list[int] = []
     seen = set()
     for i, fault in enumerate(faults):
         if fault and fault != ZERO_VOLUME:
-            rejected.append(RejectedRow(lines[i], contents[i], fault))
+            rejected.append(RejectedRow(lines[i], ",".join(records[lines[i] - 1]), fault))
         elif unique_keys and keys[i] in seen:
-            rejected.append(RejectedRow(lines[i], contents[i], DUPLICATE_SYMBOL))
+            rejected.append(
+                RejectedRow(lines[i], ",".join(records[lines[i] - 1]), DUPLICATE_SYMBOL)
+            )
         else:
             seen.add(keys[i])
             kept.append(i)
     if on_reject is not None:
         for r in sorted(rejected, key=lambda r: r.line):
             on_reject(r)
-    return [keys[i] for i in kept], o[kept], h[kept], l[kept], c[kept], volume[kept]
+    take = np.array(kept, dtype=np.intp)
+    return [keys[i] for i in kept], o[take], h[take], l[take], c[take], volume[take]
+
+
+def _transpose(rows: list[list[str]], width: int) -> list[Sequence[str]]:
+    """The first ``width`` columns of rows that have at least that many fields."""
+    return list(zip(*rows))[:width] if rows else [()] * width
 
 
 def parse_eod_file(
@@ -330,37 +440,37 @@ def parse_eod_file(
 ) -> MarketDay:
     """Parse one daily Symbol,Open,High,Low,Close,Volume file.
 
-    Rows that cannot be used are skipped and reported through ``on_reject``;
-    zero-volume rows are kept (they are flagged through ``MarketDay.tradable``).
-    Duplicate symbols keep the first occurrence.  Raises ValueError when no
-    usable row remains.
+    The row loop only splits rows and rejects those of the wrong shape; the
+    price and volume columns are then converted in one pass each.  Rows
+    that cannot be used are skipped and reported through ``on_reject``;
+    zero-volume rows are kept (they are flagged through
+    ``MarketDay.tradable``).  Duplicate symbols keep the first occurrence.
+    Raises ValueError when no usable row remains, or for bytes that are not
+    UTF-8.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     rejected: list[RejectedRow] = []
-    converted: list[tuple] = []
-    for line_no, row in enumerate(csv.reader(io.StringIO(data)), start=1):
-        if not row or all(not f.strip() for f in row):
+    records = _records(_decode(data), rejected)
+    lines: list[int] = []
+    symbols: list[str] = []
+    rows: list[list[str]] = []
+    for line_no, row in enumerate(records, start=1):
+        symbol = row[0].strip() if row else ""
+        if (line_no == 1 and symbol.lower() == "symbol") or (not symbol and _blank(row)):
             continue
-        raw = ",".join(row)
-        if line_no == 1 and row[0].strip().lower() == "symbol":
-            continue
-        row = _split_row(row, 5)
-        if row is None:
-            rejected.append(RejectedRow(line_no, raw, FIELD_COUNT))
-            continue
-        symbol = row[0].strip()
-        try:
-            o, h, l, c = [float(_strip_thousands(f)) for f in row[1:5]]
-            volume = int(_strip_thousands(row[5]))
-        except ValueError:
-            rejected.append(RejectedRow(line_no, raw, UNPARSEABLE_FIELD))
+        split = row if len(row) == 6 else _split_row(row, 5)
+        if split is None:
+            rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
             continue
         if not symbol:
-            rejected.append(RejectedRow(line_no, raw, UNPARSEABLE_FIELD))
+            rejected.append(RejectedRow(line_no, ",".join(row), UNPARSEABLE_FIELD))
             continue
-        converted.append((line_no, raw, symbol, o, h, l, c, _volume_in_range(volume)))
-    symbols, o, h, l, c, volume = _judge(converted, rejected, on_reject, unique_keys=True)
+        lines.append(line_no)
+        symbols.append(symbol)
+        rows.append(split)
+    fields = _transpose(rows, 6)[1:]
+    symbols, o, h, l, c, volume = _judge(
+        lines, records, symbols, fields, int, rejected, on_reject, unique_keys=True
+    )
     if not symbols:
         raise ValueError(f"no usable rows for {day.isoformat()}")
     return MarketDay(day, symbols, o, h, l, c, volume)
@@ -401,6 +511,10 @@ def read_eod_file(
     return parse_eod_file(path.read_bytes(), day, on_reject=on_reject)
 
 
+class SkippedFileWarning(UserWarning):
+    """``read_eod_dir`` left out a file it could not parse."""
+
+
 def read_eod_dir(
     path: str | Path,
     *,
@@ -411,8 +525,11 @@ def read_eod_dir(
 
     Files not matching the naming convention are ignored.  ``threads`` > 1
     parses files concurrently; results are assembled in date order either way.
-    Once every file is read, rejects reach ``on_reject`` in date order, then
-    line order.
+    A file that does not parse (no usable row, or bytes that are not UTF-8)
+    costs only itself: it is left out with a ``SkippedFileWarning``
+    ``skipped <file>: <reason>``.  Once every file is read, the warnings are
+    issued in date order, and rejects reach ``on_reject`` in date order, then
+    line order.  Raises ValueError when no file is left.
     """
     path = Path(path)
     dated: list[tuple[date, Path]] = []
@@ -431,20 +548,29 @@ def read_eod_dir(
     if not dated:
         raise ValueError(f"no EOD files in {path}")
 
-    def load(item: tuple[date, Path]) -> tuple[MarketDay, list[RejectedRow]]:
+    def load(item: tuple[date, Path]) -> tuple[MarketDay | str, list[RejectedRow]]:
         rejects: list[RejectedRow] = []
-        return read_eod_file(item[1], item[0], on_reject=rejects.append), rejects
+        try:
+            return read_eod_file(item[1], item[0], on_reject=rejects.append), rejects
+        except ValueError as exc:
+            return f"skipped {item[1]}: {exc}", rejects
 
     if threads <= 1 or len(dated) == 1:
         loaded = [load(item) for item in dated]
     else:
         with ThreadPoolExecutor(max_workers=min(threads, len(dated))) as pool:
             loaded = list(pool.map(load, dated))
+    for day, _ in loaded:
+        if isinstance(day, str):
+            warnings.warn(day, SkippedFileWarning, stacklevel=2)
     if on_reject is not None:
         for _, rejects in loaded:
             for r in rejects:
                 on_reject(r)
-    return [day for day, _ in loaded]
+    days = [day for day, _ in loaded if isinstance(day, MarketDay)]
+    if not days:
+        raise ValueError(f"no usable EOD file in {path}")
+    return days
 
 
 _INDEX_COLUMNS = {"date", "open", "high", "low", "close", "volume"}
@@ -464,16 +590,16 @@ def parse_index_csv(
     """Parse a Date,Open,High,Low,Close[,AdjClose],Volume index file.
 
     Column order is taken from the header when present (an adjusted-close
-    column is ignored), otherwise assumed positional.  Bad rows are skipped
-    and reported; duplicate dates are an error.
+    column is ignored), otherwise assumed positional.  Dates are read row by
+    row, prices and volumes a column at a time, as in ``parse_eod_file``.
+    Bad rows are skipped and reported; duplicate dates are an error.
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
-    rows = list(csv.reader(io.StringIO(data)))
+    rejected: list[RejectedRow] = []
+    records = _records(_decode(data), rejected)
     col_of = {"date": 0, "open": 1, "high": 2, "low": 3, "close": 4, "volume": 5}
     start = 0
-    if rows:
-        header = [f.strip().lower() for f in rows[0]]
+    if records:
+        header = [f.strip().lower() for f in records[0]]
         if "date" in header:
             col_of = {}
             for i, field in enumerate(header):
@@ -486,32 +612,29 @@ def parse_index_csv(
                 raise ValueError(f"index header missing columns: {sorted(missing)}")
             start = 1
 
-    rejected: list[RejectedRow] = []
-    converted: list[tuple] = []
+    lines: list[int] = []
+    rows: list[list[str]] = []
+    days: list[date] = []
     width = max(col_of.values())
-    for line_no, row in enumerate(rows[start:], start=start + 1):
-        if not row or all(not f.strip() for f in row):
+    for line_no, row in enumerate(records[start:], start=start + 1):
+        if _blank(row):
             continue
-        raw = ",".join(row)
         if len(row) <= width:
-            rejected.append(RejectedRow(line_no, raw, FIELD_COUNT))
+            rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
             continue
         try:
             d = _parse_day(row[col_of["date"]])
         except ValueError:
-            rejected.append(RejectedRow(line_no, raw, MALFORMED_DATE))
+            rejected.append(RejectedRow(line_no, ",".join(row), MALFORMED_DATE))
             continue
-        try:
-            o, h, l, c = [
-                float(_strip_thousands(row[col_of[k]]))
-                for k in ("open", "high", "low", "close")
-            ]
-            volume = int(float(_strip_thousands(row[col_of["volume"]])))
-        except (ValueError, OverflowError):
-            rejected.append(RejectedRow(line_no, raw, UNPARSEABLE_FIELD))
-            continue
-        converted.append((line_no, raw, d, o, h, l, c, _volume_in_range(volume)))
-    days, o, h, l, c, volume = _judge(converted, rejected, on_reject, unique_keys=False)
+        lines.append(line_no)
+        rows.append(row)
+        days.append(d)
+    columns = _transpose(rows, width + 1)
+    fields = [columns[col_of[k]] for k in ("open", "high", "low", "close", "volume")]
+    days, o, h, l, c, volume = _judge(
+        lines, records, days, fields, _index_volume, rejected, on_reject, unique_keys=False
+    )
     if not days:
         raise ValueError(f"no usable rows in index {name!r}")
     return IndexSeries(name, days, o, h, l, c, volume)

@@ -7,14 +7,21 @@ several volatility series, and a dendrogram.  Output is plain XML text.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 from .analytics import DatedSeries
 from .clustering import Dendrogram, Label
 
 _FONT = 'font-family="sans-serif" font-size="11"'
+
+
+def _escape(s: str) -> str:
+    """Text content with ``&``, ``<`` and ``>`` as XML entities.
+
+    The same as ``xml.sax.saxutils.escape`` without extra entities, whose
+    import pulls in ``urllib.request``.
+    """
+    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 class _Canvas:
@@ -55,7 +62,7 @@ class _Canvas:
              color: str = "#222") -> None:
         self.parts.append(
             f'<text x="{x:.2f}" y="{y:.2f}" text-anchor="{anchor}" '
-            f'fill="{color}" {_FONT}>{escape(s)}</text>'
+            f'fill="{color}" {_FONT}>{_escape(s)}</text>'
         )
 
     def to_xml(self) -> str:

@@ -6,6 +6,12 @@ package's parsers to give the same ``MarketDay``/``IndexSeries`` (or the same
 ``ValueError`` message) and the same rejected rows as these.  Only the row
 objects the package no longer has are inlined here; the constructors and the
 reason codes are the package's own.
+
+Bytes are decoded as UTF-8 with an optional byte-order mark.  A csv record
+the csv module cannot read (a bare carriage return in an unquoted field, a
+field past the csv field size limit) is an ``unparseable-field`` reject whose
+content is the physical line where reading stopped; the next record starts
+on the following line.
 """
 
 from __future__ import annotations
@@ -78,6 +84,23 @@ def _split_row(row: list[str], n_fixed: int) -> list[str] | None:
     return row[:n_fixed] + ["".join(p.strip() for p in tail)]
 
 
+def _records(text: str):
+    """(record number, fields or None, content) for each csv record."""
+    physical = io.StringIO(text).readlines()
+    reader = csv.reader(io.StringIO(text))
+    number = 0
+    while True:
+        number += 1
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error:
+            yield number, None, physical[reader.line_num - 1].rstrip("\r\n")
+        else:
+            yield number, row, ",".join(row)
+
+
 def parse_eod_file(
     data: str | bytes,
     day: date,
@@ -85,7 +108,7 @@ def parse_eod_file(
     on_reject: OnReject | None = None,
 ) -> MarketDay:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")
 
     def reject(line: int, content: str, reason: str) -> None:
         if on_reject is not None:
@@ -93,11 +116,12 @@ def parse_eod_file(
 
     bars: list[DailyBar] = []
     seen: set[str] = set()
-    reader = csv.reader(io.StringIO(data))
-    for line_no, row in enumerate(reader, start=1):
+    for line_no, row, raw in _records(data):
+        if row is None:
+            reject(line_no, raw, UNPARSEABLE_FIELD)
+            continue
         if not row or all(not f.strip() for f in row):
             continue
-        raw = ",".join(row)
         if line_no == 1 and row[0].strip().lower() == "symbol":
             continue
         row = _split_row(row, 5)
@@ -152,17 +176,17 @@ def parse_index_csv(
     on_reject: OnReject | None = None,
 ) -> IndexSeries:
     if isinstance(data, bytes):
-        data = data.decode("utf-8")
+        data = data.decode("utf-8-sig")
 
     def reject(line: int, content: str, reason: str) -> None:
         if on_reject is not None:
             on_reject(RejectedRow(line, content, reason))
 
-    rows = list(csv.reader(io.StringIO(data)))
+    rows = list(_records(data))
     col_of = {"date": 0, "open": 1, "high": 2, "low": 3, "close": 4, "volume": 5}
     start = 0
-    if rows:
-        header = [f.strip().lower() for f in rows[0]]
+    if rows and rows[0][1] is not None:
+        header = [f.strip().lower() for f in rows[0][1]]
         if "date" in header:
             col_of = {}
             for i, field in enumerate(header):
@@ -179,10 +203,12 @@ def parse_index_csv(
     cols: dict[str, list[float]] = {k: [] for k in ("open", "high", "low", "close")}
     volumes: list[int] = []
     width = max(col_of.values())
-    for line_no, row in enumerate(rows[start:], start=start + 1):
+    for line_no, row, raw in rows[start:]:
+        if row is None:
+            reject(line_no, raw, UNPARSEABLE_FIELD)
+            continue
         if not row or all(not f.strip() for f in row):
             continue
-        raw = ",".join(row)
         if len(row) <= width:
             reject(line_no, raw, FIELD_COUNT)
             continue

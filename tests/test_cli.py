@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from datetime import date
 from pathlib import Path
@@ -98,15 +101,37 @@ def test_csie_overflowing_traded_value_is_an_error(tmp_path, capsys, rows, messa
     assert not (out / "csie_daily.csv").exists() and "inf" not in stdout
 
 
+# The middle day of three, each unusable in its own way, and the error line
+# that reports it.
+UNUSABLE_DAY = {
+    "zero-volume": (
+        b"AA,10,11,9,10.5,0\nBB,20,21,19,20.5,0\n",
+        "skipped 2021-06-02: empty cross-section on 2021-06-02",
+    ),
+    "no-usable-row": (
+        b"AA,10,9,9,10.5,200\n",
+        "skipped {eod}/M_20210602.csv: no usable rows for 2021-06-02",
+    ),
+    "not-utf8": (
+        b"AA,10,11,9,10.5,200\n\xff\n",
+        "skipped {eod}/M_20210602.csv: 'utf-8' codec can't decode byte 0xff in position 54: "
+        "invalid start byte",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", UNUSABLE_DAY)
 @pytest.mark.parametrize("command", ["csie", "compare"])
-def test_a_day_without_traded_value_costs_only_itself(tmp_path, capsys, command):
+def test_an_unusable_day_costs_only_itself(tmp_path, capsys, command, case):
     eod = tmp_path / "eod"
     eod.mkdir()
-    header = "Symbol,Open,High,Low,Close,Volume\n"
-    for stamp, volume in (("20210601", 100), ("20210602", 0), ("20210603", 300)):
-        (eod / f"M_{stamp}.csv").write_text(
-            header + f"AA,10,11,9,10.5,{volume}\nBB,20,21,19,20.5,{volume}\n"
+    header = b"Symbol,Open,High,Low,Close,Volume\n"
+    middle, message = UNUSABLE_DAY[case]
+    for stamp, volume in (("20210601", 100), ("20210603", 300)):
+        (eod / f"M_{stamp}.csv").write_bytes(
+            header + f"AA,10,11,9,10.5,{volume}\nBB,20,21,19,20.5,{volume}\n".encode()
         )
+    (eod / "M_20210602.csv").write_bytes(header + middle)
     index = tmp_path / "index.csv"
     index.write_text(
         "Date,Open,High,Low,Close,Volume\n"
@@ -119,9 +144,7 @@ def test_a_day_without_traded_value_costs_only_itself(tmp_path, capsys, command)
         capsys,
     )
     assert code == 1
-    assert stderr.splitlines() == [
-        "error: skipped 2021-06-02: empty cross-section on 2021-06-02"
-    ]
+    assert stderr.splitlines() == ["error: " + message.format(eod=eod)]
     if command == "csie":
         rows = (out / "csie_daily.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["2021-06-01", "2021-06-03"]
@@ -359,12 +382,38 @@ def test_config_file_round_trip(tmp_path):
     assert load_config_file(cfg) == {"windows": "7", "abs": "true", "out": "somewhere"}
 
 
-def test_config_unknown_key(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"colour = blue\n", "unknown key"),
+        (b"windows = 7\n\xff\n", "cannot read config file"),
+    ],
+)
+def test_unusable_config_file_is_a_config_error(tmp_path, capsys, content, message):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("colour = blue\n")
+    cfg.write_bytes(content)
     code, _, stderr = run(["csie", "--config", str(cfg)], capsys)
     assert code == 2
-    assert "unknown key" in stderr
+    assert stderr.startswith("error: ") and message in stderr
+
+
+def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes("\ufeffwindows = 7\n".encode())
+    assert load_config_file(cfg) == {"windows": "7"}
+
+
+def test_importing_the_cli_loads_no_url_or_xml_modules():
+    probe = (
+        "import sys; before = set(sys.modules); import csie.cli; "
+        "print(sorted(m for m in set(sys.modules) - before "
+        "if m.split('.')[0] in ('urllib', 'xml')))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert done.stdout.strip() == "[]"
 
 
 def test_config_precedence_cli_over_file(tmp_path, capsys):

@@ -2,20 +2,27 @@
 
 from __future__ import annotations
 
-from datetime import date
+import csv
+from datetime import date, timedelta
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import csie.market_data as md
 import rowwise_ingest
 from csie.market_data import parse_eod_file, parse_index_csv
 
 from helpers import FIXTURE_DAY
 
+# Past csv.field_size_limit(), so the csv module refuses the record.
+LONG_FIELD = "7" * (csv.field_size_limit() + 1)
+
 PRICE_FIELDS = st.one_of(
     st.floats(0.5, 200.0).map(repr),
     st.sampled_from(
-        ["1", "0", "-1", "-0.0", "nan", "inf", "-inf", "oops", "", " 2 ", "1_0", '"1,000.5"', "2,5"]
+        ["1", "0", "-1", "-0.0", "nan", "inf", "-inf", "oops", "", " 2 ", "1_0", '"1,000.5"', "2,5",
+         '"1\n5"', '"2,5"', "B\rC", LONG_FIELD]
     ),
 )
 # Thousands separators both quoted and bare (a bare one splits the row into
@@ -26,14 +33,15 @@ VOLUME_FIELDS = st.one_of(
     st.integers(1000, 10**9).map(lambda v: f'"{v:,}"'),
     st.sampled_from(
         ["0", "-5", "99999999999999999999", "9223372036854775807", "9223372036854775808",
-         "1.5", "abc", "", "1e3"]
+         "1.5", "abc", "", "1e3", "1, 234", "+1,234", "1,,234", "\u0661,234", "1234,",
+         '" 1,234 "', '"12\n34"', "12\r34"]
     ),
 )
 INDEX_VOLUME_FIELDS = st.one_of(
     VOLUME_FIELDS, st.sampled_from(["1e30", "inf", "nan", "-0.5", "1000.7", "-1e3"])
 )
-SYMBOLS = st.sampled_from(["A", "B", "C", "AA", " A ", "", "symbol"])
-BLANK = st.sampled_from(["", "  ", ",,,,,"])
+SYMBOLS = st.sampled_from(["A", "B", "C", "AA", " A ", "", "symbol", '"A,B"', '"A\nB"', "A\rB"])
+BLANK = st.sampled_from(["", "  ", ",,,,,", " , ,,\t, , "])
 
 
 @st.composite
@@ -60,18 +68,22 @@ def rows_of(key, volume, adj_close: bool = False) -> st.SearchStrategy[str]:
     )
 
 
-def file_text(draw, header: str | None, rows: st.SearchStrategy[str]) -> str:
+def file_bytes(draw, header: str | None, rows: st.SearchStrategy[str]) -> bytes:
+    """The file as bytes: sometimes with a UTF-8 byte-order mark, and
+    sometimes with a byte that is not UTF-8."""
     lines = draw(st.lists(rows, max_size=12))
     if header is not None:
         lines.insert(0, header)
     newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+    text = newline.join(lines) + draw(st.sampled_from(["", newline]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    return (bom + text).encode() + draw(st.sampled_from([b""] * 7 + [b"\xff"]))
 
 
 @st.composite
-def eod_files(draw) -> str:
+def eod_files(draw) -> bytes:
     header = draw(st.sampled_from([None, "Symbol,Open,High,Low,Close,Volume", "symbol,o,h,l,c,v"]))
-    return file_text(draw, header, rows_of(SYMBOLS, VOLUME_FIELDS))
+    return file_bytes(draw, header, rows_of(SYMBOLS, VOLUME_FIELDS))
 
 
 INDEX_DATES = st.one_of(
@@ -81,7 +93,7 @@ INDEX_DATES = st.one_of(
 
 
 @st.composite
-def index_files(draw) -> str:
+def index_files(draw) -> bytes:
     header = draw(
         st.sampled_from(
             [
@@ -93,13 +105,13 @@ def index_files(draw) -> str:
         )
     )
     adj_close = header is not None and "Adj Close" in header
-    return file_text(draw, header, rows_of(INDEX_DATES, INDEX_VOLUME_FIELDS, adj_close))
+    return file_bytes(draw, header, rows_of(INDEX_DATES, INDEX_VOLUME_FIELDS, adj_close))
 
 
-def outcome(parse, text: str, *args):
+def outcome(parse, data: bytes, *args):
     rejected = []
     try:
-        result = parse(text, *args, on_reject=rejected.append)
+        result = parse(data, *args, on_reject=rejected.append)
     except ValueError as exc:
         result = f"ValueError: {exc}"
     return result, rejected
@@ -107,13 +119,42 @@ def outcome(parse, text: str, *args):
 
 @settings(max_examples=300, deadline=None)
 @given(eod_files())
-def test_eod_parser_matches_rowwise_reference(text):
-    got = outcome(parse_eod_file, text, FIXTURE_DAY)
-    assert got == outcome(rowwise_ingest.parse_eod_file, text, FIXTURE_DAY)
+def test_eod_parser_matches_rowwise_reference(data):
+    got = outcome(parse_eod_file, data, FIXTURE_DAY)
+    assert got == outcome(rowwise_ingest.parse_eod_file, data, FIXTURE_DAY)
 
 
 @settings(max_examples=300, deadline=None)
 @given(index_files())
-def test_index_parser_matches_rowwise_reference(text):
-    got = outcome(parse_index_csv, text, "X")
-    assert got == outcome(rowwise_ingest.parse_index_csv, text, "X")
+def test_index_parser_matches_rowwise_reference(data):
+    got = outcome(parse_index_csv, data, "X")
+    assert got == outcome(rowwise_ingest.parse_index_csv, data, "X")
+
+
+def test_clean_files_take_no_per_field_conversion(monkeypatch):
+    """A clean file's columns each convert in one pass: the per-field rule,
+    the only caller of ``_strip_thousands``, never runs."""
+    calls = []
+    strip = md._strip_thousands
+    monkeypatch.setattr(md, "_strip_thousands", lambda f: calls.append(f) or strip(f))
+    rng = np.random.default_rng(7)
+    n = 3500
+    o = rng.uniform(1.0, 100.0, n)
+    c = o * rng.uniform(0.95, 1.05, n)
+    o, h, l, c = (x.tolist() for x in (o, np.maximum(o, c) * 1.01, np.minimum(o, c) / 1.01, c))
+    volumes = rng.integers(0, 10**8, n).tolist()
+    spellings = (lambda v: str(v), lambda v: f"{v:,}", lambda v: f'"{v:,}"')
+    eod = "Symbol,Open,High,Low,Close,Volume\n" + "".join(
+        f"S{i:04d},{o[i]!r},{h[i]!r},{l[i]!r},{c[i]!r},{spellings[i % 3](volumes[i])}\n"
+        for i in range(n)
+    )
+    day = parse_eod_file(eod.encode(), FIXTURE_DAY)
+    assert len(day) == n and day.volume.tolist() == volumes
+    # No bare separators here: the index parser ignores extra fields.
+    index = "Date,Open,High,Low,Close,Volume\n" + "".join(
+        f"{date(2000, 1, 1) + timedelta(days=i)},{o[i]!r},{h[i]!r},{l[i]!r},{c[i]!r},"
+        f"{spellings[2 * (i % 2)](volumes[i])}\n"
+        for i in range(n)
+    )
+    assert parse_index_csv(index.encode()).volume.tolist() == volumes
+    assert calls == []

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 from datetime import date
 
 import numpy as np
@@ -19,6 +20,7 @@ from csie.market_data import (
     DailyBar,
     IndexSeries,
     MarketDay,
+    SkippedFileWarning,
     eod_filename_date,
     parse_eod_file,
     parse_index_csv,
@@ -144,6 +146,40 @@ def test_crlf_and_blank_lines_tolerated():
 
 def test_bytes_input_accepted():
     assert len(parse_eod_file(table1_csv().encode(), D)) == 24
+
+
+def test_a_utf8_byte_order_mark_is_not_part_of_the_header():
+    bom = "\ufeff".encode()
+    rejected, on_reject = collect()
+    assert len(parse_eod_file(bom + table1_csv().encode(), D, on_reject=on_reject)) == 24
+    index = b"Date,Open,High,Low,Close,Adj Close,Volume\n2021-01-04,10,11,9.5,10.5,9.9,1000\n"
+    s = parse_index_csv(bom + index, on_reject=on_reject)
+    assert s.volume.tolist() == [1000] and rejected == []
+
+
+# A record the csv module refuses: a bare carriage return inside an unquoted
+# field, or a field past the csv field size limit.
+UNREADABLE = ["B\rC", "7" * (csv.field_size_limit() + 1)]
+
+
+@pytest.mark.parametrize("field", UNREADABLE, ids=["bare-cr", "long-field"])
+def test_an_unreadable_eod_record_is_an_unparseable_row(field):
+    bad = f"{field},1,2,0.5,1.5,10"
+    text = f"Symbol,Open,High,Low,Close,Volume\nAA,1,2,0.5,1.5,100\n{bad}\nDD,1,2,0.5,1.5,100\n"
+    rejected, on_reject = collect()
+    day = parse_eod_file(text, D, on_reject=on_reject)
+    assert day.symbols.tolist() == ["AA", "DD"]
+    assert [(r.line, r.content, r.reason) for r in rejected] == [(3, bad, UNPARSEABLE_FIELD)]
+
+
+@pytest.mark.parametrize("field", UNREADABLE, ids=["bare-cr", "long-field"])
+def test_an_unreadable_index_record_is_an_unparseable_row(field):
+    bad = f"2021-01-05,1,2,0.5,1.5,{field}"
+    text = f"2021-01-04,1,2,0.5,1.5,100\n{bad}\n2021-01-06,1,2,0.5,1.5,100\n"
+    rejected, on_reject = collect()
+    s = parse_index_csv(text, on_reject=on_reject)
+    assert [str(d) for d in s.dates] == ["2021-01-04", "2021-01-06"]
+    assert [(r.line, r.content, r.reason) for r in rejected] == [(2, bad, UNPARSEABLE_FIELD)]
 
 
 # --- one rule set for parser and constructor ----------------------------------
@@ -288,6 +324,29 @@ def test_read_eod_dir_threads_equivalent(tmp_path):
     assert [(r.line, r.reason) for r in rejected1] == [
         (2, OHLC_ORDERING), (3, FIELD_COUNT), (4, DUPLICATE_SYMBOL)
     ] * 4
+
+
+@pytest.mark.parametrize("threads", [1, 4])
+def test_read_eod_dir_skips_a_file_it_cannot_parse(tmp_path, threads):
+    good = "AA,1,2,0.5,1.5,10\n"
+    (tmp_path / "SYN_20210601.csv").write_text(good)
+    (tmp_path / "SYN_20210602.csv").write_text("AA,1,0.9,0.5,0.8,10\n")
+    (tmp_path / "SYN_20210603.csv").write_bytes(good.encode() + b"\xff\n")
+    (tmp_path / "SYN_20210604.csv").write_text(good)
+    rejected, on_reject = collect()
+    with pytest.warns(SkippedFileWarning) as warned:
+        days = read_eod_dir(tmp_path, threads=threads, on_reject=on_reject)
+    assert [d.day.isoformat() for d in days] == ["2021-06-01", "2021-06-04"]
+    assert [str(w.message) for w in warned] == [
+        f"skipped {tmp_path / 'SYN_20210602.csv'}: no usable rows for 2021-06-02",
+        f"skipped {tmp_path / 'SYN_20210603.csv'}: 'utf-8' codec can't decode byte 0xff "
+        "in position 18: invalid start byte",
+    ]
+    assert [(r.line, r.reason) for r in rejected] == [(1, OHLC_ORDERING)]
+    for name in ("SYN_20210601.csv", "SYN_20210604.csv"):
+        (tmp_path / name).unlink()
+    with pytest.warns(SkippedFileWarning), pytest.raises(ValueError, match="no usable EOD file"):
+        read_eod_dir(tmp_path, threads=threads)
 
 
 def test_read_eod_dir_empty_errors(tmp_path):
