@@ -8,7 +8,10 @@ compute a statistic (mean, variance, Pearson correlation, or volatility
 beta).  ``comparison_grids`` builds the grids of all four statistics in one
 pass, rolling each (estimator, window) series once.  Grids hold one cell per
 (interval, window, column) and mark cells that cannot be computed with an
-"NA" sentinel instead of dropping them.
+"NA" sentinel instead of dropping them.  Moving averages and rolling
+estimates compute every window at once, one row per window, and reduce each
+row with ``_util.exact_rowsums``, so each value has the bits of the
+single-window computation.
 
 Mean, variance, covariance all use the population divisor n throughout.
 """
@@ -20,11 +23,12 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import exact_dot, exact_mean, exact_mean_var
+from ._util import exact_dot, exact_mean, exact_mean_var, exact_rowsums
 from .cross_section import CsieDay
-from .estimators import REDUCERS, BarTerms, bar_terms
-from .intrinsic import _ie, _probs
+from .estimators import KERNELS, bar_terms
+from .intrinsic import NO_VOLUME, _ie_rows, _shares
 from .market_data import IndexSeries
 
 ESTIMATOR_TAGS = ("cc", "pk", "gk", "rs", "yz", "ie")
@@ -81,8 +85,7 @@ def moving_average(s: DatedSeries, w: int) -> DatedSeries:
         raise ValueError("window must be at least 1")
     if len(s) < w:
         raise ValueError(f"insufficient data: {len(s)} points for window {w}")
-    vals = [exact_mean(s.values[i - w + 1 : i + 1]) for i in range(w - 1, len(s))]
-    return DatedSeries(s.dates[w - 1 :], np.array(vals, dtype=float))
+    return DatedSeries(s.dates[w - 1 :], exact_rowsums(sliding_window_view(s.values, w)) / w)
 
 
 class RollingError(ValueError):
@@ -94,16 +97,11 @@ class RollingError(ValueError):
         self.series, self.last_failed = series, last_failed
 
 
-def rolling_estimate(
-    series: IndexSeries, tag: str, w: int, *, use_abs: bool = False
-) -> VolSeries:
-    """Apply the tagged estimator to every trailing w-bar window.
+def _rolls(series: IndexSeries, tag: str, w: int) -> tuple[list[VolSeries], np.ndarray]:
+    """Every trailing w-bar window's estimate, all windows at once.
 
-    Estimators that look back at the previous close start one date later
-    than range-only ones because the first bar must seed the window.
-    ``use_abs`` selects the absolute blend for the intrinsic-entropy
-    estimator; the others are nonnegative by construction.  Windows where
-    the estimator raises (``ie`` with no traded volume) give a RollingError.
+    Returns one series per blend (``ie``: signed, then absolute; the other
+    tags have one) and the positions of the failed windows, which are NaN.
     """
     if tag not in ESTIMATOR_TAGS:
         raise ValueError(f"unknown estimator {tag!r}")
@@ -115,25 +113,43 @@ def rolling_estimate(
             f"estimator {tag!r} with window {w} needs {required} bars, "
             f"series has {len(series)}"
         )
-    prev_close = np.concatenate(([np.nan], series.close[:-1]))
-    terms = bar_terms(series.open, series.high, series.low, series.close, prev_close)
-    volume = series.volume
-    values = np.full(len(series) - required + 1, math.nan)
-    failed: list[tuple[int, ValueError]] = []
-    for i in range(len(values)):
-        start = i + required - w  # the window's first bar; a seed bar sits before it
-        t = BarTerms._make(a[start : start + w] for a in terms)
-        try:
-            if tag == "ie":
-                est = _ie(t, _probs(volume[start : start + w], volume[start - 1]))
-                values[i] = est.value_abs if use_abs else est.value_signed
-            else:
-                values[i] = REDUCERS[tag](t)
-        except ValueError as exc:
-            failed.append((i, exc))
-    out = VolSeries(series.dates[required - 1 :], values, tag, w)
-    if failed:
-        raise RollingError(failed[0][1], out, failed[-1][0]) from failed[0][1]
+    first = required - w  # the first window's first bar; a seed bar sits before it
+    terms = bar_terms(
+        series.open[first:], series.high[first:], series.low[first:], series.close[first:],
+        series.close[:-1] if first else None,
+    )
+    failed = np.zeros(0, dtype=np.intp)
+    if tag == "ie":
+        p, seed_p, total = _shares(series.volume, w)
+        *_, signed, magnitude = _ie_rows(terms, p, seed_p, w)
+        failed = np.flatnonzero(total <= 0.0)
+        blends = [signed, magnitude]
+        for values in blends:
+            values[failed] = math.nan
+    else:
+        blends = [KERNELS[tag](terms, w)]
+    dates = series.dates[required - 1 :]
+    return [VolSeries(dates, values, tag, w) for values in blends], failed
+
+
+def rolling_estimate(
+    series: IndexSeries, tag: str, w: int, *, use_abs: bool = False
+) -> VolSeries:
+    """Apply the tagged estimator to every trailing w-bar window.
+
+    Estimators that look back at the previous close start one date later
+    than range-only ones because the first bar must seed the window.
+    ``use_abs`` selects the absolute blend for the intrinsic-entropy
+    estimator; the others are nonnegative by construction.  Windows where
+    the estimator fails (``ie`` with no traded volume) give a RollingError.
+    All windows are computed at once by the estimator's kernel, each value
+    bit-identical to the single-window function on that window.
+    """
+    blends, failed = _rolls(series, tag, w)
+    out = blends[-1] if use_abs else blends[0]
+    if len(failed):
+        first = ValueError(NO_VOLUME)
+        raise RollingError(first, out, int(failed[-1])) from first
     return out
 
 
@@ -276,7 +292,7 @@ def comparison_grids(
     w, the w-day moving averages of the daily market entropy (signed for
     mean/variance, absolute for pearson/beta) and each estimator rolled over
     the whole index are computed once and aligned on dates, and serve all
-    four statistics; only ``ie`` is rolled twice, once per blend.  An
+    four statistics; the one roll of ``ie`` keeps both blends.  An
     interval t only selects entries.  ``semantics="smoothed-points"``
     (default) keeps the last t aligned points.  "raw-days" keeps only the
     estimator windows (seed bar included) within the last t index bars and
@@ -312,16 +328,13 @@ def comparison_grids(
         except ValueError:
             ma = []
         for tag in estimators if ma else ():
-            vols, reach = [], math.inf  # ie is rolled per blend; one roll serves the others
             try:
-                for use_abs in (False, True) if tag == "ie" else (False,):
-                    try:
-                        vols.append(rolling_estimate(index, tag, w, use_abs=use_abs))
-                    except RollingError as err:  # window i spans the last n_bars - i bars
-                        vols.append(err.series)
-                        reach = n_bars - err.last_failed - 1 if raw_days else 0
+                vols, failed = _rolls(index, tag, w)  # ie keeps both blends
             except ValueError:
                 continue
+            reach = math.inf
+            if len(failed):  # window i spans the last n_bars - i bars
+                reach = n_bars - int(failed[-1]) - 1 if raw_days else 0
             _, iv, im = np.intersect1d(vols[0].dates, ma[0].dates, return_indices=True)
             if raw_days:
                 need, capacity = np.maximum(n_bars - iv, n_days - im), min(n_bars, n_days)

@@ -5,9 +5,13 @@ returns), Parkinson, Garman-Klass, Rogers-Satchell, and Yang-Zhang.  Every
 formula consumes log price ratios, so each estimator is invariant under a
 common rescaling of all prices in the window.
 
-``bar_terms`` takes every price log, once per bar.  Each formula is one reducer
-over a window's slice of those terms (``REDUCERS``, ``intrinsic._ie``), shared
-by the single-window functions and ``analytics.rolling_estimate``.
+``bar_terms`` takes every price log, once per bar.  Each formula is one
+kernel (``KERNELS``, ``intrinsic._ie_rows``) that estimates every w-bar
+window of a run of bar terms at once: it views each term array as an
+(n_windows, w) array of windows, applies the formula's elementwise steps
+and reduces each row with ``_util.exact_rowsums``.  ``analytics`` rolls a
+kernel over a whole series; each single-window function is the kernel's
+one-row case, so both give the same bits.
 
 Estimators that look back at the previous close (close-to-close, the
 Yang-Zhang overnight term) need a seed bar one day before the window; the
@@ -22,8 +26,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import exact_mean, exact_mean_var, exact_sum
+from ._util import exact_rowsums
 
 _LN2 = math.log(2.0)
 _GK_CLOSE_COEF = 2.0 * _LN2 - 1.0
@@ -111,36 +116,69 @@ def _window_terms(w: OhlcWindow, lagged: bool = False) -> BarTerms:
     return bar_terms(w.open, w.high, w.low, w.close, w.prev_closes if lagged else None)
 
 
-def _clamped(radicand: float, name: str) -> float:
-    if radicand < 0.0:
-        msg = f"{name} radicand {radicand!r} clamped to 0"
-        warnings.warn(msg, NegativeRadicandWarning, stacklevel=4)
-    return max(radicand, 0.0)
+def _row_means(a: np.ndarray, w: int) -> np.ndarray:
+    return exact_rowsums(sliding_window_view(a, w)) / w
 
 
-def _yz(t: BarTerms) -> float:
-    k = yz_k(len(t.co))
-    radicand = exact_mean_var(t.gap)[1] + k * exact_mean_var(t.co)[1]
-    return math.sqrt(_clamped(radicand + (1.0 - k) * exact_mean(t.rs), "Yang-Zhang"))
+def _row_vars(a: np.ndarray, w: int) -> np.ndarray:
+    """Population variance of each window: the mean squared deviation."""
+    d = sliding_window_view(a, w) - _row_means(a, w)[:, None]
+    return exact_rowsums(d * d) / w
 
 
-REDUCERS = {
-    "cc": lambda t: math.sqrt(exact_mean(t.cc2)),
-    "pk": lambda t: math.sqrt(exact_sum(t.hl2) / (4.0 * len(t.hl2) * _LN2)),
-    "gk": lambda t: math.sqrt(_clamped(exact_mean(t.gk), "Garman-Klass")),
-    "rs": lambda t: math.sqrt(max(exact_mean(t.rs), 0.0)),
-    "yz": _yz,
-}
+def _clamped(radicand: np.ndarray, name: str) -> np.ndarray:
+    """Each negative radicand becomes 0 with a warning, in window order.
+
+    The warning names the line that called the public function: the stack
+    below it is this function, the kernel, its driver (``_one`` or
+    ``analytics._rolls``) and the public function.
+    """
+    negative = radicand < 0.0
+    for r in radicand[negative].tolist():
+        warnings.warn(f"{name} radicand {r!r} clamped to 0", NegativeRadicandWarning, stacklevel=5)
+    return np.where(negative, 0.0, radicand)
+
+
+def _cc(t: BarTerms, w: int) -> np.ndarray:
+    return np.sqrt(_row_means(t.cc2, w))
+
+
+def _pk(t: BarTerms, w: int) -> np.ndarray:
+    return np.sqrt(exact_rowsums(sliding_window_view(t.hl2, w)) / (4.0 * w * _LN2))
+
+
+def _gk(t: BarTerms, w: int) -> np.ndarray:
+    return np.sqrt(_clamped(_row_means(t.gk, w), "Garman-Klass"))
+
+
+def _rs(t: BarTerms, w: int) -> np.ndarray:
+    mean = _row_means(t.rs, w)
+    return np.sqrt(np.where(mean < 0.0, 0.0, mean))
+
+
+def _yz(t: BarTerms, w: int) -> np.ndarray:
+    k = yz_k(w)
+    radicand = _row_vars(t.gap, w) + k * _row_vars(t.co, w)
+    return np.sqrt(_clamped(radicand + (1.0 - k) * _row_means(t.rs, w), "Yang-Zhang"))
+
+
+# tag -> kernel: the estimate of every w-bar window of a run of bar terms
+KERNELS = {"cc": _cc, "pk": _pk, "gk": _gk, "rs": _rs, "yz": _yz}
+
+
+def _one(kernel, w: OhlcWindow, lagged: bool = False) -> float:
+    """The kernel on the window as its only row."""
+    return float(kernel(_window_terms(w, lagged), len(w.close))[0])
 
 
 def vol_close_to_close(w: OhlcWindow) -> float:
     """Root mean square of close-to-close log returns (raw, no de-meaning)."""
-    return REDUCERS["cc"](_window_terms(w, lagged=True))
+    return _one(_cc, w, lagged=True)
 
 
 def vol_parkinson(w: OhlcWindow) -> float:
     """Range estimator: sqrt( sum(ln^2(H/L)) / (4 n ln 2) )."""
-    return REDUCERS["pk"](_window_terms(w))
+    return _one(_pk, w)
 
 
 def vol_garman_klass(w: OhlcWindow) -> float:
@@ -150,12 +188,12 @@ def vol_garman_klass(w: OhlcWindow) -> float:
     and close; on malformed bars it can dip below zero, in which case it is
     clamped and a NegativeRadicandWarning is issued so the series stays total.
     """
-    return REDUCERS["gk"](_window_terms(w))
+    return _one(_gk, w)
 
 
 def vol_rogers_satchell(w: OhlcWindow) -> float:
     """Drift-independent range estimator; each bar term is >= 0 for valid bars."""
-    return REDUCERS["rs"](_window_terms(w))
+    return _one(_rs, w)
 
 
 def yz_k(n: int) -> float:
@@ -170,14 +208,14 @@ def yz_k(n: int) -> float:
 
 def vol_overnight(w: OhlcWindow) -> float:
     """De-meaned variance of overnight gaps ln(O_i/C_{i-1}); not a square root."""
-    return exact_mean_var(_window_terms(w, lagged=True).gap)[1]
+    return float(_row_vars(_window_terms(w, lagged=True).gap, len(w.close))[0])
 
 
 def vol_open_to_close(w: OhlcWindow) -> float:
     """De-meaned variance of intraday log returns ln(C_i/O_i); not a square root."""
-    return exact_mean_var(_window_terms(w).co)[1]
+    return float(_row_vars(_window_terms(w).co, len(w.close))[0])
 
 
 def vol_yang_zhang(w: OhlcWindow) -> float:
     """sqrt( V_co^2 + k V_oc^2 + (1-k) V_rs^2 ) with k = yz_k(n)."""
-    return REDUCERS["yz"](_window_terms(w, lagged=True))
+    return _one(_yz, w, lagged=True)

@@ -9,9 +9,11 @@ outside the simplex (the window days' shares alone sum to one).
 
 The signed estimate (components added as-is) keeps direction: negative means
 a preponderantly sell movement.  The absolute variant adds component
-magnitudes and is the form used for cross-estimator comparisons.  ``_ie``
-reduces a window's slice of ``estimators.bar_terms`` and its volume shares
-(``_probs``) for ``ie_estimate`` and ``rolling_estimate`` alike.
+magnitudes and is the form used for cross-estimator comparisons.  Like the
+kernels in ``estimators``, ``_shares`` and ``_ie_rows`` work on every w-day
+window of a run of bars at once, one row per window; the single-window
+functions are their one-row case, and ``analytics.rolling_estimate`` rolls
+them over a whole series, keeping both blends.
 """
 
 from __future__ import annotations
@@ -20,9 +22,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import exact_sum, xlogx
+from ._util import exact_rowsums, xlogx
 from .estimators import BarTerms, OhlcWindow, _window_terms, yz_k
+
+NO_VOLUME = "no volume in window"
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,60 +52,86 @@ class IeEstimate:
     as_of: object
 
 
-def _probs(volume: np.ndarray, seed_volume: int | None) -> VolumeProbs:
-    if seed_volume is None:
-        raise ValueError("window has no seed bar")
-    total = exact_sum(volume.astype(float))
-    if total <= 0.0:
-        raise ValueError("no volume in window")
-    return VolumeProbs(volume / total, seed_volume / total, total)
+def _shares(volume: np.ndarray, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each w-day window's shares p_1..p_n, its seed day's p_0 and its total
+    volume Q, where ``volume[i]`` is window i's seed day and the w days after
+    it are the window.  A window with Q <= 0 has no shares; it gets them over
+    Q = 1 only so that its row stays finite."""
+    volume = volume.astype(float)
+    days = sliding_window_view(volume[1:], w)
+    total = exact_rowsums(days)
+    q = np.where(total > 0.0, total, 1.0)
+    return days / q[:, None], volume[: len(q)] / q, total
+
+
+def _seed_xlogx(seed_p: np.ndarray) -> np.ndarray:
+    # math.log per share: np.log on an array need not match libm to the last bit
+    return np.array([p * math.log(p) if p > 0.0 else 0.0 for p in seed_p.tolist()])
+
+
+def _h_co(t: BarTerms, ent: np.ndarray, seed_ent: np.ndarray, w: int) -> np.ndarray:
+    lagged = np.concatenate((seed_ent[:, None], ent[:, :-1]), axis=1)
+    return -exact_rowsums(sliding_window_view(t.gap, w) * lagged)
+
+
+def _h_oc(t: BarTerms, ent: np.ndarray, w: int) -> np.ndarray:
+    return -exact_rowsums(sliding_window_view(t.co, w) * ent)
+
+
+def _h_ohlc(t: BarTerms, ent: np.ndarray, w: int) -> np.ndarray:
+    return -exact_rowsums(sliding_window_view(t.rs, w) * ent)
+
+
+def _ie_rows(
+    t: BarTerms, p: np.ndarray, seed_p: np.ndarray, w: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
+    """h_co, h_oc, h_ohlc, k, and the signed and absolute blends of each
+    w-bar window of ``t``, from its shares (one row per window) and its seed
+    day's share."""
+    ent = xlogx(p)
+    h_co = _h_co(t, ent, _seed_xlogx(seed_p), w)
+    h_oc, h_ohlc = _h_oc(t, ent, w), _h_ohlc(t, ent, w)
+    k = yz_k(w)
+    signed = h_co + k * h_oc + (1.0 - k) * h_ohlc
+    magnitude = np.abs(h_co) + k * np.abs(h_oc) + (1.0 - k) * np.abs(h_ohlc)
+    return h_co, h_oc, h_ohlc, k, signed, magnitude
 
 
 def volume_probs(w: OhlcWindow) -> VolumeProbs:
     """Volume shares over the window days; requires the seed bar's volume."""
-    return _probs(w.volume, w.seed_volume)
-
-
-def _xlogx_scalar(p: float) -> float:
-    return p * math.log(p) if p > 0.0 else 0.0
-
-
-def _h_co(t: BarTerms, p: VolumeProbs) -> float:
-    lagged = np.concatenate(([_xlogx_scalar(p.seed_prob)], xlogx(p.probs[:-1])))
-    return -exact_sum(t.gap * lagged)
-
-
-def _h_oc(t: BarTerms, p: VolumeProbs) -> float:
-    return -exact_sum(t.co * xlogx(p.probs))
-
-
-def _h_ohlc(t: BarTerms, p: VolumeProbs) -> float:
-    return -exact_sum(t.rs * xlogx(p.probs))
-
-
-def _ie(t: BarTerms, p: VolumeProbs, as_of: object = None) -> IeEstimate:
-    k = yz_k(len(t.co))
-    h_co, h_oc, h_ohlc = _h_co(t, p), _h_oc(t, p), _h_ohlc(t, p)
-    signed = h_co + k * h_oc + (1.0 - k) * h_ohlc
-    magnitude = abs(h_co) + k * abs(h_oc) + (1.0 - k) * abs(h_ohlc)
-    return IeEstimate(h_co, h_oc, h_ohlc, k, signed, magnitude, as_of)
+    if w.seed_volume is None:
+        raise ValueError("window has no seed bar")
+    p, seed_p, total = _shares(np.concatenate(([w.seed_volume], w.volume)), len(w.close))
+    if total[0] <= 0.0:
+        raise ValueError(NO_VOLUME)
+    return VolumeProbs(p[0], float(seed_p[0]), float(total[0]))
 
 
 def ie_h_co(w: OhlcWindow, p: VolumeProbs) -> float:
     """Overnight component: -sum ln(O_i/C_{i-1}) p_{i-1} ln p_{i-1}."""
-    return _h_co(_window_terms(w, lagged=True), p)
+    seed_ent = _seed_xlogx(np.array([p.seed_prob]))
+    h = _h_co(_window_terms(w, lagged=True), xlogx(p.probs[None, :]), seed_ent, len(w.close))
+    return float(h[0])
 
 
 def ie_h_oc(w: OhlcWindow, p: VolumeProbs) -> float:
     """Intraday component: -sum ln(C_i/O_i) p_i ln p_i."""
-    return _h_oc(_window_terms(w), p)
+    return float(_h_oc(_window_terms(w), xlogx(p.probs[None, :]), len(w.close))[0])
 
 
 def ie_h_ohlc(w: OhlcWindow, p: VolumeProbs) -> float:
     """Range component: -sum [ln(H/O)ln(H/C) + ln(L/O)ln(L/C)] p_i ln p_i."""
-    return _h_ohlc(_window_terms(w), p)
+    return float(_h_ohlc(_window_terms(w), xlogx(p.probs[None, :]), len(w.close))[0])
 
 
 def ie_estimate(w: OhlcWindow) -> IeEstimate:
     """Blend the three components with k = yz_k(n) (signed and absolute)."""
-    return _ie(_window_terms(w, lagged=True), volume_probs(w), w.end)
+    t = _window_terms(w, lagged=True)
+    p = volume_probs(w)
+    h_co, h_oc, h_ohlc, k, signed, magnitude = _ie_rows(
+        t, p.probs[None, :], np.array([p.seed_prob]), len(w.close)
+    )
+    return IeEstimate(
+        float(h_co[0]), float(h_oc[0]), float(h_ohlc[0]), k,
+        float(signed[0]), float(magnitude[0]), w.end,
+    )

@@ -6,12 +6,13 @@ Volume).  Both parsers are tolerant of header rows, of a UTF-8 byte-order
 mark and of thousands separators inside the volume field.  The row loop of a
 parser only splits rows and rejects those of the wrong shape; ``_convert``
 then reads each price and volume column in one pass, and only a field that
-fails takes the per-field rule.  One rule set, ``_ohlcv_faults``, judges the
-columns of a whole parsed file in one call and whatever a constructor is
-given.  Every skipped row, including a record the csv module cannot read, is
-reported through an ``on_reject`` callback, in line order (and by
-``read_eod_dir`` in date order, then line order), instead of failing the
-whole file; a file that does not parse costs ``read_eod_dir`` only that file.
+fails takes the per-field rule.  One rule set, ``_fault_masks``, judges the
+columns of a whole parsed file in one call (``_ohlcv_faults`` labels its
+rows) and whatever a constructor is given.  Every skipped row, including a
+record the csv module cannot read, is reported through an ``on_reject``
+callback, in line order (and by ``read_eod_dir`` in date order, then line
+order), instead of failing the whole file; a file that does not parse costs
+``read_eod_dir`` only that file.
 """
 
 from __future__ import annotations
@@ -70,10 +71,13 @@ class RejectedRow:
     reason: str
 
 
-def _ohlcv_faults(
+_FAULT_CODES = (NONFINITE_PRICE, NONPOSITIVE_PRICE, OHLC_ORDERING, UNPARSEABLE_FIELD, ZERO_VOLUME)
+
+
+def _fault_masks(
     o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray, volume: np.ndarray
-) -> np.ndarray:
-    """Each row's reason code, or "" for a usable row; the first that applies wins.
+) -> list[np.ndarray]:
+    """One row mask per entry of ``_FAULT_CODES``, in order of precedence.
 
     Every code but ``zero-volume`` makes the row unusable.  A negative volume
     is an unparseable field: the parsers store a volume past int64 as -1.
@@ -81,24 +85,31 @@ def _ohlcv_faults(
     finite = np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)
     positive = (o > 0.0) & (h > 0.0) & (l > 0.0) & (c > 0.0)
     misordered = (l > np.minimum(o, c)) | (h < np.maximum(o, c))
-    return np.select(
-        [~finite, ~positive, misordered, volume < 0, volume == 0],
-        [NONFINITE_PRICE, NONPOSITIVE_PRICE, OHLC_ORDERING, UNPARSEABLE_FIELD, ZERO_VOLUME],
-        default="",
-    )
+    return [~finite, ~positive, misordered, volume < 0, volume == 0]
+
+
+def _ohlcv_faults(
+    o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray, volume: np.ndarray
+) -> np.ndarray:
+    """Each row's reason code, or "" for a usable row; the first that applies wins."""
+    return np.select(_fault_masks(o, h, l, c, volume), _FAULT_CODES, default="")
 
 
 def _check_ohlcv_rows(
     labels: np.ndarray, o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray,
     volume: np.ndarray,
 ) -> None:
-    """Raise ValueError with the reason code of the first unusable row."""
-    faults = _ohlcv_faults(o, h, l, c, volume)
-    bad = np.flatnonzero((faults != "") & (faults != ZERO_VOLUME))
+    """Raise ValueError with the reason code of the first unusable row.
+
+    Only the masks are built; a row is labelled once one of them is set.
+    """
+    unusable = _fault_masks(o, h, l, c, volume)[:-1]
+    bad = np.flatnonzero(np.logical_or.reduce(unusable))
     if bad.size:
         i = bad[0]
+        code = next(code for code, mask in zip(_FAULT_CODES, unusable) if mask[i])
         raise ValueError(
-            f"{faults[i]} at {labels[i]}: open {o[i]}, high {h[i]}, low {l[i]}, "
+            f"{code} at {labels[i]}: open {o[i]}, high {h[i]}, low {l[i]}, "
             f"close {c[i]}, volume {volume[i]}"
         )
 
@@ -590,9 +601,13 @@ def parse_index_csv(
     """Parse a Date,Open,High,Low,Close[,AdjClose],Volume index file.
 
     Column order is taken from the header when present (an adjusted-close
-    column is ignored), otherwise assumed positional.  Dates are read row by
-    row, prices and volumes a column at a time, as in ``parse_eod_file``.
-    Bad rows are skipped and reported; duplicate dates are an error.
+    column is ignored), otherwise assumed positional.  A row longer than the
+    header (six columns without one) is a volume split on bare thousands
+    separators when volume is the last column and every extra part is
+    digits, and is rejoined as in ``parse_eod_file``; any other such row is
+    a field-count reject.  Dates are read row by row, prices and volumes a
+    column at a time.  Bad rows are skipped and reported; duplicate dates are
+    an error.
     """
     rejected: list[RejectedRow] = []
     records = _records(_decode(data), rejected)
@@ -616,19 +631,24 @@ def parse_index_csv(
     rows: list[list[str]] = []
     days: list[date] = []
     width = max(col_of.values())
+    n_columns = len(records[0]) if start else 6
+    volume_last = col_of["volume"] == n_columns - 1
     for line_no, row in enumerate(records[start:], start=start + 1):
         if _blank(row):
             continue
-        if len(row) <= width:
+        split = row
+        if len(row) > n_columns:  # a bare-thousands volume tail, or too many fields
+            split = _split_row(row, n_columns - 1) if volume_last else None
+        if split is None or len(split) <= width:
             rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
             continue
         try:
-            d = _parse_day(row[col_of["date"]])
+            d = _parse_day(split[col_of["date"]])
         except ValueError:
             rejected.append(RejectedRow(line_no, ",".join(row), MALFORMED_DATE))
             continue
         lines.append(line_no)
-        rows.append(row)
+        rows.append(split)
         days.append(d)
     columns = _transpose(rows, width + 1)
     fields = [columns[col_of[k]] for k in ("open", "high", "low", "close", "volume")]

@@ -7,6 +7,10 @@ package's parsers to give the same ``MarketDay``/``IndexSeries`` (or the same
 objects the package no longer has are inlined here; the constructors and the
 reason codes are the package's own.
 
+An index row longer than its header (six columns without one) has its
+bare-thousands volume tail rejoined when volume is the last column, and is a
+field-count reject otherwise.
+
 Bytes are decoded as UTF-8 with an optional byte-order mark.  A csv record
 the csv module cannot read (a bare carriage return in an unquoted field, a
 field past the csv field size limit) is an ``unparseable-field`` reject whose
@@ -203,13 +207,17 @@ def parse_index_csv(
     cols: dict[str, list[float]] = {k: [] for k in ("open", "high", "low", "close")}
     volumes: list[int] = []
     width = max(col_of.values())
+    n_columns = len(rows[0][1]) if start else 6
     for line_no, row, raw in rows[start:]:
         if row is None:
             reject(line_no, raw, UNPARSEABLE_FIELD)
             continue
         if not row or all(not f.strip() for f in row):
             continue
-        if len(row) <= width:
+        if len(row) > n_columns:
+            # only a volume in the last column can have been split on separators
+            row = _split_row(row, n_columns - 1) if col_of["volume"] == n_columns - 1 else None
+        if row is None or len(row) <= width:
             reject(line_no, raw, FIELD_COUNT)
             continue
         try:

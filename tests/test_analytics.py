@@ -476,13 +476,13 @@ def test_grid_raw_days_matches_reslicing(world, statistic, column, t, w, is_na):
 
 def test_grid_rolls_each_series_once(monkeypatch):
     calls = []
-    real = analytics.rolling_estimate
+    real = analytics._rolls
 
-    def counting(series, tag, w, *, use_abs=False):
-        calls.append((tag, w, use_abs))
-        return real(series, tag, w, use_abs=use_abs)
+    def counting(series, tag, w):
+        calls.append((tag, w))
+        return real(series, tag, w)
 
-    monkeypatch.setattr(analytics, "rolling_estimate", counting)
+    monkeypatch.setattr(analytics, "_rolls", counting)
     index, rows = grid_world()
     for semantics in ("smoothed-points", "raw-days"):
         calls.clear()
@@ -490,9 +490,8 @@ def test_grid_rolls_each_series_once(monkeypatch):
             index, rows, ["pk", "yz", "ie"], [10, 20, 40, ALL_INTERVAL], [5, 10],
             semantics=semantics,
         )
-        # one roll per (tag, w) serves all four statistics; ie once per blend
-        want = [(tag, w, False) for tag in ("pk", "yz", "ie") for w in (5, 10)]
-        assert sorted(calls) == sorted(want + [("ie", w, True) for w in (5, 10)])
+        # one roll per (tag, w) serves all four statistics; ie keeps both blends
+        assert sorted(calls) == sorted((tag, w) for tag in ("pk", "yz", "ie") for w in (5, 10))
 
 
 def zero_volume_world():

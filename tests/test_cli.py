@@ -265,21 +265,21 @@ def test_compare_outputs_four_grids(world, tmp_path, capsys):
 
 def test_compare_rolls_each_series_once(world, tmp_path, capsys, monkeypatch):
     calls = []
-    real = analytics.rolling_estimate
+    real = analytics._rolls
 
-    def counting(series, tag, w, **kwargs):
+    def counting(series, tag, w):
         calls.append((tag, w))
-        return real(series, tag, w, **kwargs)
+        return real(series, tag, w)
 
-    monkeypatch.setattr(analytics, "rolling_estimate", counting)
+    monkeypatch.setattr(analytics, "_rolls", counting)
     eod, index = world
     code, _, stderr = run(
         ["compare", "--market-dir", str(eod), "--index", str(index), "--out", str(tmp_path)],
         capsys,
     )
     assert code == 0, stderr
-    # six tags x four default windows, plus the second ie blend per window
-    assert len(calls) == 28
+    # six tags x four default windows; the ie roll keeps both blends
+    assert len(calls) == 24
 
 
 @pytest.mark.parametrize(

@@ -100,6 +100,7 @@ def index_files(draw) -> bytes:
                 None,
                 "Date,Open,High,Low,Close,Volume",
                 "Date,Open,High,Low,Close,Adj Close,Volume",
+                "Date,Open,High,Low,Close,Volume,Note",
                 "date,open,high,low,close",
             ]
         )
@@ -150,10 +151,9 @@ def test_clean_files_take_no_per_field_conversion(monkeypatch):
     )
     day = parse_eod_file(eod.encode(), FIXTURE_DAY)
     assert len(day) == n and day.volume.tolist() == volumes
-    # No bare separators here: the index parser ignores extra fields.
     index = "Date,Open,High,Low,Close,Volume\n" + "".join(
         f"{date(2000, 1, 1) + timedelta(days=i)},{o[i]!r},{h[i]!r},{l[i]!r},{c[i]!r},"
-        f"{spellings[2 * (i % 2)](volumes[i])}\n"
+        f"{spellings[i % 3](volumes[i])}\n"
         for i in range(n)
     )
     assert parse_index_csv(index.encode()).volume.tolist() == volumes

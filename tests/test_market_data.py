@@ -393,6 +393,39 @@ def test_index_headerless_positional():
     assert len(s) == 1 and s.high[0] == 11.0
 
 
+@pytest.mark.parametrize(
+    "header", ["", "Date,Open,High,Low,Close,Volume\n", "Date,Open,High,Low,Close,Adj Close,Volume\n"]
+)
+def test_index_volume_split_on_bare_separators_is_rejoined(header):
+    adj = "10.4," if "Adj" in header else ""
+    rejected, on_reject = collect()
+    text = header + (
+        f"2021-01-04,10,11,9.5,10.5,{adj}8,814,085\n"
+        f"2021-01-05,11,12,10.5,11.5,{adj}2, 000\n"
+        f"2021-01-06,11,12,10.5,11.5,{adj}2,00x\n"
+        f"2021-01-07,11,12,10.5,11.5,{adj}3,000,,\n"
+    )
+    s = parse_index_csv(text, on_reject=on_reject)
+    assert s.volume.tolist() == [8_814_085, 2_000]
+    assert [(r.line, r.reason) for r in rejected] == [
+        (3 + bool(header), FIELD_COUNT), (4 + bool(header), FIELD_COUNT)
+    ]
+
+
+def test_index_row_longer_than_the_header_is_a_field_count_reject():
+    # volume is not the last column, so the extra fields cannot be rejoined
+    rejected, on_reject = collect()
+    text = (
+        "Date,Open,High,Low,Close,Volume,Note\n"
+        "2021-01-04,10,11,9.5,10.5,8,814,085\n"
+        "2021-01-05,11,12,10.5,11.5,2000,x\n"
+        "2021-01-06,11,12,10.5,11.5,3000\n"
+    )
+    s = parse_index_csv(text, on_reject=on_reject)
+    assert s.volume.tolist() == [2000, 3000]
+    assert [(r.line, r.reason) for r in rejected] == [(2, FIELD_COUNT)]
+
+
 def test_index_malformed_date_rejected_reported():
     rejected, on_reject = collect()
     text = (
