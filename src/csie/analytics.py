@@ -26,14 +26,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import exact_dot, exact_mean, exact_mean_var, exact_rowsums
+from ._vocab import ALL_INTERVAL, ESTIMATOR_TAGS, INTERVAL_SEMANTICS
 from .cross_section import CsieDay
 from .estimators import KERNELS, bar_terms
 from .intrinsic import NO_VOLUME, _ie_rows, _shares
 from .market_data import IndexSeries
 
-ESTIMATOR_TAGS = ("cc", "pk", "gk", "rs", "yz", "ie")
 STATISTICS = ("mean", "variance", "pearson", "beta")
-INTERVAL_SEMANTICS = ("smoothed-points", "raw-days")
 
 _NEEDS_SEED = {"cc": True, "pk": False, "gk": False, "rs": False, "yz": True, "ie": True}
 _MIN_WINDOW = {"yz": 2, "ie": 2}
@@ -206,8 +205,6 @@ def vol_beta(
     cov = exact_dot(dv, dm) / len(m)
     return cov / var_m
 
-
-ALL_INTERVAL = "all"
 
 Interval = int | str
 CellKey = tuple[Interval, int, str]

@@ -13,6 +13,12 @@ file is flat ``key = value`` text with the same names as the long flags
 (underscores for dashes).  ``CSIE_THREADS`` caps file-parsing parallelism;
 outputs are byte-identical for any thread count.
 
+Parsing and checking the options loads no compute module: the option
+vocabulary comes from ``_vocab``, and each command imports what it calls when
+it starts.  So ``--help``, a usage error and a configuration error exit
+without loading numpy, which loads once the arguments and the configuration
+are valid and a command starts reading data.
+
 Exit codes: 0 all outputs written, 1 partial or processing failure
 (per-output status on stderr), 2 unusable input (unreadable directory,
 unparseable index, bad configuration).  An EOD file that does not parse (no
@@ -30,24 +36,14 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+from ._vocab import ALL_INTERVAL, ALPHA_DEFAULT, ESTIMATOR_TAGS, INTERVAL_SEMANTICS, check_alpha
 
-from .analytics import (
-    ALL_INTERVAL,
-    ESTIMATOR_TAGS,
-    INTERVAL_SEMANTICS,
-    DatedSeries,
-    comparison_grids,
-    csie_dated_series,
-    moving_average,
-    rolling_estimate,
-)
-from .clustering import cluster_day
-from .cross_section import ALPHA_DEFAULT, CsieDay, csie_csv, csie_day
-from .market_data import MarketDay, SkippedFileWarning, read_eod_dir, read_eod_file, read_index_csv
-from .svg import dendrogram_svg, line_chart, small_multiples
+if TYPE_CHECKING:
+    from .analytics import DatedSeries
+    from .cross_section import CsieDay
+    from .market_data import IndexSeries, MarketDay
 
 _FIG_STACK_ORDER = ("ie", "yz", "rs", "gk", "pk", "cc")
 _LONG_NAMES = {
@@ -225,8 +221,10 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         alpha = float(alpha_s)  # type: ignore[arg-type]
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad alpha {alpha_s!r}") from exc
-    if not alpha > 1.0:
-        raise ConfigError("alpha must exceed 1")
+    try:
+        check_alpha(alpha)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
     semantics = pick("interval_semantics")
     if semantics not in INTERVAL_SEMANTICS:
@@ -269,6 +267,8 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 def _load_market(cfg: RunConfig) -> tuple[list[MarketDay], bool]:
     """The market days and whether a file was skipped (with an error line)."""
+    from .market_data import SkippedFileWarning, read_eod_dir
+
     if cfg.market_dir is None:
         raise ConfigError("--market-dir is required for this command")
     with warnings.catch_warnings(record=True) as skipped:
@@ -283,7 +283,9 @@ def _load_market(cfg: RunConfig) -> tuple[list[MarketDay], bool]:
     return days, bool(skipped)
 
 
-def _load_index(cfg: RunConfig):
+def _load_index(cfg: RunConfig) -> IndexSeries:
+    from .market_data import read_index_csv
+
     if cfg.index is None:
         raise ConfigError("--index is required for this command")
     try:
@@ -295,6 +297,8 @@ def _load_index(cfg: RunConfig):
 def _csie_rows(days: list[MarketDay], alpha: float) -> tuple[list[CsieDay], bool]:
     """Each day's CSIE and whether a day csie_day rejects was skipped (with an
     error line); no day left is an error."""
+    from .cross_section import csie_day
+
     rows = []
     for day in days:
         try:
@@ -332,6 +336,12 @@ class _Emitter:
 
 
 def cmd_csie(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .analytics import csie_dated_series, moving_average
+    from .cross_section import csie_csv
+    from .svg import line_chart
+
     days, files_skipped = _load_market(cfg)
     rows, skipped = _csie_rows(days, cfg.alpha)
     emitter = _Emitter(cfg.out)
@@ -363,6 +373,11 @@ def cmd_csie(cfg: RunConfig) -> int:
 
 
 def cmd_indexvol(cfg: RunConfig) -> int:
+    import numpy as np
+
+    from .analytics import rolling_estimate
+    from .svg import small_multiples
+
     index = _load_index(cfg)
     w = cfg.windows[0]
     series_by_tag: dict[str, DatedSeries] = {}
@@ -404,6 +419,8 @@ def cmd_indexvol(cfg: RunConfig) -> int:
 
 
 def cmd_compare(cfg: RunConfig) -> int:
+    from .analytics import comparison_grids
+
     days, files_skipped = _load_market(cfg)
     index = _load_index(cfg)
     rows, skipped = _csie_rows(days, cfg.alpha)
@@ -416,6 +433,10 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 
 def cmd_cluster(cfg: RunConfig) -> int:
+    from .clustering import cluster_day
+    from .market_data import read_eod_file
+    from .svg import dendrogram_svg
+
     if cfg.market_dir is None:
         raise ConfigError("--market-dir is required for this command")
     if cfg.cluster_date is None:

@@ -21,9 +21,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ._util import exact_sum, xlogx
+from ._vocab import ALPHA_DEFAULT, check_alpha
 from .market_data import MarketDay
-
-ALPHA_DEFAULT = 1.34
 
 CSIE_CSV_HEADER = (
     "date,m,total_value,f,h_oc,h_olhc,csie_signed,csie_abs,degenerate_flag"
@@ -128,12 +127,12 @@ def csie_h_olhc(day: MarketDay, weights: Sequence[SymbolWeight]) -> float:
 def csie_weight_f(m: int, alpha: float = ALPHA_DEFAULT) -> float:
     """Blend weight on the range component for a cross-section of m symbols.
 
-    Increases with m and stays below (alpha - 1)/(alpha + 1); needs m >= 2.
+    Increases with m and stays below (alpha - 1)/(alpha + 1); needs m >= 2
+    and 1 < alpha < inf.
     """
     if m < 2:
         raise ValueError("degenerate cross-section: f needs at least two traded symbols")
-    if alpha <= 1.0:
-        raise ValueError("alpha must exceed 1")
+    check_alpha(alpha)
     return (alpha - 1.0) / (alpha + (m + 1.0) / (m - 1.0))
 
 

@@ -487,16 +487,6 @@ def parse_eod_file(
     return MarketDay(day, symbols, o, h, l, c, volume)
 
 
-def to_eod_csv(day: MarketDay) -> str:
-    """Serialize a MarketDay so that parsing the result reproduces it exactly."""
-    lines = ["Symbol,Open,High,Low,Close,Volume"]
-    for b in day.bars():
-        lines.append(
-            f"{b.symbol},{b.open!r},{b.high!r},{b.low!r},{b.close!r},{b.volume}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def eod_filename_date(name: str) -> tuple[str, date]:
     """Split ``<MARKET>_<YYYYMMDD>.csv`` into market name and date."""
     m = _EOD_NAME.match(name)

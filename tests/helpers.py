@@ -59,6 +59,14 @@ def table1_tuples() -> list[tuple[float, float, float, float, int]]:
     ]
 
 
+def to_eod_csv(day: MarketDay) -> str:
+    """Serialize a MarketDay so that parsing the result reproduces it exactly."""
+    lines = ["Symbol,Open,High,Low,Close,Volume"]
+    for b in day.bars():
+        lines.append(f"{b.symbol},{b.open!r},{b.high!r},{b.low!r},{b.close!r},{b.volume}")
+    return "\n".join(lines) + "\n"
+
+
 def weekdays(start: date, count: int) -> list[date]:
     out = []
     d = start

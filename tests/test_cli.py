@@ -403,17 +403,56 @@ def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
     assert load_config_file(cfg) == {"windows": "7"}
 
 
+def _probe(code: str, *argv: str) -> subprocess.CompletedProcess:
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
 def test_importing_the_cli_loads_no_url_or_xml_modules():
-    probe = (
+    done = _probe(
         "import sys; before = set(sys.modules); import csie.cli; "
         "print(sorted(m for m in set(sys.modules) - before "
         "if m.split('.')[0] in ('urllib', 'xml')))"
     )
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                          env=env, check=True, timeout=60)
+    assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+# Runs the CLI and prints its exit code and whether numpy was imported.
+CLI_PROBE = (
+    "import sys\n"
+    "from csie.cli import main\n"
+    "try:\n    rc = main(sys.argv[1:])\nexcept SystemExit as exc:\n    rc = exc.code\n"
+    "print(rc, 'numpy' in sys.modules)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        (["--help"], 0),
+        (["compare", "--help"], 0),
+        ([], 2),
+        (["indexvol", "--index", "x.csv", "--alpha", "0.5"], 2),
+    ],
+)
+def test_help_usage_and_config_errors_do_not_import_numpy(argv, rc):
+    done = _probe(CLI_PROBE, *argv)
+    assert done.stdout.split()[-2:] == [str(rc), "False"], done.stderr
+
+
+def test_package_loads_its_exports_on_first_use():
+    done = _probe(
+        "import sys, csie\n"
+        "print('numpy' in sys.modules)\n"
+        "for name in csie.__all__:\n"
+        "    exec(f'from csie import {name}')\n"
+        "print(dir(csie) == sorted(csie.__all__), 'numpy' in sys.modules)\n"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False", "True", "True"]
 
 
 def test_config_precedence_cli_over_file(tmp_path, capsys):
@@ -448,6 +487,25 @@ def test_bad_alpha_rejected(world, tmp_path, capsys):
     )
     assert code == 2
     assert "alpha" in stderr
+
+
+@pytest.mark.parametrize("alpha", ["inf", "nan", "-inf"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_nonfinite_alpha_is_a_config_error(world, tmp_path, capsys, alpha, source):
+    eod, _ = world
+    out = tmp_path / "out"
+    argv = ["csie", "--market-dir", str(eod), "--out", str(out)]
+    if source == "flag":
+        argv.append(f"--alpha={alpha}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"alpha = {alpha}\n")
+        argv += ["--config", str(cfg)]
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 2
+    assert "alpha must exceed 1 and be finite" in stderr
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_bad_estimator_rejected(world, tmp_path, capsys):

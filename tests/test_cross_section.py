@@ -200,6 +200,12 @@ def test_f_alpha_must_exceed_one():
         csie_weight_f(5, alpha=1.0)
 
 
+@pytest.mark.parametrize("alpha", [math.inf, math.nan, -math.inf])
+def test_f_alpha_must_be_finite(alpha):
+    with pytest.raises(ValueError, match="alpha must exceed 1 and be finite"):
+        csie_weight_f(5, alpha=alpha)
+
+
 # --- csie_day ----------------------------------------------------------------------------
 
 def test_csie_day_flat_market_is_zero():

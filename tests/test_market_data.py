@@ -25,10 +25,9 @@ from csie.market_data import (
     parse_eod_file,
     parse_index_csv,
     read_eod_dir,
-    to_eod_csv,
 )
 
-from helpers import FIXTURE_DAY, table1_csv
+from helpers import FIXTURE_DAY, table1_csv, to_eod_csv
 
 D = FIXTURE_DAY
 
