@@ -10,6 +10,7 @@ same bits, vectorised across the rows, such as the (n_windows, w)
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 import numpy as np
 
@@ -114,6 +115,25 @@ def exact_mean(values: np.ndarray | list[float]) -> float:
 def exact_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Compensated sum of the elementwise product."""
     return exact_sum(np.multiply(a, b))
+
+
+def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
+    """Pearson correlation; errors when either side has zero variance."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("length mismatch")
+    n = len(a)
+    if n < 2:
+        raise ValueError("correlation needs at least 2 points")
+    da = a - exact_mean(a)
+    db = b - exact_mean(b)
+    va = exact_dot(da, da)
+    vb = exact_dot(db, db)
+    if va == 0.0 or vb == 0.0:
+        raise ValueError("undefined correlation: zero variance")
+    r = exact_dot(da, db) / math.sqrt(va * vb)
+    return min(1.0, max(-1.0, r))
 
 
 def exact_mean_var(values: np.ndarray) -> tuple[float, float]:

@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import exact_dot, exact_mean, exact_mean_var, exact_rowsums
+from ._util import exact_dot, exact_mean, exact_mean_var, exact_rowsums, pearson
 from ._vocab import ALL_INTERVAL, ESTIMATOR_TAGS, INTERVAL_SEMANTICS
 from .cross_section import CsieDay
 from .estimators import KERNELS, bar_terms
@@ -166,25 +166,6 @@ def align(a: DatedSeries, b: DatedSeries) -> tuple[np.ndarray, np.ndarray, np.nd
     if len(common) == 0:
         raise ValueError("no common dates")
     return common, a.values[ia], b.values[ib]
-
-
-def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Pearson correlation; errors when either side has zero variance."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("length mismatch")
-    n = len(a)
-    if n < 2:
-        raise ValueError("correlation needs at least 2 points")
-    da = a - exact_mean(a)
-    db = b - exact_mean(b)
-    va = exact_dot(da, da)
-    vb = exact_dot(db, db)
-    if va == 0.0 or vb == 0.0:
-        raise ValueError("undefined correlation: zero variance")
-    r = exact_dot(da, db) / math.sqrt(va * vb)
-    return min(1.0, max(-1.0, r))
 
 
 def vol_beta(

@@ -10,8 +10,7 @@ Subcommands:
 
 Options resolve as CLI flag > config file > built-in default.  The config
 file is flat ``key = value`` text with the same names as the long flags
-(underscores for dashes).  ``CSIE_THREADS`` caps file-parsing parallelism;
-outputs are byte-identical for any thread count.
+(underscores for dashes).  EOD files are parsed one at a time.
 
 Parsing and checking the options loads no compute module: the option
 vocabulary comes from ``_vocab``, and each command imports what it calls when
@@ -30,7 +29,6 @@ stderr; the outputs cover the other days and the exit code is 1.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -106,7 +104,6 @@ class RunConfig:
     interval_semantics: str
     cluster_date: date | None
     log_prices: bool
-    threads: int
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -192,19 +189,6 @@ def _parse_date_opt(s: str) -> date:
     raise ConfigError(f"bad date {s!r} (want YYYY-MM-DD or YYYYMMDD)")
 
 
-def _threads_from_env() -> int:
-    raw = os.environ.get("CSIE_THREADS", "").strip()
-    if raw:
-        try:
-            n = int(raw)
-        except ValueError as exc:
-            raise ConfigError(f"CSIE_THREADS must be an integer, got {raw!r}") from exc
-        if n < 1:
-            raise ConfigError("CSIE_THREADS must be at least 1")
-        return n
-    return min(8, os.cpu_count() or 1)
-
-
 def _resolve(args: argparse.Namespace) -> RunConfig:
     file_cfg = load_config_file(args.config) if args.config else {}
 
@@ -261,7 +245,6 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         interval_semantics=semantics,  # type: ignore[arg-type]
         cluster_date=_parse_date_opt(cluster_date) if cluster_date else None,
         log_prices=_parse_bool(pick("log_prices"), "log_prices"),  # type: ignore[arg-type]
-        threads=_threads_from_env(),
     )
 
 
@@ -274,7 +257,7 @@ def _load_market(cfg: RunConfig) -> tuple[list[MarketDay], bool]:
     with warnings.catch_warnings(record=True) as skipped:
         warnings.simplefilter("always", SkippedFileWarning)
         try:
-            days = read_eod_dir(cfg.market_dir, threads=cfg.threads)
+            days = read_eod_dir(cfg.market_dir)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
         finally:
@@ -434,7 +417,7 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_cluster(cfg: RunConfig) -> int:
     from .clustering import cluster_day
-    from .market_data import read_eod_file
+    from .market_data import _dated_eod_files, read_eod_file
     from .svg import dendrogram_svg
 
     if cfg.market_dir is None:
@@ -442,16 +425,20 @@ def cmd_cluster(cfg: RunConfig) -> int:
     if cfg.cluster_date is None:
         raise ConfigError("--date is required for cluster")
     stamp = cfg.cluster_date.strftime("%Y%m%d")
-    matches = sorted(Path(cfg.market_dir).glob(f"*_{stamp}.csv"))
+    try:
+        matches = _dated_eod_files(cfg.market_dir.glob(f"*_{stamp}.csv"))
+    except ValueError as exc:
+        raise InputError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
     if not matches:
         raise InputError(
             f"no EOD file for {cfg.cluster_date.isoformat()} in {cfg.market_dir}"
         )
+    path = matches[0][1]
     try:
-        day = read_eod_file(matches[0])
+        day = read_eod_file(path)
         dendro = cluster_day(day, log_prices=cfg.log_prices)
     except ValueError as exc:
-        raise InputError(f"{matches[0]}: {exc}") from exc
+        raise InputError(f"{path}: {exc}") from exc
     iso = cfg.cluster_date.isoformat()
     emitter = _Emitter(cfg.out)
     emitter.emit(f"cluster_{iso}.newick", lambda: dendro.newick() + "\n")

@@ -17,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ._util import exact_mean
-from .analytics import pearson
+from ._util import exact_mean, pearson
 from .market_data import MarketDay
 
 LEAF_NAMES = ("open", "high", "low", "close")

@@ -12,20 +12,23 @@ rows) and whatever a constructor is given.  Every skipped row, including a
 record the csv module cannot read, is reported through an ``on_reject``
 callback, in line order (and by ``read_eod_dir`` in date order, then line
 order), instead of failing the whole file; a file that does not parse costs
-``read_eod_dir`` only that file.
+``read_eod_dir`` only that file.  Both parsers run with the cyclic garbage
+collector paused: a parse makes no reference cycles, so a collection during
+one finds nothing to free.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
+import gc
 import io
 import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -48,6 +51,31 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _EOD_NAME = re.compile(r"^(?P<market>.+)_(?P<date>\d{8})\.csv$")
 
 OnReject = Callable[["RejectedRow"], None]
+
+_Parsed = TypeVar("_Parsed")
+
+
+def _collector_paused(parse: Callable[..., _Parsed]) -> Callable[..., _Parsed]:
+    """``parse`` run with the cyclic garbage collector paused.
+
+    A parse builds one list per csv record and frees them all by reference
+    counting, yet the allocations trigger hundreds of collections per
+    directory of wide files, each walking the heap for nothing.  The
+    collector is re-enabled afterwards only if it was enabled on entry, so a
+    caller that paused it finds it paused still.
+    """
+
+    @functools.wraps(parse)
+    def paused(*args, **kwargs) -> _Parsed:
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return parse(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused
 
 
 @dataclass(frozen=True, slots=True)
@@ -443,6 +471,7 @@ def _transpose(rows: list[list[str]], width: int) -> list[Sequence[str]]:
     return list(zip(*rows))[:width] if rows else [()] * width
 
 
+@_collector_paused
 def parse_eod_file(
     data: str | bytes,
     day: date,
@@ -516,25 +545,11 @@ class SkippedFileWarning(UserWarning):
     """``read_eod_dir`` left out a file it could not parse."""
 
 
-def read_eod_dir(
-    path: str | Path,
-    *,
-    threads: int = 1,
-    on_reject: OnReject | None = None,
-) -> list[MarketDay]:
-    """Read every ``<MARKET>_<YYYYMMDD>.csv`` in a directory, sorted by date.
-
-    Files not matching the naming convention are ignored.  ``threads`` > 1
-    parses files concurrently; results are assembled in date order either way.
-    A file that does not parse (no usable row, or bytes that are not UTF-8)
-    costs only itself: it is left out with a ``SkippedFileWarning``
-    ``skipped <file>: <reason>``.  Once every file is read, the warnings are
-    issued in date order, and rejects reach ``on_reject`` in date order, then
-    line order.  Raises ValueError when no file is left.
-    """
-    path = Path(path)
+def _dated_eod_files(paths: Iterable[Path]) -> list[tuple[date, Path]]:
+    """The regular files among ``paths`` named ``<MARKET>_<YYYYMMDD>.csv``,
+    with their dates, in date order; two files of one date are a ValueError."""
     dated: list[tuple[date, Path]] = []
-    for p in sorted(path.iterdir()):
+    for p in paths:
         if not p.is_file():
             continue
         try:
@@ -546,6 +561,29 @@ def read_eod_dir(
     for (d1, p1), (d2, p2) in zip(dated, dated[1:]):
         if d1 == d2:
             raise ValueError(f"duplicate date {d1.isoformat()}: {p1.name}, {p2.name}")
+    return dated
+
+
+def read_eod_dir(
+    path: str | Path,
+    *,
+    threads: int = 1,
+    on_reject: OnReject | None = None,
+) -> list[MarketDay]:
+    """Read every ``<MARKET>_<YYYYMMDD>.csv`` in a directory, sorted by date.
+
+    Files not matching the naming convention are ignored.  ``threads`` > 1
+    parses files in a thread pool, which the GIL keeps from being faster; it
+    is kept only for the benchmark's ``pool_speedup`` metric, and the CLI
+    reads serially.  Results are assembled in date order either way.
+    A file that does not parse (no usable row, or bytes that are not UTF-8)
+    costs only itself: it is left out with a ``SkippedFileWarning``
+    ``skipped <file>: <reason>``.  Once every file is read, the warnings are
+    issued in date order, and rejects reach ``on_reject`` in date order, then
+    line order.  Raises ValueError when no file is left.
+    """
+    path = Path(path)
+    dated = _dated_eod_files(path.iterdir())
     if not dated:
         raise ValueError(f"no EOD files in {path}")
 
@@ -559,6 +597,8 @@ def read_eod_dir(
     if threads <= 1 or len(dated) == 1:
         loaded = [load(item) for item in dated]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=min(threads, len(dated))) as pool:
             loaded = list(pool.map(load, dated))
     for day, _ in loaded:
@@ -582,6 +622,7 @@ def _parse_day(field: str) -> date:
     return date.fromisoformat(field.strip())
 
 
+@_collector_paused
 def parse_index_csv(
     data: str | bytes,
     name: str = "index",

@@ -7,10 +7,14 @@ several volatility series, and a dendrogram.  Output is plain XML text.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from .analytics import DatedSeries
 from .clustering import Dendrogram, Label
+
+if TYPE_CHECKING:
+    from .analytics import DatedSeries
 
 _FONT = 'font-family="sans-serif" font-size="11"'
 

@@ -174,12 +174,15 @@ def test_csie_thread_count_does_not_change_output(world, tmp_path, capsys, monke
     assert outputs[0] == outputs[1]
 
 
-def test_bad_thread_env(world, tmp_path, capsys, monkeypatch):
+def test_thread_env_is_ignored(world, tmp_path, capsys, monkeypatch):
     eod, _ = world
+    monkeypatch.delenv("CSIE_THREADS", raising=False)
+    assert run(["csie", "--market-dir", str(eod), "--out", str(tmp_path / "a")], capsys)[0] == 0
     monkeypatch.setenv("CSIE_THREADS", "zero")
-    code, _, stderr = run(["csie", "--market-dir", str(eod), "--out", str(tmp_path)], capsys)
-    assert code == 2
-    assert "CSIE_THREADS" in stderr
+    code, _, stderr = run(["csie", "--market-dir", str(eod), "--out", str(tmp_path / "b")], capsys)
+    assert code == 0, stderr
+    for name in ("csie_daily.csv", "csie_series.svg"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 # --- indexvol subcommand ---------------------------------------------------------------
@@ -374,6 +377,36 @@ def test_cluster_unknown_date(world, tmp_path, capsys):
     assert "no EOD file" in stderr
 
 
+@pytest.mark.parametrize("command", ["csie", "cluster"])
+def test_two_files_of_one_date_are_an_input_error(tmp_path, capsys, command):
+    eod = tmp_path / "eod"
+    eod.mkdir()
+    for market in ("NYSE", "NASDAQ"):
+        (eod / f"{market}_20210104.csv").write_text("AA,10,11,9,10.5,100\nBB,20,21,19,20.5,100\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        [command, "--market-dir", str(eod), "--date", "2021-01-04", "--out", str(out)], capsys
+    )
+    assert code == 2
+    assert stderr == (f"error: cannot load market data from {eod}: duplicate date 2021-01-04: "
+                      "NASDAQ_20210104.csv, NYSE_20210104.csv\n")
+    assert stdout == "" and not out.exists()
+
+
+def test_cluster_counts_only_regular_files(world, tmp_path, capsys):
+    eod, _ = world
+    local = tmp_path / "eod"
+    local.mkdir()
+    (local / "A_20210601.csv").mkdir()  # sorts before the file of the same date
+    (local / "M_20210601.csv").write_bytes((eod / "SYN_20210601.csv").read_bytes())
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        ["cluster", "--market-dir", str(local), "--date", "2021-06-01", "--out", str(out)], capsys
+    )
+    assert code == 0, stderr
+    assert stdout.count("wrote ") == 3
+
+
 # --- configuration ------------------------------------------------------------------------------
 
 def test_config_file_round_trip(tmp_path):
@@ -441,6 +474,38 @@ CLI_PROBE = (
 def test_help_usage_and_config_errors_do_not_import_numpy(argv, rc):
     done = _probe(CLI_PROBE, *argv)
     assert done.stdout.split()[-2:] == [str(rc), "False"], done.stderr
+
+
+# Runs the CLI and prints its exit code and which of the watched modules it loaded.
+LOADED_PROBE = (
+    "import sys\n"
+    "from csie.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print(rc, *(m for m in ('csie.analytics', 'csie.estimators', 'csie.intrinsic',\n"
+    "                        'csie.cross_section', 'concurrent.futures') if m in sys.modules))\n"
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["csie"],
+        ["indexvol", "--windows", "5"],
+        ["compare", "--windows", "5", "--intervals", "all"],
+        ["cluster", "--date", "2021-06-01"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_a_command_loads_only_the_modules_it_uses(world, tmp_path, argv):
+    eod, index = world
+    done = _probe(LOADED_PROBE, *argv, "--market-dir", str(eod), "--index", str(index),
+                  "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    rc, *loaded = done.stdout.splitlines()[-1].split()
+    assert rc == "0"
+    assert "concurrent.futures" not in loaded  # files are parsed without a thread pool
+    if argv[0] == "cluster":  # clustering needs no estimator or cross-section module
+        assert loaded == []
 
 
 def test_package_loads_its_exports_on_first_use():

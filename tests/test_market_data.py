@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 from datetime import date
 
 import numpy as np
@@ -479,3 +480,41 @@ def test_index_series_constructor_rejects_duplicates():
         )
     with pytest.raises(ValueError, match=NONFINITE_PRICE):
         IndexSeries("X", [date(2021, 1, 4)], [10], [11], [9], [np.nan], [1])
+
+
+# --- the cyclic collector during a parse ----------------------------------------
+
+INDEX_TEXT = "Date,Open,High,Low,Close,Volume\n2021-06-01,10,11,9,10.5,100\n"
+PARSES = {
+    "eod": lambda data, on_reject: parse_eod_file(data, D, on_reject=on_reject),
+    "index": lambda data, on_reject: parse_index_csv(data, "X", on_reject=on_reject),
+}
+# Each parser's input with one rejected row, and one that it refuses outright.
+GOOD = {"eod": table1_csv() + "BAD,1\n", "index": INDEX_TEXT + "2021-06-02,1\n"}
+BAD = {"eod": "AA,10,9,9,10.5,200\n", "index": "Date,Open\n"}
+
+
+@pytest.mark.parametrize("parser", PARSES)
+def test_a_parse_pauses_the_collector_and_restores_it(parser):
+    parse = PARSES[parser]
+    during = []
+    assert gc.isenabled()
+    parse(GOOD[parser], lambda r: during.append(gc.isenabled()))
+    assert during == [False]
+    assert gc.isenabled()
+    with pytest.raises(ValueError):
+        parse(BAD[parser], None)
+    assert gc.isenabled()
+
+
+@pytest.mark.parametrize("parser", PARSES)
+def test_a_parse_leaves_a_paused_collector_paused(parser):
+    gc.disable()
+    try:
+        PARSES[parser](GOOD[parser], None)
+        assert not gc.isenabled()
+        with pytest.raises(ValueError):
+            PARSES[parser](BAD[parser], None)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
