@@ -29,15 +29,15 @@ _EXPORTS = {
         "corr_distance",
     ),
     "cross_section": (
-        "CsieDay", "SymbolWeight", "csie_csv", "csie_day", "csie_h_oc", "csie_h_olhc",
-        "csie_series", "csie_weight_f", "symbol_weights", "total_traded_value",
+        "CsieDay", "SymbolWeight", "csie_csv", "csie_day", "csie_series", "csie_weight_f",
+        "symbol_weights",
     ),
     "estimators": (
         "NegativeRadicandWarning", "OhlcWindow", "vol_close_to_close", "vol_garman_klass",
         "vol_open_to_close", "vol_overnight", "vol_parkinson", "vol_rogers_satchell",
         "vol_yang_zhang", "yz_k",
     ),
-    "intrinsic": ("IeEstimate", "ie_estimate", "ie_h_co", "ie_h_oc", "ie_h_ohlc", "volume_probs"),
+    "intrinsic": ("IeEstimate", "ie_estimate", "volume_probs"),
     "market_data": (
         "DailyBar", "IndexSeries", "MarketDay", "RejectedRow", "eod_filename_date",
         "parse_eod_file", "parse_index_csv", "read_eod_dir", "read_eod_file", "read_index_csv",

@@ -23,8 +23,8 @@ def exact_sum(values: np.ndarray | list[float]) -> float:
 
     Because the compensated result equals the true real-valued sum rounded
     once, it does not depend on summation order; every reduction in this
-    package funnels through here so that reruns and thread counts cannot
-    change any output bit.  Overflow raises ValueError.
+    package funnels through here so that reruns cannot change any output
+    bit.  Overflow raises ValueError.
     """
     if isinstance(values, np.ndarray):
         values = values.tolist()
@@ -134,13 +134,6 @@ def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) ->
         raise ValueError("undefined correlation: zero variance")
     r = exact_dot(da, db) / math.sqrt(va * vb)
     return min(1.0, max(-1.0, r))
-
-
-def exact_mean_var(values: np.ndarray) -> tuple[float, float]:
-    """Population mean and variance: (mean, fsum((x - mean)^2) / n)."""
-    mu = exact_mean(values)
-    d = values - mu
-    return mu, exact_mean(d * d)
 
 
 def xlogx(p: np.ndarray) -> np.ndarray:

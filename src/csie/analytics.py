@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import exact_dot, exact_mean, exact_mean_var, exact_rowsums, pearson
+from ._util import exact_dot, exact_mean, exact_rowsums, pearson
 from ._vocab import ALL_INTERVAL, ESTIMATOR_TAGS, INTERVAL_SEMANTICS
 from .cross_section import CsieDay
 from .estimators import KERNELS, bar_terms
@@ -157,7 +157,9 @@ def mean_var(values: Sequence[float] | np.ndarray) -> tuple[float, float]:
     values = np.asarray(values, dtype=float)
     if len(values) == 0:
         raise ValueError("mean_var of empty sequence")
-    return exact_mean_var(values)
+    mu = exact_mean(values)
+    d = values - mu
+    return mu, exact_mean(d * d)
 
 
 def align(a: DatedSeries, b: DatedSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -54,20 +54,13 @@ class CsieDay:
 
 def _tradable_columns(day: MarketDay) -> tuple[np.ndarray, ...]:
     mask = day.tradable
-    return (
-        day.symbols[mask],
-        day.open[mask],
-        day.high[mask],
-        day.low[mask],
-        day.close[mask],
-        day.volume[mask],
-    )
+    return day.open[mask], day.high[mask], day.low[mask], day.close[mask], day.volume[mask]
 
 
 def _traded_values(day: MarketDay) -> tuple[np.ndarray, float]:
     """close * volume of each traded bar and their exact total; ValueError if
     no bar traded or the total is past the float range."""
-    _, _, _, _, close, volume = _tradable_columns(day)
+    _, _, _, close, volume = _tradable_columns(day)
     if len(close) == 0:
         raise ValueError(f"empty cross-section on {day.day.isoformat()}")
     with np.errstate(over="ignore"):  # an infinite product fails the check below
@@ -78,50 +71,11 @@ def _traded_values(day: MarketDay) -> tuple[np.ndarray, float]:
     return values, total
 
 
-def total_traded_value(day: MarketDay) -> float:
-    """Sum of close * volume over bars that actually traded."""
-    return _traded_values(day)[1]
-
-
 def symbol_weights(day: MarketDay) -> list[SymbolWeight]:
     """Traded-value shares psi_i in ascending symbol order; they sum to ~1."""
     values, total = _traded_values(day)
     psi = values / total
     return [SymbolWeight(str(s), float(p)) for s, p in zip(day.symbols[day.tradable], psi)]
-
-
-def _check_weights(symbols: np.ndarray, weights: Sequence[SymbolWeight]) -> np.ndarray:
-    if len(weights) != len(symbols):
-        raise ValueError("weights do not match the day's tradable symbols")
-    for s, w in zip(symbols, weights):
-        if w.symbol != s:
-            raise ValueError(f"weight for {w.symbol!r} does not match symbol {s!r}")
-    return np.array([w.psi for w in weights], dtype=float)
-
-
-def _h_oc_terms(o: np.ndarray, c: np.ndarray, ent: np.ndarray) -> float:
-    return -exact_sum((c / o - 1.0) * ent)
-
-
-def _h_olhc_terms(
-    o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray, ent: np.ndarray
-) -> float:
-    spread = (h / o - 1.0) * (h / c - 1.0) + (l / o - 1.0) * (l / c - 1.0)
-    return -exact_sum(spread * ent)
-
-
-def csie_h_oc(day: MarketDay, weights: Sequence[SymbolWeight]) -> float:
-    """Open-to-close entropy component under the given value weights."""
-    symbols, o, _, _, c, _ = _tradable_columns(day)
-    psi = _check_weights(symbols, weights)
-    return _h_oc_terms(o, c, xlogx(psi))
-
-
-def csie_h_olhc(day: MarketDay, weights: Sequence[SymbolWeight]) -> float:
-    """Range (open/low/high/close) entropy component under the given weights."""
-    symbols, o, h, l, c, _ = _tradable_columns(day)
-    psi = _check_weights(symbols, weights)
-    return _h_olhc_terms(o, h, l, c, xlogx(psi))
 
 
 def csie_weight_f(m: int, alpha: float = ALPHA_DEFAULT) -> float:
@@ -141,14 +95,22 @@ def csie_day(day: MarketDay, alpha: float = ALPHA_DEFAULT) -> CsieDay:
 
     A single traded symbol is a degenerate cross-section: its weight is 1, so
     every entropy term vanishes and the day is reported as exactly zero with
-    the flag set.  No traded symbol or an overflowing total value is an error.
+    the flag set.  No traded symbol, an overflowing total value or a price
+    ratio that takes an entropy term past the float range is an error.
     """
-    _, o, h, l, c, _ = _tradable_columns(day)
+    o, h, l, c, _ = _tradable_columns(day)
     values, total = _traded_values(day)
     m = len(o)
     ent = xlogx(values / total)
-    h_oc = _h_oc_terms(o, c, ent)
-    h_olhc = _h_olhc_terms(o, h, l, c, ent)
+    # a price ratio past the float range makes an inf term, or inf * 0 = nan
+    # where psi = 1; the check below turns either into an error
+    with np.errstate(over="ignore", invalid="ignore"):
+        oc = (c / o - 1.0) * ent
+        spread = (h / o - 1.0) * (h / c - 1.0) + (l / o - 1.0) * (l / c - 1.0)
+        olhc = spread * ent
+    if not (np.isfinite(oc).all() and np.isfinite(olhc).all()):
+        raise ValueError(f"entropy terms on {day.day.isoformat()} are past the float range")
+    h_oc, h_olhc = -exact_sum(oc), -exact_sum(olhc)
     if m == 1:
         return CsieDay(day.day, 1, total, 0.0, h_oc, h_olhc, 0.0, 0.0, True)
     f = csie_weight_f(m, alpha)

@@ -11,9 +11,9 @@ The signed estimate (components added as-is) keeps direction: negative means
 a preponderantly sell movement.  The absolute variant adds component
 magnitudes and is the form used for cross-estimator comparisons.  Like the
 kernels in ``estimators``, ``_shares`` and ``_ie_rows`` work on every w-day
-window of a run of bars at once, one row per window; the single-window
-functions are their one-row case, and ``analytics.rolling_estimate`` rolls
-them over a whole series, keeping both blends.
+window of a run of bars at once, one row per window; ``ie_estimate`` is their
+one-row case, and ``analytics.rolling_estimate`` rolls them over a whole
+series, keeping both blends.
 """
 
 from __future__ import annotations
@@ -69,28 +69,23 @@ def _seed_xlogx(seed_p: np.ndarray) -> np.ndarray:
     return np.array([p * math.log(p) if p > 0.0 else 0.0 for p in seed_p.tolist()])
 
 
-def _h_co(t: BarTerms, ent: np.ndarray, seed_ent: np.ndarray, w: int) -> np.ndarray:
-    lagged = np.concatenate((seed_ent[:, None], ent[:, :-1]), axis=1)
-    return -exact_rowsums(sliding_window_view(t.gap, w) * lagged)
-
-
-def _h_oc(t: BarTerms, ent: np.ndarray, w: int) -> np.ndarray:
-    return -exact_rowsums(sliding_window_view(t.co, w) * ent)
-
-
-def _h_ohlc(t: BarTerms, ent: np.ndarray, w: int) -> np.ndarray:
-    return -exact_rowsums(sliding_window_view(t.rs, w) * ent)
-
-
 def _ie_rows(
     t: BarTerms, p: np.ndarray, seed_p: np.ndarray, w: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray, np.ndarray]:
     """h_co, h_oc, h_ohlc, k, and the signed and absolute blends of each
     w-bar window of ``t``, from its shares (one row per window) and its seed
-    day's share."""
+    day's share.
+
+    The overnight term -sum ln(O_i/C_{i-1}) p_{i-1} ln p_{i-1} weights bar i
+    by the day before it, the seed day for the first bar; the intraday term
+    is -sum ln(C_i/O_i) p_i ln p_i and the range term
+    -sum [ln(H/O)ln(H/C) + ln(L/O)ln(L/C)] p_i ln p_i.
+    """
     ent = xlogx(p)
-    h_co = _h_co(t, ent, _seed_xlogx(seed_p), w)
-    h_oc, h_ohlc = _h_oc(t, ent, w), _h_ohlc(t, ent, w)
+    lagged = np.concatenate((_seed_xlogx(seed_p)[:, None], ent[:, :-1]), axis=1)
+    h_co = -exact_rowsums(sliding_window_view(t.gap, w) * lagged)
+    h_oc = -exact_rowsums(sliding_window_view(t.co, w) * ent)
+    h_ohlc = -exact_rowsums(sliding_window_view(t.rs, w) * ent)
     k = yz_k(w)
     signed = h_co + k * h_oc + (1.0 - k) * h_ohlc
     magnitude = np.abs(h_co) + k * np.abs(h_oc) + (1.0 - k) * np.abs(h_ohlc)
@@ -105,23 +100,6 @@ def volume_probs(w: OhlcWindow) -> VolumeProbs:
     if total[0] <= 0.0:
         raise ValueError(NO_VOLUME)
     return VolumeProbs(p[0], float(seed_p[0]), float(total[0]))
-
-
-def ie_h_co(w: OhlcWindow, p: VolumeProbs) -> float:
-    """Overnight component: -sum ln(O_i/C_{i-1}) p_{i-1} ln p_{i-1}."""
-    seed_ent = _seed_xlogx(np.array([p.seed_prob]))
-    h = _h_co(_window_terms(w, lagged=True), xlogx(p.probs[None, :]), seed_ent, len(w.close))
-    return float(h[0])
-
-
-def ie_h_oc(w: OhlcWindow, p: VolumeProbs) -> float:
-    """Intraday component: -sum ln(C_i/O_i) p_i ln p_i."""
-    return float(_h_oc(_window_terms(w), xlogx(p.probs[None, :]), len(w.close))[0])
-
-
-def ie_h_ohlc(w: OhlcWindow, p: VolumeProbs) -> float:
-    """Range component: -sum [ln(H/O)ln(H/C) + ln(L/O)ln(L/C)] p_i ln p_i."""
-    return float(_h_ohlc(_window_terms(w), xlogx(p.probs[None, :]), len(w.close))[0])
 
 
 def ie_estimate(w: OhlcWindow) -> IeEstimate:

@@ -296,19 +296,6 @@ class IndexSeries:
             and np.array_equal(self.volume, other.volume)
         )
 
-    def slice(self, start: int, stop: int) -> "IndexSeries":
-        if not 0 <= start < stop <= len(self):
-            raise ValueError("bad slice bounds")
-        return IndexSeries(
-            self.name,
-            self.dates[start:stop],
-            self.open[start:stop],
-            self.high[start:stop],
-            self.low[start:stop],
-            self.close[start:stop],
-            self.volume[start:stop],
-        )
-
 
 def _strip_thousands(field: str) -> str:
     return field.replace(",", "").replace('"', "").strip()

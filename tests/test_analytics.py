@@ -410,7 +410,8 @@ def reslice_reference(index, rows, column, t, w, statistic, semantics="raw-days"
     if raw_days and t != ALL_INTERVAL:
         if len(index) < t or len(rows) < t:
             return None
-        index, rows = index.slice(len(index) - t, len(index)), rows[-t:]
+        cols = (index.dates, index.open, index.high, index.low, index.close, index.volume)
+        index, rows = IndexSeries(index.name, *(c[-t:] for c in cols)), rows[-t:]
     try:
         ma = moving_average(csie_dated_series(rows, use_abs=use_abs), w)
         if column == "csie":

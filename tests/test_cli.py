@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -10,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import csie
 from csie import analytics
 from csie.cli import load_config_file, main
 
@@ -117,6 +119,11 @@ UNUSABLE_DAY = {
         "skipped {eod}/M_20210602.csv: 'utf-8' codec can't decode byte 0xff in position 54: "
         "invalid start byte",
     ),
+    # C/O of AA overflows to inf, and AA's psi is 1 to double precision
+    "price-ratio-overflow": (
+        b"AA,1e-300,1e300,1e-300,1e300,1\nBB,10,11,9,10.5,200\nCC,20,21,19,20.5,200\n",
+        "skipped 2021-06-02: entropy terms on 2021-06-02 are past the float range",
+    ),
 }
 
 
@@ -149,6 +156,9 @@ def test_an_unusable_day_costs_only_itself(tmp_path, capsys, command, case):
         rows = (out / "csie_daily.csv").read_text().splitlines()[1:]
         assert [r.split(",")[0] for r in rows] == ["2021-06-01", "2021-06-03"]
         assert stdout.count("wrote ") == 2
+        for name in ("csie_daily.csv", "csie_series.svg"):
+            text = (out / name).read_text()
+            assert "nan" not in text and "inf" not in text, name
     else:
         assert stdout.count("wrote ") == 4
         assert (out / "grid_mean.csv").read_text().splitlines()[1].startswith("all,1,")
@@ -443,6 +453,32 @@ def _probe(code: str, *argv: str) -> subprocess.CompletedProcess:
                           env=env, timeout=60)
 
 
+# The code of the installed ``csie`` script.
+ENTRY_PROBE = "import sys; from csie.cli import main; sys.exit(main())"
+
+
+def test_entry_point_output_directory_that_is_a_file(world, tmp_path):
+    eod, _ = world
+    afile = tmp_path / "afile"
+    afile.write_text("x")
+    for out in (afile, afile / "sub"):
+        done = _probe(ENTRY_PROBE, "csie", "--market-dir", str(eod), "--out", str(out))
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.startswith(f"error: cannot create output directory {out}: ")
+        assert "Traceback" not in done.stderr
+
+
+def test_entry_point_output_file_that_is_a_directory(world, tmp_path):
+    eod, _ = world
+    (tmp_path / "csie_daily.csv").mkdir()
+    done = _probe(ENTRY_PROBE, "csie", "--market-dir", str(eod), "--out", str(tmp_path))
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith(f"failed {tmp_path / 'csie_daily.csv'}: ")
+    assert "Traceback" not in done.stderr
+    assert done.stdout.splitlines() == [f"wrote {tmp_path / 'csie_series.svg'}"]
+    assert (tmp_path / "csie_series.svg").is_file()
+
+
 def test_importing_the_cli_loads_no_url_or_xml_modules():
     done = _probe(
         "import sys; before = set(sys.modules); import csie.cli; "
@@ -518,6 +554,16 @@ def test_package_loads_its_exports_on_first_use():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == ["False", "True", "True"]
+
+
+def test_readme_library_list_is_the_export_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for bullet in re.findall(r"^\* `.*?(?=^\S|\Z)", library, re.M | re.S):
+        module, names = bullet.split(":", 1)
+        listed[re.search(r"`(\w+)`", module)[1]] = tuple(re.findall(r"`(\w+)`", names))
+    assert listed == csie._EXPORTS
 
 
 def test_config_precedence_cli_over_file(tmp_path, capsys):

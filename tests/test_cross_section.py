@@ -13,12 +13,9 @@ from csie.cross_section import (
     CSIE_CSV_HEADER,
     csie_csv,
     csie_day,
-    csie_h_oc,
-    csie_h_olhc,
     csie_series,
     csie_weight_f,
     symbol_weights,
-    total_traded_value,
 )
 from csie.market_data import MarketDay, parse_eod_file
 
@@ -54,32 +51,32 @@ def day_from_tuples(rows) -> MarketDay:
 def test_total_value_single_bar_matches_decimal_oracle():
     day = MarketDay(D, ["A"], [139.54], [140.49], [137.49], [137.51], [1_878_600])
     expected = float(Decimal("137.51") * 1_878_600)
-    assert math.isclose(total_traded_value(day), expected, rel_tol=1e-12)
+    assert math.isclose(csie_day(day).total_value, expected, rel_tol=1e-12)
 
 
 def test_total_value_two_bars_hand_arithmetic():
     day = day_from_tuples([(10, 10, 10, 10, 1), (20, 20, 20, 20, 2)])
-    assert total_traded_value(day) == 50.0
+    assert csie_day(day).total_value == 50.0
 
 
 def test_total_value_fixture_matches_sum_oracle():
     day = parse_eod_file(table1_csv(), D)
     expected = math.fsum(c * v for _, _, _, c, v in table1_tuples())
-    assert math.isclose(total_traded_value(day), expected, rel_tol=1e-15)
+    assert math.isclose(csie_day(day).total_value, expected, rel_tol=1e-15)
 
 
 def test_total_value_ignores_zero_volume():
     day = day_from_tuples([(10, 10, 10, 10, 5), (99, 99, 99, 99, 0)])
-    assert total_traded_value(day) == 50.0
+    assert csie_day(day).total_value == 50.0
 
 
 def test_total_value_empty_cross_section_errors():
     day = flat_day(2, volume=0)
     with pytest.raises(ValueError, match="empty cross-section"):
-        total_traded_value(day)
+        csie_day(day).total_value
 
 
-@pytest.mark.parametrize("fn", [total_traded_value, symbol_weights, csie_day],
+@pytest.mark.parametrize("fn", [symbol_weights, csie_day],
                          ids=lambda fn: fn.__name__)
 @pytest.mark.parametrize(
     "rows, message",
@@ -126,52 +123,53 @@ def test_weights_sum_to_one():
 
 def test_h_oc_zero_when_close_equals_open():
     day = day_from_tuples([(10, 11, 9, 10, 5), (20, 22, 19, 20, 7)])
-    assert csie_h_oc(day, symbol_weights(day)) == 0.0
+    assert csie_day(day).h_oc == 0.0
 
 
 def test_h_oc_single_symbol_zero():
-    day = flat_day(1)
-    assert csie_h_oc(day, symbol_weights(day)) == 0.0
+    assert csie_day(flat_day(1)).h_oc == 0.0
 
 
 def test_h_oc_two_symbol_cases():
     # equal traded values (37.5 each) with returns +25% and -25% cancel
     day_anti = day_from_tuples([(10, 12.5, 10, 12.5, 3), (10, 10, 7.5, 7.5, 5)])
-    w = symbol_weights(day_anti)
-    assert [x.psi for x in w] == [0.5, 0.5]
-    assert abs(csie_h_oc(day_anti, w)) < 1e-15
+    assert [x.psi for x in symbol_weights(day_anti)] == [0.5, 0.5]
+    assert abs(csie_day(day_anti).h_oc) < 1e-15
 
     # identical returns r with equal weights: -2 * r * 0.5 * ln 0.5 = r ln 2
     r = 0.25
     day_same = day_from_tuples([(10, 12.5, 10, 12.5, 4), (10, 12.5, 10, 12.5, 4)])
-    w = symbol_weights(day_same)
-    assert math.isclose(csie_h_oc(day_same, w), r * math.log(2.0), rel_tol=1e-12)
+    assert [x.psi for x in symbol_weights(day_same)] == [0.5, 0.5]
+    assert math.isclose(csie_day(day_same).h_oc, r * math.log(2.0), rel_tol=1e-12)
 
 
 def test_h_olhc_zero_when_flat():
-    assert csie_h_olhc(flat_day(3), symbol_weights(flat_day(3))) == 0.0
+    assert csie_day(flat_day(3)).h_olhc == 0.0
 
 
 def test_h_olhc_zero_when_high_is_close_low_is_open():
     day = day_from_tuples([(10, 12, 10, 12, 5), (30, 33, 30, 33, 9)])
-    assert csie_h_olhc(day, symbol_weights(day)) == 0.0
+    assert csie_day(day).h_olhc == 0.0
 
 
 def test_h_olhc_two_symbol_oracle():
     rows = [(10.0, 12.0, 9.5, 11.0, 400), (50.0, 51.0, 47.0, 48.0, 90)]
     day = day_from_tuples(rows)
-    assert math.isclose(
-        csie_h_olhc(day, symbol_weights(day)),
-        naive_csie(rows)["h_olhc"],
-        rel_tol=1e-12,
-    )
+    assert math.isclose(csie_day(day).h_olhc, naive_csie(rows)["h_olhc"], rel_tol=1e-12)
 
 
-def test_component_weight_mismatch_errors():
-    day = flat_day(2)
-    weights = symbol_weights(flat_day(3))
-    with pytest.raises(ValueError, match="weights"):
-        csie_h_oc(day, weights)
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [(1e-300, 1e300, 1e-300, 1e300, 1)],
+        [(1e-300, 1e300, 1e-300, 1e300, 1), (10, 11, 9, 10, 5), (20, 22, 19, 21, 7)],
+    ],
+    ids=["m1", "m3"],
+)
+def test_entropy_terms_past_the_float_range_are_an_error(rows):
+    # C/O overflows to inf; with psi = 1 (m = 1) inf * 0 would give nan
+    with pytest.raises(ValueError, match=f"entropy terms on {D} are past the float range"):
+        csie_day(day_from_tuples(rows))
 
 
 # --- blend weight f ------------------------------------------------------------------

@@ -8,13 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from csie.estimators import OhlcWindow, yz_k
-from csie.intrinsic import (
-    ie_estimate,
-    ie_h_co,
-    ie_h_oc,
-    ie_h_ohlc,
-    volume_probs,
-)
+from csie.intrinsic import ie_estimate, volume_probs
 
 from helpers import random_bars
 from oracles import naive_ie, naive_probs
@@ -101,13 +95,14 @@ def test_probs_need_seed_volume():
 
 def test_h_co_zero_when_opens_match_prior_close():
     w = mk([1.0, 1.2], [1.3, 1.3], [0.9, 0.9], [1.2, 1.1], [3, 7], 1.0, 4)
-    assert ie_h_co(w, volume_probs(w)) == 0.0
+    assert ie_estimate(w).h_co == 0.0
 
 
 def test_h_co_unit_prob_terms_vanish():
-    # a single bar holding all volume has p=1 and ln(1)=0 weight
-    w = mk([2.0], [2.0], [2.0], [2.0], [9], 1.0, 9)
-    assert ie_h_co(w, volume_probs(w)) == 0.0
+    # the seed day and the last bar each hold all of Q, so p0 = p2 = 1 with
+    # ln(1) = 0 weight, and p1 = 0: every overnight gap drops out
+    w = mk([2.0, 3.0], [3.0, 4.0], [1.0, 1.0], [2.5, 2.0], [0, 9], 1.0, 9)
+    assert ie_estimate(w).h_co == 0.0
 
 
 def test_h_co_two_equal_gaps_closed_form():
@@ -121,7 +116,7 @@ def test_h_co_two_equal_gaps_closed_form():
         [5, 5], seed, 5,
     )
     # p0 = p1 = 1/2, so H^CO = -(g + g) * (1/2)ln(1/2) = g ln 2
-    assert math.isclose(ie_h_co(w, volume_probs(w)), g * LN2, rel_tol=1e-12)
+    assert math.isclose(ie_estimate(w).h_co, g * LN2, rel_tol=1e-12)
 
 
 def test_h_co_zero_volume_bar_drops_term():
@@ -133,7 +128,7 @@ def test_h_co_zero_volume_bar_drops_term():
         [1.5, 2.5, 3.5],
         [4, 0, 4], 1.0, 4,
     )
-    got = ie_h_co(w, volume_probs(w))
+    got = ie_estimate(w).h_co
     probs, p0 = naive_probs([4, 0, 4], 4)
     want = -math.fsum([
         math.log(1.0 / 1.0) * p0 * math.log(p0),
@@ -147,7 +142,7 @@ def test_h_co_zero_volume_bar_drops_term():
 
 def test_h_oc_zero_when_close_equals_open():
     w = mk([1, 2], [3, 3], [0.5, 0.5], [1, 2], [5, 5], 1.0, 5)
-    assert ie_h_oc(w, volume_probs(w)) == 0.0
+    assert ie_estimate(w).h_oc == 0.0
 
 
 def test_h_oc_uniform_closed_form():
@@ -156,24 +151,26 @@ def test_h_oc_uniform_closed_form():
     uniform = mk(w.open, w.high, w.low, w.close, [7] * 4, w.seed_close, 7)
     rsum = math.fsum(math.log(c / o) for o, c in zip(w.open, w.close))
     want = (math.log(4.0) / 4.0) * rsum
-    assert math.isclose(ie_h_oc(uniform, volume_probs(uniform)), want, rel_tol=1e-12)
+    assert math.isclose(ie_estimate(uniform).h_oc, want, rel_tol=1e-12)
 
 
 def test_h_oc_single_bar_zero():
-    w = mk([1.0], [4.0], [0.9], [3.0], [100], 1.0, 50)
-    assert ie_h_oc(w, volume_probs(w)) == 0.0
+    # one bar holds all the window's volume (p = 1, ln(1) = 0) and the other
+    # none (p = 0), so close != open on both bars still gives zero
+    w = mk([1.0, 2.0], [4.0, 4.0], [0.9, 0.9], [3.0, 1.0], [100, 0], 1.0, 50)
+    assert ie_estimate(w).h_oc == 0.0
 
 
 # --- range component -------------------------------------------------------------------
 
 def test_h_ohlc_flat_zero():
     w = flat(4)
-    assert ie_h_ohlc(w, volume_probs(w)) == 0.0
+    assert ie_estimate(w).h_ohlc == 0.0
 
 
 def test_h_ohlc_high_close_low_open_zero():
     w = mk([10, 20], [12, 25], [10, 20], [12, 25], [3, 9], 10.0, 2)
-    assert ie_h_ohlc(w, volume_probs(w)) == 0.0
+    assert ie_estimate(w).h_ohlc == 0.0
 
 
 def test_h_ohlc_two_bar_oracle():
@@ -185,7 +182,7 @@ def test_h_ohlc_two_bar_oracle():
         term(o, h, l, c) * p * math.log(p)
         for o, h, l, c, p in zip(w.open, w.high, w.low, w.close, probs)
     )
-    assert math.isclose(ie_h_ohlc(w, volume_probs(w)), want, rel_tol=1e-13)
+    assert math.isclose(ie_estimate(w).h_ohlc, want, rel_tol=1e-13)
 
 
 # --- blended estimate --------------------------------------------------------------------

@@ -464,11 +464,12 @@ def test_index_slice():
         f"2021-01-{4 + i:02d},10,11,9.5,10.5,100" for i in range(5)
     )
     s = parse_index_csv(text)
-    sub = s.slice(1, 4)
+    cols = (s.dates, s.open, s.high, s.low, s.close, s.volume)
+    sub = IndexSeries(s.name, *(c[1:4] for c in cols))
     assert len(sub) == 3
     assert str(sub.dates[0]) == "2021-01-05"
-    with pytest.raises(ValueError):
-        s.slice(3, 3)
+    with pytest.raises(ValueError, match="empty index series"):
+        IndexSeries(s.name, *(c[3:3] for c in cols))
 
 
 def test_index_series_constructor_rejects_duplicates():
