@@ -117,8 +117,23 @@ def exact_dot(a: np.ndarray, b: np.ndarray) -> float:
     return exact_sum(np.multiply(a, b))
 
 
+def _unit_scaled(x: np.ndarray) -> np.ndarray:
+    """x times the power of two that puts its largest magnitude in [0.5, 1).
+
+    The scale is exact unless a value becomes subnormal, so a statistic that
+    is invariant under scaling keeps its bits, and its sums of squares and
+    products can neither overflow nor underflow to zero.
+    """
+    _, exponent = np.frexp(np.max(np.abs(x)))
+    return np.ldexp(x, -exponent)
+
+
 def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
-    """Pearson correlation; errors when either side has zero variance."""
+    """Pearson correlation; errors when either side has zero variance.
+
+    Each side is scaled by a power of two first (``_unit_scaled``), so
+    values near either end of the float range correlate like any others.
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != b.shape:
@@ -126,6 +141,7 @@ def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) ->
     n = len(a)
     if n < 2:
         raise ValueError("correlation needs at least 2 points")
+    a, b = _unit_scaled(a), _unit_scaled(b)
     da = a - exact_mean(a)
     db = b - exact_mean(b)
     va = exact_dot(da, da)

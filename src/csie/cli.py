@@ -356,8 +356,6 @@ def cmd_csie(cfg: RunConfig) -> int:
 
 
 def cmd_indexvol(cfg: RunConfig) -> int:
-    import numpy as np
-
     from .analytics import rolling_estimate
     from .svg import small_multiples
 
@@ -369,23 +367,17 @@ def cmd_indexvol(cfg: RunConfig) -> int:
             series_by_tag[tag] = rolling_estimate(index, tag, w, use_abs=cfg.use_abs)
         except ValueError as exc:
             raise InputError(f"estimator {tag!r}, window {w}: {exc}") from exc
-    common = series_by_tag[cfg.estimators[0]].dates
-    for s in series_by_tag.values():
-        common = np.intersect1d(common, s.dates)
+    # every series ends on the index's last bar, so the common dates are the
+    # last entries of the shortest one
+    n = min(len(s) for s in series_by_tag.values())
     emitter = _Emitter(cfg.out)
 
     def build_csv() -> str:
+        dates = series_by_tag[cfg.estimators[0]].dates[-n:].tolist()
+        columns = [series_by_tag[tag].values[-n:].tolist() for tag in cfg.estimators]
         lines = ["date," + ",".join(cfg.estimators)]
-        at = {
-            tag: dict(zip(s.dates.tolist(), s.values.tolist()))
-            for tag, s in series_by_tag.items()
-        }
-        for d in common.tolist():
-            lines.append(
-                d.isoformat()
-                + ","
-                + ",".join(repr(at[tag][d]) for tag in cfg.estimators)
-            )
+        for d, row in zip(dates, zip(*columns)):
+            lines.append(d.isoformat() + "," + ",".join(map(repr, row)))
         return "\n".join(lines) + "\n"
 
     emitter.emit("indexvol.csv", build_csv)

@@ -52,30 +52,25 @@ class CsieDay:
     degenerate: bool
 
 
-def _tradable_columns(day: MarketDay) -> tuple[np.ndarray, ...]:
-    mask = day.tradable
-    return day.open[mask], day.high[mask], day.low[mask], day.close[mask], day.volume[mask]
-
-
-def _traded_values(day: MarketDay) -> tuple[np.ndarray, float]:
-    """close * volume of each traded bar and their exact total; ValueError if
-    no bar traded or the total is past the float range."""
-    _, _, _, close, volume = _tradable_columns(day)
+def _traded_values(close: np.ndarray, volume: np.ndarray, day: date) -> tuple[np.ndarray, float]:
+    """close * volume of each traded bar of ``day`` and their exact total;
+    ValueError if no bar traded or the total is past the float range."""
     if len(close) == 0:
-        raise ValueError(f"empty cross-section on {day.day.isoformat()}")
+        raise ValueError(f"empty cross-section on {day.isoformat()}")
     with np.errstate(over="ignore"):  # an infinite product fails the check below
         values = close * volume
     total = exact_sum(values)
     if not np.isfinite(total):
-        raise ValueError(f"traded value on {day.day.isoformat()} is not finite")
+        raise ValueError(f"traded value on {day.isoformat()} is not finite")
     return values, total
 
 
 def symbol_weights(day: MarketDay) -> list[SymbolWeight]:
     """Traded-value shares psi_i in ascending symbol order; they sum to ~1."""
-    values, total = _traded_values(day)
+    mask = day.tradable
+    values, total = _traded_values(day.close[mask], day.volume[mask], day.day)
     psi = values / total
-    return [SymbolWeight(str(s), float(p)) for s, p in zip(day.symbols[day.tradable], psi)]
+    return [SymbolWeight(str(s), float(p)) for s, p in zip(day.symbols[mask], psi)]
 
 
 def csie_weight_f(m: int, alpha: float = ALPHA_DEFAULT) -> float:
@@ -98,8 +93,9 @@ def csie_day(day: MarketDay, alpha: float = ALPHA_DEFAULT) -> CsieDay:
     the flag set.  No traded symbol, an overflowing total value or a price
     ratio that takes an entropy term past the float range is an error.
     """
-    o, h, l, c, _ = _tradable_columns(day)
-    values, total = _traded_values(day)
+    mask = day.tradable
+    o, h, l, c, v = (col[mask] for col in (day.open, day.high, day.low, day.close, day.volume))
+    values, total = _traded_values(c, v, day.day)
     m = len(o)
     ent = xlogx(values / total)
     # a price ratio past the float range makes an inf term, or inf * 0 = nan

@@ -6,15 +6,16 @@ Volume).  Both parsers are tolerant of header rows, of a UTF-8 byte-order
 mark and of thousands separators inside the volume field.  The row loop of a
 parser only splits rows and rejects those of the wrong shape; ``_convert``
 then reads each price and volume column in one pass, and only a field that
-fails takes the per-field rule.  One rule set, ``_fault_masks``, judges the
-columns of a whole parsed file in one call (``_ohlcv_faults`` labels its
-rows) and whatever a constructor is given.  Every skipped row, including a
-record the csv module cannot read, is reported through an ``on_reject``
-callback, in line order (and by ``read_eod_dir`` in date order, then line
-order), instead of failing the whole file; a file that does not parse costs
-``read_eod_dir`` only that file.  Both parsers run with the cyclic garbage
-collector paused: a parse makes no reference cycles, so a collection during
-one finds nothing to free.
+fails takes the per-field rule.  One rule set, ``_unusable_rows``, judges
+the columns of a whole parsed file in one call and whatever a constructor
+is given; ``MarketDay`` and ``IndexSeries`` share one constructor body in
+their ``_Bars`` base and differ only in their key column.  Every skipped
+row, including a record the csv module cannot read, is reported through an
+``on_reject`` callback, in line order (and by ``read_eod_dir`` in date
+order, then line order), instead of failing the whole file; a file that
+does not parse costs ``read_eod_dir`` only that file.  Both parsers run with
+the cyclic garbage collector paused: a parse makes no reference cycles, so
+a collection during one finds nothing to free.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _EOD_NAME = re.compile(r"^(?P<market>.+)_(?P<date>\d{8})\.csv$")
 
 OnReject = Callable[["RejectedRow"], None]
+
+_Prices = Sequence[float] | np.ndarray
 
 _Parsed = TypeVar("_Parsed")
 
@@ -99,109 +102,93 @@ class RejectedRow:
     reason: str
 
 
-_FAULT_CODES = (NONFINITE_PRICE, NONPOSITIVE_PRICE, OHLC_ORDERING, UNPARSEABLE_FIELD, ZERO_VOLUME)
-
-
-def _fault_masks(
+def _unusable_rows(
     o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray, volume: np.ndarray
-) -> list[np.ndarray]:
-    """One row mask per entry of ``_FAULT_CODES``, in order of precedence.
+) -> dict[int, str]:
+    """The reason code of each row that cannot be used, keyed by position, in row order.
 
-    Every code but ``zero-volume`` makes the row unusable.  A negative volume
-    is an unparseable field: the parsers store a volume past int64 as -1.
+    The first code that applies wins: a nonfinite price, a nonpositive
+    price, OHLC ordering, then a negative volume, which is an unparseable
+    field (the parsers store a volume past int64 as -1).  Zero volume is
+    usable.  Only the rows some mask flags are labelled.
     """
-    finite = np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)
-    positive = (o > 0.0) & (h > 0.0) & (l > 0.0) & (c > 0.0)
-    misordered = (l > np.minimum(o, c)) | (h < np.maximum(o, c))
-    return [~finite, ~positive, misordered, volume < 0, volume == 0]
+    masks = {
+        NONFINITE_PRICE: ~(np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)),
+        NONPOSITIVE_PRICE: ~((o > 0.0) & (h > 0.0) & (l > 0.0) & (c > 0.0)),
+        OHLC_ORDERING: (l > np.minimum(o, c)) | (h < np.maximum(o, c)),
+        UNPARSEABLE_FIELD: volume < 0,
+    }
+    bad = np.flatnonzero(np.logical_or.reduce(list(masks.values())))
+    return {i: next(code for code, mask in masks.items() if mask[i]) for i in bad.tolist()}
 
 
-def _ohlcv_faults(
-    o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray, volume: np.ndarray
-) -> np.ndarray:
-    """Each row's reason code, or "" for a usable row; the first that applies wins."""
-    return np.select(_fault_masks(o, h, l, c, volume), _FAULT_CODES, default="")
+class _Bars:
+    """Daily OHLCV bars held as columns in ascending order of their keys."""
 
+    __slots__ = ("open", "high", "low", "close", "volume")
 
-def _check_ohlcv_rows(
-    labels: np.ndarray, o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray,
-    volume: np.ndarray,
-) -> None:
-    """Raise ValueError with the reason code of the first unusable row.
+    def _set_columns(
+        self, keys: np.ndarray, duplicate: str, open: _Prices, high: _Prices, low: _Prices,
+        close: _Prices, volume: Sequence[int] | np.ndarray,
+    ) -> np.ndarray:
+        """Store the columns in key order and return the sorted keys.
 
-    Only the masks are built; a row is labelled once one of them is set.
-    """
-    unusable = _fault_masks(o, h, l, c, volume)[:-1]
-    bad = np.flatnonzero(np.logical_or.reduce(unusable))
-    if bad.size:
-        i = bad[0]
-        code = next(code for code, mask in zip(_FAULT_CODES, unusable) if mask[i])
-        raise ValueError(
-            f"{code} at {labels[i]}: open {o[i]}, high {h[i]}, low {l[i]}, "
-            f"close {c[i]}, volume {volume[i]}"
+        Raises ValueError when the lengths differ, with the reason code of
+        the first unusable row in the order given, or ``<duplicate> <key>``
+        for a repeated key.
+        """
+        o, h, l, c = (np.asarray(col, dtype=float) for col in (open, high, low, close))
+        vol = np.asarray(volume, dtype=np.int64)
+        for col in (o, h, l, c, vol):
+            if col.shape != keys.shape:
+                raise ValueError("column lengths differ")
+        for i, code in _unusable_rows(o, h, l, c, vol).items():  # the first one raises
+            raise ValueError(
+                f"{code} at {keys[i]}: open {o[i]}, high {h[i]}, low {l[i]}, "
+                f"close {c[i]}, volume {vol[i]}"
+            )
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            raise ValueError(f"{duplicate} {keys[repeated[0]]}")
+        self.open, self.high, self.low, self.close = o[order], h[order], l[order], c[order]
+        self.volume = vol[order]
+        return keys
+
+    def __len__(self) -> int:
+        return len(self.open)
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, slot), getattr(other, slot))
+            for slot in (*type(self).__slots__, *_Bars.__slots__)
         )
 
 
-class MarketDay:
+class MarketDay(_Bars):
     """All accepted bars for one trading day, held as columns.
 
     Symbols are stored in ascending order regardless of source order, so any
     computation that runs over the columns is independent of file layout.
     """
 
-    __slots__ = ("day", "symbols", "open", "high", "low", "close", "volume")
+    __slots__ = ("day", "symbols")
 
     def __init__(
-        self,
-        day: date,
-        symbols: Sequence[str] | np.ndarray,
-        open: Sequence[float] | np.ndarray,
-        high: Sequence[float] | np.ndarray,
-        low: Sequence[float] | np.ndarray,
-        close: Sequence[float] | np.ndarray,
-        volume: Sequence[int] | np.ndarray,
+        self, day: date, symbols: Sequence[str] | np.ndarray, open: _Prices, high: _Prices,
+        low: _Prices, close: _Prices, volume: Sequence[int] | np.ndarray,
     ) -> None:
         symbols = np.asarray(symbols, dtype=str)
-        cols = [np.asarray(c, dtype=float) for c in (open, high, low, close)]
-        vol = np.asarray(volume, dtype=np.int64)
-        n = len(symbols)
-        if n == 0:
+        if len(symbols) == 0:
             raise ValueError("empty market day")
-        for c in (*cols, vol):
-            if c.shape != (n,):
-                raise ValueError("column lengths differ")
-        o, h, l, c = cols
-        _check_ohlcv_rows(symbols, o, h, l, c, vol)
-        order = np.argsort(symbols, kind="stable")
-        symbols = symbols[order]
-        if n > 1 and (symbols[1:] == symbols[:-1]).any():
-            raise ValueError(DUPLICATE_SYMBOL)
         self.day = day
-        self.symbols = symbols
-        self.open = o[order]
-        self.high = h[order]
-        self.low = l[order]
-        self.close = c[order]
-        self.volume = vol[order]
-
-    def __len__(self) -> int:
-        return len(self.symbols)
+        self.symbols = self._set_columns(symbols, DUPLICATE_SYMBOL, open, high, low, close, volume)
 
     def __repr__(self) -> str:
         return f"MarketDay({self.day.isoformat()}, {len(self)} symbols)"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MarketDay):
-            return NotImplemented
-        return (
-            self.day == other.day
-            and np.array_equal(self.symbols, other.symbols)
-            and np.array_equal(self.open, other.open)
-            and np.array_equal(self.high, other.high)
-            and np.array_equal(self.low, other.low)
-            and np.array_equal(self.close, other.close)
-            and np.array_equal(self.volume, other.volume)
-        )
 
     @property
     def tradable(self) -> np.ndarray:
@@ -212,89 +199,37 @@ class MarketDay:
     def n_tradable(self) -> int:
         return int(self.tradable.sum())
 
+    def _bar(self, i: int) -> DailyBar:
+        prices = (float(col[i]) for col in (self.open, self.high, self.low, self.close))
+        return DailyBar(str(self.symbols[i]), *prices, int(self.volume[i]))
+
     def bars(self) -> Iterator[DailyBar]:
-        for i in range(len(self)):
-            yield DailyBar(
-                str(self.symbols[i]),
-                float(self.open[i]),
-                float(self.high[i]),
-                float(self.low[i]),
-                float(self.close[i]),
-                int(self.volume[i]),
-            )
+        return map(self._bar, range(len(self)))
 
     def bar(self, symbol: str) -> DailyBar:
         i = int(np.searchsorted(self.symbols, symbol))
         if i >= len(self) or self.symbols[i] != symbol:
             raise KeyError(symbol)
-        return DailyBar(
-            symbol,
-            float(self.open[i]),
-            float(self.high[i]),
-            float(self.low[i]),
-            float(self.close[i]),
-            int(self.volume[i]),
-        )
+        return self._bar(i)
 
 
-class IndexSeries:
+class IndexSeries(_Bars):
     """An index's daily bars in strictly increasing date order."""
 
-    __slots__ = ("name", "dates", "open", "high", "low", "close", "volume")
+    __slots__ = ("name", "dates")
 
     def __init__(
-        self,
-        name: str,
-        dates: Sequence[date] | np.ndarray,
-        open: Sequence[float] | np.ndarray,
-        high: Sequence[float] | np.ndarray,
-        low: Sequence[float] | np.ndarray,
-        close: Sequence[float] | np.ndarray,
-        volume: Sequence[int] | np.ndarray,
+        self, name: str, dates: Sequence[date] | np.ndarray, open: _Prices, high: _Prices,
+        low: _Prices, close: _Prices, volume: Sequence[int] | np.ndarray,
     ) -> None:
         dates = np.asarray(dates, dtype="datetime64[D]")
-        cols = [np.asarray(c, dtype=float) for c in (open, high, low, close)]
-        vol = np.asarray(volume, dtype=np.int64)
-        n = len(dates)
-        if n == 0:
+        if len(dates) == 0:
             raise ValueError("empty index series")
-        for c in (*cols, vol):
-            if c.shape != (n,):
-                raise ValueError("column lengths differ")
-        order = np.argsort(dates, kind="stable")
-        dates = dates[order]
-        if n > 1 and (dates[1:] == dates[:-1]).any():
-            dup = dates[:-1][dates[1:] == dates[:-1]][0]
-            raise ValueError(f"duplicate date {dup}")
-        o, h, l, c = (col[order] for col in cols)
-        vol = vol[order]
-        _check_ohlcv_rows(dates, o, h, l, c, vol)
         self.name = name
-        self.dates = dates
-        self.open = o
-        self.high = h
-        self.low = l
-        self.close = c
-        self.volume = vol
-
-    def __len__(self) -> int:
-        return len(self.dates)
+        self.dates = self._set_columns(dates, "duplicate date", open, high, low, close, volume)
 
     def __repr__(self) -> str:
         return f"IndexSeries({self.name!r}, {len(self)} days)"
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, IndexSeries):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and np.array_equal(self.dates, other.dates)
-            and np.array_equal(self.open, other.open)
-            and np.array_equal(self.high, other.high)
-            and np.array_equal(self.low, other.low)
-            and np.array_equal(self.close, other.close)
-            and np.array_equal(self.volume, other.volume)
-        )
 
 
 def _strip_thousands(field: str) -> str:
@@ -412,9 +347,9 @@ def _judge(
     ``rejected`` holds the rows rejected before conversion.  Through
     ``_convert``, prices are read with ``float`` and volumes, their commas
     removed, with ``to_volume``.  A row with a field that cannot be read is
-    unparseable; the others are judged by ``_ohlcv_faults``.  With ``unique_keys`` a key already kept makes a row
-    a duplicate.  Delivers every reject in line order and returns the kept
-    rows' keys and columns.
+    unparseable; the others are judged by ``_unusable_rows``.  With
+    ``unique_keys`` a key already kept makes a row a duplicate.  Delivers
+    every reject in line order and returns the kept rows' keys and columns.
     """
     columns = []
     unparseable: set[int] = set()
@@ -431,21 +366,22 @@ def _judge(
         volume = np.array(columns[4], dtype=np.int64)
     except OverflowError:
         volume = np.array([_volume_in_range(v) for v in columns[4]], dtype=np.int64)
-    faults = _ohlcv_faults(o, h, l, c, volume).tolist()
-    for i in unparseable:
-        faults[i] = UNPARSEABLE_FIELD
+    faults = _unusable_rows(o, h, l, c, volume)
+    faults.update(dict.fromkeys(unparseable, UNPARSEABLE_FIELD))
     kept: list[int] = []
     seen = set()
-    for i, fault in enumerate(faults):
-        if fault and fault != ZERO_VOLUME:
-            rejected.append(RejectedRow(lines[i], ",".join(records[lines[i] - 1]), fault))
-        elif unique_keys and keys[i] in seen:
-            rejected.append(
-                RejectedRow(lines[i], ",".join(records[lines[i] - 1]), DUPLICATE_SYMBOL)
-            )
+    for i, key in enumerate(keys):
+        if i in faults:
+            continue
+        if unique_keys and key in seen:
+            faults[i] = DUPLICATE_SYMBOL
         else:
-            seen.add(keys[i])
+            seen.add(key)
             kept.append(i)
+    rejected.extend(
+        RejectedRow(lines[i], ",".join(records[lines[i] - 1]), fault)
+        for i, fault in faults.items()
+    )
     if on_reject is not None:
         for r in sorted(rejected, key=lambda r: r.line):
             on_reject(r)

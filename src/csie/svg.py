@@ -128,11 +128,10 @@ def line_chart(
     ma_label: str = "",
     bubble_sizes: np.ndarray | None = None,
     bubble_label: str = "",
-    width: int = 960,
-    height: int = 380,
 ) -> str:
     """A dated line chart; bubbles (sized by ``bubble_sizes``, aligned with
     the main series) sit on the line, and ``ma`` draws a second series."""
+    width, height = 960, 380
     c = _Canvas(width, height)
     lo = min(float(series.values.min()), float(ma.values.min()) if ma is not None and len(ma) else float(series.values.min()))
     hi = max(float(series.values.max()), float(ma.values.max()) if ma is not None and len(ma) else float(series.values.max()))
@@ -163,16 +162,11 @@ def line_chart(
     return c.to_xml()
 
 
-def small_multiples(
-    panels: list[tuple[str, DatedSeries]],
-    *,
-    title: str = "",
-    width: int = 960,
-    panel_height: int = 110,
-) -> str:
+def small_multiples(panels: list[tuple[str, DatedSeries]], *, title: str = "") -> str:
     """Vertically stacked line panels sharing the x axis, one per series."""
     if not panels:
         raise ValueError("no panels")
+    width, panel_height = 960, 110
     height = 40 + panel_height * len(panels) + 30
     c = _Canvas(width, height)
     if title:
@@ -203,8 +197,9 @@ def small_multiples(
     return c.to_xml()
 
 
-def dendrogram_svg(dendro: Dendrogram, *, width: int = 520, height: int = 360) -> str:
+def dendrogram_svg(dendro: Dendrogram) -> str:
     """Classic bottom-up dendrogram of the four price columns."""
+    width, height = 520, 360
     children: dict[Label, tuple[Label, Label]] = {}
     heights: dict[Label, float] = {}
     for s in dendro.steps:

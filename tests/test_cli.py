@@ -417,6 +417,22 @@ def test_cluster_counts_only_regular_files(world, tmp_path, capsys):
     assert stdout.count("wrote ") == 3
 
 
+def test_cluster_of_prices_whose_squares_underflow(tmp_path, capsys):
+    eod = tmp_path / "eod"
+    eod.mkdir()
+    (eod / "X_20210104.csv").write_text(
+        "A,1e-110,2e-110,0.5e-110,1.5e-110,10\n"
+        "B,2e-110,3e-110,1.5e-110,2.5e-110,10\n"
+        "C,3e-110,4.1e-110,2.5e-110,3.6e-110,10\n"
+    )
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        ["cluster", "--market-dir", str(eod), "--date", "2021-01-04", "--out", str(out)], capsys
+    )
+    assert code == 0, stderr
+    assert "Traceback" not in stderr and stdout.count("wrote ") == 3
+
+
 # --- configuration ------------------------------------------------------------------------------
 
 def test_config_file_round_trip(tmp_path):

@@ -18,6 +18,7 @@ from csie.clustering import (
     cluster_day,
     corr_distance,
 )
+from csie.market_data import MarketDay
 
 from helpers import make_market_day
 from oracles import naive_corr_distance, naive_upgma, upgma_merge_is_minimal
@@ -229,3 +230,16 @@ def test_cluster_day_end_to_end():
     assert tree.newick() == direct.newick()
     logged = cluster_day(day, log_prices=True)
     assert logged.merge_csv() != tree.merge_csv()
+
+
+@pytest.mark.parametrize("k", [-365, 660, -1000, 960])
+def test_cluster_day_is_invariant_under_power_of_two_scaling(k):
+    # squared deviations of the scaled prices leave the float range (below
+    # it at -365 and -1000, above at 660 and 960); the tree keeps its bits
+    day = make_market_day(np.random.default_rng(61), DAY, 10)
+    scale = 2.0**k
+    scaled = MarketDay(DAY, day.symbols, day.open * scale, day.high * scale, day.low * scale,
+                       day.close * scale, day.volume)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert cluster_day(scaled).merge_csv() == cluster_day(day).merge_csv()

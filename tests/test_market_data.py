@@ -2,11 +2,11 @@ from __future__ import annotations
 
 import csv
 import gc
-from datetime import date
+from datetime import date, timedelta
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csie.market_data import (
@@ -29,6 +29,7 @@ from csie.market_data import (
 )
 
 from helpers import FIXTURE_DAY, table1_csv, to_eod_csv
+from rowwise_ingest import _verdict
 
 D = FIXTURE_DAY
 
@@ -253,7 +254,7 @@ def test_market_day_sorts_symbols():
 
 
 def test_market_day_rejects_duplicates_and_bad_columns():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{DUPLICATE_SYMBOL} A$"):
         MarketDay(D, ["A", "A"], [1, 1], [2, 2], [0.5, 0.5], [1.5, 1.5], [1, 1])
     with pytest.raises(ValueError):
         MarketDay(D, ["A"], [1, 1], [2], [0.5], [1.5], [1])
@@ -267,6 +268,63 @@ def test_market_day_rejects_duplicates_and_bad_columns():
         MarketDay(D, ["A"], [1.0], [0.9], [0.5], [1.5], [1])
     with pytest.raises(ValueError, match="volume"):
         MarketDay(D, ["A"], [1.0], [2.0], [0.5], [1.5], [-1])
+
+
+@st.composite
+def keyed_bars(draw):
+    """Rows of (key, open, high, low, close, volume): valid bars, bars with one
+    or two faults (each reject reason and zero volume), few distinct keys so
+    that some repeat, in the order drawn."""
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        o, c = (draw(st.floats(0.5, 100.0)) for _ in range(2))
+        bar = [o, max(o, c) * draw(st.floats(1.0, 1.5)), min(o, c) / draw(st.floats(1.0, 1.5)),
+               c, draw(st.integers(1, 10**6))]
+        for fault in draw(st.lists(st.sampled_from(
+                [NONFINITE_PRICE, NONPOSITIVE_PRICE, OHLC_ORDERING, UNPARSEABLE_FIELD,
+                 ZERO_VOLUME]), max_size=2)):
+            if fault == NONFINITE_PRICE:
+                bar[draw(st.integers(0, 3))] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+            elif fault == NONPOSITIVE_PRICE:
+                bar[draw(st.integers(0, 3))] = draw(st.sampled_from([0.0, -1.0]))
+            elif fault == OHLC_ORDERING:
+                bar[1] = min(bar[0], bar[3]) * 0.9
+            else:
+                bar[4] = -1 if fault == UNPARSEABLE_FIELD else 0
+        rows.append((draw(st.integers(0, 7)), *bar))
+    return rows
+
+
+BUILDS = {
+    "MarketDay": (lambda k: f"S{k}", lambda keys, *cols: MarketDay(D, keys, *cols),
+                  lambda day: day.symbols, DUPLICATE_SYMBOL),
+    "IndexSeries": (lambda k: date(2021, 1, 4) + timedelta(days=k),
+                    lambda keys, *cols: IndexSeries("X", keys, *cols),
+                    lambda series: series.dates, "duplicate date"),
+}
+
+
+@pytest.mark.parametrize("kind", BUILDS)
+@settings(max_examples=150, deadline=None)
+@given(rows=keyed_bars(), data=st.data())
+def test_constructors_judge_rows_like_the_rowwise_reference(kind, rows, data):
+    key_of, build, keys_of, duplicate = BUILDS[kind]
+    rows = [(key_of(k), *bar) for k, *bar in rows]
+    keys = [row[0] for row in rows]
+    rejected = [(row[0], v) for row in rows if (v := _verdict(*row[1:])) not in (None, ZERO_VOLUME)]
+    repeated = sorted(k for k in set(keys) if keys.count(k) > 1)
+    if rejected or repeated:
+        with pytest.raises(ValueError) as info:
+            build(*zip(*rows))
+        if rejected:
+            key, code = rejected[0]
+            assert str(info.value).startswith(f"{code} at {key}: ")
+        else:
+            assert str(info.value) == f"{duplicate} {repeated[0]}"
+        return
+    built = build(*zip(*rows))
+    assert list(map(str, keys_of(built))) == sorted(map(str, keys))  # ISO dates sort as dates
+    assert build(*zip(*data.draw(st.permutations(rows)))) == built
 
 
 def test_market_day_bar_lookup_missing():
