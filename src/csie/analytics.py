@@ -20,19 +20,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import exact_dot, exact_mean, exact_rowsums, pearson
 from ._vocab import ALL_INTERVAL, ESTIMATOR_TAGS, INTERVAL_SEMANTICS
-from .cross_section import CsieDay
 from .estimators import KERNELS, bar_terms
 from .intrinsic import NO_VOLUME, _ie_rows, _shares
-from .market_data import IndexSeries
+
+if TYPE_CHECKING:
+    from .cross_section import CsieDay
+    from .market_data import IndexSeries
 
 STATISTICS = ("mean", "variance", "pearson", "beta")
+NOT_FINITE = "price ratio past the float range"
 
 _NEEDS_SEED = {"cc": True, "pk": False, "gk": False, "rs": False, "yz": True, "ie": True}
 _MIN_WINDOW = {"yz": 2, "ie": 2}
@@ -96,11 +99,16 @@ class RollingError(ValueError):
         self.series, self.last_failed = series, last_failed
 
 
-def _rolls(series: IndexSeries, tag: str, w: int) -> tuple[list[VolSeries], np.ndarray]:
+def _rolls(
+    series: IndexSeries, tag: str, w: int
+) -> tuple[list[VolSeries], np.ndarray, np.ndarray]:
     """Every trailing w-bar window's estimate, all windows at once.
 
     Returns one series per blend (``ie``: signed, then absolute; the other
-    tags have one) and the positions of the failed windows, which are NaN.
+    tags have one), the positions of the failed windows, which are NaN, and
+    which windows failed with NOT_FINITE: an estimate that is not a finite
+    number.  The other failed windows are ``ie`` windows with NO_VOLUME; a
+    window with no volume fails with that cause alone.
     """
     if tag not in ESTIMATOR_TAGS:
         raise ValueError(f"unknown estimator {tag!r}")
@@ -117,18 +125,19 @@ def _rolls(series: IndexSeries, tag: str, w: int) -> tuple[list[VolSeries], np.n
         series.open[first:], series.high[first:], series.low[first:], series.close[first:],
         series.close[:-1] if first else None,
     )
-    failed = np.zeros(0, dtype=np.intp)
+    dates = series.dates[required - 1 :]
+    no_volume = np.zeros(len(dates), dtype=bool)
     if tag == "ie":
         p, seed_p, total = _shares(series.volume, w)
         *_, signed, magnitude = _ie_rows(terms, p, seed_p, w)
-        failed = np.flatnonzero(total <= 0.0)
-        blends = [signed, magnitude]
-        for values in blends:
-            values[failed] = math.nan
+        blends, no_volume = [signed, magnitude], total <= 0.0
     else:
         blends = [KERNELS[tag](terms, w)]
-    dates = series.dates[required - 1 :]
-    return [VolSeries(dates, values, tag, w) for values in blends], failed
+    not_finite = ~no_volume & ~np.logical_and.reduce([np.isfinite(v) for v in blends])
+    failed = np.flatnonzero(no_volume | not_finite)
+    for values in blends:
+        values[failed] = math.nan
+    return [VolSeries(dates, values, tag, w) for values in blends], failed, not_finite
 
 
 def rolling_estimate(
@@ -140,14 +149,16 @@ def rolling_estimate(
     than range-only ones because the first bar must seed the window.
     ``use_abs`` selects the absolute blend for the intrinsic-entropy
     estimator; the others are nonnegative by construction.  Windows where
-    the estimator fails (``ie`` with no traded volume) give a RollingError.
-    All windows are computed at once by the estimator's kernel, each value
-    bit-identical to the single-window function on that window.
+    the estimator fails (``ie`` with no traded volume, or an estimate that a
+    price ratio past the float range leaves without a value) give a
+    RollingError.  All windows are computed at once by the estimator's
+    kernel, each value bit-identical to the single-window function on that
+    window.
     """
-    blends, failed = _rolls(series, tag, w)
+    blends, failed, not_finite = _rolls(series, tag, w)
     out = blends[-1] if use_abs else blends[0]
     if len(failed):
-        first = ValueError(NO_VOLUME)
+        first = ValueError(NOT_FINITE if not_finite[failed[0]] else NO_VOLUME)
         raise RollingError(first, out, int(failed[-1])) from first
     return out
 
@@ -265,6 +276,7 @@ def comparison_grids(
     windows_: Sequence[int],
     *,
     semantics: str = "smoothed-points",
+    on_error: Callable[[str], None] | None = None,
 ) -> dict[str, ComparisonGrid]:
     """Evaluate every statistic over the interval x window grid, in one pass.
 
@@ -278,9 +290,11 @@ def comparison_grids(
     estimator windows (seed bar included) within the last t index bars and
     the moving-average windows within the last t market days, and is NA when
     either has fewer than t, or when those bars hold a failed estimator
-    window (``ie`` with no traded volume; smoothed-points: any failed window).
-    "all" keeps everything.  Unsupported cells become None ("NA" in CSV);
-    the grid shape never varies with the data.
+    window (``ie`` with no traded volume, or an estimate that is not finite;
+    smoothed-points: any failed window).  "all" keeps everything.
+    Unsupported cells become None ("NA" in CSV); the grid shape never varies
+    with the data.  ``on_error`` is called with a message for each
+    (estimator, window) roll that has a window whose estimate is not finite.
     """
     if semantics not in INTERVAL_SEMANTICS:
         raise ValueError(f"unknown interval semantics {semantics!r}")
@@ -309,9 +323,11 @@ def comparison_grids(
             ma = []
         for tag in estimators if ma else ():
             try:
-                vols, failed = _rolls(index, tag, w)  # ie keeps both blends
+                vols, failed, not_finite = _rolls(index, tag, w)  # ie keeps both blends
             except ValueError:
                 continue
+            if on_error is not None and not_finite.any():
+                on_error(f"estimator {tag!r}, window {w}: {NOT_FINITE}")
             reach = math.inf
             if len(failed):  # window i spans the last n_bars - i bars
                 reach = n_bars - int(failed[-1]) - 1 if raw_days else 0

@@ -16,7 +16,10 @@ Parsing and checking the options loads no compute module: the option
 vocabulary comes from ``_vocab``, and each command imports what it calls when
 it starts.  So ``--help``, a usage error and a configuration error exit
 without loading numpy, which loads once the arguments and the configuration
-are valid and a command starts reading data.
+are valid and a command starts reading data.  The CLI runs numpy's BLAS with
+one thread unless the user set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
+or ``OMP_NUM_THREADS``: csie makes no BLAS call, and each thread of the pool
+that OpenBLAS starts when it loads costs CPU time.
 
 Exit codes: 0 all outputs written, 1 partial or processing failure
 (per-output status on stderr), 2 unusable input (unreadable directory,
@@ -29,6 +32,7 @@ stderr; the outputs cover the other days and the exit code is 1.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import warnings
 from dataclasses import dataclass, field
@@ -63,6 +67,9 @@ DEFAULTS = {
     "abs": "false",
     "log_prices": "false",
 }
+
+# Any one of these set by the user decides how many threads numpy's BLAS starts.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 _CONFIG_KEYS = {
     "market_dir",
@@ -400,11 +407,15 @@ def cmd_compare(cfg: RunConfig) -> int:
     index = _load_index(cfg)
     rows, skipped = _csie_rows(days, cfg.alpha)
     emitter = _Emitter(cfg.out)
+    errors: list[str] = []
     grids = comparison_grids(index, rows, cfg.estimators, cfg.intervals,
-                             tuple(sorted(cfg.windows)), semantics=cfg.interval_semantics)
+                             tuple(sorted(cfg.windows)), semantics=cfg.interval_semantics,
+                             on_error=errors.append)
+    for message in errors:
+        print(f"error: {message}", file=sys.stderr)
     for stat, grid in grids.items():
         emitter.emit(f"grid_{stat}.csv", grid.to_csv)
-    return 1 if files_skipped or skipped else emitter.status()
+    return 1 if files_skipped or skipped or errors else emitter.status()
 
 
 def cmd_cluster(cfg: RunConfig) -> int:
@@ -484,10 +495,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_blas_thread() -> None:
+    """Have numpy's BLAS start one thread when numpy loads, unless the user
+    chose a thread count or numpy is loaded already (the setting would not
+    act, and the caller's environment stays as it was)."""
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
+        _one_blas_thread()
         return _COMMANDS[args.command](cfg)
     except (ConfigError, InputError) as exc:
         print(f"error: {exc}", file=sys.stderr)

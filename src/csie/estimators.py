@@ -51,15 +51,25 @@ class BarTerms(NamedTuple):
 
 def bar_terms(o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray,
               prev_close: np.ndarray | None) -> BarTerms:
-    """Each bar's log terms; ``prev_close`` is NaN for a bar without one."""
-    hl = np.log(h / l)
-    co = np.log(c / o)
-    rs = np.log(h / o) * np.log(h / c) + np.log(l / o) * np.log(l / c)
-    cc2 = gap = None
-    if prev_close is not None:
-        r = np.log(c / prev_close)
-        cc2, gap = r * r, np.log(o / prev_close)
-    return BarTerms(hl * hl, 0.5 * hl * hl - _GK_CLOSE_COEF * co * co, co, rs, cc2, gap)
+    """Each bar's log terms; ``prev_close`` is NaN for a bar without one.
+
+    A term that a price ratio past the float range makes infinite or NaN is
+    NaN, so every estimate that reads it is NaN: infinite terms of both signs
+    would make an exact sum raise, and a negative one would be clamped.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        hl = np.log(h / l)
+        co = np.log(c / o)
+        rs = np.log(h / o) * np.log(h / c) + np.log(l / o) * np.log(l / c)
+        cc2 = gap = None
+        if prev_close is not None:
+            r = np.log(c / prev_close)
+            cc2, gap = r * r, np.log(o / prev_close)
+        terms = (hl * hl, 0.5 * hl * hl - _GK_CLOSE_COEF * co * co, co, rs, cc2, gap)
+    for a in terms:
+        if a is not None:
+            a[~np.isfinite(a)] = math.nan
+    return BarTerms(*terms)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +209,10 @@ def vol_rogers_satchell(w: OhlcWindow) -> float:
 def yz_k(n: int) -> float:
     """Yang-Zhang blend constant, 0.34 / (1.34 + (n+1)/(n-1)).
 
-    Strictly increasing in n, approaching 0.34/2.34 from below.
+    The constant that minimises the variance of the blended estimator, from
+    Yang & Zhang (2000), "Drift-independent volatility estimation based on
+    high, low, open, and close prices", Journal of Business 73(3).  Strictly
+    increasing in n, approaching 0.34/2.34 from below.
     """
     if n < 2:
         raise ValueError("Yang-Zhang k needs a window of at least 2 bars")

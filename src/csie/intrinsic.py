@@ -1,5 +1,9 @@
 """Intrinsic-entropy (IE) volatility estimator for an index OHLCV window.
 
+The estimator is that of Vințe, Ausloos & Furtună (2021), "A volatility
+estimator of stock market indices based on the intrinsic entropy model",
+Entropy 23(4), 484.
+
 Where the classic estimators average squared log returns, IE weights each
 day's price terms by p_i * ln(p_i), with p_i the day's share of the window's
 traded volume (p_i = q_i / Q, Q summed over the n window days).  The overnight

@@ -11,10 +11,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .clustering import Dendrogram, Label
-
 if TYPE_CHECKING:
     from .analytics import DatedSeries
+    from .clustering import Dendrogram, Label
 
 _FONT = 'font-family="sans-serif" font-size="11"'
 

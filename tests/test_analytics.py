@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from datetime import date
 
 import numpy as np
@@ -535,6 +536,63 @@ def test_grid_smoothed_points_failed_window_fails_the_column():
     g = comparison_grids(index, rows, ["ie", "pk"], [10, ALL_INTERVAL], [5])["pearson"]
     assert g.cell(10, 5, "ie") is None and g.cell(ALL_INTERVAL, 5, "ie") is None
     assert g.cell(10, 5, "pk") is not None
+
+
+def extreme_world(*bars):
+    """grid_world with bars 20, 21, ... replaced by ``bars``: valid bars whose
+    price ratios reach past the float range."""
+    index, rows = grid_world()
+    o, h, l, c = (a.copy() for a in (index.open, index.high, index.low, index.close))
+    for i, bar in enumerate(bars, start=20):
+        o[i], h[i], l[i], c[i] = bar
+    return IndexSeries(index.name, index.dates, o, h, l, c, index.volume), rows
+
+
+UP = (1e-300, 1e300, 1e-300, 1e300)  # ln(H/L) and ln(C/O) are inf
+DOWN = (1e300, 1e300, 1e-300, 1e-300)  # ln(C/O) is -inf, so UP, DOWN is fsum's -inf + inf
+
+
+@pytest.mark.parametrize("tag", ["pk", "gk", "rs", "yz", "ie"])
+def test_rolling_window_past_the_float_range_fails(tag):
+    index, _ = extreme_world(UP, DOWN)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(analytics.RollingError, match="^price ratio past the float range$") as info:
+            rolling_estimate(index, tag, 5)
+    vol = info.value.series
+    failed = np.flatnonzero(np.isnan(vol.values))
+    assert vol.dates[failed].tolist() == index.dates[20:26].tolist()  # windows over bar 20 or 21
+    assert info.value.last_failed == failed[-1]
+
+
+@pytest.mark.parametrize(
+    "zero, message",
+    [(slice(5, 12), "no volume"), (slice(40, 47), "price ratio")],
+    ids=["no-volume-first", "price-ratio-first"],
+)
+def test_rolling_first_failed_window_names_the_error(zero, message):
+    index, _ = extreme_world(UP)
+    volume = index.volume.copy()
+    volume[zero] = 0
+    index = IndexSeries(index.name, index.dates, index.open, index.high, index.low, index.close,
+                        volume)
+    with pytest.raises(analytics.RollingError, match=message) as info:
+        rolling_estimate(index, "ie", 5)
+    assert np.isnan(info.value.series.values).sum() == 5 + 3  # over bar 20, and with no volume
+
+
+def test_grid_reports_each_roll_past_the_float_range():
+    index, rows = extreme_world(UP)  # the closes around bar 20 stay in range: cc is finite
+    errors = []
+    grids = comparison_grids(index, rows, ["cc", "pk", "ie"], [10, ALL_INTERVAL], [5, 10],
+                             on_error=errors.append)
+    assert errors == [f"estimator {tag!r}, window {w}: price ratio past the float range"
+                      for w in (5, 10) for tag in ("pk", "ie")]
+    for g in grids.values():
+        for t in (10, ALL_INTERVAL):
+            for w in (5, 10):
+                assert g.cell(t, w, "pk") is None and g.cell(t, w, "ie") is None
+                assert math.isfinite(g.cell(t, w, "cc"))
 
 
 def test_grid_raw_days_interval_too_large_is_na():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import os
 import re
 import subprocess
@@ -462,11 +463,18 @@ def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
     assert load_config_file(cfg) == {"windows": "7"}
 
 
-def _probe(code: str, *argv: str) -> subprocess.CompletedProcess:
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _probe(code: str, *argv: str,
+           env: dict[str, str] | None = None) -> subprocess.CompletedProcess:
+    """Runs ``python -c code argv`` on the source tree, with no BLAS thread
+    variable set but those in ``env``."""
     src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    child = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    child.update(env or {}, PYTHONPATH=str(src))
     return subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
-                          env=env, timeout=60)
+                          env=child, timeout=60)
 
 
 # The code of the installed ``csie`` script.
@@ -534,7 +542,8 @@ LOADED_PROBE = (
     "from csie.cli import main\n"
     "rc = main(sys.argv[1:])\n"
     "print(rc, *(m for m in ('csie.analytics', 'csie.estimators', 'csie.intrinsic',\n"
-    "                        'csie.cross_section', 'concurrent.futures') if m in sys.modules))\n"
+    "                        'csie.cross_section', 'csie.clustering', 'concurrent.futures')\n"
+    "            if m in sys.modules))\n"
 )
 
 
@@ -557,7 +566,174 @@ def test_a_command_loads_only_the_modules_it_uses(world, tmp_path, argv):
     assert rc == "0"
     assert "concurrent.futures" not in loaded  # files are parsed without a thread pool
     if argv[0] == "cluster":  # clustering needs no estimator or cross-section module
-        assert loaded == []
+        assert loaded == ["csie.clustering"]
+    else:
+        assert "csie.clustering" not in loaded
+    if argv[0] == "indexvol":  # the index estimators need no market cross-section
+        assert "csie.cross_section" not in loaded
+
+
+# Runs the CLI and prints its exit code, its OS thread count ("-" where
+# /proc/self/task does not exist) and each BLAS thread variable as it left it.
+THREAD_PROBE = (
+    "import os, sys\n"
+    "from csie.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "task = '/proc/self/task'\n"
+    "print(rc, len(os.listdir(task)) if os.path.isdir(task) else '-',\n"
+    f"      *(os.environ.get(v, '-') for v in {BLAS_THREAD_VARS!r}))\n"
+)
+
+
+def _after_indexvol(world, tmp_path, env=None) -> list[str]:
+    """THREAD_PROBE's line after one indexvol run, which loads numpy."""
+    _, index = world
+    done = _probe(THREAD_PROBE, "indexvol", "--index", str(index), "--windows", "5",
+                  "--out", str(tmp_path), env=env)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1].split()
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="no /proc/self/task")
+def test_a_command_runs_in_one_os_thread(world, tmp_path):
+    assert _after_indexvol(world, tmp_path) == ["0", "1", "1", "-", "-"]
+
+
+@pytest.mark.parametrize("var", BLAS_THREAD_VARS)
+def test_a_blas_thread_count_the_user_set_is_kept(world, tmp_path, var):
+    rc, _, *values = _after_indexvol(world, tmp_path, {var: "2"})
+    assert rc == "0"
+    assert values == ["2" if v == var else "-" for v in BLAS_THREAD_VARS]
+
+
+def test_main_leaves_the_environment_alone_once_numpy_is_loaded(world, tmp_path):
+    _, index = world
+    done = _probe(
+        "import os, sys\n"
+        "import numpy\n"
+        "from csie.cli import main\n"
+        "before = dict(os.environ)\n"
+        "rc = main(sys.argv[1:])\n"
+        "print(rc, dict(os.environ) == before)\n",
+        "indexvol", "--index", str(index), "--windows", "5", "--out", str(tmp_path),
+    )
+    assert done.stdout.splitlines()[-1] == "0 True", done.stderr
+
+
+def test_importing_the_package_leaves_the_environment_alone():
+    done = _probe(
+        "import os; before = dict(os.environ); import csie, csie.cli; "
+        "print(dict(os.environ) == before)"
+    )
+    assert done.stdout.strip() == "True", done.stderr
+
+
+# Calls that numpy may hand to BLAS: with none in the package, the number of
+# BLAS threads cannot change an output bit.
+BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "corrcoef", "cov",
+              "polyfit", "lstsq"}
+# The field that holds a node's (dotted) name.
+NAME_FIELD = {ast.Attribute: "attr", ast.Name: "id", ast.alias: "name", ast.ImportFrom: "module"}
+
+
+def _blas_uses(tree: ast.AST) -> list[str]:
+    """Each ``@``, call named in BLAS_CALLS and use of ``linalg`` in the tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            found.append("@")
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in BLAS_CALLS:
+                found.append(f"{name}()")
+        field = NAME_FIELD.get(type(node))
+        if field and "linalg" in (getattr(node, field) or "").split("."):
+            found.append("linalg")
+    return found
+
+
+def test_the_package_makes_no_blas_call():
+    src = Path(__file__).resolve().parent.parent / "src" / "csie"
+    uses = {}
+    for path in sorted(src.glob("*.py")):
+        found = _blas_uses(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if found:
+            uses[path.name] = found
+    assert uses == {}
+
+
+@pytest.mark.parametrize(
+    "code, found",
+    [("a @ b", ["@"]), ("a @= b", ["@"]), ("np.dot(a, b)", ["dot()"]), ("cov(a)", ["cov()"]),
+     ("np.linalg.norm(a)", ["linalg"]), ("import numpy.linalg", ["linalg"]),
+     ("from numpy.linalg import norm", ["linalg"]), ("exact_dot(a, b); a * b", [])],
+)
+def test_the_blas_guard_sees_each_kind_of_call(code, found):
+    assert _blas_uses(ast.parse(code)) == found
+
+
+def test_compare_output_does_not_depend_on_the_blas_thread_count(world, tmp_path):
+    eod, index = world
+    outputs = []
+    for sub, env in (("unset", None), ("two", {"OPENBLAS_NUM_THREADS": "2"})):
+        out = tmp_path / sub
+        done = _probe(ENTRY_PROBE, "compare", "--market-dir", str(eod), "--index", str(index),
+                      "--out", str(out), env=env)
+        assert done.returncode == 0, done.stderr
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
+
+# A five-bar index whose valid third bar has price ratios past the float range,
+# and a market of the same five days.
+EXTREME_BARS = (
+    "2021-06-01,10,11,9,10.5,1000\n"
+    "2021-06-02,10.5,11,10,10.8,1200\n"
+    "2021-06-03,1e-300,1e300,1e-300,1e300,100\n"
+    "2021-06-04,10.8,11.2,10.1,11,900\n"
+    "2021-06-07,11,11.5,10.5,11.2,1100\n"
+)
+NOT_FINITE_TAGS = ("pk", "gk", "rs", "yz", "ie")  # cc reads no ratio of the third bar
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["indexvol", "--windows", "3"], ["compare", "--windows", "2,3", "--intervals", "2,all"]],
+    ids=lambda argv: argv[0],
+)
+def test_a_price_ratio_past_the_float_range_is_never_written(tmp_path, argv):
+    index = tmp_path / "index.csv"
+    index.write_text("Date,Open,High,Low,Close,Volume\n" + EXTREME_BARS)
+    eod = tmp_path / "eod"
+    eod.mkdir()
+    for i, day in enumerate(("20210601", "20210602", "20210603", "20210604", "20210607")):
+        (eod / f"M_{day}.csv").write_text(
+            f"AA,10,11,9,10.{i},{100 + 50 * i}\nBB,20,21,19,20.5,300\nCC,5,5.5,4.8,5.2,700\n"
+        )
+    out = tmp_path / "out"
+    done = _probe(ENTRY_PROBE, *argv, "--market-dir", str(eod), "--index", str(index),
+                  "--out", str(out))
+    assert "Warning" not in done.stderr and "Traceback" not in done.stderr
+    if argv[0] == "indexvol":  # as for an ie window with no volume
+        assert done.returncode == 2
+        assert done.stderr == "error: estimator 'pk', window 3: price ratio past the float range\n"
+        assert not out.exists()
+        return
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        f"error: estimator {tag!r}, window {w}: price ratio past the float range"
+        for w in (2, 3) for tag in NOT_FINITE_TAGS
+    ]
+    assert done.stdout.count("wrote ") == 4
+    for path in sorted(out.iterdir()):
+        text = path.read_text()
+        assert not re.findall(r"\b(?:nan|inf)\b", text, re.I), path.name
+    mean = (out / "grid_mean.csv").read_text().splitlines()
+    assert mean[0] == "interval,window,cc,pk,gk,rs,yz,ie,csie"
+    for row in mean[1:]:
+        cells = row.split(",")
+        assert cells[3:8] == ["NA"] * 5 and "NA" not in (cells[2], cells[8]), row
 
 
 def test_package_loads_its_exports_on_first_use():

@@ -31,13 +31,26 @@ def unchecked_series(dates, o, h, l, c, volume) -> IndexSeries:
     return s
 
 
+# Valid bars whose price ratios reach past the float range.
+EXTREME_BARS = [
+    (1e-300, 1e300, 1e-300, 1e300),
+    (1e300, 1e300, 1e-300, 1e-300),
+    (5e-324, 1.7e308, 5e-324, 1.0),
+    (1.0, 1.7e308, 5e-324, 1.7e308),
+]
+
+
 @st.composite
 def index_series(draw) -> IndexSeries:
-    """Random bars with zero-volume stretches; sometimes some bars have a
+    """Random bars with zero-volume stretches; sometimes a few bars whose
+    price ratios reach past the float range, and sometimes some bars have a
     high and low that do not bracket open and close."""
     n = draw(st.integers(2, 70))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     o, h, l, c = random_bars(rng, n)
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, n - 1))
+        o[i], h[i], l[i], c[i] = draw(st.sampled_from(EXTREME_BARS))
     volume = rng.integers(0, 5_000_000, n) * (rng.random(n) > 0.1)
     for _ in range(draw(st.integers(0, 2))):
         start = draw(st.integers(0, n - 1))

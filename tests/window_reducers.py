@@ -3,9 +3,10 @@
 ``rolling_estimate`` and ``moving_average`` here reduce one window at a time
 with ``math.fsum``, with each estimator's reducer written out inline, as the
 package did before its kernels reduced every window at once.
-``test_rolling_kernels`` requires the package's rolls to give the same value
-bytes, the same failed windows and ``RollingError``, and the same
-``NegativeRadicandWarning`` texts as these.  Only the result types and the
+A window fails when an ``ie`` window has no volume or when its estimate is
+not a finite number.  ``test_rolling_kernels`` requires the package's rolls to
+give the same value bytes, the same failed windows and ``RollingError``, and
+the same ``NegativeRadicandWarning`` texts as these.  Only the result types and the
 warning class are the package's own.
 """
 
@@ -95,27 +96,35 @@ def rolling_estimate(series: IndexSeries, tag: str, w: int, *, use_abs: bool = F
         )
     o, h, l, c = series.open, series.high, series.low, series.close
     prev = np.concatenate(([np.nan], c[:-1]))
-    hl, co = np.log(h / l), np.log(c / o)
-    r = np.log(c / prev)
-    terms = {
-        "hl2": hl * hl,
-        "gk": 0.5 * hl * hl - GK_CLOSE_COEF * co * co,
-        "co": co,
-        "rs": np.log(h / o) * np.log(h / c) + np.log(l / o) * np.log(l / c),
-        "cc2": r * r,
-        "gap": np.log(o / prev),
-    }
+    with np.errstate(all="ignore"):
+        hl, co = np.log(h / l), np.log(c / o)
+        r = np.log(c / prev)
+        terms = {
+            "hl2": hl * hl,
+            "gk": 0.5 * hl * hl - GK_CLOSE_COEF * co * co,
+            "co": co,
+            "rs": np.log(h / o) * np.log(h / c) + np.log(l / o) * np.log(l / c),
+            "cc2": r * r,
+            "gap": np.log(o / prev),
+        }
+    # an infinite term is NaN, so that it makes every window reading it NaN
+    terms = {name: np.where(np.isfinite(a), a, np.nan) for name, a in terms.items()}
     values = np.full(len(series) - required + 1, math.nan)
     failed: list[tuple[int, ValueError]] = []
     for i in range(len(values)):
         start = i + required - w
         window = {name: a[start : start + w] for name, a in terms.items()}
         try:
-            values[i] = _window_value(
+            value = _window_value(
                 tag, window, series.volume[start : start + w], series.volume[start - 1], use_abs
             )
         except ValueError as exc:
             failed.append((i, exc))
+            continue
+        if math.isfinite(value):
+            values[i] = value
+        else:
+            failed.append((i, ValueError("price ratio past the float range")))
     out = VolSeries(series.dates[required - 1 :], values, tag, w)
     if failed:
         raise RollingError(failed[0][1], out, failed[-1][0]) from failed[0][1]
