@@ -27,7 +27,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import exact_dot, exact_mean, exact_rowsums, pearson
 from ._vocab import ALL_INTERVAL, ESTIMATOR_TAGS, INTERVAL_SEMANTICS
-from .estimators import KERNELS, bar_terms
+from .estimators import KERNELS, NOT_FINITE, bar_terms
 from .intrinsic import NO_VOLUME, _ie_rows, _shares
 
 if TYPE_CHECKING:
@@ -35,7 +35,6 @@ if TYPE_CHECKING:
     from .market_data import IndexSeries
 
 STATISTICS = ("mean", "variance", "pearson", "beta")
-NOT_FINITE = "price ratio past the float range"
 
 _NEEDS_SEED = {"cc": True, "pk": False, "gk": False, "rs": False, "yz": True, "ie": True}
 _MIN_WINDOW = {"yz": 2, "ie": 2}

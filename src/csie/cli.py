@@ -10,7 +10,9 @@ Subcommands:
 
 Options resolve as CLI flag > config file > built-in default.  The config
 file is flat ``key = value`` text with the same names as the long flags
-(underscores for dashes).  EOD files are parsed one at a time.
+(underscores for dashes).  ``csie`` and ``compare`` read, judge and drop
+one EOD file at a time: a command keeps one market day in memory, and only
+that day's ``CsieDay`` once it is computed.
 
 Parsing and checking the options loads no compute module: the option
 vocabulary comes from ``_vocab``, and each command imports what it calls when
@@ -34,7 +36,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import warnings
 from dataclasses import dataclass, field
 from datetime import date, datetime
 from pathlib import Path
@@ -45,7 +46,7 @@ from ._vocab import ALL_INTERVAL, ALPHA_DEFAULT, ESTIMATOR_TAGS, INTERVAL_SEMANT
 if TYPE_CHECKING:
     from .analytics import DatedSeries
     from .cross_section import CsieDay
-    from .market_data import IndexSeries, MarketDay
+    from .market_data import IndexSeries
 
 _FIG_STACK_ORDER = ("ie", "yz", "rs", "gk", "pk", "cc")
 _LONG_NAMES = {
@@ -255,22 +256,50 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _load_market(cfg: RunConfig) -> tuple[list[MarketDay], bool]:
-    """The market days and whether a file was skipped (with an error line)."""
-    from .market_data import SkippedFileWarning, read_eod_dir
+def _csie_days(cfg: RunConfig) -> tuple[list[CsieDay], list[str], bool]:
+    """Each market day's CSIE, the error line of each day csie_day rejects,
+    and whether a file was skipped.
+
+    EOD files are read one at a time, and a day is dropped once its CSIE is
+    computed.  The skipped files' error lines are printed once the files are
+    read, in date order; the caller prints the day lines with
+    ``_report_days`` once it has loaded whatever else it needs.
+    """
+    from .cross_section import csie_day
+    from .market_data import _eod_files
 
     if cfg.market_dir is None:
         raise ConfigError("--market-dir is required for this command")
-    with warnings.catch_warnings(record=True) as skipped:
-        warnings.simplefilter("always", SkippedFileWarning)
-        try:
-            days = read_eod_dir(cfg.market_dir)
-        except (OSError, ValueError) as exc:
-            raise InputError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
-        finally:
-            for w in skipped:
-                print(f"error: {w.message}", file=sys.stderr)
-    return days, bool(skipped)
+    rows: list[CsieDay] = []
+    skipped_files: list[str] = []
+    skipped_days: list[str] = []
+    try:
+        for day, _ in _eod_files(cfg.market_dir):
+            if isinstance(day, str):
+                skipped_files.append(day)
+                continue
+            try:
+                rows.append(csie_day(day, cfg.alpha))
+            except ValueError as exc:
+                skipped_days.append(f"skipped {day.day.isoformat()}: {exc}")
+    except (OSError, ValueError) as exc:
+        if isinstance(exc, ValueError):  # an unreadable file or directory is reported alone
+            _print_errors(skipped_files)
+        raise InputError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
+    _print_errors(skipped_files)
+    return rows, skipped_days, bool(skipped_files)
+
+
+def _report_days(rows: list[CsieDay], skipped_days: list[str]) -> None:
+    """Print the skipped days' error lines; no day left is an error."""
+    _print_errors(skipped_days)
+    if not rows:
+        raise ValueError("no market day has a usable cross-section")
+
+
+def _print_errors(messages: list[str]) -> None:
+    for message in messages:
+        print(f"error: {message}", file=sys.stderr)
 
 
 def _load_index(cfg: RunConfig) -> IndexSeries:
@@ -282,22 +311,6 @@ def _load_index(cfg: RunConfig) -> IndexSeries:
         return read_index_csv(cfg.index)
     except (OSError, ValueError) as exc:
         raise InputError(f"cannot load index from {cfg.index}: {exc}") from exc
-
-
-def _csie_rows(days: list[MarketDay], alpha: float) -> tuple[list[CsieDay], bool]:
-    """Each day's CSIE and whether a day csie_day rejects was skipped (with an
-    error line); no day left is an error."""
-    from .cross_section import csie_day
-
-    rows = []
-    for day in days:
-        try:
-            rows.append(csie_day(day, alpha))
-        except ValueError as exc:
-            print(f"error: skipped {day.day.isoformat()}: {exc}", file=sys.stderr)
-    if not rows:
-        raise ValueError("no market day has a usable cross-section")
-    return rows, len(rows) < len(days)
 
 
 class _Emitter:
@@ -332,8 +345,8 @@ def cmd_csie(cfg: RunConfig) -> int:
     from .cross_section import csie_csv
     from .svg import line_chart
 
-    days, files_skipped = _load_market(cfg)
-    rows, skipped = _csie_rows(days, cfg.alpha)
+    rows, skipped_days, files_skipped = _csie_days(cfg)
+    _report_days(rows, skipped_days)
     emitter = _Emitter(cfg.out)
     emitter.emit("csie_daily.csv", lambda: csie_csv(rows))
 
@@ -359,7 +372,7 @@ def cmd_csie(cfg: RunConfig) -> int:
         )
 
     emitter.emit("csie_series.svg", build_chart)
-    return 1 if files_skipped or skipped else emitter.status()
+    return 1 if files_skipped or skipped_days else emitter.status()
 
 
 def cmd_indexvol(cfg: RunConfig) -> int:
@@ -403,19 +416,18 @@ def cmd_indexvol(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     from .analytics import comparison_grids
 
-    days, files_skipped = _load_market(cfg)
+    rows, skipped_days, files_skipped = _csie_days(cfg)
     index = _load_index(cfg)
-    rows, skipped = _csie_rows(days, cfg.alpha)
+    _report_days(rows, skipped_days)
     emitter = _Emitter(cfg.out)
     errors: list[str] = []
     grids = comparison_grids(index, rows, cfg.estimators, cfg.intervals,
                              tuple(sorted(cfg.windows)), semantics=cfg.interval_semantics,
                              on_error=errors.append)
-    for message in errors:
-        print(f"error: {message}", file=sys.stderr)
+    _print_errors(errors)
     for stat, grid in grids.items():
         emitter.emit(f"grid_{stat}.csv", grid.to_csv)
-    return 1 if files_skipped or skipped or errors else emitter.status()
+    return 1 if files_skipped or skipped_days or errors else emitter.status()
 
 
 def cmd_cluster(cfg: RunConfig) -> int:

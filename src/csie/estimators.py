@@ -11,7 +11,8 @@ window of a run of bar terms at once: it views each term array as an
 (n_windows, w) array of windows, applies the formula's elementwise steps
 and reduces each row with ``_util.exact_rowsums``.  ``analytics`` rolls a
 kernel over a whole series; each single-window function is the kernel's
-one-row case, so both give the same bits.
+one-row case, so both give the same bits, and both fail a window whose
+estimate is not finite with NOT_FINITE.
 
 Estimators that look back at the previous close (close-to-close, the
 Yang-Zhang overnight term) need a seed bar one day before the window; the
@@ -32,6 +33,10 @@ from ._util import exact_rowsums
 
 _LN2 = math.log(2.0)
 _GK_CLOSE_COEF = 2.0 * _LN2 - 1.0
+
+# Why an estimate has no value: a price ratio of the window overflows or
+# underflows a float, and with it a bar term.
+NOT_FINITE = "price ratio past the float range"
 
 
 class NegativeRadicandWarning(UserWarning):
@@ -176,9 +181,17 @@ def _yz(t: BarTerms, w: int) -> np.ndarray:
 KERNELS = {"cc": _cc, "pk": _pk, "gk": _gk, "rs": _rs, "yz": _yz}
 
 
+def _finite(value: float) -> float:
+    """``value``; ValueError(NOT_FINITE) if it is not a finite number."""
+    if not math.isfinite(value):
+        raise ValueError(NOT_FINITE)
+    return value
+
+
 def _one(kernel, w: OhlcWindow, lagged: bool = False) -> float:
-    """The kernel on the window as its only row."""
-    return float(kernel(_window_terms(w, lagged), len(w.close))[0])
+    """The kernel on the window as its only row; ValueError if the estimate
+    is not finite, as for the same window in ``analytics.rolling_estimate``."""
+    return _finite(float(kernel(_window_terms(w, lagged), len(w.close))[0]))
 
 
 def vol_close_to_close(w: OhlcWindow) -> float:

@@ -29,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._util import exact_rowsums, xlogx
-from .estimators import BarTerms, OhlcWindow, _window_terms, yz_k
+from .estimators import BarTerms, OhlcWindow, _finite, _window_terms, yz_k
 
 NO_VOLUME = "no volume in window"
 
@@ -107,7 +107,11 @@ def volume_probs(w: OhlcWindow) -> VolumeProbs:
 
 
 def ie_estimate(w: OhlcWindow) -> IeEstimate:
-    """Blend the three components with k = yz_k(n) (signed and absolute)."""
+    """Blend the three components with k = yz_k(n) (signed and absolute).
+
+    ValueError(NO_VOLUME) for a window without volume, else
+    ValueError(NOT_FINITE) if a blend is not finite.
+    """
     t = _window_terms(w, lagged=True)
     p = volume_probs(w)
     h_co, h_oc, h_ohlc, k, signed, magnitude = _ie_rows(
@@ -115,5 +119,5 @@ def ie_estimate(w: OhlcWindow) -> IeEstimate:
     )
     return IeEstimate(
         float(h_co[0]), float(h_oc[0]), float(h_ohlc[0]), k,
-        float(signed[0]), float(magnitude[0]), w.end,
+        _finite(float(signed[0])), _finite(float(magnitude[0])), w.end,
     )

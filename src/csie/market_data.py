@@ -487,6 +487,44 @@ def _dated_eod_files(paths: Iterable[Path]) -> list[tuple[date, Path]]:
     return dated
 
 
+def _eod_files(
+    path: Path, threads: int = 1
+) -> Iterator[tuple[MarketDay | str, list[RejectedRow]]]:
+    """Each ``<MARKET>_<YYYYMMDD>.csv`` in a directory, loaded in date order.
+
+    Yields each file's ``MarketDay``, or ``skipped <file>: <reason>`` for a
+    file that does not parse (no usable row, or bytes that are not UTF-8),
+    with the rows the file rejected.  Serially, a file is read only when the
+    one before it has been taken, so a consumer that keeps no day holds one
+    at a time; ``threads`` > 1 reads them all in a pool first.  Raises
+    ValueError when there is no EOD file, or once every file is yielded if
+    none parsed.
+    """
+    dated = _dated_eod_files(path.iterdir())
+    if not dated:
+        raise ValueError(f"no EOD files in {path}")
+
+    def load(item: tuple[date, Path]) -> tuple[MarketDay | str, list[RejectedRow]]:
+        rejects: list[RejectedRow] = []
+        try:
+            return read_eod_file(item[1], item[0], on_reject=rejects.append), rejects
+        except ValueError as exc:
+            return f"skipped {item[1]}: {exc}", rejects
+
+    loaded: Iterable[tuple[MarketDay | str, list[RejectedRow]]] = map(load, dated)
+    if threads > 1 and len(dated) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=min(threads, len(dated))) as pool:
+            loaded = list(pool.map(load, dated))
+    usable = False
+    for item in loaded:
+        usable = usable or isinstance(item[0], MarketDay)
+        yield item
+    if not usable:
+        raise ValueError(f"no usable EOD file in {path}")
+
+
 def read_eod_dir(
     path: str | Path,
     *,
@@ -501,39 +539,19 @@ def read_eod_dir(
     reads serially.  Results are assembled in date order either way.
     A file that does not parse (no usable row, or bytes that are not UTF-8)
     costs only itself: it is left out with a ``SkippedFileWarning``
-    ``skipped <file>: <reason>``.  Once every file is read, the warnings are
-    issued in date order, and rejects reach ``on_reject`` in date order, then
-    line order.  Raises ValueError when no file is left.
+    ``skipped <file>: <reason>``.  The warnings are issued in date order, and
+    rejects reach ``on_reject`` in date order, then line order.  Raises
+    ValueError when no file is left.
     """
-    path = Path(path)
-    dated = _dated_eod_files(path.iterdir())
-    if not dated:
-        raise ValueError(f"no EOD files in {path}")
-
-    def load(item: tuple[date, Path]) -> tuple[MarketDay | str, list[RejectedRow]]:
-        rejects: list[RejectedRow] = []
-        try:
-            return read_eod_file(item[1], item[0], on_reject=rejects.append), rejects
-        except ValueError as exc:
-            return f"skipped {item[1]}: {exc}", rejects
-
-    if threads <= 1 or len(dated) == 1:
-        loaded = [load(item) for item in dated]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, len(dated))) as pool:
-            loaded = list(pool.map(load, dated))
-    for day, _ in loaded:
+    days: list[MarketDay] = []
+    for day, rejects in _eod_files(Path(path), threads):
         if isinstance(day, str):
             warnings.warn(day, SkippedFileWarning, stacklevel=2)
-    if on_reject is not None:
-        for _, rejects in loaded:
+        else:
+            days.append(day)
+        if on_reject is not None:
             for r in rejects:
                 on_reject(r)
-    days = [day for day, _ in loaded if isinstance(day, MarketDay)]
-    if not days:
-        raise ValueError(f"no usable EOD file in {path}")
     return days
 
 

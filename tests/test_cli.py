@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import gc
 import os
 import re
 import subprocess
@@ -13,8 +14,9 @@ import numpy as np
 import pytest
 
 import csie
-from csie import analytics
+from csie import analytics, cross_section
 from csie.cli import load_config_file, main
+from csie.market_data import MarketDay
 
 from helpers import weekdays, write_world
 
@@ -163,6 +165,64 @@ def test_an_unusable_day_costs_only_itself(tmp_path, capsys, command, case):
     else:
         assert stdout.count("wrote ") == 4
         assert (out / "grid_mean.csv").read_text().splitlines()[1].startswith("all,1,")
+
+
+@pytest.mark.parametrize("command", ["csie", "compare"])
+def test_one_market_day_is_alive_at_a_time(world, tmp_path, capsys, monkeypatch, command):
+    alive = []
+    real = cross_section.csie_day
+
+    def counting(day, alpha):
+        alive.append(sum(type(o) is MarketDay for o in gc.get_objects()))
+        return real(day, alpha)
+
+    monkeypatch.setattr(cross_section, "csie_day", counting)
+    eod, index = world
+    code, _, stderr = run(
+        [command, "--market-dir", str(eod), "--index", str(index), "--out", str(tmp_path),
+         "--windows", "5", "--intervals", "all"],
+        capsys,
+    )
+    assert code == 0, stderr
+    assert len(alive) == 90 and max(alive) == 1
+
+
+# Four days: the second has no traded volume, the third no usable row.
+SKIPS = (
+    ("20210601", "AA,10,11,9,10.5,100\nBB,20,21,19,20.5,100\n"),
+    ("20210602", "AA,10,11,9,10.5,0\nBB,20,21,19,20.5,0\n"),
+    ("20210603", "AA,10,9,9,10.5,200\n"),
+    ("20210604", "AA,10,11,9,10.5,300\nBB,20,21,19,20.5,300\n"),
+)
+
+
+@pytest.mark.parametrize("command, index_ok", [("csie", False), ("compare", False),
+                                               ("compare", True)])
+def test_skipped_files_are_reported_before_skipped_days(tmp_path, capsys, command, index_ok):
+    eod = tmp_path / "eod"
+    eod.mkdir()
+    for stamp, rows in SKIPS:
+        (eod / f"M_{stamp}.csv").write_text("Symbol,Open,High,Low,Close,Volume\n" + rows)
+    index = tmp_path / "index.csv"
+    index.write_text("Date,Open,High,Low,Close,Volume\n"
+                     + ("".join(f"2021-06-0{d},10,11,9,10.{d},{d}000\n" for d in range(1, 5))
+                        if index_ok else "2021-06-01,10,9,9,10.5,1000\n"))
+    code, stdout, stderr = run(
+        [command, "--market-dir", str(eod), "--index", str(index), "--out", str(tmp_path / "out"),
+         "--estimators", "pk", "--windows", "1", "--intervals", "all"],
+        capsys,
+    )
+    file_line = f"error: skipped {eod}/M_20210603.csv: no usable rows for 2021-06-03"
+    day_line = "error: skipped 2021-06-02: empty cross-section on 2021-06-02"
+    if command == "compare" and not index_ok:  # the index fails before the day lines
+        assert (code, stdout) == (2, "")
+        assert stderr.splitlines() == [
+            file_line, f"error: cannot load index from {index}: no usable rows in index 'index'"
+        ]
+    else:
+        assert code == 1
+        assert stderr.splitlines() == [file_line, day_line]
+        assert stdout.count("wrote ") == (2 if command == "csie" else 4)
 
 
 def test_csie_reruns_byte_identical(world, tmp_path, capsys):

@@ -1,17 +1,21 @@
 """Fuzzing the command line with generated input directories.
 
 Each example writes a small market directory (valid EOD files, files with
-byte or field edits, files that are not UTF-8, two markets on one date, a
-directory with an EOD file's name), or none, and an index file that is
-valid, edited, too short or missing, then runs one subcommand in-process.  Whatever it is given, ``main`` returns 0, 1 or 2 and
-no exception escapes it.
+byte or field edits or with bars of extreme magnitude, files that are not
+UTF-8, two markets on one date, a directory with an EOD file's name), or
+none, and an index file that is valid, edited, too short or missing, then
+runs one subcommand in-process.  Whatever it is given, ``main`` returns 0, 1
+or 2, no exception escapes it, no numpy ``RuntimeWarning`` is raised and no
+file it writes holds a ``nan`` or ``inf``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import io
+import re
 import tempfile
+import warnings
 from datetime import date
 from pathlib import Path
 
@@ -27,24 +31,53 @@ from test_ingest_fuzz import BYTE_EDITS, FIELD_EDITS, edit_bytes, edit_fields
 
 N_DAYS = 8
 DAYS = weekdays(date(2021, 6, 1), N_DAYS)
+NOT_A_NUMBER = re.compile(r"\b(?:nan|inf)\b", re.I)
 
 
-@pytest.fixture(scope="module")
-def templates(tmp_path_factory):
+def market_texts(root: Path) -> tuple[list[str], str]:
     """The EOD file texts and the index text of one small valid market."""
-    eod, index = write_world(tmp_path_factory.mktemp("templates"),
-                             np.random.default_rng(7), n_symbols=4, n_days=N_DAYS)
+    eod, index = write_world(root, np.random.default_rng(7), n_symbols=4, n_days=N_DAYS)
     files = [(eod / f"SYN_{d.strftime('%Y%m%d')}.csv").read_text() for d in DAYS]
     return files, index.read_text()
 
 
-# How one file is made from its valid text: as it is, edited, or not UTF-8.
+@pytest.fixture(scope="module")
+def templates(tmp_path_factory):
+    return market_texts(tmp_path_factory.mktemp("templates"))
+
+
+# Prices at the ends of the float range, with ordinary ones to mix them with.
+MAGNITUDES = st.sampled_from(["1e-300", "1e300", "5e-324", "1.7e308", "2.5e-310", "1", "10"])
+# (row, four prices, whether close is the larger of the middle two): each edit
+# gives one data row the four prices in a valid OHLC order.
+EXTREME_EDITS = st.lists(
+    st.tuples(st.integers(0, 10**6), st.lists(MAGNITUDES, min_size=4, max_size=4), st.booleans()),
+    min_size=1, max_size=3,
+)
+
+# How one file is made from its valid text: as it is, edited, given extreme
+# prices, or not UTF-8.
 CONTENTS = st.one_of(
     st.just(("valid", None)),
     BYTE_EDITS.map(lambda e: ("bytes", e)),
     FIELD_EDITS.map(lambda e: ("fields", e)),
+    EXTREME_EDITS.map(lambda e: ("extreme", e)),
     st.integers(0, 10**6).map(lambda at: ("not-utf8", at)),
 )
+
+
+def edit_extremes(text: str, edits) -> bytes:
+    """``text`` with each edit setting the open, high, low and close of one
+    row after the header: low and high are the least and the greatest price,
+    open and close the other two."""
+    lines = text.splitlines()
+    for row, prices, close_up in edits:
+        at = 1 + row % (len(lines) - 1)
+        fields = lines[at].split(",")
+        low, mid1, mid2, high = sorted(prices, key=float)
+        fields[1:5] = [mid1, high, low, mid2] if close_up else [mid2, high, low, mid1]
+        lines[at] = ",".join(fields)
+    return ("\n".join(lines) + "\n").encode()
 
 
 def build(text: str, how: tuple) -> bytes:
@@ -53,6 +86,8 @@ def build(text: str, how: tuple) -> bytes:
         return edit_bytes(text.encode(), arg)
     if kind == "fields":
         return edit_fields(text, arg)
+    if kind == "extreme":
+        return edit_extremes(text, arg)
     data = text.encode()
     if kind == "not-utf8":
         at = arg % (len(data) + 1)
@@ -102,7 +137,14 @@ def test_a_command_exits_0_1_or_2_on_any_input(templates, command, files, index,
                 "--out", str(root / "out"), "--windows", "2", "--intervals", "3,all",
                 "--date", DAYS[cluster_day].isoformat()]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings(record=True) as warned:
+            warnings.simplefilter("always")
             rc = main(argv)
+        written = {p.name: p.read_text() for p in sorted((root / "out").glob("*"))}
     assert rc in (0, 1, 2), err.getvalue()
     assert "Traceback" not in out.getvalue() + err.getvalue()
+    numpy_warnings = [str(w.message) for w in warned if issubclass(w.category, RuntimeWarning)]
+    assert numpy_warnings == [] and "RuntimeWarning" not in err.getvalue()
+    for name, text in written.items():
+        assert not NOT_A_NUMBER.findall(text), name

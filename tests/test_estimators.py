@@ -19,6 +19,7 @@ from csie.estimators import (
     vol_yang_zhang,
     yz_k,
 )
+from csie.intrinsic import ie_estimate
 
 from helpers import random_bars
 from oracles import (
@@ -286,6 +287,26 @@ def test_estimators_are_pure():
     w = random_window(rng, 5)
     assert vol_yang_zhang(w) == vol_yang_zhang(w)
     assert vol_parkinson(w) == vol_parkinson(w)
+
+
+# The middle bar's ratios pass the float range: C/O and H/L overflow, and so
+# does its close over the first bar's, which cc reads.
+EXTREME_WINDOW = dict(
+    opens=[1e-10, 1e-300, 10.8], highs=[2e-10, 1e300, 11.2], lows=[1e-10, 1e-300, 10.1],
+    closes=[1.5e-10, 1e300, 11.0], seed_close=1.2e-10, volume=[1000, 100, 900], seed_volume=1200,
+)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "estimate",
+    [vol_close_to_close, vol_parkinson, vol_garman_klass, vol_rogers_satchell, vol_yang_zhang,
+     ie_estimate],
+    ids=lambda f: f.__name__,
+)
+def test_a_price_ratio_past_the_float_range_is_an_error(estimate):
+    with pytest.raises(ValueError, match="^price ratio past the float range$"):
+        estimate(mk(**EXTREME_WINDOW))
 
 
 # --- window plumbing -----------------------------------------------------------------------
