@@ -10,9 +10,11 @@ Subcommands:
 
 Options resolve as CLI flag > config file > built-in default.  The config
 file is flat ``key = value`` text with the same names as the long flags
-(underscores for dashes).  ``csie`` and ``compare`` read, judge and drop
-one EOD file at a time: a command keeps one market day in memory, and only
-that day's ``CsieDay`` once it is computed.
+(underscores for dashes).  Each option is declared once, in ``_OPTIONS``,
+which gives its flag, its config key, its built-in default and its help
+text.  ``csie`` and ``compare`` read, judge and drop one EOD file at a time:
+a command keeps one market day in memory, and only that day's ``CsieDay``
+once it is computed.
 
 Parsing and checking the options loads no compute module: the option
 vocabulary comes from ``_vocab``, and each command imports what it calls when
@@ -36,10 +38,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from ._vocab import ALL_INTERVAL, ALPHA_DEFAULT, ESTIMATOR_TAGS, INTERVAL_SEMANTICS, check_alpha
 
@@ -48,7 +50,7 @@ if TYPE_CHECKING:
     from .cross_section import CsieDay
     from .market_data import IndexSeries
 
-_FIG_STACK_ORDER = ("ie", "yz", "rs", "gk", "pk", "cc")
+_FIG_STACK_ORDER = ESTIMATOR_TAGS[::-1]
 _LONG_NAMES = {
     "cc": "close-to-close (raw)",
     "pk": "Parkinson",
@@ -58,43 +60,39 @@ _LONG_NAMES = {
     "ie": "intrinsic entropy",
 }
 
-DEFAULTS = {
-    "estimators": "cc,pk,gk,rs,yz,ie",
-    "windows": "5,10,20,30",
-    "intervals": "30,60,120,260,520,780,1300,all",
-    "alpha": str(ALPHA_DEFAULT),
-    "interval_semantics": "smoothed-points",
-    "out": ".",
-    "abs": "false",
-    "log_prices": "false",
+# Every option, in --help order: its config key (the flag is ``--`` plus the
+# key with dashes for underscores), its built-in default and its argparse
+# settings.  The argparse default stays None, so ``pick`` can tell a flag the
+# user gave from one left out.
+_OPTIONS: dict[str, tuple[str | None, dict[str, Any]]] = {
+    "market_dir": (None, {"help": "directory of <MARKET>_<YYYYMMDD>.csv files"}),
+    "index": (None, {"help": "index OHLCV CSV path"}),
+    "estimators": (",".join(ESTIMATOR_TAGS), {"help": "comma list from cc,pk,gk,rs,yz,ie"}),
+    "windows": ("5,10,20,30", {"help": "comma list of rolling windows (indexvol uses the first)"}),
+    "intervals": ("30,60,120,260,520,780,1300,all",
+                  {"help": "comma list of trailing intervals, 'all' allowed"}),
+    "alpha": (str(ALPHA_DEFAULT), {"help": "entropy blend alpha (> 1)"}),
+    "abs": ("false", {"action": "store_const", "const": True,
+                      "help": "use absolute entropy variants"}),
+    "ma": (None, {"help": "moving-average overlay window for charts"}),
+    "bubble": (None, {"choices": ("count", "value"), "help": "bubble sizing for the csie chart"}),
+    "out": (".", {"help": "output directory"}),
+    "interval_semantics": ("smoothed-points", {
+        "choices": INTERVAL_SEMANTICS,
+        "help": "interval counts smoothed points (default) or raw days",
+    }),
+    "date": (None, {"help": "day to cluster, YYYY-MM-DD or YYYYMMDD"}),
+    "log_prices": ("false", {"action": "store_const", "const": True,
+                             "help": "correlate log prices when clustering"}),
 }
 
 # Any one of these set by the user decides how many threads numpy's BLAS starts.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
-_CONFIG_KEYS = {
-    "market_dir",
-    "index",
-    "estimators",
-    "windows",
-    "intervals",
-    "alpha",
-    "abs",
-    "ma",
-    "bubble",
-    "out",
-    "interval_semantics",
-    "date",
-    "log_prices",
-}
-
 
 class ConfigError(ValueError):
-    """The run cannot start: missing or malformed configuration."""
-
-
-class InputError(RuntimeError):
-    """The run cannot start: input files are unreadable or unusable."""
+    """The run cannot start: missing or malformed configuration, or input
+    files that are unreadable or unusable (exit 2)."""
 
 
 @dataclass
@@ -129,7 +127,7 @@ def load_config_file(path: str | Path) -> dict[str, str]:
             raise ConfigError(f"{path}:{i}: expected key = value")
         key, _, value = line.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _CONFIG_KEYS:
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{i}: unknown key {key!r}")
         out[key] = value.strip()
     return out
@@ -206,7 +204,7 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
             return str(cli)
         if key in file_cfg:
             return file_cfg[key]
-        return DEFAULTS.get(key)
+        return _OPTIONS[key][0]
 
     alpha_s = pick("alpha")
     try:
@@ -285,7 +283,7 @@ def _csie_days(cfg: RunConfig) -> tuple[list[CsieDay], list[str], bool]:
     except (OSError, ValueError) as exc:
         if isinstance(exc, ValueError):  # an unreadable file or directory is reported alone
             _print_errors(skipped_files)
-        raise InputError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
+        raise ConfigError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
     _print_errors(skipped_files)
     return rows, skipped_days, bool(skipped_files)
 
@@ -310,7 +308,7 @@ def _load_index(cfg: RunConfig) -> IndexSeries:
     try:
         return read_index_csv(cfg.index)
     except (OSError, ValueError) as exc:
-        raise InputError(f"cannot load index from {cfg.index}: {exc}") from exc
+        raise ConfigError(f"cannot load index from {cfg.index}: {exc}") from exc
 
 
 class _Emitter:
@@ -320,7 +318,7 @@ class _Emitter:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise InputError(f"cannot create output directory {out_dir}: {exc}") from exc
+            raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         self.out_dir = out_dir
         self.failures = 0
 
@@ -386,7 +384,7 @@ def cmd_indexvol(cfg: RunConfig) -> int:
         try:
             series_by_tag[tag] = rolling_estimate(index, tag, w, use_abs=cfg.use_abs)
         except ValueError as exc:
-            raise InputError(f"estimator {tag!r}, window {w}: {exc}") from exc
+            raise ConfigError(f"estimator {tag!r}, window {w}: {exc}") from exc
     # every series ends on the index's last bar, so the common dates are the
     # last entries of the shortest one
     n = min(len(s) for s in series_by_tag.values())
@@ -443,9 +441,9 @@ def cmd_cluster(cfg: RunConfig) -> int:
     try:
         matches = _dated_eod_files(cfg.market_dir.glob(f"*_{stamp}.csv"))
     except ValueError as exc:
-        raise InputError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
+        raise ConfigError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
     if not matches:
-        raise InputError(
+        raise ConfigError(
             f"no EOD file for {cfg.cluster_date.isoformat()} in {cfg.market_dir}"
         )
     path = matches[0][1]
@@ -453,7 +451,7 @@ def cmd_cluster(cfg: RunConfig) -> int:
         day = read_eod_file(path)
         dendro = cluster_day(day, log_prices=cfg.log_prices)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ConfigError(f"{path}: {exc}") from exc
     iso = cfg.cluster_date.isoformat()
     emitter = _Emitter(cfg.out)
     emitter.emit(f"cluster_{iso}.newick", lambda: dendro.newick() + "\n")
@@ -485,25 +483,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
-        p.add_argument("--market-dir", dest="market_dir", help="directory of <MARKET>_<YYYYMMDD>.csv files")
-        p.add_argument("--index", help="index OHLCV CSV path")
-        p.add_argument("--estimators", help="comma list from cc,pk,gk,rs,yz,ie")
-        p.add_argument("--windows", help="comma list of rolling windows (indexvol uses the first)")
-        p.add_argument("--intervals", help="comma list of trailing intervals, 'all' allowed")
-        p.add_argument("--alpha", help="entropy blend alpha (> 1)")
-        p.add_argument("--abs", action="store_const", const=True, help="use absolute entropy variants")
-        p.add_argument("--ma", help="moving-average overlay window for charts")
-        p.add_argument("--bubble", choices=("count", "value"), help="bubble sizing for the csie chart")
-        p.add_argument("--out", help="output directory")
-        p.add_argument(
-            "--interval-semantics",
-            dest="interval_semantics",
-            choices=INTERVAL_SEMANTICS,
-            help="interval counts smoothed points (default) or raw days",
-        )
-        p.add_argument("--date", help="day to cluster, YYYY-MM-DD or YYYYMMDD")
-        p.add_argument("--log-prices", dest="log_prices", action="store_const", const=True,
-                       help="correlate log prices when clustering")
+        for key, (_, settings) in _OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), **settings)
     return parser
 
 
@@ -521,7 +502,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         cfg = _resolve(args)
         _one_blas_thread()
         return _COMMANDS[args.command](cfg)
-    except (ConfigError, InputError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

@@ -245,8 +245,6 @@ def _split_row(row: list[str], n_fixed: int) -> list[str] | None:
     """
     if len(row) < n_fixed + 1:
         return None
-    if len(row) == n_fixed + 1:
-        return row
     tail = row[n_fixed:]
     joined = "".join(tail)
     if all(tail) and joined.isdigit():  # no part empty or with whitespace: one test
@@ -556,7 +554,6 @@ def read_eod_dir(
 
 
 _INDEX_COLUMNS = {"date", "open", "high", "low", "close", "volume"}
-_ADJ_CLOSE = {"adjclose", "adj close", "adj_close", "adj.close"}
 
 
 def _parse_day(field: str) -> date:
@@ -572,14 +569,14 @@ def parse_index_csv(
 ) -> IndexSeries:
     """Parse a Date,Open,High,Low,Close[,AdjClose],Volume index file.
 
-    Column order is taken from the header when present (an adjusted-close
-    column is ignored), otherwise assumed positional.  A row longer than the
-    header (six columns without one) is a volume split on bare thousands
-    separators when volume is the last column and every extra part is
-    digits, and is rejoined as in ``parse_eod_file``; any other such row is
-    a field-count reject.  Dates are read row by row, prices and volumes a
-    column at a time.  Bad rows are skipped and reported; duplicate dates are
-    an error.
+    Column order is taken from the header when present (any other column,
+    such as an adjusted close, is ignored), otherwise assumed positional.  A
+    row longer than the header (six columns without one) is a volume split on
+    bare thousands separators when volume is the last column and every extra
+    part is digits, and is rejoined as in ``parse_eod_file``; any other such
+    row is a field-count reject.  Dates are read row by row, prices and
+    volumes a column at a time.  Bad rows are skipped and reported; duplicate
+    dates are an error.
     """
     rejected: list[RejectedRow] = []
     records = _records(_decode(data), rejected)
@@ -592,8 +589,6 @@ def parse_index_csv(
             for i, field in enumerate(header):
                 if field in _INDEX_COLUMNS:
                     col_of[field] = i
-                elif field in _ADJ_CLOSE:
-                    continue
             missing = _INDEX_COLUMNS - col_of.keys()
             if missing:
                 raise ValueError(f"index header missing columns: {sorted(missing)}")

@@ -14,8 +14,8 @@ import numpy as np
 import pytest
 
 import csie
-from csie import analytics, cross_section
-from csie.cli import load_config_file, main
+from csie import analytics, cli, cross_section
+from csie.cli import _resolve, build_parser, load_config_file, main
 from csie.market_data import MarketDay
 
 from helpers import weekdays, write_world
@@ -523,6 +523,121 @@ def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
     assert load_config_file(cfg) == {"windows": "7"}
 
 
+# Each exit-2 message of the configuration: the command, its flags, the text of
+# its config file (None for no file) and the message, in which ``{cfg}``
+# stands for the config file's path.  Each is raised before any input is read.
+CONFIG_ERRORS = {
+    "windows-bad": ("csie", ["--windows", "5,x"], None, "bad windows list '5,x'"),
+    "windows-zero": ("csie", ["--windows", "5,0"], None, "windows must be positive integers"),
+    "windows-empty": ("csie", ["--windows", ","], None, "windows must be positive integers"),
+    "windows-repeated": ("csie", ["--windows", "5,5"], None, "duplicate windows"),
+    "interval-bad": ("csie", ["--intervals", "30,x"], None, "bad interval 'x'"),
+    "interval-zero": ("csie", ["--intervals", "0,all"], None, "intervals must be positive"),
+    "intervals-empty": ("csie", ["--intervals", " , "], None, "empty intervals list"),
+    "interval-repeated": ("csie", ["--intervals", "30,30"], None, "duplicate intervals"),
+    "all-repeated": ("csie", ["--intervals", "all,30,all"], None, "duplicate intervals"),
+    "estimators-empty": ("csie", ["--estimators", ","], None, "empty estimator list"),
+    "estimator-unknown": ("csie", ["--estimators", "cc,zz"], None, "unknown estimator 'zz'"),
+    "estimator-repeated": ("csie", ["--estimators", "cc,pk,cc"], None,
+                           "duplicate estimator tags"),
+    "date-bad": ("cluster", ["--date", "2021-13-01"], None,
+                 "bad date '2021-13-01' (want YYYY-MM-DD or YYYYMMDD)"),
+    "abs-not-boolean": ("csie", [], "abs = maybe\n", "abs must be a boolean, got 'maybe'"),
+    "log-prices-not-boolean": ("cluster", [], "log-prices = 2\n",
+                               "log_prices must be a boolean, got '2'"),
+    "alpha-bad": ("csie", ["--alpha", "x"], None, "bad alpha 'x'"),
+    "alpha-low": ("csie", ["--alpha", "0.5"], None, "alpha must exceed 1 and be finite, got 0.5"),
+    "ma-bad": ("csie", ["--ma", "2.5"], None, "bad ma '2.5'"),
+    "ma-zero": ("csie", ["--ma", "0"], None, "ma must be at least 1"),
+    "bubble-bad": ("csie", [], "bubble = size\n", "bubble must be 'count' or 'value'"),
+    "semantics-bad": ("compare", [], "interval_semantics = days\n",
+                      "interval-semantics must be one of ('smoothed-points', 'raw-days')"),
+    "csie-market-dir": ("csie", [], None, "--market-dir is required for this command"),
+    "compare-market-dir": ("compare", ["--index", "i.csv"], None,
+                           "--market-dir is required for this command"),
+    "cluster-market-dir": ("cluster", ["--date", "2021-01-04"], None,
+                           "--market-dir is required for this command"),
+    "indexvol-index": ("indexvol", [], None, "--index is required for this command"),
+    "cluster-date": ("cluster", ["--market-dir", "m"], None, "--date is required for cluster"),
+    "no-equals-sign": ("csie", [], "# runs\nwindows 7\n", "{cfg}:2: expected key = value"),
+    "unknown-key": ("csie", [], "windows = 7\ncolour = blue\n", "{cfg}:2: unknown key 'colour'"),
+}
+
+
+@pytest.mark.parametrize("case", CONFIG_ERRORS)
+def test_each_configuration_error_exits_2_with_its_message(tmp_path, capsys, case):
+    command, flags, text, message = CONFIG_ERRORS[case]
+    argv = [command, *flags]
+    cfg = tmp_path / "run.cfg"
+    if text is not None:
+        cfg.write_text(text)
+        argv += ["--config", str(cfg)]
+    assert run(argv, capsys) == (2, "", f"error: {message.format(cfg=cfg)}\n")
+
+
+# A config file with a bad value for every key that is checked, in the order
+# the checks run; each message is the one given once the keys before it are
+# mended.
+CHECK_ORDER = [
+    ("alpha = 0.5", "alpha must exceed 1 and be finite, got 0.5"),
+    ("interval_semantics = days",
+     "interval-semantics must be one of ('smoothed-points', 'raw-days')"),
+    ("bubble = size", "bubble must be 'count' or 'value'"),
+    ("ma = x", "bad ma 'x'"),
+    ("estimators = zz", "unknown estimator 'zz'"),
+    ("windows = 0", "windows must be positive integers"),
+    ("intervals = x", "bad interval 'x'"),
+    ("abs = maybe", "abs must be a boolean, got 'maybe'"),
+    ("date = x", "bad date 'x' (want YYYY-MM-DD or YYYYMMDD)"),
+    ("log_prices = maybe", "log_prices must be a boolean, got 'maybe'"),
+]
+
+
+@pytest.mark.parametrize("first", range(len(CHECK_ORDER)))
+def test_the_first_bad_value_in_check_order_is_reported(tmp_path, capsys, first):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(line + "\n" for line, _ in reversed(CHECK_ORDER[first:])))
+    assert run(["csie", "--config", str(cfg)], capsys) == (
+        2, "", f"error: {CHECK_ORDER[first][1]}\n")
+
+
+# One value of each option that is not its default, as a flag and as a
+# config line.
+SAME_VALUE = {
+    "market_dir": (["--market-dir", "eod"], "market_dir = eod"),
+    "index": (["--index", "spx.csv"], "index = spx.csv"),
+    "estimators": (["--estimators", "yz,cc"], "estimators = yz, cc"),
+    "windows": (["--windows", "30,7"], "windows = 30,7"),
+    "intervals": (["--intervals", "all,60"], "intervals = all,60"),
+    "alpha": (["--alpha", "1.5"], "alpha = 1.5"),
+    "abs": (["--abs"], "abs = true"),
+    "ma": (["--ma", "3"], "ma = 3"),
+    "bubble": (["--bubble", "value"], "bubble = value"),
+    "out": (["--out", "reports"], "out = reports"),
+    "interval_semantics": (["--interval-semantics", "raw-days"],
+                           "interval-semantics = raw-days"),
+    "date": (["--date", "20210104"], "date = 2021-01-04"),
+    "log_prices": (["--log-prices"], "log_prices = yes"),
+}
+
+
+def test_every_option_is_given_a_value():
+    names = set(vars(build_parser().parse_args(["csie"]))) - {"command", "config"}
+    assert set(SAME_VALUE) == names
+
+
+@pytest.mark.parametrize("name", SAME_VALUE)
+def test_a_flag_and_a_config_line_resolve_alike(tmp_path, name):
+    flags, line = SAME_VALUE[name]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(line + "\n")
+    parser = build_parser()
+    by_flag = _resolve(parser.parse_args(["csie", *flags]))
+    by_file = _resolve(parser.parse_args(["csie", "--config", str(cfg)]))
+    assert by_flag == by_file
+    assert by_flag != _resolve(parser.parse_args(["csie"]))
+
+
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
@@ -561,6 +676,25 @@ def test_entry_point_output_file_that_is_a_directory(world, tmp_path):
     assert "Traceback" not in done.stderr
     assert done.stdout.splitlines() == [f"wrote {tmp_path / 'csie_series.svg'}"]
     assert (tmp_path / "csie_series.svg").is_file()
+
+
+@pytest.mark.skipif(os.geteuid() == 0, reason="root may write into a read-only directory")
+def test_entry_point_read_only_output_directory(world, tmp_path):
+    eod, _ = world
+    out = tmp_path / "out"
+    out.mkdir()
+    out.chmod(0o555)
+    try:
+        done = _probe(ENTRY_PROBE, "csie", "--market-dir", str(eod), "--out", str(out))
+    finally:
+        out.chmod(0o755)
+    assert done.returncode == 1, done.stderr
+    assert "Traceback" not in done.stderr
+    assert [line.split(": ", 1)[0] for line in done.stderr.splitlines()] == [
+        f"failed {out / name}" for name in ("csie_daily.csv", "csie_series.svg")
+    ]
+    assert done.stdout == ""
+    assert not any(out.iterdir())
 
 
 def test_importing_the_cli_loads_no_url_or_xml_modules():
@@ -816,6 +950,16 @@ def test_readme_library_list_is_the_export_table():
         module, names = bullet.split(":", 1)
         listed[re.search(r"`(\w+)`", module)[1]] = tuple(re.findall(r"`(\w+)`", names))
     assert listed == csie._EXPORTS
+
+
+def test_readme_option_table_is_the_option_table():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(--[\w-]+)` \| `(\w+)` \| (.+?) \|$", section, re.M)
+    assert listed == [
+        ("--" + key.replace("_", "-"), key, "none" if default is None else f"`{default}`")
+        for key, (default, _) in cli._OPTIONS.items()
+    ]
 
 
 def test_config_precedence_cli_over_file(tmp_path, capsys):
