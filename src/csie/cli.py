@@ -254,14 +254,19 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
     )
 
 
-def _csie_days(cfg: RunConfig) -> tuple[list[CsieDay], list[str], bool]:
+def _csie_days(
+    cfg: RunConfig, index_error: ConfigError | None = None
+) -> tuple[list[CsieDay], list[str], bool]:
     """Each market day's CSIE, the error line of each day csie_day rejects,
     and whether a file was skipped.
 
     EOD files are read one at a time, and a day is dropped once its CSIE is
     computed.  The skipped files' error lines are printed once the files are
     read, in date order; the caller prints the day lines with
-    ``_report_days`` once it has loaded whatever else it needs.
+    ``_report_days`` once it has loaded whatever else it needs.  A market
+    error (an unreadable directory, no EOD file, two files of one date, no
+    file that parses) wins over ``index_error``, which is raised once the
+    first file parses, after the error lines of the files skipped before it.
     """
     from .cross_section import csie_day
     from .market_data import _eod_files
@@ -276,6 +281,8 @@ def _csie_days(cfg: RunConfig) -> tuple[list[CsieDay], list[str], bool]:
             if isinstance(day, str):
                 skipped_files.append(day)
                 continue
+            if index_error is not None:
+                break
             try:
                 rows.append(csie_day(day, cfg.alpha))
             except ValueError as exc:
@@ -285,6 +292,8 @@ def _csie_days(cfg: RunConfig) -> tuple[list[CsieDay], list[str], bool]:
             _print_errors(skipped_files)
         raise ConfigError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
     _print_errors(skipped_files)
+    if index_error is not None:
+        raise index_error
     return rows, skipped_days, bool(skipped_files)
 
 
@@ -414,8 +423,12 @@ def cmd_indexvol(cfg: RunConfig) -> int:
 def cmd_compare(cfg: RunConfig) -> int:
     from .analytics import comparison_grids
 
+    try:
+        index = _load_index(cfg)
+    except ConfigError as exc:  # raised once an EOD file parses, unless the market fails
+        _csie_days(cfg, exc)
+        raise
     rows, skipped_days, files_skipped = _csie_days(cfg)
-    index = _load_index(cfg)
     _report_days(rows, skipped_days)
     emitter = _Emitter(cfg.out)
     errors: list[str] = []

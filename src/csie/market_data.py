@@ -3,19 +3,24 @@
 Daily files carry one row per listed symbol (Symbol,Open,High,Low,Close,Volume);
 index files carry one row per trading day (Date,Open,High,Low,Close[,AdjClose],
 Volume).  Both parsers are tolerant of header rows, of a UTF-8 byte-order
-mark and of thousands separators inside the volume field.  The row loop of a
-parser only splits rows and rejects those of the wrong shape; ``_convert``
-then reads each price and volume column in one pass, and only a field that
-fails takes the per-field rule.  One rule set, ``_unusable_rows``, judges
-the columns of a whole parsed file in one call and whatever a constructor
-is given; ``MarketDay`` and ``IndexSeries`` share one constructor body in
-their ``_Bars`` base and differ only in their key column.  Every skipped
-row, including a record the csv module cannot read, is reported through an
-``on_reject`` callback, in line order (and by ``read_eod_dir`` in date
-order, then line order), instead of failing the whole file; a file that
-does not parse costs ``read_eod_dir`` only that file.  Both parsers run with
-the cyclic garbage collector paused: a parse makes no reference cycles, so
-a collection during one finds nothing to free.
+mark and of thousands separators inside the volume field.  A parser reads a
+file's csv records straight from its bytes, ``_CHUNK_RECORDS`` at a time,
+and converts and judges each chunk before it reads the next, so what a
+parse holds besides the rows it keeps does not grow with the file.  Within
+a chunk, the row loop only splits rows and rejects those of the wrong shape;
+``_Judged`` then reads each price and volume column in one pass (only a
+field that fails takes the per-field rule), judges the columns with the one
+rule set, ``_unusable_rows``, and keeps the usable rows, the first of each
+symbol across chunks.  ``MarketDay`` and ``IndexSeries`` share one
+constructor body in their ``_Bars`` base and differ only in their key
+column; the public constructors check whatever they are given, while a
+parser's judged columns are only sorted.  Every skipped row, including a
+record the csv module cannot read, is reported through an ``on_reject``
+callback, in line order once the whole file is read (and by
+``read_eod_dir`` in date order, then line order), instead of failing the
+whole file; a file that does not parse costs ``read_eod_dir`` only that
+file.  Both parsers run with the cyclic garbage collector paused: a parse
+makes no reference cycles, so a collection during one finds nothing to free.
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import csv
 import functools
 import gc
 import io
+import itertools
 import re
 import warnings
 from dataclasses import dataclass
@@ -48,6 +54,10 @@ ZERO_VOLUME = "zero-volume"
 
 # Volumes are held as int64; a larger one is an unusable number.
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# Records a parser reads, converts and judges at a time, so that what a parse
+# holds besides the rows it keeps does not grow with the file.
+_CHUNK_RECORDS = 256
 
 _EOD_NAME = re.compile(r"^(?P<market>.+)_(?P<date>\d{8})\.csv$")
 
@@ -131,7 +141,7 @@ class _Bars:
         self, keys: np.ndarray, duplicate: str, open: _Prices, high: _Prices, low: _Prices,
         close: _Prices, volume: Sequence[int] | np.ndarray,
     ) -> np.ndarray:
-        """Store the columns in key order and return the sorted keys.
+        """Check the columns, store them in key order and return the sorted keys.
 
         Raises ValueError when the lengths differ, with the reason code of
         the first unusable row in the order given, or ``<duplicate> <key>``
@@ -147,13 +157,23 @@ class _Bars:
                 f"{code} at {keys[i]}: open {o[i]}, high {h[i]}, low {l[i]}, "
                 f"close {c[i]}, volume {vol[i]}"
             )
+        return self._store(keys, duplicate, o, h, l, c, vol)
+
+    def _store(
+        self, keys: np.ndarray, duplicate: str | None, o: np.ndarray, h: np.ndarray,
+        l: np.ndarray, c: np.ndarray, volume: np.ndarray,
+    ) -> np.ndarray:
+        """Store usable columns of one length in key order and return the
+        sorted keys; with ``duplicate``, a repeated key raises ValueError
+        ``<duplicate> <key>``."""
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        repeated = np.flatnonzero(keys[1:] == keys[:-1])
-        if repeated.size:
-            raise ValueError(f"{duplicate} {keys[repeated[0]]}")
+        if duplicate is not None:
+            repeated = np.flatnonzero(keys[1:] == keys[:-1])
+            if repeated.size:
+                raise ValueError(f"{duplicate} {keys[repeated[0]]}")
         self.open, self.high, self.low, self.close = o[order], h[order], l[order], c[order]
-        self.volume = vol[order]
+        self.volume = volume[order]
         return keys
 
     def __len__(self) -> int:
@@ -186,6 +206,15 @@ class MarketDay(_Bars):
             raise ValueError("empty market day")
         self.day = day
         self.symbols = self._set_columns(symbols, DUPLICATE_SYMBOL, open, high, low, close, volume)
+
+    @classmethod
+    def _parsed(cls, day: date, symbols: list[str], *columns: np.ndarray) -> MarketDay:
+        """A day from ``parse_eod_file``'s judged OHLCV columns, whose symbols
+        are unique: sorted once and not checked again."""
+        self = cls.__new__(cls)
+        self.day = day
+        self.symbols = self._store(np.asarray(symbols, dtype=str), None, *columns)
+        return self
 
     def __repr__(self) -> str:
         return f"MarketDay({self.day.isoformat()}, {len(self)} symbols)"
@@ -228,6 +257,17 @@ class IndexSeries(_Bars):
         self.name = name
         self.dates = self._set_columns(dates, "duplicate date", open, high, low, close, volume)
 
+    @classmethod
+    def _parsed(cls, name: str, dates: list[date], *columns: np.ndarray) -> IndexSeries:
+        """A series from ``parse_index_csv``'s judged OHLCV columns: sorted
+        once, with only its dates checked for repeats."""
+        self = cls.__new__(cls)
+        self.name = name
+        self.dates = self._store(
+            np.asarray(dates, dtype="datetime64[D]"), "duplicate date", *columns
+        )
+        return self
+
     def __repr__(self) -> str:
         return f"IndexSeries({self.name!r}, {len(self)} days)"
 
@@ -254,34 +294,62 @@ def _split_row(row: list[str], n_fixed: int) -> list[str] | None:
     return row[:n_fixed] + ["".join(p.strip() for p in tail)]
 
 
-def _decode(data: str | bytes) -> str:
-    """Text as given; bytes are UTF-8, with or without a byte-order mark."""
-    return data.decode("utf-8-sig") if isinstance(data, bytes) else data
+def _lines(data: str | bytes) -> io.TextIOBase:
+    """The lines of ``data``, split on ``\\n`` alone and not translated; bytes
+    are decoded as they are read, as UTF-8 with or without a byte-order mark."""
+    if isinstance(data, str):
+        return io.StringIO(data)
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n")
 
 
-def _records(text: str, rejected: list[RejectedRow]) -> list[list[str]]:
-    """The csv records of ``text`` in order; record ``i`` is line ``i + 1``.
+def _check_utf8(data: str | bytes) -> None:
+    """Raise the UnicodeDecodeError of decoding ``data`` whole, whose byte
+    position counts from the start of the file, if it is not UTF-8."""
+    if isinstance(data, bytes):
+        data.decode("utf-8-sig")
 
-    A record the csv module cannot read (a bare carriage return inside an
-    unquoted field, or a field longer than ``csv.field_size_limit()``) is an
-    unparseable-field reject holding the physical line where reading
-    stopped.  It stands in the list as an empty, that is blank, row, and
-    reading resumes on the next physical line.
+
+def _record_chunks(
+    data: str | bytes, rejected: list[RejectedRow]
+) -> Iterator[tuple[int, list[list[str]]]]:
+    """The csv records of ``data`` in order, ``_CHUNK_RECORDS`` at a time.
+
+    Yields ``(offset, chunk)``: record ``j`` of the chunk is the file's
+    record ``offset + j``, line ``offset + j + 1``.  A record the csv module
+    cannot read (a bare carriage return inside an unquoted field, or a field
+    longer than ``csv.field_size_limit()``) is an unparseable-field reject
+    holding the physical line where reading stopped.  It stands in its chunk
+    as an empty, that is blank, row, and reading resumes on the next physical
+    line.  Bytes that are not UTF-8 raise the error of decoding the whole
+    file, wherever in it the reader meets them.
     """
-    reader = csv.reader(io.StringIO(text))
-    records: list[list[str]] = []
-    physical: list[str] | None = None
-    while True:
-        try:
-            for row in reader:
-                records.append(row)
-            return records
-        except csv.Error:
-            if physical is None:
-                physical = io.StringIO(text).readlines()
-            content = physical[reader.line_num - 1].rstrip("\r\n")
-            records.append([])
-            rejected.append(RejectedRow(len(records), content, UNPARSEABLE_FIELD))
+    reader = csv.reader(_lines(data))
+    physical: Iterator[str] | None = None  # read again only to quote a refused record
+    quoted = 0  # lines taken from ``physical``
+    offset = 0
+    more = True
+    while more:
+        chunk: list[list[str]] = []
+        while more and len(chunk) < _CHUNK_RECORDS:
+            try:
+                # extend keeps the records read before a raise
+                chunk.extend(itertools.islice(reader, _CHUNK_RECORDS - len(chunk)))
+                more = len(chunk) == _CHUNK_RECORDS
+            except csv.Error:
+                if physical is None:
+                    physical = _lines(data)
+                line = next(itertools.islice(physical, reader.line_num - 1 - quoted, None))
+                quoted = reader.line_num
+                chunk.append([])
+                rejected.append(
+                    RejectedRow(offset + len(chunk), line.rstrip("\r\n"), UNPARSEABLE_FIELD)
+                )
+            except UnicodeDecodeError:
+                _check_utf8(data)
+                raise
+        if chunk:
+            yield offset, chunk
+        offset += len(chunk)
 
 
 def _blank(row: list[str]) -> bool:
@@ -332,59 +400,81 @@ def _volume_in_range(volume: int) -> int:
     return volume if 0 <= volume <= _INT64_MAX else -1
 
 
-def _judge(
-    lines: list[int], records: list[list[str]], keys: list, fields: list[Sequence[str]],
-    to_volume: Callable[[str], int], rejected: list[RejectedRow],
-    on_reject: OnReject | None, *, unique_keys: bool,
-) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Convert a file's price and volume columns and apply the OHLCV rules.
+class _Judged:
+    """The rows a parser has kept so far, and the rows it has rejected.
 
-    ``fields`` holds the open, high, low, close and volume field columns of
-    the rows that reached conversion: row ``i`` came from line ``lines[i]``,
-    whose fields are ``records[lines[i] - 1]``, and has key ``keys[i]``.
-    ``rejected`` holds the rows rejected before conversion.  Through
-    ``_convert``, prices are read with ``float`` and volumes, their commas
-    removed, with ``to_volume``.  A row with a field that cannot be read is
-    unparseable; the others are judged by ``_unusable_rows``.  With
-    ``unique_keys`` a key already kept makes a row a duplicate.  Delivers
-    every reject in line order and returns the kept rows' keys and columns.
+    Chunk by chunk, ``judge`` converts and judges the rows that reached
+    conversion and keeps the usable ones: their keys, and their OHLCV values
+    as one array part per chunk.  With ``unique_keys`` a key already kept
+    makes a row a duplicate, across chunks.
     """
-    columns = []
-    unparseable: set[int] = set()
-    opens, highs, lows, closes, volumes = fields
-    for column, convert in zip(
-        (opens, highs, lows, closes, _without_commas(volumes)),
-        (float, float, float, float, to_volume),
-    ):
-        values, failed = _convert(column, convert)
-        columns.append(values)
-        unparseable.update(failed)
-    o, h, l, c = (np.array(col, dtype=float) for col in columns[:4])
-    try:
-        volume = np.array(columns[4], dtype=np.int64)
-    except OverflowError:
-        volume = np.array([_volume_in_range(v) for v in columns[4]], dtype=np.int64)
-    faults = _unusable_rows(o, h, l, c, volume)
-    faults.update(dict.fromkeys(unparseable, UNPARSEABLE_FIELD))
-    kept: list[int] = []
-    seen = set()
-    for i, key in enumerate(keys):
-        if i in faults:
-            continue
-        if unique_keys and key in seen:
-            faults[i] = DUPLICATE_SYMBOL
-        else:
-            seen.add(key)
+
+    def __init__(self, *, unique_keys: bool) -> None:
+        self.keys: list = []
+        self.rejected: list[RejectedRow] = []
+        self._parts: list[list[np.ndarray]] = [[], [], [], [], []]
+        self._seen: set | None = set() if unique_keys else None
+
+    def judge(
+        self, offset: int, chunk: list[list[str]], lines: list[int], keys: list,
+        fields: list[Sequence[str]], to_volume: Callable[[str], int],
+    ) -> None:
+        """Convert one chunk's price and volume columns and apply the OHLCV rules.
+
+        ``fields`` holds the open, high, low, close and volume field columns
+        of the chunk's rows that reached conversion: row ``i`` came from line
+        ``lines[i]``, whose fields are ``chunk[lines[i] - offset - 1]``, and
+        has key ``keys[i]``.  Through ``_convert``, prices are read with
+        ``float`` and volumes, their commas removed, with ``to_volume``.  A
+        row with a field that cannot be read is unparseable; the others are
+        judged by ``_unusable_rows``.
+        """
+        columns = []
+        unparseable: set[int] = set()
+        opens, highs, lows, closes, volumes = fields
+        for column, convert in zip(
+            (opens, highs, lows, closes, _without_commas(volumes)),
+            (float, float, float, float, to_volume),
+        ):
+            values, failed = _convert(column, convert)
+            columns.append(values)
+            unparseable.update(failed)
+        o, h, l, c = (np.array(col, dtype=float) for col in columns[:4])
+        try:
+            volume = np.array(columns[4], dtype=np.int64)
+        except OverflowError:
+            volume = np.array([_volume_in_range(v) for v in columns[4]], dtype=np.int64)
+        faults = _unusable_rows(o, h, l, c, volume)
+        faults.update(dict.fromkeys(unparseable, UNPARSEABLE_FIELD))
+        kept: list[int] = []
+        seen = self._seen
+        for i, key in enumerate(keys):
+            if i in faults:
+                continue
+            if seen is not None:
+                if key in seen:
+                    faults[i] = DUPLICATE_SYMBOL
+                    continue
+                seen.add(key)
             kept.append(i)
-    rejected.extend(
-        RejectedRow(lines[i], ",".join(records[lines[i] - 1]), fault)
-        for i, fault in faults.items()
-    )
-    if on_reject is not None:
-        for r in sorted(rejected, key=lambda r: r.line):
-            on_reject(r)
-    take = np.array(kept, dtype=np.intp)
-    return [keys[i] for i in kept], o[take], h[take], l[take], c[take], volume[take]
+        self.rejected.extend(
+            RejectedRow(lines[i], ",".join(chunk[lines[i] - offset - 1]), fault)
+            for i, fault in faults.items()
+        )
+        self.keys.extend([keys[i] for i in kept])
+        take = np.array(kept, dtype=np.intp)
+        for part, col in zip(self._parts, (o, h, l, c, volume)):
+            part.append(col[take])
+
+    def columns(self) -> list[np.ndarray]:
+        """The kept rows' open, high, low, close and volume columns."""
+        return [np.concatenate(part) for part in self._parts]
+
+    def deliver(self, on_reject: OnReject | None) -> None:
+        """Report every reject through ``on_reject``, in line order."""
+        if on_reject is not None:
+            for r in sorted(self.rejected, key=lambda r: r.line):
+                on_reject(r)
 
 
 def _transpose(rows: list[list[str]], width: int) -> list[Sequence[str]]:
@@ -401,40 +491,40 @@ def parse_eod_file(
 ) -> MarketDay:
     """Parse one daily Symbol,Open,High,Low,Close,Volume file.
 
-    The row loop only splits rows and rejects those of the wrong shape; the
-    price and volume columns are then converted in one pass each.  Rows
-    that cannot be used are skipped and reported through ``on_reject``;
+    Records are read a chunk at a time.  In each chunk, the row loop only
+    splits rows and rejects those of the wrong shape; the price and volume
+    columns are then converted in one pass each.  Rows that cannot be used
+    are skipped and reported through ``on_reject`` once the file is read;
     zero-volume rows are kept (they are flagged through
-    ``MarketDay.tradable``).  Duplicate symbols keep the first occurrence.
+    ``MarketDay.tradable``).  Duplicate symbols keep the first usable
+    occurrence.
     Raises ValueError when no usable row remains, or for bytes that are not
     UTF-8.
     """
-    rejected: list[RejectedRow] = []
-    records = _records(_decode(data), rejected)
-    lines: list[int] = []
-    symbols: list[str] = []
-    rows: list[list[str]] = []
-    for line_no, row in enumerate(records, start=1):
-        symbol = row[0].strip() if row else ""
-        if (line_no == 1 and symbol.lower() == "symbol") or (not symbol and _blank(row)):
-            continue
-        split = row if len(row) == 6 else _split_row(row, 5)
-        if split is None:
-            rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
-            continue
-        if not symbol:
-            rejected.append(RejectedRow(line_no, ",".join(row), UNPARSEABLE_FIELD))
-            continue
-        lines.append(line_no)
-        symbols.append(symbol)
-        rows.append(split)
-    fields = _transpose(rows, 6)[1:]
-    symbols, o, h, l, c, volume = _judge(
-        lines, records, symbols, fields, int, rejected, on_reject, unique_keys=True
-    )
-    if not symbols:
+    judged = _Judged(unique_keys=True)
+    for offset, chunk in _record_chunks(data, judged.rejected):
+        lines: list[int] = []
+        symbols: list[str] = []
+        rows: list[list[str]] = []
+        for line_no, row in enumerate(chunk, start=offset + 1):
+            symbol = row[0].strip() if row else ""
+            if (line_no == 1 and symbol.lower() == "symbol") or (not symbol and _blank(row)):
+                continue
+            split = row if len(row) == 6 else _split_row(row, 5)
+            if split is None:
+                judged.rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
+                continue
+            if not symbol:
+                judged.rejected.append(RejectedRow(line_no, ",".join(row), UNPARSEABLE_FIELD))
+                continue
+            lines.append(line_no)
+            symbols.append(symbol)
+            rows.append(split)
+        judged.judge(offset, chunk, lines, symbols, _transpose(rows, 6)[1:], int)
+    judged.deliver(on_reject)
+    if not judged.keys:
         raise ValueError(f"no usable rows for {day.isoformat()}")
-    return MarketDay(day, symbols, o, h, l, c, volume)
+    return MarketDay._parsed(day, judged.keys, *judged.columns())
 
 
 def eod_filename_date(name: str) -> tuple[str, date]:
@@ -574,57 +664,54 @@ def parse_index_csv(
     row longer than the header (six columns without one) is a volume split on
     bare thousands separators when volume is the last column and every extra
     part is digits, and is rejoined as in ``parse_eod_file``; any other such
-    row is a field-count reject.  Dates are read row by row, prices and
-    volumes a column at a time.  Bad rows are skipped and reported; duplicate
-    dates are an error.
+    row is a field-count reject.  Records are read a chunk at a time; in each
+    chunk, dates are read row by row, prices and volumes a column at a time.
+    Bad rows are skipped and reported; duplicate dates are an error.
     """
-    rejected: list[RejectedRow] = []
-    records = _records(_decode(data), rejected)
+    judged = _Judged(unique_keys=False)
     col_of = {"date": 0, "open": 1, "high": 2, "low": 3, "close": 4, "volume": 5}
     start = 0
-    if records:
-        header = [f.strip().lower() for f in records[0]]
-        if "date" in header:
-            col_of = {}
-            for i, field in enumerate(header):
-                if field in _INDEX_COLUMNS:
-                    col_of[field] = i
-            missing = _INDEX_COLUMNS - col_of.keys()
-            if missing:
-                raise ValueError(f"index header missing columns: {sorted(missing)}")
-            start = 1
-
-    lines: list[int] = []
-    rows: list[list[str]] = []
-    days: list[date] = []
-    width = max(col_of.values())
-    n_columns = len(records[0]) if start else 6
-    volume_last = col_of["volume"] == n_columns - 1
-    for line_no, row in enumerate(records[start:], start=start + 1):
-        if _blank(row):
-            continue
-        split = row
-        if len(row) > n_columns:  # a bare-thousands volume tail, or too many fields
-            split = _split_row(row, n_columns - 1) if volume_last else None
-        if split is None or len(split) <= width:
-            rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
-            continue
-        try:
-            d = _parse_day(split[col_of["date"]])
-        except ValueError:
-            rejected.append(RejectedRow(line_no, ",".join(row), MALFORMED_DATE))
-            continue
-        lines.append(line_no)
-        rows.append(split)
-        days.append(d)
-    columns = _transpose(rows, width + 1)
-    fields = [columns[col_of[k]] for k in ("open", "high", "low", "close", "volume")]
-    days, o, h, l, c, volume = _judge(
-        lines, records, days, fields, _index_volume, rejected, on_reject, unique_keys=False
-    )
-    if not days:
+    n_columns = 6
+    for offset, chunk in _record_chunks(data, judged.rejected):
+        if offset == 0:
+            header = [f.strip().lower() for f in chunk[0]]
+            if "date" in header:
+                col_of = {field: i for i, field in enumerate(header) if field in _INDEX_COLUMNS}
+                missing = _INDEX_COLUMNS - col_of.keys()
+                if missing:
+                    _check_utf8(data)  # bytes that are not UTF-8 are the error first
+                    raise ValueError(f"index header missing columns: {sorted(missing)}")
+                start, n_columns = 1, len(chunk[0])
+            width = max(col_of.values())
+            volume_last = col_of["volume"] == n_columns - 1
+        lines: list[int] = []
+        rows: list[list[str]] = []
+        days: list[date] = []
+        skip = start if offset == 0 else 0
+        for line_no, row in enumerate(chunk[skip:], start=offset + skip + 1):
+            if _blank(row):
+                continue
+            split = row
+            if len(row) > n_columns:  # a bare-thousands volume tail, or too many fields
+                split = _split_row(row, n_columns - 1) if volume_last else None
+            if split is None or len(split) <= width:
+                judged.rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
+                continue
+            try:
+                d = _parse_day(split[col_of["date"]])
+            except ValueError:
+                judged.rejected.append(RejectedRow(line_no, ",".join(row), MALFORMED_DATE))
+                continue
+            lines.append(line_no)
+            rows.append(split)
+            days.append(d)
+        columns = _transpose(rows, width + 1)
+        fields = [columns[col_of[k]] for k in ("open", "high", "low", "close", "volume")]
+        judged.judge(offset, chunk, lines, days, fields, _index_volume)
+    judged.deliver(on_reject)
+    if not judged.keys:
         raise ValueError(f"no usable rows in index {name!r}")
-    return IndexSeries(name, days, o, h, l, c, volume)
+    return IndexSeries._parsed(name, judged.keys, *judged.columns())
 
 
 def read_index_csv(

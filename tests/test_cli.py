@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import csie
-from csie import analytics, cli, cross_section
+from csie import analytics, cli, cross_section, market_data
 from csie.cli import _resolve, build_parser, load_config_file, main
 from csie.market_data import MarketDay
 
@@ -214,15 +214,58 @@ def test_skipped_files_are_reported_before_skipped_days(tmp_path, capsys, comman
     )
     file_line = f"error: skipped {eod}/M_20210603.csv: no usable rows for 2021-06-03"
     day_line = "error: skipped 2021-06-02: empty cross-section on 2021-06-02"
-    if command == "compare" and not index_ok:  # the index fails before the day lines
+    if command == "compare" and not index_ok:
+        # the index fails once the first file parses: before the later file's
+        # skip line and the day lines
         assert (code, stdout) == (2, "")
         assert stderr.splitlines() == [
-            file_line, f"error: cannot load index from {index}: no usable rows in index 'index'"
+            f"error: cannot load index from {index}: no usable rows in index 'index'"
         ]
     else:
         assert code == 1
         assert stderr.splitlines() == [file_line, day_line]
         assert stdout.count("wrote ") == (2 if command == "csie" else 4)
+
+
+# Five days: the first and the third have no usable row.
+BAD_THEN_GOOD = tuple(
+    (stamp, "AA,10,9,9,10.5,200\n" if bad else "AA,10,11,9,10.5,100\nBB,20,21,19,20.5,100\n")
+    for stamp, bad in zip(("20210601", "20210602", "20210603", "20210604", "20210607"),
+                          (True, False, True, False, False))
+)
+
+
+@pytest.mark.parametrize("index_text", [None, "Date,Open,High,Low,Close,Volume\n"],
+                         ids=["missing", "no-usable-row"])
+@pytest.mark.parametrize("market_ok", [True, False])
+def test_compare_with_a_bad_index_stops_at_the_first_usable_file(tmp_path, capsys, monkeypatch,
+                                                                  index_text, market_ok):
+    """The index error waits for a usable EOD file, so a market error still
+    wins; once one file parses, nothing else is parsed."""
+    parsed = []
+    real = market_data.parse_eod_file
+    monkeypatch.setattr(market_data, "parse_eod_file",
+                        lambda data, day, **kw: parsed.append(day) or real(data, day, **kw))
+    eod = tmp_path / "eod"
+    eod.mkdir()
+    for stamp, rows in BAD_THEN_GOOD if market_ok else BAD_THEN_GOOD[:1]:
+        (eod / f"M_{stamp}.csv").write_text("Symbol,Open,High,Low,Close,Volume\n" + rows)
+    index = tmp_path / "index.csv"
+    if index_text is not None:
+        index.write_text(index_text)
+    code, stdout, stderr = run(
+        ["compare", "--market-dir", str(eod), "--index", str(index), "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert (code, stdout) == (2, "")
+    lines = stderr.splitlines()
+    assert lines[0] == f"error: skipped {eod}/M_20210601.csv: no usable rows for 2021-06-01"
+    if market_ok:
+        assert len(parsed) == 2 and len(lines) == 2
+        assert lines[1].startswith(f"error: cannot load index from {index}: ")
+    else:
+        assert len(parsed) == 1
+        assert lines[1:] == [f"error: cannot load market data from {eod}: no usable EOD file in {eod}"]
 
 
 def test_csie_reruns_byte_identical(world, tmp_path, capsys):

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from datetime import date, timedelta
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -132,14 +135,113 @@ def test_index_parser_matches_rowwise_reference(data):
     assert got == outcome(rowwise_ingest.parse_index_csv, data, "X")
 
 
-def test_clean_files_take_no_per_field_conversion(monkeypatch):
-    """A clean file's columns each convert in one pass: the per-field rule,
-    the only caller of ``_strip_thousands``, never runs."""
-    calls = []
-    strip = md._strip_thousands
-    monkeypatch.setattr(md, "_strip_thousands", lambda f: calls.append(f) or strip(f))
+# Chunk sizes that put every kind of record on each side of a chunk boundary.
+SMALL_CHUNKS = [1, 2, 3]
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@settings(max_examples=30, deadline=None)
+@given(eod_files())
+def test_eod_parser_matches_rowwise_reference_in_small_chunks(chunk, data):
+    with mock.patch.object(md, "_CHUNK_RECORDS", chunk):
+        got = outcome(parse_eod_file, data, FIXTURE_DAY)
+    assert got == outcome(rowwise_ingest.parse_eod_file, data, FIXTURE_DAY)
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@settings(max_examples=30, deadline=None)
+@given(index_files())
+def test_index_parser_matches_rowwise_reference_in_small_chunks(chunk, data):
+    with mock.patch.object(md, "_CHUNK_RECORDS", chunk):
+        got = outcome(parse_index_csv, data, "X")
+    assert got == outcome(rowwise_ingest.parse_index_csv, data, "X")
+
+
+# Records whose handling spans records: after the header (or none) and a
+# number of filler rows, so that each lands on either side of a boundary.
+EOD_RECORDS = [
+    "A,10,9,9,10.5,100",  # an unusable A: the later usable one is kept
+    '"B\nC",10,11,9,10.5,200',  # one record on two physical lines
+    "D\rE,10,11,9,10.5,300",  # refused by the csv module, quoted from its physical line
+    "A,10,11,9,10.5,400",
+    "A,10,11,9,10.5,500",  # a duplicate symbol
+    "symbol,10,11,9,10.5,600",  # a header only on line 1
+    "G\rH,10,11,9,10.5,700",  # a second refused record, further down
+]
+INDEX_RECORDS = [
+    "2021-01-04,10,9,9,10.5,100",
+    '"2021-01-05\n",10,11,9,10.5,200',
+    "2021-01-06\r,10,11,9,10.5,300",
+    "2021-01-07,10,11,9,10.5,400",
+    "2021-01-08\r,10,11,9,10.5,500",
+]
+
+
+def boundary_file(header: str, records: list[str], filler: list[str]) -> bytes:
+    return "\n".join(([header] if header else []) + filler + records).encode()
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@pytest.mark.parametrize("n_filler", range(4))
+@pytest.mark.parametrize("header", ["Symbol,Open,High,Low,Close,Volume", ""])
+def test_eod_records_across_a_chunk_boundary(chunk, n_filler, header):
+    filler = [f"S{i},10,11,9,10.5,1" for i in range(n_filler)]
+    data = boundary_file(header, EOD_RECORDS, filler)
+    with mock.patch.object(md, "_CHUNK_RECORDS", chunk):
+        got = outcome(parse_eod_file, data, FIXTURE_DAY)
+    assert got == outcome(rowwise_ingest.parse_eod_file, data, FIXTURE_DAY)
+    day, rejected = got
+    assert day.symbols.tolist() == ["A", "B\nC", *(f"S{i}" for i in range(n_filler)), "symbol"]
+    assert day.bar("A").volume == 400
+    assert [r.reason for r in rejected] == [
+        md.OHLC_ORDERING, md.UNPARSEABLE_FIELD, md.DUPLICATE_SYMBOL, md.UNPARSEABLE_FIELD
+    ]
+    assert [rejected[1].content, rejected[3].content] == [
+        "D\rE,10,11,9,10.5,300", "G\rH,10,11,9,10.5,700"
+    ]
+
+
+@pytest.mark.parametrize("chunk", SMALL_CHUNKS)
+@pytest.mark.parametrize("n_filler", range(4))
+@pytest.mark.parametrize("header", ["Date,Open,High,Low,Close,Volume", ""])
+@pytest.mark.parametrize("repeat", [False, True])
+def test_index_records_across_a_chunk_boundary(chunk, n_filler, header, repeat):
+    filler = [f"2020-12-{i + 1:02d},10,11,9,10.5,1" for i in range(n_filler)]
+    records = INDEX_RECORDS + ["2021-01-05,10,11,9,10.5,600"] * repeat
+    data = boundary_file(header, records, filler)
+    with mock.patch.object(md, "_CHUNK_RECORDS", chunk):
+        got = outcome(parse_index_csv, data, "X")
+    assert got == outcome(rowwise_ingest.parse_index_csv, data, "X")
+    if repeat:
+        assert got[0] == "ValueError: duplicate date 2021-01-05"
+    else:
+        assert len(got[0]) == n_filler + 2
+        assert [r.reason for r in got[1]] == [
+            md.OHLC_ORDERING, md.UNPARSEABLE_FIELD, md.UNPARSEABLE_FIELD
+        ]
+        assert got[1][2].content == "2021-01-08\r,10,11,9,10.5,500"
+
+
+@pytest.mark.parametrize("parse, data", [
+    (lambda data, **kw: parse_eod_file(data, FIXTURE_DAY, **kw), b"AA,10,11,9,10.5,100\n" * 3000),
+    # the missing volume column is not the error: the bytes are
+    (parse_index_csv, b"Date,Open,High,Low,Close\n" + b"2021-01-04,10,11,9,10.5\n" * 3000),
+], ids=["eod", "index-header"])
+def test_bytes_that_are_not_utf8_deep_in_a_file(parse, data):
+    """Past the first chunks read, a byte that is not UTF-8 is still the
+    file's error, at its position in the whole file, and no reject of the
+    rows before it is delivered."""
+    rejected = []
+    with pytest.raises(UnicodeDecodeError, match=f"in position {len(data)}: invalid start byte"):
+        parse(data + b"\xff", on_reject=rejected.append)
+    assert rejected == []
+
+
+def clean_files(n: int = 3500) -> tuple[bytes, bytes, list[int]]:
+    """An EOD file and an index file of ``n`` usable rows each, whose volumes
+    are spelled plain, with bare and with quoted thousands separators, and
+    those volumes."""
     rng = np.random.default_rng(7)
-    n = 3500
     o = rng.uniform(1.0, 100.0, n)
     c = o * rng.uniform(0.95, 1.05, n)
     o, h, l, c = (x.tolist() for x in (o, np.maximum(o, c) * 1.01, np.minimum(o, c) / 1.01, c))
@@ -149,12 +251,37 @@ def test_clean_files_take_no_per_field_conversion(monkeypatch):
         f"S{i:04d},{o[i]!r},{h[i]!r},{l[i]!r},{c[i]!r},{spellings[i % 3](volumes[i])}\n"
         for i in range(n)
     )
-    day = parse_eod_file(eod.encode(), FIXTURE_DAY)
-    assert len(day) == n and day.volume.tolist() == volumes
     index = "Date,Open,High,Low,Close,Volume\n" + "".join(
         f"{date(2000, 1, 1) + timedelta(days=i)},{o[i]!r},{h[i]!r},{l[i]!r},{c[i]!r},"
         f"{spellings[i % 3](volumes[i])}\n"
         for i in range(n)
     )
-    assert parse_index_csv(index.encode()).volume.tolist() == volumes
+    return eod.encode(), index.encode(), volumes
+
+
+def test_clean_files_take_no_per_field_conversion(monkeypatch):
+    """A clean file's columns each convert in one pass: the per-field rule,
+    the only caller of ``_strip_thousands``, never runs."""
+    calls = []
+    strip = md._strip_thousands
+    monkeypatch.setattr(md, "_strip_thousands", lambda f: calls.append(f) or strip(f))
+    eod, index, volumes = clean_files()
+    day = parse_eod_file(eod, FIXTURE_DAY)
+    assert len(day) == len(volumes) and day.volume.tolist() == volumes
+    assert parse_index_csv(index).volume.tolist() == volumes
     assert calls == []
+
+
+def test_a_wide_file_parses_in_bounded_memory():
+    """A parse holds one chunk of records at a time: on a 3,500-row file of
+    about 300 KB, its traced peak stays under 1.5 MB (the whole-file parse
+    it replaced peaked at about 3.7 MB)."""
+    eod, _, _ = clean_files()
+    parse_eod_file(eod, FIXTURE_DAY)  # imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        parse_eod_file(eod, FIXTURE_DAY)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
