@@ -41,40 +41,34 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return s, (a - (s - z)) + (b - z)
 
 
-def _cascade(x: np.ndarray, second: bool) -> tuple[np.ndarray, np.ndarray]:
+def _cascade(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's r = fl(s + e) and whether r is certified to be its
     correctly rounded sum.
 
     A TwoSum cascade sums the row into ``s`` and its exact errors into ``e``.
-    The errors that are added up plainly (into ``e``, or with ``second``,
-    where ``e`` is a TwoSum cascade too, the errors of ``e`` into ``f``) are
-    rounded ``rounds`` times, which costs at most ``rounds * u * mag``, with
-    ``mag`` the sum of their magnitudes.  With ``t`` the exact remainder of
-    ``r``, the sum lies within ``|t| + |f| + bound`` of ``r``.  r is
-    certified when that is below half the gap from r to its nearer
-    neighbour, or when every such error is zero (mag == 0): the sum is then
-    ``s + e`` exactly and r its correct rounding, a tie included.  A
-    non-finite r and r == 0 are never certified.
+    Adding up the errors plainly rounds them ``rounds`` times, which costs at
+    most ``rounds * u * mag``, with ``mag`` the sum of their magnitudes.  With
+    ``t`` the exact remainder of ``r``, the sum lies within ``|t| + bound`` of
+    ``r``.  r is certified when that is below half the gap from r to its
+    nearer neighbour, or when every error is zero (mag == 0): the sum is then
+    ``s`` exactly and r its correct rounding.  A non-finite r and r == 0 are
+    never certified.
     """
     n, w = x.shape
     s = x[:, 0].copy()
-    e, f, mag = np.zeros(n), np.zeros(n), np.zeros(n)
+    e, mag = np.zeros(n), np.zeros(n)
     for j in range(1, w):
         s, err = _two_sum(s, x[:, j])
-        if second:
-            e, err = _two_sum(e, err)
-            f += err
-        else:
-            e += err
+        e += err
         mag += np.abs(err)
     r, t = _two_sum(s, e)
-    rounds = w - 2 - second  # adding into a zero is exact
+    rounds = w - 2  # adding into a zero is exact
     # the slack covers the rounding of mag and of the product; _TINY its underflow
     bound = mag * (rounds * _U * 1.01) + _TINY if rounds > 0 else 0.0
     a = np.abs(r)
     half_gap = 0.5 * np.minimum(np.spacing(a), a - np.nextafter(a, 0.0))
-    # the factor makes the computed distance an upper bound despite its two additions
-    distance = (np.abs(t) + np.abs(f) + bound) * (1.0 + 4 * _U)
+    # the factor makes the computed distance an upper bound despite its addition
+    distance = (np.abs(t) + bound) * (1.0 + 4 * _U)
     certified = (mag == 0.0) | (distance < half_gap)
     return r, certified & (a < math.inf) & (r != 0.0)
 
@@ -83,23 +77,20 @@ def exact_rowsums(x: np.ndarray) -> np.ndarray:
     """The correctly rounded sum of each row of a 2-D array: ``math.fsum``
     of the row, bit for bit, sign of zero included.
 
-    The rows are summed by TwoSum cascades across the columns, after Ogita,
-    Rump & Oishi (2005), "Accurate sum and dot product" (``_cascade``).  A
-    row whose one-cascade sum cannot be certified (most often an exact tie)
-    is summed again with the errors cascaded too, and a row that still is
-    not certified goes to ``exact_sum``: one with a non-finite value or an
-    overflow (so overflow raises ValueError), one whose sum is zero (fsum
-    gives +0.0 where a cascade may give -0.0), and the rare rest.
+    The rows are summed by one TwoSum cascade across the columns, after
+    Ogita, Rump & Oishi (2005), "Accurate sum and dot product"
+    (``_cascade``).  A row whose cascade sum cannot be certified goes to
+    ``exact_sum``, which is ``math.fsum`` itself: one with a non-finite
+    value or an overflow (so overflow raises ValueError), one whose sum is
+    zero (fsum gives +0.0 where a cascade may give -0.0), an exact tie, and
+    the rare rest.
     """
     x = np.asarray(x, dtype=float)
     n, w = x.shape
     if w == 0:
         return np.zeros(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        r, ok = _cascade(x, second=False)
-        redo = np.flatnonzero(~ok)
-        if redo.size:
-            r[redo], ok[redo] = _cascade(x[redo], second=True)
+        r, ok = _cascade(x)
     for i in np.flatnonzero(~ok).tolist():
         r[i] = exact_sum(x[i])
     return r

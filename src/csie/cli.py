@@ -39,7 +39,7 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
@@ -187,11 +187,13 @@ def _parse_estimators(s: str) -> tuple[str, ...]:
 
 
 def _parse_date_opt(s: str) -> date:
-    for parse in (date.fromisoformat, lambda v: datetime.strptime(v, "%Y%m%d").date()):
+    """A date written YYYY-MM-DD, or YYYYMMDD as exactly eight ASCII digits."""
+    digits = s[:4] + s[5:7] + s[8:] if len(s) == 10 and s[4] == s[7] == "-" else s
+    if len(digits) == 8 and digits.isascii() and digits.isdigit():
         try:
-            return parse(s)
+            return date(int(digits[:4]), int(digits[4:6]), int(digits[6:]))
         except ValueError:
-            continue
+            pass
     raise ConfigError(f"bad date {s!r} (want YYYY-MM-DD or YYYYMMDD)")
 
 
@@ -277,10 +279,7 @@ def _csie_days(
     skipped_files: list[str] = []
     skipped_days: list[str] = []
     try:
-        for day, _ in _eod_files(cfg.market_dir):
-            if isinstance(day, str):
-                skipped_files.append(day)
-                continue
+        for day in _eod_files(cfg.market_dir, on_skip=skipped_files.append):
             if index_error is not None:
                 break
             try:

@@ -19,23 +19,19 @@ record the csv module cannot read, is reported through an ``on_reject``
 callback, in line order once the whole file is read (and by
 ``read_eod_dir`` in date order, then line order), instead of failing the
 whole file; a file that does not parse costs ``read_eod_dir`` only that
-file.  Both parsers run with the cyclic garbage collector paused: a parse
-makes no reference cycles, so a collection during one finds nothing to free.
+file, which it reports through an ``on_skip`` callback.
 """
 
 from __future__ import annotations
 
 import csv
-import functools
-import gc
 import io
 import itertools
 import re
-import warnings
 from dataclasses import dataclass
 from datetime import date, datetime
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -56,40 +52,20 @@ ZERO_VOLUME = "zero-volume"
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 # Records a parser reads, converts and judges at a time, so that what a parse
-# holds besides the rows it keeps does not grow with the file.
+# holds besides the rows it keeps does not grow with the file.  A chunk stays
+# below the young generation's 700-allocation threshold, so a parse runs next
+# to no garbage collection.
 _CHUNK_RECORDS = 256
+
+# datetime64[D] counts days from 1970-01-01.
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
 _EOD_NAME = re.compile(r"^(?P<market>.+)_(?P<date>\d{8})\.csv$")
 
 OnReject = Callable[["RejectedRow"], None]
+OnSkip = Callable[[str], None]
 
 _Prices = Sequence[float] | np.ndarray
-
-_Parsed = TypeVar("_Parsed")
-
-
-def _collector_paused(parse: Callable[..., _Parsed]) -> Callable[..., _Parsed]:
-    """``parse`` run with the cyclic garbage collector paused.
-
-    A parse builds one list per csv record and frees them all by reference
-    counting, yet the allocations trigger hundreds of collections per
-    directory of wide files, each walking the heap for nothing.  The
-    collector is re-enabled afterwards only if it was enabled on entry, so a
-    caller that paused it finds it paused still.
-    """
-
-    @functools.wraps(parse)
-    def paused(*args, **kwargs) -> _Parsed:
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return parse(*args, **kwargs)
-        finally:
-            if enabled:
-                gc.enable()
-
-    return paused
-
 
 @dataclass(frozen=True, slots=True)
 class DailyBar:
@@ -260,12 +236,13 @@ class IndexSeries(_Bars):
     @classmethod
     def _parsed(cls, name: str, dates: list[date], *columns: np.ndarray) -> IndexSeries:
         """A series from ``parse_index_csv``'s judged OHLCV columns: sorted
-        once, with only its dates checked for repeats."""
+        once, with only its dates checked for repeats.  The dates convert
+        through their ordinals, far faster than ``np.asarray`` of ``date``
+        objects."""
         self = cls.__new__(cls)
         self.name = name
-        self.dates = self._store(
-            np.asarray(dates, dtype="datetime64[D]"), "duplicate date", *columns
-        )
+        days = np.fromiter(map(date.toordinal, dates), np.int64, len(dates)) - _EPOCH_ORDINAL
+        self.dates = self._store(days.astype("datetime64[D]"), "duplicate date", *columns)
         return self
 
     def __repr__(self) -> str:
@@ -356,14 +333,6 @@ def _blank(row: list[str]) -> bool:
     return not "".join(row).strip()
 
 
-def _without_commas(fields: Sequence[str]) -> list[str]:
-    """The fields with every comma removed, by one replace over the column
-    joined on newlines; a field holding a newline makes the split miscount,
-    and then each field is replaced on its own."""
-    parts = "\n".join(fields).replace(",", "").split("\n")
-    return parts if len(parts) == len(fields) else [f.replace(",", "") for f in fields]
-
-
 def _index_volume(field: str) -> int:
     """An index volume; one written as a float (``1e3``) loses its fraction."""
     return int(float(field))
@@ -433,7 +402,7 @@ class _Judged:
         unparseable: set[int] = set()
         opens, highs, lows, closes, volumes = fields
         for column, convert in zip(
-            (opens, highs, lows, closes, _without_commas(volumes)),
+            (opens, highs, lows, closes, [v.replace(",", "") for v in volumes]),
             (float, float, float, float, to_volume),
         ):
             values, failed = _convert(column, convert)
@@ -482,7 +451,6 @@ def _transpose(rows: list[list[str]], width: int) -> list[Sequence[str]]:
     return list(zip(*rows))[:width] if rows else [()] * width
 
 
-@_collector_paused
 def parse_eod_file(
     data: str | bytes,
     day: date,
@@ -552,10 +520,6 @@ def read_eod_file(
     return parse_eod_file(path.read_bytes(), day, on_reject=on_reject)
 
 
-class SkippedFileWarning(UserWarning):
-    """``read_eod_dir`` left out a file it could not parse."""
-
-
 def _dated_eod_files(paths: Iterable[Path]) -> list[tuple[date, Path]]:
     """The regular files among ``paths`` named ``<MARKET>_<YYYYMMDD>.csv``,
     with their dates, in date order; two files of one date are a ValueError."""
@@ -576,17 +540,21 @@ def _dated_eod_files(paths: Iterable[Path]) -> list[tuple[date, Path]]:
 
 
 def _eod_files(
-    path: Path, threads: int = 1
-) -> Iterator[tuple[MarketDay | str, list[RejectedRow]]]:
+    path: Path,
+    threads: int = 1,
+    on_reject: OnReject | None = None,
+    on_skip: OnSkip | None = None,
+) -> Iterator[MarketDay]:
     """Each ``<MARKET>_<YYYYMMDD>.csv`` in a directory, loaded in date order.
 
-    Yields each file's ``MarketDay``, or ``skipped <file>: <reason>`` for a
-    file that does not parse (no usable row, or bytes that are not UTF-8),
-    with the rows the file rejected.  Serially, a file is read only when the
-    one before it has been taken, so a consumer that keeps no day holds one
-    at a time; ``threads`` > 1 reads them all in a pool first.  Raises
-    ValueError when there is no EOD file, or once every file is yielded if
-    none parsed.
+    Yields the ``MarketDay`` of each file that parses.  A file that does not
+    (no usable row, or bytes that are not UTF-8) goes to ``on_skip`` as
+    ``skipped <file>: <reason>``.  A file's rejects reach ``on_reject``, in
+    line order, before its day or its skip.  Serially, a file is read only
+    when the day before it has been taken, so a consumer that keeps no day
+    holds one at a time; ``threads`` > 1 reads them all in a pool first.
+    Raises ValueError when there is no EOD file, or once every file is read
+    if none parsed.
     """
     dated = _dated_eod_files(path.iterdir())
     if not dated:
@@ -606,9 +574,16 @@ def _eod_files(
         with ThreadPoolExecutor(max_workers=min(threads, len(dated))) as pool:
             loaded = list(pool.map(load, dated))
     usable = False
-    for item in loaded:
-        usable = usable or isinstance(item[0], MarketDay)
-        yield item
+    for day, rejects in loaded:
+        if on_reject is not None:
+            for r in rejects:
+                on_reject(r)
+        if isinstance(day, str):
+            if on_skip is not None:
+                on_skip(day)
+            continue
+        usable = True
+        yield day
     if not usable:
         raise ValueError(f"no usable EOD file in {path}")
 
@@ -618,6 +593,7 @@ def read_eod_dir(
     *,
     threads: int = 1,
     on_reject: OnReject | None = None,
+    on_skip: OnSkip | None = None,
 ) -> list[MarketDay]:
     """Read every ``<MARKET>_<YYYYMMDD>.csv`` in a directory, sorted by date.
 
@@ -626,21 +602,12 @@ def read_eod_dir(
     is kept only for the benchmark's ``pool_speedup`` metric, and the CLI
     reads serially.  Results are assembled in date order either way.
     A file that does not parse (no usable row, or bytes that are not UTF-8)
-    costs only itself: it is left out with a ``SkippedFileWarning``
-    ``skipped <file>: <reason>``.  The warnings are issued in date order, and
+    costs only itself: it is left out, and ``on_skip`` receives
+    ``skipped <file>: <reason>``.  Skips reach ``on_skip`` in date order, and
     rejects reach ``on_reject`` in date order, then line order.  Raises
     ValueError when no file is left.
     """
-    days: list[MarketDay] = []
-    for day, rejects in _eod_files(Path(path), threads):
-        if isinstance(day, str):
-            warnings.warn(day, SkippedFileWarning, stacklevel=2)
-        else:
-            days.append(day)
-        if on_reject is not None:
-            for r in rejects:
-                on_reject(r)
-    return days
+    return list(_eod_files(Path(path), threads, on_reject, on_skip))
 
 
 _INDEX_COLUMNS = {"date", "open", "high", "low", "close", "volume"}
@@ -650,7 +617,6 @@ def _parse_day(field: str) -> date:
     return date.fromisoformat(field.strip())
 
 
-@_collector_paused
 def parse_index_csv(
     data: str | bytes,
     name: str = "index",

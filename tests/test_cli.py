@@ -585,6 +585,10 @@ CONFIG_ERRORS = {
                            "duplicate estimator tags"),
     "date-bad": ("cluster", ["--date", "2021-13-01"], None,
                  "bad date '2021-13-01' (want YYYY-MM-DD or YYYYMMDD)"),
+    "date-seven-digits": ("cluster", ["--date", "2016022"], None,
+                          "bad date '2016022' (want YYYY-MM-DD or YYYYMMDD)"),
+    "date-six-digits": ("cluster", ["--date", "202111"], None,
+                        "bad date '202111' (want YYYY-MM-DD or YYYYMMDD)"),
     "abs-not-boolean": ("csie", [], "abs = maybe\n", "abs must be a boolean, got 'maybe'"),
     "log-prices-not-boolean": ("cluster", [], "log-prices = 2\n",
                                "log_prices must be a boolean, got '2'"),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import gc
+import warnings
 from datetime import date, timedelta
 
 import numpy as np
@@ -21,7 +22,6 @@ from csie.market_data import (
     DailyBar,
     IndexSeries,
     MarketDay,
-    SkippedFileWarning,
     eod_filename_date,
     parse_eod_file,
     parse_index_csv,
@@ -30,6 +30,7 @@ from csie.market_data import (
 
 from helpers import FIXTURE_DAY, table1_csv, to_eod_csv
 from rowwise_ingest import _verdict
+from test_ingest_oracle import clean_files
 
 D = FIXTURE_DAY
 
@@ -391,20 +392,26 @@ def test_read_eod_dir_skips_a_file_it_cannot_parse(tmp_path, threads):
     (tmp_path / "SYN_20210602.csv").write_text("AA,1,0.9,0.5,0.8,10\n")
     (tmp_path / "SYN_20210603.csv").write_bytes(good.encode() + b"\xff\n")
     (tmp_path / "SYN_20210604.csv").write_text(good)
-    rejected, on_reject = collect()
-    with pytest.warns(SkippedFileWarning) as warned:
-        days = read_eod_dir(tmp_path, threads=threads, on_reject=on_reject)
-    assert [d.day.isoformat() for d in days] == ["2021-06-01", "2021-06-04"]
-    assert [str(w.message) for w in warned] == [
+    skips = [
         f"skipped {tmp_path / 'SYN_20210602.csv'}: no usable rows for 2021-06-02",
         f"skipped {tmp_path / 'SYN_20210603.csv'}: 'utf-8' codec can't decode byte 0xff "
         "in position 18: invalid start byte",
     ]
-    assert [(r.line, r.reason) for r in rejected] == [(1, OHLC_ORDERING)]
-    for name in ("SYN_20210601.csv", "SYN_20210604.csv"):
-        (tmp_path / name).unlink()
-    with pytest.warns(SkippedFileWarning), pytest.raises(ValueError, match="no usable EOD file"):
-        read_eod_dir(tmp_path, threads=threads)
+    events = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a skip is reported through on_skip alone
+        days = read_eod_dir(tmp_path, threads=threads, on_reject=events.append,
+                            on_skip=events.append)
+        assert [d.day.isoformat() for d in days] == ["2021-06-01", "2021-06-04"]
+        # a file's rejects come before its skip
+        assert events[1:] == skips
+        assert (events[0].line, events[0].reason) == (1, OHLC_ORDERING)
+        for name in ("SYN_20210601.csv", "SYN_20210604.csv"):
+            (tmp_path / name).unlink()
+        skipped = []
+        with pytest.raises(ValueError, match="no usable EOD file"):
+            read_eod_dir(tmp_path, threads=threads, on_skip=skipped.append)
+        assert skipped == skips
 
 
 def test_read_eod_dir_empty_errors(tmp_path):
@@ -541,39 +548,42 @@ def test_index_series_constructor_rejects_duplicates():
         IndexSeries("X", [date(2021, 1, 4)], [10], [11], [9], [np.nan], [1])
 
 
+def test_parsed_dates_equal_the_constructors():
+    """``IndexSeries._parsed`` converts dates through their ordinals; the
+    public constructor through numpy.  Both give the same dates."""
+    dates = [date(1, 1, 1), date(1969, 12, 31), date(2000, 2, 29), date(9999, 12, 31)]
+    columns = ([10.0] * 4, [11.0] * 4, [9.0] * 4, [10.5] * 4, [100] * 4)
+    parsed = IndexSeries._parsed("X", dates, *(np.array(c) for c in columns))
+    built = IndexSeries("X", dates, *columns)
+    assert parsed.dates.dtype == built.dates.dtype
+    assert parsed.dates.tolist() == built.dates.tolist() == dates
+    assert parsed == built
+
+
 # --- the cyclic collector during a parse ----------------------------------------
 
-INDEX_TEXT = "Date,Open,High,Low,Close,Volume\n2021-06-01,10,11,9,10.5,100\n"
-PARSES = {
-    "eod": lambda data, on_reject: parse_eod_file(data, D, on_reject=on_reject),
-    "index": lambda data, on_reject: parse_index_csv(data, "X", on_reject=on_reject),
-}
-# Each parser's input with one rejected row, and one that it refuses outright.
-GOOD = {"eod": table1_csv() + "BAD,1\n", "index": INDEX_TEXT + "2021-06-02,1\n"}
-BAD = {"eod": "AA,10,9,9,10.5,200\n", "index": "Date,Open\n"}
+def test_wide_parses_run_next_to_no_collection():
+    """A parse holds one chunk of ``_CHUNK_RECORDS`` records at a time, too
+    few allocations to trigger the cyclic collector at its default
+    thresholds: 10 parses of each 3,500-row clean file run at most 2
+    collections (at 1,024 records per chunk they ran about 140)."""
+    eod, index, _ = clean_files()
+    collections = []
 
+    def count(phase, info):
+        if phase == "start":
+            collections.append(info["generation"])
 
-@pytest.mark.parametrize("parser", PARSES)
-def test_a_parse_pauses_the_collector_and_restores_it(parser):
-    parse = PARSES[parser]
-    during = []
     assert gc.isenabled()
-    parse(GOOD[parser], lambda r: during.append(gc.isenabled()))
-    assert during == [False]
-    assert gc.isenabled()
-    with pytest.raises(ValueError):
-        parse(BAD[parser], None)
-    assert gc.isenabled()
-
-
-@pytest.mark.parametrize("parser", PARSES)
-def test_a_parse_leaves_a_paused_collector_paused(parser):
-    gc.disable()
+    thresholds = gc.get_threshold()
+    gc.set_threshold(700, 10, 10)
+    gc.collect()
+    gc.callbacks.append(count)
     try:
-        PARSES[parser](GOOD[parser], None)
-        assert not gc.isenabled()
-        with pytest.raises(ValueError):
-            PARSES[parser](BAD[parser], None)
-        assert not gc.isenabled()
+        for _ in range(10):
+            parse_eod_file(eod, D)
+            parse_index_csv(index)
     finally:
-        gc.enable()
+        gc.callbacks.remove(count)
+        gc.set_threshold(*thresholds)
+    assert len(collections) <= 2
