@@ -587,3 +587,32 @@ def test_wide_parses_run_next_to_no_collection():
         gc.callbacks.remove(count)
         gc.set_threshold(*thresholds)
     assert len(collections) <= 2
+
+
+INDEX_TEXT = "Date,Open,High,Low,Close,Volume\n2021-06-01,10,11,9,10.5,100\n"
+PARSES = {
+    "eod": lambda data, on_reject: parse_eod_file(data, D, on_reject=on_reject),
+    "index": lambda data, on_reject: parse_index_csv(data, "X", on_reject=on_reject),
+}
+# Each parser's input with one rejected row, and one that it refuses outright.
+GOOD = {"eod": table1_csv() + "BAD,1\n", "index": INDEX_TEXT + "2021-06-02,1\n"}
+BAD = {"eod": "AA,10,9,9,10.5,200\n", "index": "Date,Open\n"}
+
+
+@pytest.mark.parametrize("parser", PARSES)
+def test_a_parse_leaves_a_paused_collector_paused(parser):
+    """A parse leaves the collector's state as it found it, whether the
+    parse succeeds or fails."""
+    gc.disable()
+    try:
+        PARSES[parser](GOOD[parser], None)
+        assert not gc.isenabled()
+        with pytest.raises(ValueError):
+            PARSES[parser](BAD[parser], None)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    rejected = []
+    PARSES[parser](GOOD[parser], rejected.append)
+    assert len(rejected) == 1
+    assert gc.isenabled()
