@@ -25,12 +25,14 @@ one thread unless the user set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
 or ``OMP_NUM_THREADS``: csie makes no BLAS call, and each thread of the pool
 that OpenBLAS starts when it loads costs CPU time.
 
-Exit codes: 0 all outputs written, 1 partial or processing failure
+Each command runs through one ``_Run``, which prints every ``error:`` line
+of a partial run and every ``wrote``/``failed`` line, and decides the exit
+status.  Exit codes: 0 all outputs written, 1 partial or processing failure
 (per-output status on stderr), 2 unusable input (unreadable directory,
 unparseable index, bad configuration).  An EOD file that does not parse (no
-usable row, or bytes that are not UTF-8) and a market day whose
-cross-section cannot be computed are each skipped with an ``error:`` line on
-stderr; the outputs cover the other days and the exit code is 1.
+usable row, bytes that are not UTF-8, or a read error) and a market day
+whose cross-section cannot be computed are each skipped with an ``error:``
+line on stderr; the outputs cover the other days and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -257,18 +259,17 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _csie_days(
-    cfg: RunConfig, index_error: ConfigError | None = None
-) -> tuple[list[CsieDay], list[str], bool]:
-    """Each market day's CSIE, the error line of each day csie_day rejects,
-    and whether a file was skipped.
+    cfg: RunConfig, run: _Run, index_error: ConfigError | None = None
+) -> list[CsieDay]:
+    """Each market day's CSIE.
 
     EOD files are read one at a time, and a day is dropped once its CSIE is
-    computed.  The skipped files' error lines are printed once the files are
-    read, in date order; the caller prints the day lines with
-    ``_report_days`` once it has loaded whatever else it needs.  A market
-    error (an unreadable directory, no EOD file, two files of one date, no
-    file that parses) wins over ``index_error``, which is raised once the
-    first file parses, after the error lines of the files skipped before it.
+    computed.  A skipped file's error line is printed as the file is read;
+    the error lines of the days csie_day rejects wait until every file is
+    read, and no day left is an error.  A market error (an unreadable
+    directory, no EOD file, two files of one date, no file that parses) wins
+    over ``index_error``, which is raised once the first file parses, after
+    the error lines of the files skipped before it.
     """
     from .cross_section import csie_day
     from .market_data import _eod_files
@@ -276,10 +277,9 @@ def _csie_days(
     if cfg.market_dir is None:
         raise ConfigError("--market-dir is required for this command")
     rows: list[CsieDay] = []
-    skipped_files: list[str] = []
     skipped_days: list[str] = []
     try:
-        for day in _eod_files(cfg.market_dir, on_skip=skipped_files.append):
+        for day in _eod_files(cfg.market_dir, on_skip=run.error):
             if index_error is not None:
                 break
             try:
@@ -287,25 +287,14 @@ def _csie_days(
             except ValueError as exc:
                 skipped_days.append(f"skipped {day.day.isoformat()}: {exc}")
     except (OSError, ValueError) as exc:
-        if isinstance(exc, ValueError):  # an unreadable file or directory is reported alone
-            _print_errors(skipped_files)
         raise ConfigError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
-    _print_errors(skipped_files)
     if index_error is not None:
         raise index_error
-    return rows, skipped_days, bool(skipped_files)
-
-
-def _report_days(rows: list[CsieDay], skipped_days: list[str]) -> None:
-    """Print the skipped days' error lines; no day left is an error."""
-    _print_errors(skipped_days)
+    for message in skipped_days:
+        run.error(message)
     if not rows:
         raise ValueError("no market day has a usable cross-section")
-
-
-def _print_errors(messages: list[str]) -> None:
-    for message in messages:
-        print(f"error: {message}", file=sys.stderr)
+    return rows
 
 
 def _load_index(cfg: RunConfig) -> IndexSeries:
@@ -319,29 +308,34 @@ def _load_index(cfg: RunConfig) -> IndexSeries:
         raise ConfigError(f"cannot load index from {cfg.index}: {exc}") from exc
 
 
-class _Emitter:
-    """Writes outputs one by one and keeps the per-output status report."""
+class _Run:
+    """One command's run: its ``error:`` lines, its outputs and its exit
+    status, which is 1 once an error line or a failed output is printed."""
 
-    def __init__(self, out_dir: Path) -> None:
+    def __init__(self) -> None:
+        self.status = 0
+        self.out_dir = Path()
+
+    def error(self, message: str) -> None:
+        print(f"error: {message}", file=sys.stderr)
+        self.status = 1
+
+    def open(self, out_dir: Path) -> None:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: {exc}") from exc
         self.out_dir = out_dir
-        self.failures = 0
 
     def emit(self, name: str, build: Callable[[], str]) -> None:
         path = self.out_dir / name
         try:
             path.write_text(build())
         except (OSError, ValueError) as exc:
-            self.failures += 1
             print(f"failed {path}: {exc}", file=sys.stderr)
+            self.status = 1
             return
         print(f"wrote {path}")
-
-    def status(self) -> int:
-        return 1 if self.failures else 0
 
 
 def cmd_csie(cfg: RunConfig) -> int:
@@ -351,10 +345,10 @@ def cmd_csie(cfg: RunConfig) -> int:
     from .cross_section import csie_csv
     from .svg import line_chart
 
-    rows, skipped_days, files_skipped = _csie_days(cfg)
-    _report_days(rows, skipped_days)
-    emitter = _Emitter(cfg.out)
-    emitter.emit("csie_daily.csv", lambda: csie_csv(rows))
+    run = _Run()
+    rows = _csie_days(cfg, run)
+    run.open(cfg.out)
+    run.emit("csie_daily.csv", lambda: csie_csv(rows))
 
     def build_chart() -> str:
         series = csie_dated_series(rows, use_abs=cfg.use_abs)
@@ -377,14 +371,15 @@ def cmd_csie(cfg: RunConfig) -> int:
             bubble_label=label,
         )
 
-    emitter.emit("csie_series.svg", build_chart)
-    return 1 if files_skipped or skipped_days else emitter.status()
+    run.emit("csie_series.svg", build_chart)
+    return run.status
 
 
 def cmd_indexvol(cfg: RunConfig) -> int:
     from .analytics import rolling_estimate
     from .svg import small_multiples
 
+    run = _Run()
     index = _load_index(cfg)
     w = cfg.windows[0]
     series_by_tag: dict[str, DatedSeries] = {}
@@ -396,7 +391,7 @@ def cmd_indexvol(cfg: RunConfig) -> int:
     # every series ends on the index's last bar, so the common dates are the
     # last entries of the shortest one
     n = min(len(s) for s in series_by_tag.values())
-    emitter = _Emitter(cfg.out)
+    run.open(cfg.out)
 
     def build_csv() -> str:
         dates = series_by_tag[cfg.estimators[0]].dates[-n:].tolist()
@@ -406,38 +401,36 @@ def cmd_indexvol(cfg: RunConfig) -> int:
             lines.append(d.isoformat() + "," + ",".join(map(repr, row)))
         return "\n".join(lines) + "\n"
 
-    emitter.emit("indexvol.csv", build_csv)
+    run.emit("indexvol.csv", build_csv)
     panels = [
         (f"{_LONG_NAMES[tag]} ({w}d)", series_by_tag[tag])
         for tag in _FIG_STACK_ORDER
         if tag in series_by_tag
     ]
-    emitter.emit(
+    run.emit(
         "indexvol.svg",
         lambda: small_multiples(panels, title=f"{index.name}: rolling volatility, window {w}"),
     )
-    return emitter.status()
+    return run.status
 
 
 def cmd_compare(cfg: RunConfig) -> int:
     from .analytics import comparison_grids
 
+    run = _Run()
     try:
         index = _load_index(cfg)
     except ConfigError as exc:  # raised once an EOD file parses, unless the market fails
-        _csie_days(cfg, exc)
+        _csie_days(cfg, run, exc)
         raise
-    rows, skipped_days, files_skipped = _csie_days(cfg)
-    _report_days(rows, skipped_days)
-    emitter = _Emitter(cfg.out)
-    errors: list[str] = []
+    rows = _csie_days(cfg, run)
+    run.open(cfg.out)
     grids = comparison_grids(index, rows, cfg.estimators, cfg.intervals,
                              tuple(sorted(cfg.windows)), semantics=cfg.interval_semantics,
-                             on_error=errors.append)
-    _print_errors(errors)
+                             on_error=run.error)
     for stat, grid in grids.items():
-        emitter.emit(f"grid_{stat}.csv", grid.to_csv)
-    return 1 if files_skipped or skipped_days or errors else emitter.status()
+        run.emit(f"grid_{stat}.csv", grid.to_csv)
+    return run.status
 
 
 def cmd_cluster(cfg: RunConfig) -> int:
@@ -445,6 +438,7 @@ def cmd_cluster(cfg: RunConfig) -> int:
     from .market_data import _dated_eod_files, read_eod_file
     from .svg import dendrogram_svg
 
+    run = _Run()
     if cfg.market_dir is None:
         raise ConfigError("--market-dir is required for this command")
     if cfg.cluster_date is None:
@@ -462,14 +456,14 @@ def cmd_cluster(cfg: RunConfig) -> int:
     try:
         day = read_eod_file(path)
         dendro = cluster_day(day, log_prices=cfg.log_prices)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     iso = cfg.cluster_date.isoformat()
-    emitter = _Emitter(cfg.out)
-    emitter.emit(f"cluster_{iso}.newick", lambda: dendro.newick() + "\n")
-    emitter.emit(f"cluster_{iso}_merges.csv", dendro.merge_csv)
-    emitter.emit(f"cluster_{iso}.svg", lambda: dendrogram_svg(dendro))
-    return emitter.status()
+    run.open(cfg.out)
+    run.emit(f"cluster_{iso}.newick", lambda: dendro.newick() + "\n")
+    run.emit(f"cluster_{iso}_merges.csv", dendro.merge_csv)
+    run.emit(f"cluster_{iso}.svg", lambda: dendrogram_svg(dendro))
+    return run.status
 
 
 _COMMANDS = {

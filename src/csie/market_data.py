@@ -548,9 +548,9 @@ def _eod_files(
     """Each ``<MARKET>_<YYYYMMDD>.csv`` in a directory, loaded in date order.
 
     Yields the ``MarketDay`` of each file that parses.  A file that does not
-    (no usable row, or bytes that are not UTF-8) goes to ``on_skip`` as
-    ``skipped <file>: <reason>``.  A file's rejects reach ``on_reject``, in
-    line order, before its day or its skip.  Serially, a file is read only
+    (no usable row, bytes that are not UTF-8, or a read error) goes to
+    ``on_skip`` as ``skipped <file>: <reason>``.  A file's rejects reach
+    ``on_reject``, in line order, before its day or its skip.  Serially, a file is read only
     when the day before it has been taken, so a consumer that keeps no day
     holds one at a time; ``threads`` > 1 reads them all in a pool first.
     Raises ValueError when there is no EOD file, or once every file is read
@@ -564,7 +564,7 @@ def _eod_files(
         rejects: list[RejectedRow] = []
         try:
             return read_eod_file(item[1], item[0], on_reject=rejects.append), rejects
-        except ValueError as exc:
+        except (OSError, ValueError) as exc:
             return f"skipped {item[1]}: {exc}", rejects
 
     loaded: Iterable[tuple[MarketDay | str, list[RejectedRow]]] = map(load, dated)
@@ -601,8 +601,8 @@ def read_eod_dir(
     parses files in a thread pool, which the GIL keeps from being faster; it
     is kept only for the benchmark's ``pool_speedup`` metric, and the CLI
     reads serially.  Results are assembled in date order either way.
-    A file that does not parse (no usable row, or bytes that are not UTF-8)
-    costs only itself: it is left out, and ``on_skip`` receives
+    A file that does not parse (no usable row, bytes that are not UTF-8, or a
+    read error) costs only itself: it is left out, and ``on_skip`` receives
     ``skipped <file>: <reason>``.  Skips reach ``on_skip`` in date order, and
     rejects reach ``on_reject`` in date order, then line order.  Raises
     ValueError when no file is left.
@@ -614,7 +614,10 @@ _INDEX_COLUMNS = {"date", "open", "high", "low", "close", "volume"}
 
 
 def _parse_day(field: str) -> date:
-    return date.fromisoformat(field.strip())
+    field = field.strip()  # fromisoformat alone also reads 20210106 and 2021-W01-1
+    if len(field) != 10 or field[4] != "-" or field[7] != "-":
+        raise ValueError(f"not a YYYY-MM-DD date: {field!r}")
+    return date.fromisoformat(field)
 
 
 def parse_index_csv(

@@ -159,3 +159,19 @@ def write_world(
     index_path = root / "index.csv"
     index_path.write_text("\n".join(index_lines) + "\n")
     return eod_dir, index_path
+
+
+def make_unreadable(monkeypatch, path: Path) -> str:
+    """Have ``Path.read_bytes`` raise ``PermissionError`` for ``path`` (a
+    ``chmod`` does not stop a process that runs as root), and return the
+    error's text."""
+    error = PermissionError(13, "Permission denied", str(path))
+    real = Path.read_bytes
+
+    def read_bytes(self: Path) -> bytes:
+        if self == path:
+            raise error
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    return str(error)

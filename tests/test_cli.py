@@ -18,7 +18,7 @@ from csie import analytics, cli, cross_section, market_data
 from csie.cli import _resolve, build_parser, load_config_file, main
 from csie.market_data import MarketDay
 
-from helpers import weekdays, write_world
+from helpers import make_unreadable, weekdays, write_world
 
 
 @pytest.fixture(scope="module")
@@ -127,12 +127,17 @@ UNUSABLE_DAY = {
         b"AA,1e-300,1e300,1e-300,1e300,1\nBB,10,11,9,10.5,200\nCC,20,21,19,20.5,200\n",
         "skipped 2021-06-02: entropy terms on 2021-06-02 are past the float range",
     ),
+    # a usable file that cannot be read
+    "unreadable": (
+        b"AA,10,11,9,10.5,200\nBB,20,21,19,20.5,200\n",
+        "skipped {eod}/M_20210602.csv: [Errno 13] Permission denied: '{eod}/M_20210602.csv'",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", UNUSABLE_DAY)
 @pytest.mark.parametrize("command", ["csie", "compare"])
-def test_an_unusable_day_costs_only_itself(tmp_path, capsys, command, case):
+def test_an_unusable_day_costs_only_itself(tmp_path, capsys, monkeypatch, command, case):
     eod = tmp_path / "eod"
     eod.mkdir()
     header = b"Symbol,Open,High,Low,Close,Volume\n"
@@ -142,6 +147,8 @@ def test_an_unusable_day_costs_only_itself(tmp_path, capsys, command, case):
             header + f"AA,10,11,9,10.5,{volume}\nBB,20,21,19,20.5,{volume}\n".encode()
         )
     (eod / "M_20210602.csv").write_bytes(header + middle)
+    if case == "unreadable":
+        make_unreadable(monkeypatch, eod / "M_20210602.csv")
     index = tmp_path / "index.csv"
     index.write_text(
         "Date,Open,High,Low,Close,Volume\n"
@@ -196,17 +203,26 @@ SKIPS = (
 )
 
 
+# index_ok "extreme": the EXTREME_BARS index, and a fifth EOD file that
+# cannot be read; every stderr channel of compare then prints, each in turn.
 @pytest.mark.parametrize("command, index_ok", [("csie", False), ("compare", False),
-                                               ("compare", True)])
-def test_skipped_files_are_reported_before_skipped_days(tmp_path, capsys, command, index_ok):
+                                               ("compare", True), ("compare", "extreme")])
+def test_skipped_files_are_reported_before_skipped_days(tmp_path, capsys, monkeypatch, command,
+                                                         index_ok):
     eod = tmp_path / "eod"
     eod.mkdir()
     for stamp, rows in SKIPS:
         (eod / f"M_{stamp}.csv").write_text("Symbol,Open,High,Low,Close,Volume\n" + rows)
     index = tmp_path / "index.csv"
-    index.write_text("Date,Open,High,Low,Close,Volume\n"
-                     + ("".join(f"2021-06-0{d},10,11,9,10.{d},{d}000\n" for d in range(1, 5))
-                        if index_ok else "2021-06-01,10,9,9,10.5,1000\n"))
+    index.write_text("Date,Open,High,Low,Close,Volume\n" + {
+        False: "2021-06-01,10,9,9,10.5,1000\n",
+        True: "".join(f"2021-06-0{d},10,11,9,10.{d},{d}000\n" for d in range(1, 5)),
+        "extreme": EXTREME_BARS,
+    }[index_ok])
+    if index_ok == "extreme":
+        unreadable = eod / "M_20210607.csv"
+        unreadable.write_text(SKIPS[0][1])
+        read_error = make_unreadable(monkeypatch, unreadable)
     code, stdout, stderr = run(
         [command, "--market-dir", str(eod), "--index", str(index), "--out", str(tmp_path / "out"),
          "--estimators", "pk", "--windows", "1", "--intervals", "all"],
@@ -221,6 +237,13 @@ def test_skipped_files_are_reported_before_skipped_days(tmp_path, capsys, comman
         assert stderr.splitlines() == [
             f"error: cannot load index from {index}: no usable rows in index 'index'"
         ]
+    elif index_ok == "extreme":
+        assert code == 1
+        assert stderr.splitlines() == [
+            file_line, f"error: skipped {unreadable}: {read_error}", day_line,
+            "error: estimator 'pk', window 1: price ratio past the float range",
+        ]
+        assert stdout.count("wrote ") == 4
     else:
         assert code == 1
         assert stderr.splitlines() == [file_line, day_line]
@@ -505,6 +528,19 @@ def test_two_files_of_one_date_are_an_input_error(tmp_path, capsys, command):
     assert stderr == (f"error: cannot load market data from {eod}: duplicate date 2021-01-04: "
                       "NASDAQ_20210104.csv, NYSE_20210104.csv\n")
     assert stdout == "" and not out.exists()
+
+
+def test_cluster_of_an_unreadable_file_is_an_input_error(world, tmp_path, capsys, monkeypatch):
+    eod, _ = world
+    path = eod / "SYN_20210601.csv"
+    read_error = make_unreadable(monkeypatch, path)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        ["cluster", "--market-dir", str(eod), "--date", "2021-06-01", "--out", str(out)], capsys
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == f"error: {path}: {read_error}\n"
+    assert not out.exists()
 
 
 def test_cluster_counts_only_regular_files(world, tmp_path, capsys):

@@ -119,6 +119,17 @@ def _entropy_terms_past_the_float_range(day: MarketDay) -> bool:
         return not (np.isfinite(c / o).all() and np.isfinite(spread).all())
 
 
+def _basic_or_week_date(field: str) -> bool:
+    """Whether the seed's ``date.fromisoformat`` reads a Date field that is
+    not YYYY-MM-DD, such as ``20210601`` or ``2021-W22-2``."""
+    field = field.strip()
+    try:
+        date.fromisoformat(field)
+    except ValueError:
+        return False
+    return len(field) != 10 or field[4] != "-" or field[7] != "-"
+
+
 def _index_records(index: Path) -> list[list[str]]:
     try:
         return list(csv.reader(io.StringIO(index.read_bytes().decode("utf-8-sig"))))
@@ -143,6 +154,9 @@ def divergence(command: str, windows: str, intervals: str, cluster_date: date,
         if any(len(r) > width and "".join(r).strip() for r in records):
             return ("an index row longer than the header is a field-count reject or a "
                     "rejoined bare-thousands volume")
+        at = [f.strip().lower() for f in records[0]].index("date") if has_header else 0
+        if any(len(r) > at and _basic_or_week_date(r[at]) for r in records[has_header:]):
+            return "an index Date field is read only as YYYY-MM-DD"
         with contextlib.suppress(OSError, ValueError):
             if _ratio_past_the_float_range(read_index_csv(index)):
                 return "an index window whose price ratios pass the float range fails"

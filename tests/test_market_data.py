@@ -28,7 +28,7 @@ from csie.market_data import (
     read_eod_dir,
 )
 
-from helpers import FIXTURE_DAY, table1_csv, to_eod_csv
+from helpers import FIXTURE_DAY, make_unreadable, table1_csv, to_eod_csv
 from rowwise_ingest import _verdict
 from test_ingest_oracle import clean_files
 
@@ -386,16 +386,20 @@ def test_read_eod_dir_threads_equivalent(tmp_path):
 
 
 @pytest.mark.parametrize("threads", [1, 4])
-def test_read_eod_dir_skips_a_file_it_cannot_parse(tmp_path, threads):
+def test_read_eod_dir_skips_a_file_it_cannot_parse(tmp_path, monkeypatch, threads):
     good = "AA,1,2,0.5,1.5,10\n"
     (tmp_path / "SYN_20210601.csv").write_text(good)
     (tmp_path / "SYN_20210602.csv").write_text("AA,1,0.9,0.5,0.8,10\n")
     (tmp_path / "SYN_20210603.csv").write_bytes(good.encode() + b"\xff\n")
     (tmp_path / "SYN_20210604.csv").write_text(good)
+    unreadable = tmp_path / "SYN_20210607.csv"
+    unreadable.write_text(good)
+    read_error = make_unreadable(monkeypatch, unreadable)
     skips = [
         f"skipped {tmp_path / 'SYN_20210602.csv'}: no usable rows for 2021-06-02",
         f"skipped {tmp_path / 'SYN_20210603.csv'}: 'utf-8' codec can't decode byte 0xff "
         "in position 18: invalid start byte",
+        f"skipped {unreadable}: {read_error}",
     ]
     events = []
     with warnings.catch_warnings():
@@ -510,6 +514,20 @@ def test_index_malformed_date_rejected_reported():
         (5, UNPARSEABLE_FIELD),
         (6, NONFINITE_PRICE),
         (7, NONFINITE_PRICE),
+    ]
+
+
+def test_index_date_is_only_the_extended_form():
+    """``date.fromisoformat`` also reads the ISO basic and week forms; an
+    index Date field must be YYYY-MM-DD."""
+    rejected, on_reject = collect()
+    text = "Date,Open,High,Low,Close,Volume\n" + "".join(
+        f"{d},10,11,9.5,10.5,1000\n" for d in ("2021-01-04", "2021W012", "20210106", "2021-W01-1")
+    )
+    s = parse_index_csv(text, on_reject=on_reject)
+    assert [str(d) for d in s.dates] == ["2021-01-04"]
+    assert [(r.line, r.reason) for r in rejected] == [
+        (3, MALFORMED_DATE), (4, MALFORMED_DATE), (5, MALFORMED_DATE)
     ]
 
 
