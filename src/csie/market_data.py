@@ -19,7 +19,12 @@ record the csv module cannot read, is reported through an ``on_reject``
 callback, in line order once the whole file is read (and by
 ``read_eod_dir`` in date order, then line order), instead of failing the
 whole file; a file that does not parse costs ``read_eod_dir`` only that
-file, which it reports through an ``on_skip`` callback.
+file, which it reports through an ``on_skip`` callback.  ``read_eod_file``,
+through which every EOD file is read, keeps the parse of a file of at least
+``_CACHE_MIN_BYTES`` in a parse cache beside it, ``.csie-cache/<file
+name>.bin``, keyed by a hash of the file's bytes and of this module's
+source, so such a file that has not changed is parsed once across runs;
+smaller files and index files are not cached.
 """
 
 from __future__ import annotations
@@ -27,9 +32,14 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import os
 import re
+import struct
+import sys
 from dataclasses import dataclass
-from datetime import date, datetime
+from datetime import date
+from functools import cache
+from importlib.util import source_hash
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -500,11 +510,141 @@ def eod_filename_date(name: str) -> tuple[str, date]:
     m = _EOD_NAME.match(name)
     if m is None:
         raise ValueError(f"not an EOD file name: {name}")
+    stamp = m.group("date")  # eight digits, but ``\d`` also matches those of other scripts
     try:
-        d = datetime.strptime(m.group("date"), "%Y%m%d").date()
+        if not stamp.isascii():
+            raise ValueError(stamp)
+        d = date(int(stamp[:4]), int(stamp[4:6]), int(stamp[6:]))
     except ValueError as exc:
         raise ValueError(f"bad date in file name: {name}") from exc
     return m.group("market"), d
+
+
+# The parse cache: one entry per EOD file, ``<directory>/.csie-cache/<name>.bin``.
+_CACHE_DIR = ".csie-cache"
+# A smaller file is only parsed.  Creating an entry costs a fixed 0.1-1 ms,
+# more than parsing a 43-line file (1.5 KiB, 0.2-0.4 ms), while a 64 KiB file
+# parses in 7-9 ms and its entry is read in 0.3-0.5 ms.
+_CACHE_MIN_BYTES = 64 * 1024
+_CACHE_MAGIC = b"csie-pc1"
+# magic, key, rows, code points per symbol, then the size in bytes of the rejects
+_ENTRY_HEADER = struct.Struct("<8s16sQQQ")
+# one reject: its line, its reason as a position in _REASONS and its content's
+# size in bytes, followed by the content as UTF-8
+_ENTRY_REJECT = struct.Struct("<QBQ")
+_REASONS = (NONFINITE_PRICE, NONPOSITIVE_PRICE, OHLC_ORDERING, FIELD_COUNT, UNPARSEABLE_FIELD,
+            DUPLICATE_SYMBOL)
+
+
+@cache
+def _code_id() -> bytes | None:
+    """A hash of this module's source, the interpreter's version and numpy's,
+    which every cache key carries; None, and no caching, when the source
+    cannot be read."""
+    try:
+        source = Path(__file__).read_bytes()
+    except OSError:
+        return None
+    return source_hash(source + sys.version.encode() + np.__version__.encode())
+
+
+def _canonical(symbols: np.ndarray) -> bool:
+    """Whether ``symbols`` are strictly ascending and only as wide as the
+    widest, as an entry's must be.  A parse's are, unless two of its symbols
+    differ only by trailing NULs, which numpy drops."""
+    width = symbols.dtype.itemsize // 4
+    widest = symbols.view(np.uint32)[width - 1::width]
+    return bool(widest.any() and (symbols[1:] > symbols[:-1]).all())
+
+
+def _entry_bytes(key: bytes, day: MarketDay, rejects: list[RejectedRow]) -> bytes:
+    """The cache entry of a parse: the header, the symbols as their ``<U``
+    array padded to 8 bytes, the price and volume columns, then the rejects,
+    all little-endian."""
+    columns = [
+        col.astype(col.dtype.newbyteorder("<"), copy=False).tobytes()
+        for col in (day.symbols, day.open, day.high, day.low, day.close, day.volume)
+    ]
+    columns.insert(1, bytes(-len(columns[0]) % 8))
+    rejected = bytearray()
+    for r in rejects:
+        content = r.content.encode()
+        rejected += _ENTRY_REJECT.pack(r.line, _REASONS.index(r.reason), len(content)) + content
+    header = _ENTRY_HEADER.pack(
+        _CACHE_MAGIC, key, len(day), day.symbols.dtype.itemsize // 4, len(rejected)
+    )
+    return b"".join([header, *columns, rejected])
+
+
+def _cached_day(entry: Path, key: bytes, day: date) -> tuple[MarketDay, list[RejectedRow]] | None:
+    """The day and the rejects that the cache entry holds for ``key``, or None.
+
+    Nothing in the entry is trusted: None unless its magic and key match,
+    its sizes add up to its length exactly, its symbols are valid code points
+    of the narrowest width and strictly ascending, every row passes
+    ``_unusable_rows`` and every reject has a known reason, a line past the
+    one before it and UTF-8 content.  The arrays are writeable views of one
+    buffer.
+    """
+    try:
+        with open(entry, "rb") as f:
+            magic, stored, n, width, rejects_size = _ENTRY_HEADER.unpack(
+                f.read(_ENTRY_HEADER.size)
+            )
+            if magic != _CACHE_MAGIC or stored != key or n < 1 or width < 1:
+                return None
+            symbols_size = 4 * n * width
+            columns_at = symbols_size + -symbols_size % 8
+            size = columns_at + 40 * n + rejects_size
+            if os.fstat(f.fileno()).st_size != _ENTRY_HEADER.size + size:
+                return None
+            body = bytearray(size)
+            if f.readinto(body) != size:
+                return None
+    except (OSError, struct.error):
+        return None
+    codes = np.frombuffer(body, "<u4", n * width)
+    if not ((codes < 0xD800) | ((codes > 0xDFFF) & (codes < 0x110000))).all():
+        return None
+    symbols = codes.view(f"<U{width}")
+    o, h, l, c, volume = (
+        np.frombuffer(body, "<i8" if i == 4 else "<f8", n, columns_at + 8 * n * i)
+        for i in range(5)
+    )
+    if not _canonical(symbols) or _unusable_rows(o, h, l, c, volume):
+        return None
+    rejects: list[RejectedRow] = []
+    at = columns_at + 40 * n
+    try:
+        while at < size:
+            line, reason, length = _ENTRY_REJECT.unpack_from(body, at)
+            at += _ENTRY_REJECT.size + length
+            if at > size or line <= (rejects[-1].line if rejects else 0):
+                return None
+            rejects.append(RejectedRow(line, body[at - length:at].decode(), _REASONS[reason]))
+    except (struct.error, IndexError, UnicodeDecodeError):
+        return None
+    market_day = MarketDay.__new__(MarketDay)
+    market_day.day, market_day.symbols = day, symbols
+    market_day.open, market_day.high, market_day.low, market_day.close = o, h, l, c
+    market_day.volume = volume
+    return market_day, rejects
+
+
+def _write_entry(entry: Path, blob: bytes) -> None:
+    """Write a cache entry through a temporary file of this process; an
+    OSError (a read-only directory, a file in the cache directory's place,
+    a full disk) leaves the cache as it was."""
+    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        tmp.write_bytes(blob)
+        os.replace(tmp, entry)
+    except OSError:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
 
 
 def read_eod_file(
@@ -513,11 +653,49 @@ def read_eod_file(
     *,
     on_reject: OnReject | None = None,
 ) -> MarketDay:
-    """Read one EOD file; the date comes from the file name unless given."""
+    """Read one EOD file; the date comes from the file name unless given.
+
+    The parse of a file of at least ``_CACHE_MIN_BYTES`` is kept in the
+    file's entry of the parse cache, ``.csie-cache/<file name>.bin`` in its
+    directory, so such a file whose bytes have not changed is parsed once
+    across runs.  The file is always read first: an entry is used only when
+    its key matches the hash of those bytes and of the parser's code, and
+    when every field passes the checks of ``_cached_day``; otherwise the
+    file is parsed and the entry rewritten.  A hit gives a day equal to the
+    parse's and replays its rejects to ``on_reject`` in line order.  A parse
+    that raises is not cached, and its rejects reach ``on_reject`` before the
+    raise; nor is a parse whose symbols are not ``_canonical``.  A cache that
+    cannot be read or written only costs the parse.  Nothing removes an
+    entry: those of files renamed or deleted, and the temporary file of a
+    write that was cut short, stay until ``.csie-cache`` is deleted.
+    """
     path = Path(path)
     if day is None:
         _, day = eod_filename_date(path.name)
-    return parse_eod_file(path.read_bytes(), day, on_reject=on_reject)
+    data = path.read_bytes()
+    code_id = _code_id() if len(data) >= _CACHE_MIN_BYTES else None
+    if code_id is None:
+        return parse_eod_file(data, day, on_reject=on_reject)
+    key = source_hash(data) + code_id
+    entry = path.parent / _CACHE_DIR / f"{path.name}.bin"
+    cached = _cached_day(entry, key, day)
+    if cached is not None:
+        market_day, rejects = cached
+        if on_reject is not None:
+            for r in rejects:
+                on_reject(r)
+        return market_day
+    rejects = []
+
+    def keep(r: RejectedRow) -> None:
+        rejects.append(r)
+        if on_reject is not None:
+            on_reject(r)
+
+    market_day = parse_eod_file(data, day, on_reject=keep)
+    if _canonical(market_day.symbols):
+        _write_entry(entry, _entry_bytes(key, market_day, rejects))
+    return market_day
 
 
 def _dated_eod_files(paths: Iterable[Path]) -> list[tuple[date, Path]]:

@@ -4,6 +4,7 @@ import ast
 import gc
 import os
 import re
+import shutil
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -289,6 +290,39 @@ def test_compare_with_a_bad_index_stops_at_the_first_usable_file(tmp_path, capsy
     else:
         assert len(parsed) == 1
         assert lines[1:] == [f"error: cannot load market data from {eod}: no usable EOD file in {eod}"]
+
+
+def _run_with_outputs(argv: list[str], out: Path, capsys) -> tuple:
+    """One in-process run from an empty output directory: exit code, stdout,
+    stderr and the bytes of every file written."""
+    shutil.rmtree(out, ignore_errors=True)
+    code, stdout, stderr = run([*argv, "--out", str(out)], capsys)
+    written = {p.name: p.read_bytes() for p in sorted(out.glob("*"))}
+    return code, stdout, stderr, written
+
+
+@pytest.mark.parametrize("command", ["csie", "indexvol", "compare", "cluster"])
+def test_a_parse_cache_that_cannot_be_written_changes_nothing(tmp_path, capsys, monkeypatch,
+                                                              command):
+    eod, index = write_world(tmp_path, np.random.default_rng(83), n_symbols=4, n_days=20)
+    (eod / "SYN_20210629.csv").write_text("AA,10,9,9,10.5,200\n")  # no usable row: a skip
+    first = eod / "SYN_20210601.csv"
+    first.write_text(first.read_text() + "BAD,1,0.5,0.9,1,3\n")  # a rejected row
+    argv = [command, "--market-dir", str(eod), "--index", str(index), "--windows", "5",
+            "--intervals", "all", "--date", "2021-06-01"]
+    cache = eod / ".csie-cache"
+    uncached = _run_with_outputs(argv, tmp_path / "out", capsys)
+    assert not cache.exists()  # these files are all smaller than the cache's floor
+    monkeypatch.setattr(market_data, "_CACHE_MIN_BYTES", 0)
+    cache.write_text("not a directory")
+    unwritable = _run_with_outputs(argv, tmp_path / "out", capsys)
+    assert cache.read_text() == "not a directory"
+    cache.unlink()
+    cold = _run_with_outputs(argv, tmp_path / "out", capsys)
+    warm = _run_with_outputs(argv, tmp_path / "out", capsys)
+    assert unwritable[0] in (0, 1) and unwritable[3]
+    assert cold == unwritable and warm == unwritable and uncached == unwritable
+    assert cache.is_dir() == (command != "indexvol")
 
 
 def test_csie_reruns_byte_identical(world, tmp_path, capsys):
@@ -819,7 +853,8 @@ LOADED_PROBE = (
     "from csie.cli import main\n"
     "rc = main(sys.argv[1:])\n"
     "print(rc, *(m for m in ('csie.analytics', 'csie.estimators', 'csie.intrinsic',\n"
-    "                        'csie.cross_section', 'csie.clustering', 'concurrent.futures')\n"
+    "                        'csie.cross_section', 'csie.clustering', 'concurrent.futures',\n"
+    "                        '_strptime', '_hashlib')\n"
     "            if m in sys.modules))\n"
 )
 
@@ -842,6 +877,9 @@ def test_a_command_loads_only_the_modules_it_uses(world, tmp_path, argv):
     rc, *loaded = done.stdout.splitlines()[-1].split()
     assert rc == "0"
     assert "concurrent.futures" not in loaded  # files are parsed without a thread pool
+    # file names are dated without strptime (5 ms to import) and the parse
+    # cache is keyed without hashlib (OpenSSL, 3.7 MB of RSS)
+    assert "_strptime" not in loaded and "_hashlib" not in loaded
     if argv[0] == "cluster":  # clustering needs no estimator or cross-section module
         assert loaded == ["csie.clustering"]
     else:

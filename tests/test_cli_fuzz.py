@@ -4,9 +4,11 @@ Each example writes a small market directory (valid EOD files, files with
 byte or field edits or with bars of extreme magnitude, files that are not
 UTF-8, two markets on one date, a directory with an EOD file's name), or
 none, and an index file that is valid, edited, too short or missing, then
-runs one subcommand in-process.  Whatever it is given, ``main`` returns 0, 1
-or 2, no exception escapes it, no numpy ``RuntimeWarning`` is raised and no
-file it writes holds a ``nan`` or ``inf``.
+runs one subcommand in-process, twice.  Whatever it is given, ``main``
+returns 0, 1 or 2, no exception escapes it, no numpy ``RuntimeWarning`` is
+raised and no file it writes holds a ``nan`` or ``inf``; the second run, on
+the parse cache the first one wrote, gives the same exit code, output lines
+and files.
 """
 
 from __future__ import annotations
@@ -14,16 +16,19 @@ from __future__ import annotations
 import contextlib
 import io
 import re
+import shutil
 import tempfile
 import warnings
 from datetime import date
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csie import market_data
 from csie.cli import main
 
 from helpers import weekdays, write_world
@@ -126,25 +131,39 @@ def write_inputs(root: Path, templates, files, index) -> tuple[Path, Path]:
     return eod, index_path
 
 
+def run_main(argv: list[str], out_dir: Path) -> tuple:
+    """One in-process run: exit code, stdout, stderr, the bytes of each file
+    written to an empty ``out_dir``, and the messages of the RuntimeWarnings."""
+    shutil.rmtree(out_dir, ignore_errors=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as warned:
+        warnings.simplefilter("always")
+        rc = main(argv)
+    written = {p.name: p.read_bytes() for p in sorted(out_dir.glob("*"))}
+    numpy_warnings = [str(w.message) for w in warned if issubclass(w.category, RuntimeWarning)]
+    return rc, out.getvalue(), err.getvalue(), written, numpy_warnings
+
+
 @pytest.mark.parametrize("command", ["csie", "indexvol", "compare", "cluster"])
 @settings(max_examples=30, deadline=None)
 @given(files=EOD_FILES, index=INDEX, cluster_day=st.integers(0, N_DAYS - 1))
 def test_a_command_exits_0_1_or_2_on_any_input(templates, command, files, index, cluster_day):
-    with tempfile.TemporaryDirectory() as tmp:
+    """A second run in the same directory, on the parse cache the first one
+    wrote (for files of any size), gives the same exit code, lines and files."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(market_data, "_CACHE_MIN_BYTES", 0):
         root = Path(tmp)
         eod, index_path = write_inputs(root, templates, files, index)
         argv = [command, "--market-dir", str(eod), "--index", str(index_path),
                 "--out", str(root / "out"), "--windows", "2", "--intervals", "3,all",
                 "--date", DAYS[cluster_day].isoformat()]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-                warnings.catch_warnings(record=True) as warned:
-            warnings.simplefilter("always")
-            rc = main(argv)
-        written = {p.name: p.read_text() for p in sorted((root / "out").glob("*"))}
-    assert rc in (0, 1, 2), err.getvalue()
-    assert "Traceback" not in out.getvalue() + err.getvalue()
-    numpy_warnings = [str(w.message) for w in warned if issubclass(w.category, RuntimeWarning)]
-    assert numpy_warnings == [] and "RuntimeWarning" not in err.getvalue()
-    for name, text in written.items():
-        assert not NOT_A_NUMBER.findall(text), name
+        first = run_main(argv, root / "out")
+        again = run_main(argv, root / "out")
+    rc, out, err, written, numpy_warnings = first
+    assert rc in (0, 1, 2), err
+    assert "Traceback" not in out + err
+    assert numpy_warnings == [] and "RuntimeWarning" not in err
+    for name, data in written.items():
+        assert not NOT_A_NUMBER.findall(data.decode()), name
+    assert again == first

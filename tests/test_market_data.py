@@ -2,8 +2,12 @@ from __future__ import annotations
 
 import csv
 import gc
+import os
+import tempfile
 import warnings
-from datetime import date, timedelta
+from datetime import date, datetime, timedelta
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,10 +30,13 @@ from csie.market_data import (
     parse_eod_file,
     parse_index_csv,
     read_eod_dir,
+    read_eod_file,
 )
 
+from csie import market_data
 from helpers import FIXTURE_DAY, make_unreadable, table1_csv, to_eod_csv
 from rowwise_ingest import _verdict
+from test_ingest_fuzz import inputs
 from test_ingest_oracle import clean_files
 
 D = FIXTURE_DAY
@@ -342,6 +349,25 @@ def test_eod_filename_date():
         eod_filename_date("NYSE-20220121.csv")
     with pytest.raises(ValueError):
         eod_filename_date("NYSE_20221321.csv")
+    # strptime read a year of non-ASCII digits when month and day were ASCII
+    with pytest.raises(ValueError, match="bad date in file name"):
+        eod_filename_date("NYSE_\uff12\uff10\uff11\uff161231.csv")
+
+
+@pytest.mark.parametrize(
+    "stamp", ["20220121", "00000000", "20160230", "20161301", "99991231",
+              "\uff12\uff10\uff11\uff16\uff10\uff16\uff10\uff11"],
+    ids=["valid", "year-0", "feb-30", "month-13", "last-day", "fullwidth"],
+)
+def test_eod_filename_date_reads_as_strptime_did(stamp):
+    name = f"NYSE_{stamp}.csv"
+    try:
+        expected = datetime.strptime(stamp, "%Y%m%d").date()
+    except ValueError:
+        with pytest.raises(ValueError, match=f"^bad date in file name: {name}$"):
+            eod_filename_date(name)
+    else:
+        assert eod_filename_date(name) == ("NYSE", expected)
 
 
 def test_read_eod_dir_sorted_and_filtered(tmp_path):
@@ -421,6 +447,214 @@ def test_read_eod_dir_skips_a_file_it_cannot_parse(tmp_path, monkeypatch, thread
 def test_read_eod_dir_empty_errors(tmp_path):
     with pytest.raises(ValueError, match="no EOD files"):
         read_eod_dir(tmp_path)
+
+
+# --- the parse cache -----------------------------------------------------------
+
+def _entry(path: Path) -> Path:
+    return path.parent / ".csie-cache" / f"{path.name}.bin"
+
+
+def _outcome(read) -> tuple:
+    """What one read gives: the day or the ValueError's text, and the rejects."""
+    rejected = []
+    try:
+        return read(on_reject=rejected.append), rejected
+    except ValueError as exc:
+        return str(exc), rejected
+
+
+def _counting_parses():
+    return mock.patch.object(market_data, "parse_eod_file", wraps=parse_eod_file)
+
+
+def _caching_every_file():
+    """Cache files of any size: the test files are smaller than the floor."""
+    return mock.patch.object(market_data, "_CACHE_MIN_BYTES", 0)
+
+
+@pytest.fixture
+def cache_every_file():
+    with _caching_every_file():
+        yield
+
+
+def _storable(day: MarketDay) -> bool:
+    """Whether the entry of a parse holds the day: its symbols stay strictly
+    ascending and of the narrowest width once numpy drops their trailing NULs."""
+    s = day.symbols
+    return bool((s[1:] > s[:-1]).all()) and max(map(len, s)) == s.dtype.itemsize // 4
+
+
+@settings(max_examples=150, deadline=None)
+@given(inputs(table1_csv()))
+def test_a_cached_read_is_the_parse(data):
+    parsed = _outcome(lambda **kw: parse_eod_file(data, D, **kw))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"SYN_{D.strftime('%Y%m%d')}.csv"
+        path.write_bytes(data)
+        with _counting_parses() as parse, _caching_every_file():
+            miss = _outcome(lambda **kw: read_eod_file(path, **kw))
+            written = _entry(path).exists()
+            hit = _outcome(lambda **kw: read_eod_file(path, **kw))
+    assert miss == parsed and hit == parsed
+    if isinstance(parsed[0], str):
+        assert not written and parse.call_count == 2
+        return
+    assert written == _storable(parsed[0])
+    assert parse.call_count == (1 if written else 2)
+    for day in (miss[0], hit[0]):
+        for slot in ("symbols", "open", "high", "low", "close", "volume"):
+            column, expected = getattr(day, slot), getattr(parsed[0], slot)
+            assert column.dtype == expected.dtype and column.flags.writeable, slot
+
+
+CACHED_TEXT = table1_csv() + "BAD,1,0.5,0.9,1,3\nSHORT,1\n"
+
+
+def _planted(day: MarketDay, **columns) -> MarketDay:
+    """``day`` with some columns replaced, unchecked, as a corrupt entry holds it."""
+    fake = MarketDay.__new__(MarketDay)
+    for slot in ("day", "symbols", "open", "high", "low", "close", "volume"):
+        setattr(fake, slot, columns.get(slot, getattr(day, slot)))
+    return fake
+
+
+def _with_price(day: MarketDay, value: float) -> MarketDay:
+    close = day.close.copy()
+    close[3] = value
+    return _planted(day, close=close)
+
+
+def _with_code(blob: bytes, code: int) -> bytes:
+    """``blob`` with the last symbol's first code point set to ``code``, past
+    every letter, so the symbols stay ascending."""
+    header = market_data._ENTRY_HEADER
+    _, _, rows, width, _ = header.unpack_from(blob)
+    at = header.size + 4 * width * (rows - 1)
+    return blob[:at] + code.to_bytes(4, "little") + blob[at + 4:]
+
+
+def _with_rows(blob: bytes, rows: int) -> bytes:
+    header = market_data._ENTRY_HEADER
+    magic, key, _, width, rejects_size = header.unpack_from(blob)
+    return header.pack(magic, key, rows, width, rejects_size) + blob[header.size:]
+
+
+def _last_reject_byte(blob: bytes, before_end: int, value: int) -> bytes:
+    at = len(blob) - before_end
+    return blob[:at] + bytes([value]) + blob[at + 1:]
+
+
+_SHORT = len("SHORT,1")  # the content of the last reject
+# Each builds a corrupt entry from the good one, its key, day and rejects.
+CORRUPT_ENTRIES = {
+    "empty": lambda blob, key, day, rej: b"",
+    "truncated": lambda blob, key, day, rej: blob[:-1],
+    "extended": lambda blob, key, day, rej: blob + b"\0",
+    "bad-magic": lambda blob, key, day, rej: b"X" + blob[1:],
+    "wrong-key": lambda blob, key, day, rej: market_data._entry_bytes(
+        bytes(16), day, rej),
+    "more-rows": lambda blob, key, day, rej: _with_rows(blob, len(day) + 1),
+    "no-rows": lambda blob, key, day, rej: _with_rows(blob, 0),
+    "huge-rows": lambda blob, key, day, rej: _with_rows(blob, 2**61),
+    "unsorted-symbols": lambda blob, key, day, rej: market_data._entry_bytes(
+        key, _planted(day, symbols=day.symbols[::-1].copy()), rej),
+    "duplicate-symbols": lambda blob, key, day, rej: market_data._entry_bytes(
+        key, _planted(day, symbols=np.sort(np.r_[day.symbols[:1], day.symbols[:-1]])), rej),
+    "wider-symbols": lambda blob, key, day, rej: market_data._entry_bytes(
+        key, _planted(day, symbols=day.symbols.astype("<U9")), rej),
+    "code-point-past-unicode": lambda blob, key, day, rej: _with_code(blob, 0x110000),
+    "surrogate-code-point": lambda blob, key, day, rej: _with_code(blob, 0xD800),
+    "nan-price": lambda blob, key, day, rej: market_data._entry_bytes(
+        key, _with_price(day, float("nan")), rej),
+    "negative-price": lambda blob, key, day, rej: market_data._entry_bytes(
+        key, _with_price(day, -1.0), rej),
+    "negative-volume": lambda blob, key, day, rej: market_data._entry_bytes(
+        key, _planted(day, volume=-day.volume), rej),
+    "rejects-out-of-order": lambda blob, key, day, rej: market_data._entry_bytes(
+        key, day, rej[::-1]),
+    "unknown-reason": lambda blob, key, day, rej: _last_reject_byte(blob, _SHORT + 9, 200),
+    "reject-not-utf8": lambda blob, key, day, rej: _last_reject_byte(blob, 1, 0xFF),
+    "reject-past-the-end": lambda blob, key, day, rej: _last_reject_byte(blob, _SHORT + 8, 99),
+}
+
+
+@pytest.mark.parametrize("corrupt", CORRUPT_ENTRIES.values(), ids=CORRUPT_ENTRIES.keys())
+def test_a_corrupt_or_planted_entry_is_a_miss_and_rewritten(tmp_path, corrupt,
+                                                            cache_every_file):
+    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
+    path.write_text(CACHED_TEXT)
+    day, rejected = _outcome(lambda **kw: read_eod_file(path, **kw))
+    blob = _entry(path).read_bytes()
+    key = blob[8:24]
+    assert market_data._entry_bytes(key, day, rejected) == blob
+    with _counting_parses() as parse:
+        assert _outcome(lambda **kw: read_eod_file(path, **kw)) == (day, rejected)
+        assert parse.call_count == 0
+        _entry(path).write_bytes(corrupt(blob, key, day, rejected))
+        assert _outcome(lambda **kw: read_eod_file(path, **kw)) == (day, rejected)
+        assert parse.call_count == 1
+    assert _entry(path).read_bytes() == blob
+
+
+def test_an_entry_that_is_a_directory_costs_only_the_parse(tmp_path, cache_every_file):
+    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
+    path.write_text(CACHED_TEXT)
+    _entry(path).mkdir(parents=True)
+    with _counting_parses() as parse:
+        for _ in range(2):
+            assert read_eod_file(path) == parse_eod_file(CACHED_TEXT, D)
+    assert parse.call_count == 2
+    assert [p.name for p in _entry(path).parent.iterdir()] == [_entry(path).name]
+
+
+def test_nothing_is_cached_without_the_parser_source(tmp_path, monkeypatch,
+                                                     cache_every_file):
+    monkeypatch.setattr(market_data, "__file__", str(tmp_path / "gone.py"))
+    assert market_data._code_id.__wrapped__() is None
+    monkeypatch.setattr(market_data, "_code_id", market_data._code_id.__wrapped__)
+    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
+    path.write_text(CACHED_TEXT)
+    rejected, on_reject = collect()
+    assert read_eod_file(path, on_reject=on_reject) == parse_eod_file(CACHED_TEXT, D)
+    assert [r.content for r in rejected] == ["BAD,1,0.5,0.9,1,3", "SHORT,1"]
+    assert not _entry(path).parent.exists()
+
+
+def test_an_edit_that_keeps_size_and_mtime_is_seen(tmp_path, cache_every_file):
+    path = tmp_path / "SYN_20210601.csv"
+    path.write_text("AA,1,2,0.5,1.5,10\n")
+    before = path.stat()
+    assert read_eod_file(path).volume.tolist() == [10]
+    path.write_text("AA,1,2,0.5,1.5,20\n")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
+    assert read_eod_file(path).volume.tolist() == [20]
+
+
+def test_only_a_file_of_the_floor_or_more_is_cached(tmp_path, monkeypatch):
+    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
+    path.write_text(CACHED_TEXT)
+    day = parse_eod_file(CACHED_TEXT, D)
+    monkeypatch.setattr(market_data, "_CACHE_MIN_BYTES", path.stat().st_size + 1)
+    with _counting_parses() as parse:
+        assert read_eod_file(path) == day and read_eod_file(path) == day
+        assert parse.call_count == 2 and not _entry(path).parent.exists()
+        monkeypatch.setattr(market_data, "_CACHE_MIN_BYTES", path.stat().st_size)
+        assert read_eod_file(path) == day and read_eod_file(path) == day
+        assert parse.call_count == 3 and _entry(path).exists()
+
+
+def test_a_day_an_entry_cannot_hold_is_not_written(tmp_path, cache_every_file):
+    """numpy drops trailing NULs, so these symbols both read ``A``."""
+    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
+    path.write_bytes(b"A,1,2,0.5,1.5,10\nA\x00,1,2,0.5,1.6,10\n")
+    with _counting_parses() as parse:
+        for _ in range(2):
+            assert read_eod_file(path).symbols.tolist() == ["A", "A"]
+    assert parse.call_count == 2 and not _entry(path).exists()
 
 
 # --- index series ---------------------------------------------------------------
