@@ -13,10 +13,10 @@ field that fails takes the per-field rule), judges the columns with the one
 rule set, ``_unusable_rows``, and keeps the usable rows, the first of each
 symbol across chunks.  ``MarketDay`` and ``IndexSeries`` share one
 constructor body in their ``_Bars`` base and differ only in their key
-column; the public constructors check whatever they are given, while a
-parser's judged columns are only sorted.  Every skipped row, including a
-record the csv module cannot read, is reported through an ``on_reject``
-callback, in line order once the whole file is read (and by
+column; every day and series, whether given, parsed or read from the parse
+cache, is built and checked by its public constructor.  Every skipped row,
+including a record the csv module cannot read, is reported through an
+``on_reject`` callback, in line order once the whole file is read (and by
 ``read_eod_dir`` in date order, then line order), instead of failing the
 whole file; a file that does not parse costs ``read_eod_dir`` only that
 file, which it reports through an ``on_skip`` callback.  ``read_eod_file``,
@@ -70,7 +70,7 @@ _CHUNK_RECORDS = 256
 # datetime64[D] counts days from 1970-01-01.
 _EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
 
-_EOD_NAME = re.compile(r"^(?P<market>.+)_(?P<date>\d{8})\.csv$")
+_EOD_NAME = re.compile(r"(?P<market>.+)_(?P<date>\d{8})\.csv")
 
 OnReject = Callable[["RejectedRow"], None]
 OnSkip = Callable[[str], None]
@@ -143,23 +143,13 @@ class _Bars:
                 f"{code} at {keys[i]}: open {o[i]}, high {h[i]}, low {l[i]}, "
                 f"close {c[i]}, volume {vol[i]}"
             )
-        return self._store(keys, duplicate, o, h, l, c, vol)
-
-    def _store(
-        self, keys: np.ndarray, duplicate: str | None, o: np.ndarray, h: np.ndarray,
-        l: np.ndarray, c: np.ndarray, volume: np.ndarray,
-    ) -> np.ndarray:
-        """Store usable columns of one length in key order and return the
-        sorted keys; with ``duplicate``, a repeated key raises ValueError
-        ``<duplicate> <key>``."""
         order = np.argsort(keys, kind="stable")
         keys = keys[order]
-        if duplicate is not None:
-            repeated = np.flatnonzero(keys[1:] == keys[:-1])
-            if repeated.size:
-                raise ValueError(f"{duplicate} {keys[repeated[0]]}")
+        repeated = np.flatnonzero(keys[1:] == keys[:-1])
+        if repeated.size:
+            raise ValueError(f"{duplicate} {keys[repeated[0]]}")
         self.open, self.high, self.low, self.close = o[order], h[order], l[order], c[order]
-        self.volume = volume[order]
+        self.volume = vol[order]
         return keys
 
     def __len__(self) -> int:
@@ -192,15 +182,6 @@ class MarketDay(_Bars):
             raise ValueError("empty market day")
         self.day = day
         self.symbols = self._set_columns(symbols, DUPLICATE_SYMBOL, open, high, low, close, volume)
-
-    @classmethod
-    def _parsed(cls, day: date, symbols: list[str], *columns: np.ndarray) -> MarketDay:
-        """A day from ``parse_eod_file``'s judged OHLCV columns, whose symbols
-        are unique: sorted once and not checked again."""
-        self = cls.__new__(cls)
-        self.day = day
-        self.symbols = self._store(np.asarray(symbols, dtype=str), None, *columns)
-        return self
 
     def __repr__(self) -> str:
         return f"MarketDay({self.day.isoformat()}, {len(self)} symbols)"
@@ -242,18 +223,6 @@ class IndexSeries(_Bars):
             raise ValueError("empty index series")
         self.name = name
         self.dates = self._set_columns(dates, "duplicate date", open, high, low, close, volume)
-
-    @classmethod
-    def _parsed(cls, name: str, dates: list[date], *columns: np.ndarray) -> IndexSeries:
-        """A series from ``parse_index_csv``'s judged OHLCV columns: sorted
-        once, with only its dates checked for repeats.  The dates convert
-        through their ordinals, far faster than ``np.asarray`` of ``date``
-        objects."""
-        self = cls.__new__(cls)
-        self.name = name
-        days = np.fromiter(map(date.toordinal, dates), np.int64, len(dates)) - _EPOCH_ORDINAL
-        self.dates = self._store(days.astype("datetime64[D]"), "duplicate date", *columns)
-        return self
 
     def __repr__(self) -> str:
         return f"IndexSeries({self.name!r}, {len(self)} days)"
@@ -474,7 +443,9 @@ def parse_eod_file(
     columns are then converted in one pass each.  Rows that cannot be used
     are skipped and reported through ``on_reject`` once the file is read;
     zero-volume rows are kept (they are flagged through
-    ``MarketDay.tradable``).  Duplicate symbols keep the first usable
+    ``MarketDay.tradable``).  A symbol is its field without surrounding
+    whitespace or trailing NULs, which numpy's strings do not hold; one
+    left empty is unparseable.  Duplicate symbols keep the first usable
     occurrence.
     Raises ValueError when no usable row remains, or for bytes that are not
     UTF-8.
@@ -492,6 +463,7 @@ def parse_eod_file(
             if split is None:
                 judged.rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
                 continue
+            symbol = symbol.rstrip("\x00")  # the key numpy's strings store
             if not symbol:
                 judged.rejected.append(RejectedRow(line_no, ",".join(row), UNPARSEABLE_FIELD))
                 continue
@@ -502,12 +474,12 @@ def parse_eod_file(
     judged.deliver(on_reject)
     if not judged.keys:
         raise ValueError(f"no usable rows for {day.isoformat()}")
-    return MarketDay._parsed(day, judged.keys, *judged.columns())
+    return MarketDay(day, judged.keys, *judged.columns())
 
 
 def eod_filename_date(name: str) -> tuple[str, date]:
     """Split ``<MARKET>_<YYYYMMDD>.csv`` into market name and date."""
-    m = _EOD_NAME.match(name)
+    m = _EOD_NAME.fullmatch(name)
     if m is None:
         raise ValueError(f"not an EOD file name: {name}")
     stamp = m.group("date")  # eight digits, but ``\d`` also matches those of other scripts
@@ -550,8 +522,8 @@ def _code_id() -> bytes | None:
 
 def _canonical(symbols: np.ndarray) -> bool:
     """Whether ``symbols`` are strictly ascending and only as wide as the
-    widest, as an entry's must be.  A parse's are, unless two of its symbols
-    differ only by trailing NULs, which numpy drops."""
+    widest, as an entry's must be.  A parse's always are: its symbols are
+    unique and hold no trailing NUL."""
     width = symbols.dtype.itemsize // 4
     widest = symbols.view(np.uint32)[width - 1::width]
     return bool(widest.any() and (symbols[1:] > symbols[:-1]).all())
@@ -581,10 +553,9 @@ def _cached_day(entry: Path, key: bytes, day: date) -> tuple[MarketDay, list[Rej
 
     Nothing in the entry is trusted: None unless its magic and key match,
     its sizes add up to its length exactly, its symbols are valid code points
-    of the narrowest width and strictly ascending, every row passes
-    ``_unusable_rows`` and every reject has a known reason, a line past the
-    one before it and UTF-8 content.  The arrays are writeable views of one
-    buffer.
+    of the narrowest width and strictly ascending, every reject has a known
+    reason, a line past the one before it and UTF-8 content, and
+    ``MarketDay`` accepts the day.
     """
     try:
         with open(entry, "rb") as f:
@@ -611,7 +582,7 @@ def _cached_day(entry: Path, key: bytes, day: date) -> tuple[MarketDay, list[Rej
         np.frombuffer(body, "<i8" if i == 4 else "<f8", n, columns_at + 8 * n * i)
         for i in range(5)
     )
-    if not _canonical(symbols) or _unusable_rows(o, h, l, c, volume):
+    if not _canonical(symbols):
         return None
     rejects: list[RejectedRow] = []
     at = columns_at + 40 * n
@@ -624,11 +595,10 @@ def _cached_day(entry: Path, key: bytes, day: date) -> tuple[MarketDay, list[Rej
             rejects.append(RejectedRow(line, body[at - length:at].decode(), _REASONS[reason]))
     except (struct.error, IndexError, UnicodeDecodeError):
         return None
-    market_day = MarketDay.__new__(MarketDay)
-    market_day.day, market_day.symbols = day, symbols
-    market_day.open, market_day.high, market_day.low, market_day.close = o, h, l, c
-    market_day.volume = volume
-    return market_day, rejects
+    try:
+        return MarketDay(day, symbols, o, h, l, c, volume), rejects
+    except ValueError:
+        return None
 
 
 def _write_entry(entry: Path, blob: bytes) -> None:
@@ -664,10 +634,10 @@ def read_eod_file(
     file is parsed and the entry rewritten.  A hit gives a day equal to the
     parse's and replays its rejects to ``on_reject`` in line order.  A parse
     that raises is not cached, and its rejects reach ``on_reject`` before the
-    raise; nor is a parse whose symbols are not ``_canonical``.  A cache that
-    cannot be read or written only costs the parse.  Nothing removes an
-    entry: those of files renamed or deleted, and the temporary file of a
-    write that was cut short, stay until ``.csie-cache`` is deleted.
+    raise.  A cache that cannot be read or written only costs the parse.
+    Nothing removes an entry: those of files renamed or deleted, and the
+    temporary file of a write that was cut short, stay until ``.csie-cache``
+    is deleted.
     """
     path = Path(path)
     if day is None:
@@ -693,8 +663,7 @@ def read_eod_file(
             on_reject(r)
 
     market_day = parse_eod_file(data, day, on_reject=keep)
-    if _canonical(market_day.symbols):
-        _write_entry(entry, _entry_bytes(key, market_day, rejects))
+    _write_entry(entry, _entry_bytes(key, market_day, rejects))
     return market_day
 
 
@@ -858,7 +827,10 @@ def parse_index_csv(
     judged.deliver(on_reject)
     if not judged.keys:
         raise ValueError(f"no usable rows in index {name!r}")
-    return IndexSeries._parsed(name, judged.keys, *judged.columns())
+    # through the ordinals, far faster than ``np.asarray`` of ``date`` objects
+    days = np.fromiter(map(date.toordinal, judged.keys), np.int64, len(judged.keys))
+    dates = (days - _EPOCH_ORDINAL).astype("datetime64[D]")
+    return IndexSeries(name, dates, *judged.columns())
 
 
 def read_index_csv(

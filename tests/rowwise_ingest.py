@@ -132,7 +132,7 @@ def parse_eod_file(
         if row is None:
             reject(line_no, raw, FIELD_COUNT)
             continue
-        symbol = row[0].strip()
+        symbol = row[0].strip().rstrip("\x00")  # as numpy's strings hold it
         try:
             o, h, l, c = (float(_strip_thousands(f)) for f in row[1:5])
             volume = int(_strip_thousands(row[5]))

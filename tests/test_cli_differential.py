@@ -130,6 +130,17 @@ def _basic_or_week_date(field: str) -> bool:
     return len(field) != 10 or field[4] != "-" or field[7] != "-"
 
 
+def _nul_only_symbol(eod: Path) -> bool:
+    """Whether a market file has a record whose symbol is only NULs, which
+    the seed kept as an empty symbol."""
+    for path in sorted(eod.glob("*.csv")) if eod.is_dir() else ():
+        with contextlib.suppress(OSError, ValueError, csv.Error):
+            records = csv.reader(io.StringIO(path.read_bytes().decode("utf-8-sig")))
+            if any(r and r[0].strip() and not r[0].strip().rstrip("\x00") for r in records):
+                return True
+    return False
+
+
 def _index_records(index: Path) -> list[list[str]]:
     try:
         return list(csv.reader(io.StringIO(index.read_bytes().decode("utf-8-sig"))))
@@ -160,6 +171,8 @@ def divergence(command: str, windows: str, intervals: str, cluster_date: date,
         with contextlib.suppress(OSError, ValueError):
             if _ratio_past_the_float_range(read_index_csv(index)):
                 return "an index window whose price ratios pass the float range fails"
+    if command != "indexvol" and _nul_only_symbol(eod):
+        return "a symbol of only NULs is an unparseable-field reject"
     days = _market_days(eod)
     if uses_market and any(_traded_value_past_the_float_range(d) for d in days):
         return "a day whose traded value passes the float range is an error"

@@ -41,7 +41,8 @@ BYTE_EDITS = st.lists(
 # Whole fields that a parser must reject or read with care.
 FIELDS = st.sampled_from(
     ["", " ", "x", "nan", "inf", "-inf", "1e400", "-1", "0", "1e3", "2.5", "1,000", '"1,000"',
-     '"', "\r", "\n", "Symbol", "Date", "2022-02-30", "99999999999999999999", "\ufeff"]
+     '"', "\r", "\n", "Symbol", "Date", "2022-02-30", "99999999999999999999", "\ufeff", "\x00",
+     "A\x00"]
 )
 FIELD_EDITS = st.lists(
     st.tuples(st.integers(0, 10**6), st.integers(0, 10**6), FIELDS), min_size=1, max_size=6

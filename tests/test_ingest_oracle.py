@@ -43,7 +43,9 @@ VOLUME_FIELDS = st.one_of(
 INDEX_VOLUME_FIELDS = st.one_of(
     VOLUME_FIELDS, st.sampled_from(["1e30", "inf", "nan", "-0.5", "1000.7", "-1e3"])
 )
-SYMBOLS = st.sampled_from(["A", "B", "C", "AA", " A ", "", "symbol", '"A,B"', '"A\nB"', "A\rB"])
+SYMBOLS = st.sampled_from(
+    ["A", "B", "C", "AA", " A ", "", "symbol", '"A,B"', '"A\nB"', "A\rB", "A\x00", "\x00"]
+)
 BLANK = st.sampled_from(["", "  ", ",,,,,", " , ,,\t, , "])
 
 

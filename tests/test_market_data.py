@@ -349,6 +349,8 @@ def test_eod_filename_date():
         eod_filename_date("NYSE-20220121.csv")
     with pytest.raises(ValueError):
         eod_filename_date("NYSE_20221321.csv")
+    with pytest.raises(ValueError, match="not an EOD file name"):
+        eod_filename_date("NYSE_20220121.csv\n")
     # strptime read a year of non-ASCII digits when month and day were ASCII
     with pytest.raises(ValueError, match="bad date in file name"):
         eod_filename_date("NYSE_\uff12\uff10\uff11\uff161231.csv")
@@ -479,13 +481,6 @@ def cache_every_file():
         yield
 
 
-def _storable(day: MarketDay) -> bool:
-    """Whether the entry of a parse holds the day: its symbols stay strictly
-    ascending and of the narrowest width once numpy drops their trailing NULs."""
-    s = day.symbols
-    return bool((s[1:] > s[:-1]).all()) and max(map(len, s)) == s.dtype.itemsize // 4
-
-
 @settings(max_examples=150, deadline=None)
 @given(inputs(table1_csv()))
 def test_a_cached_read_is_the_parse(data):
@@ -501,8 +496,7 @@ def test_a_cached_read_is_the_parse(data):
     if isinstance(parsed[0], str):
         assert not written and parse.call_count == 2
         return
-    assert written == _storable(parsed[0])
-    assert parse.call_count == (1 if written else 2)
+    assert written and parse.call_count == 1
     for day in (miss[0], hit[0]):
         for slot in ("symbols", "open", "high", "low", "close", "volume"):
             column, expected = getattr(day, slot), getattr(parsed[0], slot)
@@ -647,14 +641,22 @@ def test_only_a_file_of_the_floor_or_more_is_cached(tmp_path, monkeypatch):
         assert parse.call_count == 3 and _entry(path).exists()
 
 
-def test_a_day_an_entry_cannot_hold_is_not_written(tmp_path, cache_every_file):
-    """numpy drops trailing NULs, so these symbols both read ``A``."""
+@pytest.mark.parametrize(
+    "second, reason",
+    [(b"A\x00,1,2,0.5,1.6,10\n", DUPLICATE_SYMBOL), (b"\x00,1,2,0.5,1.5,10\n", UNPARSEABLE_FIELD)],
+    ids=["nul-twin", "nul-only"],
+)
+def test_a_symbol_is_read_without_its_trailing_nuls(tmp_path, cache_every_file, second, reason):
+    """numpy drops trailing NULs, so the parser does too: ``A\\x00`` is a
+    second ``A`` and ``\\x00`` an empty symbol.  The entry holds the day."""
     path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
-    path.write_bytes(b"A,1,2,0.5,1.5,10\nA\x00,1,2,0.5,1.6,10\n")
+    path.write_bytes(b"A,1,2,0.5,1.5,10\n" + second)
     with _counting_parses() as parse:
         for _ in range(2):
-            assert read_eod_file(path).symbols.tolist() == ["A", "A"]
-    assert parse.call_count == 2 and not _entry(path).exists()
+            rejected, on_reject = collect()
+            assert read_eod_file(path, on_reject=on_reject).symbols.tolist() == ["A"]
+            assert [(r.line, r.reason) for r in rejected] == [(2, reason)]
+    assert parse.call_count == 1 and _entry(path).exists()
 
 
 # --- index series ---------------------------------------------------------------
@@ -801,11 +803,11 @@ def test_index_series_constructor_rejects_duplicates():
 
 
 def test_parsed_dates_equal_the_constructors():
-    """``IndexSeries._parsed`` converts dates through their ordinals; the
+    """``parse_index_csv`` converts dates through their ordinals; the
     public constructor through numpy.  Both give the same dates."""
     dates = [date(1, 1, 1), date(1969, 12, 31), date(2000, 2, 29), date(9999, 12, 31)]
     columns = ([10.0] * 4, [11.0] * 4, [9.0] * 4, [10.5] * 4, [100] * 4)
-    parsed = IndexSeries._parsed("X", dates, *(np.array(c) for c in columns))
+    parsed = parse_index_csv("".join(f"{d},10,11,9,10.5,100\n" for d in dates), "X")
     built = IndexSeries("X", dates, *columns)
     assert parsed.dates.dtype == built.dates.dtype
     assert parsed.dates.tolist() == built.dates.tolist() == dates
