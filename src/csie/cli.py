@@ -11,10 +11,11 @@ Subcommands:
 Options resolve as CLI flag > config file > built-in default.  The config
 file is flat ``key = value`` text with the same names as the long flags
 (underscores for dashes).  Each option is declared once, in ``_OPTIONS``,
-which gives its flag, its config key, its built-in default and its help
-text.  ``csie`` and ``compare`` read, judge and drop one EOD file at a time:
-a command keeps one market day in memory, and only that day's ``CsieDay``
-once it is computed.
+which gives its flag, its config key, its built-in default, the rule that
+reads its value and its help text; values are checked in ``--help`` order,
+so the first bad one is the error.  ``csie`` and ``compare`` read, judge and
+drop one EOD file at a time: a command keeps one market day in memory, and
+only that day's ``CsieDay`` once it is computed.
 
 Parsing and checking the options loads no compute module: the option
 vocabulary comes from ``_vocab``, and each command imports what it calls when
@@ -62,32 +63,6 @@ _LONG_NAMES = {
     "ie": "intrinsic entropy",
 }
 
-# Every option, in --help order: its config key (the flag is ``--`` plus the
-# key with dashes for underscores), its built-in default and its argparse
-# settings.  The argparse default stays None, so ``pick`` can tell a flag the
-# user gave from one left out.
-_OPTIONS: dict[str, tuple[str | None, dict[str, Any]]] = {
-    "market_dir": (None, {"help": "directory of <MARKET>_<YYYYMMDD>.csv files"}),
-    "index": (None, {"help": "index OHLCV CSV path"}),
-    "estimators": (",".join(ESTIMATOR_TAGS), {"help": "comma list from cc,pk,gk,rs,yz,ie"}),
-    "windows": ("5,10,20,30", {"help": "comma list of rolling windows (indexvol uses the first)"}),
-    "intervals": ("30,60,120,260,520,780,1300,all",
-                  {"help": "comma list of trailing intervals, 'all' allowed"}),
-    "alpha": (str(ALPHA_DEFAULT), {"help": "entropy blend alpha (> 1)"}),
-    "abs": ("false", {"action": "store_const", "const": True,
-                      "help": "use absolute entropy variants"}),
-    "ma": (None, {"help": "moving-average overlay window for charts"}),
-    "bubble": (None, {"choices": ("count", "value"), "help": "bubble sizing for the csie chart"}),
-    "out": (".", {"help": "output directory"}),
-    "interval_semantics": ("smoothed-points", {
-        "choices": INTERVAL_SEMANTICS,
-        "help": "interval counts smoothed points (default) or raw days",
-    }),
-    "date": (None, {"help": "day to cluster, YYYY-MM-DD or YYYYMMDD"}),
-    "log_prices": ("false", {"action": "store_const", "const": True,
-                             "help": "correlate log prices when clustering"}),
-}
-
 # Any one of these set by the user decides how many threads numpy's BLAS starts.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
@@ -105,12 +80,12 @@ class RunConfig:
     windows: tuple[int, ...]
     intervals: tuple[int | str, ...]
     alpha: float
-    use_abs: bool
+    abs: bool
     ma: int | None
     bubble: str | None
     out: Path
     interval_semantics: str
-    cluster_date: date | None
+    date: date | None
     log_prices: bool
 
 
@@ -199,77 +174,91 @@ def _parse_date_opt(s: str) -> date:
     raise ConfigError(f"bad date {s!r} (want YYYY-MM-DD or YYYYMMDD)")
 
 
-def _resolve(args: argparse.Namespace) -> RunConfig:
-    file_cfg = load_config_file(args.config) if args.config else {}
-
-    def pick(key: str) -> str | None:
-        cli = getattr(args, key, None)
-        if cli is not None:
-            return str(cli)
-        if key in file_cfg:
-            return file_cfg[key]
-        return _OPTIONS[key][0]
-
-    alpha_s = pick("alpha")
+def _parse_alpha(s: str) -> float:
     try:
-        alpha = float(alpha_s)  # type: ignore[arg-type]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad alpha {alpha_s!r}") from exc
+        alpha = float(s)
+    except ValueError as exc:
+        raise ConfigError(f"bad alpha {s!r}") from exc
     try:
         check_alpha(alpha)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    semantics = pick("interval_semantics")
-    if semantics not in INTERVAL_SEMANTICS:
-        raise ConfigError(f"interval-semantics must be one of {INTERVAL_SEMANTICS}")
-
-    bubble = pick("bubble")
-    if bubble is not None and bubble not in ("count", "value"):
-        raise ConfigError("bubble must be 'count' or 'value'")
-
-    ma_s = pick("ma")
-    ma = None
-    if ma_s is not None:
-        try:
-            ma = int(ma_s)
-        except ValueError as exc:
-            raise ConfigError(f"bad ma {ma_s!r}") from exc
-        if ma < 1:
-            raise ConfigError("ma must be at least 1")
-
-    market_dir = pick("market_dir")
-    index = pick("index")
-    cluster_date = pick("date")
-    return RunConfig(
-        market_dir=Path(market_dir) if market_dir else None,
-        index=Path(index) if index else None,
-        estimators=_parse_estimators(pick("estimators")),  # type: ignore[arg-type]
-        windows=_parse_windows(pick("windows")),  # type: ignore[arg-type]
-        intervals=_parse_intervals(pick("intervals")),  # type: ignore[arg-type]
-        alpha=alpha,
-        use_abs=_parse_bool(pick("abs"), "abs"),  # type: ignore[arg-type]
-        ma=ma,
-        bubble=bubble,
-        out=Path(pick("out")),  # type: ignore[arg-type]
-        interval_semantics=semantics,  # type: ignore[arg-type]
-        cluster_date=_parse_date_opt(cluster_date) if cluster_date else None,
-        log_prices=_parse_bool(pick("log_prices"), "log_prices"),  # type: ignore[arg-type]
-    )
+    return alpha
 
 
-def _csie_days(
-    cfg: RunConfig, run: _Run, index_error: ConfigError | None = None
-) -> list[CsieDay]:
+def _parse_ma(s: str) -> int:
+    try:
+        ma = int(s)
+    except ValueError as exc:
+        raise ConfigError(f"bad ma {s!r}") from exc
+    if ma < 1:
+        raise ConfigError("ma must be at least 1")
+    return ma
+
+
+def _choice(choices: tuple[str, ...], message: str) -> Callable[[str], str]:
+    def parse(s: str) -> str:
+        if s not in choices:
+            raise ConfigError(message)
+        return s
+    return parse
+
+
+def _optional(parse: Callable[[str], Any]) -> Callable[[str], Any]:
+    return lambda s: parse(s) if s else None
+
+
+# Every option, in --help order, which is the order its value is checked in:
+# its config key (the flag is ``--`` plus the key with dashes for
+# underscores), its built-in default, the rule that reads its text into its
+# ``RunConfig`` field, and its argparse settings.  The argparse default stays
+# None, so ``_resolve`` can tell a flag the user gave from one left out.
+_OPTIONS: dict[str, tuple[str | None, Callable[[str], Any], dict[str, Any]]] = {
+    "market_dir": (None, _optional(Path), {"help": "directory of <MARKET>_<YYYYMMDD>.csv files"}),
+    "index": (None, _optional(Path), {"help": "index OHLCV CSV path"}),
+    "estimators": (",".join(ESTIMATOR_TAGS), _parse_estimators,
+                   {"help": "comma list from cc,pk,gk,rs,yz,ie"}),
+    "windows": ("5,10,20,30", _parse_windows,
+                {"help": "comma list of rolling windows (indexvol uses the first)"}),
+    "intervals": ("30,60,120,260,520,780,1300,all", _parse_intervals,
+                  {"help": "comma list of trailing intervals, 'all' allowed"}),
+    "alpha": (str(ALPHA_DEFAULT), _parse_alpha, {"help": "entropy blend alpha (> 1)"}),
+    "abs": ("false", lambda s: _parse_bool(s, "abs"),
+            {"action": "store_const", "const": True, "help": "use absolute entropy variants"}),
+    "ma": (None, _parse_ma, {"help": "moving-average overlay window for charts"}),
+    "bubble": (None, _choice(("count", "value"), "bubble must be 'count' or 'value'"),
+               {"choices": ("count", "value"), "help": "bubble sizing for the csie chart"}),
+    "out": (".", Path, {"help": "output directory"}),
+    "interval_semantics": (
+        "smoothed-points",
+        _choice(INTERVAL_SEMANTICS, f"interval-semantics must be one of {INTERVAL_SEMANTICS}"),
+        {"choices": INTERVAL_SEMANTICS,
+         "help": "interval counts smoothed points (default) or raw days"},
+    ),
+    "date": (None, _optional(_parse_date_opt), {"help": "day to cluster, YYYY-MM-DD or YYYYMMDD"}),
+    "log_prices": ("false", lambda s: _parse_bool(s, "log_prices"),
+                   {"action": "store_const", "const": True,
+                    "help": "correlate log prices when clustering"}),
+}
+
+
+def _resolve(args: argparse.Namespace) -> RunConfig:
+    file_cfg = load_config_file(args.config) if args.config else {}
+    values: dict[str, Any] = {}
+    for key, (default, parse, _) in _OPTIONS.items():
+        flag = getattr(args, key)
+        text = file_cfg.get(key, default) if flag is None else str(flag)
+        values[key] = None if text is None else parse(text)
+    return RunConfig(**values)
+
+
+def _csie_days(cfg: RunConfig, run: _Run) -> list[CsieDay]:
     """Each market day's CSIE.
 
     EOD files are read one at a time, and a day is dropped once its CSIE is
     computed.  A skipped file's error line is printed as the file is read;
     the error lines of the days csie_day rejects wait until every file is
-    read, and no day left is an error.  A market error (an unreadable
-    directory, no EOD file, two files of one date, no file that parses) wins
-    over ``index_error``, which is raised once the first file parses, after
-    the error lines of the files skipped before it.
+    read, and no day left is an error.
     """
     from .cross_section import csie_day
     from .market_data import _eod_files
@@ -280,16 +269,12 @@ def _csie_days(
     skipped_days: list[str] = []
     try:
         for day in _eod_files(cfg.market_dir, on_skip=run.error):
-            if index_error is not None:
-                break
             try:
                 rows.append(csie_day(day, cfg.alpha))
             except ValueError as exc:
                 skipped_days.append(f"skipped {day.day.isoformat()}: {exc}")
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
-    if index_error is not None:
-        raise index_error
     for message in skipped_days:
         run.error(message)
     if not rows:
@@ -351,7 +336,7 @@ def cmd_csie(cfg: RunConfig) -> int:
     run.emit("csie_daily.csv", lambda: csie_csv(rows))
 
     def build_chart() -> str:
-        series = csie_dated_series(rows, use_abs=cfg.use_abs)
+        series = csie_dated_series(rows, use_abs=cfg.abs)
         overlay = moving_average(series, cfg.ma) if cfg.ma else None
         sizes = None
         label = ""
@@ -361,7 +346,7 @@ def cmd_csie(cfg: RunConfig) -> int:
         elif cfg.bubble == "value":
             sizes = np.array([r.total_value for r in rows], dtype=float)
             label = "traded value"
-        kind = "absolute" if cfg.use_abs else "signed"
+        kind = "absolute" if cfg.abs else "signed"
         return line_chart(
             series,
             title=f"Cross-sectional intrinsic entropy ({kind})",
@@ -385,7 +370,7 @@ def cmd_indexvol(cfg: RunConfig) -> int:
     series_by_tag: dict[str, DatedSeries] = {}
     for tag in cfg.estimators:
         try:
-            series_by_tag[tag] = rolling_estimate(index, tag, w, use_abs=cfg.use_abs)
+            series_by_tag[tag] = rolling_estimate(index, tag, w, use_abs=cfg.abs)
         except ValueError as exc:
             raise ConfigError(f"estimator {tag!r}, window {w}: {exc}") from exc
     # every series ends on the index's last bar, so the common dates are the
@@ -418,11 +403,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     from .analytics import comparison_grids
 
     run = _Run()
-    try:
-        index = _load_index(cfg)
-    except ConfigError as exc:  # raised once an EOD file parses, unless the market fails
-        _csie_days(cfg, run, exc)
-        raise
+    if cfg.market_dir is None:  # checked first, then the index, then the EOD files
+        raise ConfigError("--market-dir is required for this command")
+    index = _load_index(cfg)
     rows = _csie_days(cfg, run)
     run.open(cfg.out)
     grids = comparison_grids(index, rows, cfg.estimators, cfg.intervals,
@@ -441,24 +424,21 @@ def cmd_cluster(cfg: RunConfig) -> int:
     run = _Run()
     if cfg.market_dir is None:
         raise ConfigError("--market-dir is required for this command")
-    if cfg.cluster_date is None:
+    if cfg.date is None:
         raise ConfigError("--date is required for cluster")
-    stamp = cfg.cluster_date.strftime("%Y%m%d")
+    iso = cfg.date.isoformat()  # strftime("%Y") does not zero-pad a year before 1000
     try:
-        matches = _dated_eod_files(cfg.market_dir.glob(f"*_{stamp}.csv"))
+        matches = _dated_eod_files(cfg.market_dir.glob(f"*_{iso.replace('-', '')}.csv"))
     except ValueError as exc:
         raise ConfigError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
     if not matches:
-        raise ConfigError(
-            f"no EOD file for {cfg.cluster_date.isoformat()} in {cfg.market_dir}"
-        )
+        raise ConfigError(f"no EOD file for {iso} in {cfg.market_dir}")
     path = matches[0][1]
     try:
         day = read_eod_file(path)
         dendro = cluster_day(day, log_prices=cfg.log_prices)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    iso = cfg.cluster_date.isoformat()
     run.open(cfg.out)
     run.emit(f"cluster_{iso}.newick", lambda: dendro.newick() + "\n")
     run.emit(f"cluster_{iso}_merges.csv", dendro.merge_csv)
@@ -489,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, help_text in specs.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
-        for key, (_, settings) in _OPTIONS.items():
+        for key, (_, _, settings) in _OPTIONS.items():
             p.add_argument("--" + key.replace("_", "-"), **settings)
     return parser
 

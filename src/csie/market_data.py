@@ -601,6 +601,25 @@ def _cached_day(entry: Path, key: bytes, day: date) -> tuple[MarketDay, list[Rej
         return None
 
 
+def _prune_cache(directory: Path, names: set[str]) -> None:
+    """Remove the cache entries of ``directory`` whose file is not among
+    ``names``, and the temporary files of writes cut short; an OSError
+    leaves the entry it meets as it was.  The temporary file of a write in
+    flight in another process goes too, which costs that process only its
+    entry."""
+    try:
+        entries = list((directory / _CACHE_DIR).iterdir())
+    except OSError:
+        return
+    for entry in entries:
+        name = entry.name
+        if name.endswith(".tmp") or (name.endswith(".bin") and name[:-4] not in names):
+            try:
+                entry.unlink()
+            except OSError:
+                pass
+
+
 def _write_entry(entry: Path, blob: bytes) -> None:
     """Write a cache entry through a temporary file of this process; an
     OSError (a read-only directory, a file in the cache directory's place,
@@ -635,9 +654,8 @@ def read_eod_file(
     parse's and replays its rejects to ``on_reject`` in line order.  A parse
     that raises is not cached, and its rejects reach ``on_reject`` before the
     raise.  A cache that cannot be read or written only costs the parse.
-    Nothing removes an entry: those of files renamed or deleted, and the
-    temporary file of a write that was cut short, stay until ``.csie-cache``
-    is deleted.
+    Reading the directory with ``_eod_files`` removes the entries of files
+    renamed or deleted and the temporary files of writes cut short.
     """
     path = Path(path)
     if day is None:
@@ -701,9 +719,11 @@ def _eod_files(
     when the day before it has been taken, so a consumer that keeps no day
     holds one at a time; ``threads`` > 1 reads them all in a pool first.
     Raises ValueError when there is no EOD file, or once every file is read
-    if none parsed.
+    if none parsed.  The parse cache keeps only the entries of the files
+    listed.
     """
     dated = _dated_eod_files(path.iterdir())
+    _prune_cache(path, {p.name for _, p in dated})
     if not dated:
         raise ValueError(f"no EOD files in {path}")
 

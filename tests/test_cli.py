@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import gc
 import os
 import re
@@ -264,8 +265,8 @@ BAD_THEN_GOOD = tuple(
 @pytest.mark.parametrize("market_ok", [True, False])
 def test_compare_with_a_bad_index_stops_at_the_first_usable_file(tmp_path, capsys, monkeypatch,
                                                                   index_text, market_ok):
-    """The index error waits for a usable EOD file, so a market error still
-    wins; once one file parses, nothing else is parsed."""
+    """A bad index stops compare before any EOD file is parsed, so it is the
+    one error line even when the market is unusable too."""
     parsed = []
     real = market_data.parse_eod_file
     monkeypatch.setattr(market_data, "parse_eod_file",
@@ -281,15 +282,9 @@ def test_compare_with_a_bad_index_stops_at_the_first_usable_file(tmp_path, capsy
         ["compare", "--market-dir", str(eod), "--index", str(index), "--out", str(tmp_path / "out")],
         capsys,
     )
-    assert (code, stdout) == (2, "")
-    lines = stderr.splitlines()
-    assert lines[0] == f"error: skipped {eod}/M_20210601.csv: no usable rows for 2021-06-01"
-    if market_ok:
-        assert len(parsed) == 2 and len(lines) == 2
-        assert lines[1].startswith(f"error: cannot load index from {index}: ")
-    else:
-        assert len(parsed) == 1
-        assert lines[1:] == [f"error: cannot load market data from {eod}: no usable EOD file in {eod}"]
+    assert (code, stdout, parsed) == (2, "", [])
+    [line] = stderr.splitlines()
+    assert line.startswith(f"error: cannot load index from {index}: ")
 
 
 def _run_with_outputs(argv: list[str], out: Path, capsys) -> tuple:
@@ -323,6 +318,21 @@ def test_a_parse_cache_that_cannot_be_written_changes_nothing(tmp_path, capsys, 
     assert unwritable[0] in (0, 1) and unwritable[3]
     assert cold == unwritable and warm == unwritable and uncached == unwritable
     assert cache.is_dir() == (command != "indexvol")
+
+
+def test_a_csie_run_leaves_only_the_entries_of_its_files(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(market_data, "_CACHE_MIN_BYTES", 0)
+    eod, _ = write_world(tmp_path, np.random.default_rng(84), n_symbols=4, n_days=5)
+    argv = ["csie", "--market-dir", str(eod), "--out", str(tmp_path / "out")]
+    cache = eod / ".csie-cache"
+    assert run(argv, capsys)[0] == 0
+    (eod / "SYN_20210601.csv").rename(eod / "NYSE_20210601.csv")
+    (cache / "SYN_20210602.csv.bin.12345.tmp").write_bytes(b"a write cut short")
+    assert (cache / "SYN_20210601.csv.bin").exists()
+    assert run(argv, capsys)[0] == 0
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        f"{p.name}.bin" for p in eod.glob("*.csv")
+    )
 
 
 def test_csie_reruns_byte_identical(world, tmp_path, capsys):
@@ -531,6 +541,22 @@ def test_cluster_accepts_compact_date(world, tmp_path, capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("day", ["0001-01-01", "00010101"])
+def test_cluster_finds_a_file_dated_before_the_year_1000(world, tmp_path, capsys, day):
+    eod, _ = world
+    market = tmp_path / "eod"
+    market.mkdir()
+    shutil.copy(eod / "SYN_20210601.csv", market / "SYN_00010101.csv")
+    out = tmp_path / "out"
+    code, _, stderr = run(
+        ["cluster", "--market-dir", str(market), "--date", day, "--out", str(out)], capsys
+    )
+    assert (code, stderr) == (0, "")
+    assert {p.name for p in out.iterdir()} == {
+        "cluster_0001-01-01.newick", "cluster_0001-01-01_merges.csv", "cluster_0001-01-01.svg"
+    }
+
+
 def test_cluster_requires_date(world, tmp_path, capsys):
     eod, _ = world
     code, _, stderr = run(["cluster", "--market-dir", str(eod), "--out", str(tmp_path)], capsys)
@@ -693,18 +719,18 @@ def test_each_configuration_error_exits_2_with_its_message(tmp_path, capsys, cas
 
 
 # A config file with a bad value for every key that is checked, in the order
-# the checks run; each message is the one given once the keys before it are
-# mended.
+# the checks run, which is --help order; each message is the one given once
+# the keys before it are mended.
 CHECK_ORDER = [
-    ("alpha = 0.5", "alpha must exceed 1 and be finite, got 0.5"),
-    ("interval_semantics = days",
-     "interval-semantics must be one of ('smoothed-points', 'raw-days')"),
-    ("bubble = size", "bubble must be 'count' or 'value'"),
-    ("ma = x", "bad ma 'x'"),
     ("estimators = zz", "unknown estimator 'zz'"),
     ("windows = 0", "windows must be positive integers"),
     ("intervals = x", "bad interval 'x'"),
+    ("alpha = 0.5", "alpha must exceed 1 and be finite, got 0.5"),
     ("abs = maybe", "abs must be a boolean, got 'maybe'"),
+    ("ma = x", "bad ma 'x'"),
+    ("bubble = size", "bubble must be 'count' or 'value'"),
+    ("interval_semantics = days",
+     "interval-semantics must be one of ('smoothed-points', 'raw-days')"),
     ("date = x", "bad date 'x' (want YYYY-MM-DD or YYYYMMDD)"),
     ("log_prices = maybe", "log_prices must be a boolean, got 'maybe'"),
 ]
@@ -753,6 +779,44 @@ def test_a_flag_and_a_config_line_resolve_alike(tmp_path, name):
     by_file = _resolve(parser.parse_args(["csie", "--config", str(cfg)]))
     assert by_flag == by_file
     assert by_flag != _resolve(parser.parse_args(["csie"]))
+
+
+# What a config line ``key =`` gives for each option: the flags of a run it
+# resolves alike (an empty path or date leaves its option unset, an empty
+# ``out`` is the working directory), or the message of its configuration error.
+EMPTY_VALUE = {
+    "market_dir": [],
+    "index": [],
+    "estimators": "empty estimator list",
+    "windows": "windows must be positive integers",
+    "intervals": "empty intervals list",
+    "alpha": "bad alpha ''",
+    "abs": "abs must be a boolean, got ''",
+    "ma": "bad ma ''",
+    "bubble": "bubble must be 'count' or 'value'",
+    "out": ["--out", "."],
+    "interval_semantics": "interval-semantics must be one of ('smoothed-points', 'raw-days')",
+    "date": [],
+    "log_prices": "log_prices must be a boolean, got ''",
+}
+
+
+@pytest.mark.parametrize("key", EMPTY_VALUE)
+def test_an_empty_config_value_resolves_as_pinned(tmp_path, capsys, key):
+    assert set(EMPTY_VALUE) == set(cli._OPTIONS)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} =\n")
+    argv = ["csie", "--config", str(cfg)]
+    expected = EMPTY_VALUE[key]
+    if isinstance(expected, str):
+        assert run(argv, capsys) == (2, "", f"error: {expected}\n")
+    else:
+        parser = build_parser()
+        assert _resolve(parser.parse_args(argv)) == _resolve(parser.parse_args(["csie", *expected]))
+
+
+def test_the_run_config_fields_are_the_option_keys():
+    assert [f.name for f in dataclasses.fields(cli.RunConfig)] == list(cli._OPTIONS)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -1079,7 +1143,7 @@ def test_readme_option_table_is_the_option_table():
     listed = re.findall(r"^\| `(--[\w-]+)` \| `(\w+)` \| (.+?) \|$", section, re.M)
     assert listed == [
         ("--" + key.replace("_", "-"), key, "none" if default is None else f"`{default}`")
-        for key, (default, _) in cli._OPTIONS.items()
+        for key, (default, _, _) in cli._OPTIONS.items()
     ]
 
 
