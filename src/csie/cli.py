@@ -24,7 +24,11 @@ without loading numpy, which loads once the arguments and the configuration
 are valid and a command starts reading data.  The CLI runs numpy's BLAS with
 one thread unless the user set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
 or ``OMP_NUM_THREADS``: csie makes no BLAS call, and each thread of the pool
-that OpenBLAS starts when it loads costs CPU time.
+that OpenBLAS starts when it loads costs CPU time.  At exit, the CLI
+freezes the garbage collector (``gc.freeze`` as an ``atexit`` hook,
+registered once however often ``main`` runs), so the interpreter does not
+collect the module objects still alive and the operating system frees that
+memory; every output is written and closed before ``main`` returns.
 
 Each command runs through one ``_Run``, which prints every ``error:`` line
 of a partial run and every ``wrote``/``failed`` line, and decides the exit
@@ -34,11 +38,16 @@ unparseable index, bad configuration).  An EOD file that does not parse (no
 usable row, bytes that are not UTF-8, or a read error) and a market day
 whose cross-section cannot be computed are each skipped with an ``error:``
 line on stderr; the outputs cover the other days and the exit code is 1.
+Likewise, an ``indexvol`` estimator whose windows fail costs only their
+cells, which are NA, with one ``error:`` line and exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -361,18 +370,24 @@ def cmd_csie(cfg: RunConfig) -> int:
 
 
 def cmd_indexvol(cfg: RunConfig) -> int:
-    from .analytics import rolling_estimate
+    from .analytics import RollingError, rolling_estimate
     from .svg import small_multiples
 
     run = _Run()
     index = _load_index(cfg)
     w = cfg.windows[0]
     series_by_tag: dict[str, DatedSeries] = {}
+    failed: list[str] = []  # printed once no estimator is a configuration error
     for tag in cfg.estimators:
         try:
             series_by_tag[tag] = rolling_estimate(index, tag, w, use_abs=cfg.abs)
+        except RollingError as exc:  # NaN at each failed window
+            series_by_tag[tag] = exc.series
+            failed.append(f"estimator {tag!r}, window {w}: {exc}")
         except ValueError as exc:
             raise ConfigError(f"estimator {tag!r}, window {w}: {exc}") from exc
+    for message in failed:
+        run.error(message)
     # every series ends on the index's last bar, so the common dates are the
     # last entries of the shortest one
     n = min(len(s) for s in series_by_tag.values())
@@ -383,7 +398,8 @@ def cmd_indexvol(cfg: RunConfig) -> int:
         columns = [series_by_tag[tag].values[-n:].tolist() for tag in cfg.estimators]
         lines = ["date," + ",".join(cfg.estimators)]
         for d, row in zip(dates, zip(*columns)):
-            lines.append(d.isoformat() + "," + ",".join(map(repr, row)))
+            cells = (repr(v) if math.isfinite(v) else "NA" for v in row)  # NA: a failed window
+            lines.append(d.isoformat() + "," + ",".join(cells))
         return "\n".join(lines) + "\n"
 
     run.emit("indexvol.csv", build_csv)
@@ -483,6 +499,9 @@ def _one_blas_thread() -> None:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    # one exit hook however often main runs; see the module docstring
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)

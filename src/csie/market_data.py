@@ -3,15 +3,16 @@
 Daily files carry one row per listed symbol (Symbol,Open,High,Low,Close,Volume);
 index files carry one row per trading day (Date,Open,High,Low,Close[,AdjClose],
 Volume).  Both parsers are tolerant of header rows, of a UTF-8 byte-order
-mark and of thousands separators inside the volume field.  A parser reads a
-file's csv records straight from its bytes, ``_CHUNK_RECORDS`` at a time,
-and converts and judges each chunk before it reads the next, so what a
-parse holds besides the rows it keeps does not grow with the file.  Within
-a chunk, the row loop only splits rows and rejects those of the wrong shape;
-``_Judged`` then reads each price and volume column in one pass (only a
-field that fails takes the per-field rule), judges the columns with the one
-rule set, ``_unusable_rows``, and keeps the usable rows, the first of each
-symbol across chunks.  ``MarketDay`` and ``IndexSeries`` share one
+mark and of thousands separators inside the volume field.  A parser refuses
+bytes that are not UTF-8 before it reads a record (a file of ASCII bytes
+needs no check), then decodes the file's csv records straight from its
+bytes, ``_CHUNK_RECORDS`` at a time, and converts and judges each chunk
+before it reads the next, so what a parse holds besides the rows it keeps
+does not grow with the file.  Within a chunk, the row loop only splits rows
+and rejects those of the wrong shape; ``_Judged`` then reads each price and
+volume column in one pass (only a field that fails takes the per-field
+rule), judges the columns with the one rule set, ``_unusable_rows``, and
+keeps the usable rows, the first of each symbol across chunks.  ``MarketDay`` and ``IndexSeries`` share one
 constructor body in their ``_Bars`` base and differ only in their key
 column; every day and series, whether given, parsed or read from the parse
 cache, is built and checked by its public constructor.  Every skipped row,
@@ -258,13 +259,6 @@ def _lines(data: str | bytes) -> io.TextIOBase:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8-sig", newline="\n")
 
 
-def _check_utf8(data: str | bytes) -> None:
-    """Raise the UnicodeDecodeError of decoding ``data`` whole, whose byte
-    position counts from the start of the file, if it is not UTF-8."""
-    if isinstance(data, bytes):
-        data.decode("utf-8-sig")
-
-
 def _record_chunks(
     data: str | bytes, rejected: list[RejectedRow]
 ) -> Iterator[tuple[int, list[list[str]]]]:
@@ -277,8 +271,10 @@ def _record_chunks(
     holding the physical line where reading stopped.  It stands in its chunk
     as an empty, that is blank, row, and reading resumes on the next physical
     line.  Bytes that are not UTF-8 raise the error of decoding the whole
-    file, wherever in it the reader meets them.
+    file before any record is read.
     """
+    if isinstance(data, bytes) and not data.isascii():
+        data.decode("utf-8-sig")  # an ASCII file, the common one, is not decoded twice
     reader = csv.reader(_lines(data))
     physical: Iterator[str] | None = None  # read again only to quote a refused record
     quoted = 0  # lines taken from ``physical``
@@ -300,9 +296,6 @@ def _record_chunks(
                 rejected.append(
                     RejectedRow(offset + len(chunk), line.rstrip("\r\n"), UNPARSEABLE_FIELD)
                 )
-            except UnicodeDecodeError:
-                _check_utf8(data)
-                raise
         if chunk:
             yield offset, chunk
         offset += len(chunk)
@@ -815,7 +808,6 @@ def parse_index_csv(
                 col_of = {field: i for i, field in enumerate(header) if field in _INDEX_COLUMNS}
                 missing = _INDEX_COLUMNS - col_of.keys()
                 if missing:
-                    _check_utf8(data)  # bytes that are not UTF-8 are the error first
                     raise ValueError(f"index header missing columns: {sorted(missing)}")
                 start, n_columns = 1, len(chunk[0])
             width = max(col_of.values())

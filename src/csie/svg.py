@@ -7,6 +7,8 @@ several volatility series, and a dendrogram.  Output is plain XML text.
 
 from __future__ import annotations
 
+import itertools
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -162,7 +164,11 @@ def line_chart(
 
 
 def small_multiples(panels: list[tuple[str, DatedSeries]], *, title: str = "") -> str:
-    """Vertically stacked line panels sharing the x axis, one per series."""
+    """Vertically stacked line panels sharing the x axis, one per series.
+
+    A value that is not finite is a gap in its panel's line, and the
+    panel's value labels span its finite values; a panel with none has no
+    line and no value labels."""
     if not panels:
         raise ValueError("no panels")
     width, panel_height = 960, 110
@@ -175,17 +181,21 @@ def small_multiples(panels: list[tuple[str, DatedSeries]], *, title: str = "") -
     x_hi = max(float(_day_numbers(s.dates, origin)[-1]) for _, s in panels)
     for i, (label, s) in enumerate(panels):
         top = 40 + i * panel_height
-        lo, hi = float(s.values.min()), float(s.values.max())
+        finite = s.values[np.isfinite(s.values)]
+        lo, hi = (float(finite.min()), float(finite.max())) if len(finite) else (0.0, 0.0)
         pad = (hi - lo) * 0.08 if hi > lo else 1.0
         f = _Frame(70, top + 8, width - 20, top + panel_height - 8,
                    x_lo, x_hi, lo - pad, hi + pad)
         c.line(f.x0, f.y1, f.x1, f.y1)
         xs = _day_numbers(s.dates, origin)
-        c.polyline([(f.x(float(xv)), f.y(float(yv))) for xv, yv in zip(xs, s.values)],
-                   "#1f3d7a", width=1.0)
+        for drawn, run in itertools.groupby(zip(xs, s.values), lambda p: math.isfinite(p[1])):
+            if drawn:
+                c.polyline([(f.x(float(xv)), f.y(float(yv))) for xv, yv in run],
+                           "#1f3d7a", width=1.0)
         c.text(f.x0 + 4, top + 18, label)
-        c.text(f.x0 - 7, f.y(lo) + 4, f"{lo:.4g}", anchor="end", color="#555")
-        c.text(f.x0 - 7, f.y(hi) + 4, f"{hi:.4g}", anchor="end", color="#555")
+        if len(finite):
+            c.text(f.x0 - 7, f.y(lo) + 4, f"{lo:.4g}", anchor="end", color="#555")
+            c.text(f.x0 - 7, f.y(hi) + 4, f"{hi:.4g}", anchor="end", color="#555")
     last = panels[-1][1]
     bottom = 40 + len(panels) * panel_height
     n_ticks = min(6, len(last.dates))

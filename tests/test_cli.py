@@ -410,6 +410,36 @@ def test_indexvol_estimator_subset(tmp_path, capsys):
     assert len(lines) == 7  # no seed bar needed: 6 windows fit in 65 bars
 
 
+def test_indexvol_writes_na_for_windows_with_no_volume(tmp_path, capsys):
+    """Bars 40-79 of 120 trade nothing: the ie windows that lie inside them
+    fail and cost only their cells."""
+    start = date(2021, 1, 4).toordinal()
+    index = tmp_path / "index.csv"
+    index.write_text("Date,Open,High,Low,Close,Volume\n" + "".join(
+        f"{date.fromordinal(start + i)},{100 + i % 7},{102 + i % 7},{99 + i % 7},"
+        f"{100 + i % 7 + i % 3 / 2},{0 if 40 <= i < 80 else 1000 + 10 * i}\n"
+        for i in range(120)
+    ))
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        ["indexvol", "--index", str(index), "--out", str(out), "--windows", "20"], capsys
+    )
+    assert code == 1
+    assert stderr == "error: estimator 'ie', window 20: no volume in window\n"
+    assert stdout.count("wrote ") == 2
+    for path in sorted(out.iterdir()):
+        assert not re.findall(r"\b(?:nan|inf)\b", path.read_text(), re.I), path.name
+    rows = [row.split(",") for row in (out / "indexvol.csv").read_text().splitlines()]
+    assert rows[0] == ["date", "cc", "pk", "gk", "rs", "yz", "ie"] and len(rows) == 101
+    # the window ending on bar j spans bars j-19..j
+    failed = [str(date.fromordinal(start + j)) for j in range(59, 80)]
+    assert [row[0] for row in rows[1:] if row[6] == "NA"] == failed
+    assert not any("NA" in row[1:6] for row in rows[1:])
+    svg = (out / "indexvol.svg").read_text()
+    ET.fromstring(svg)
+    assert svg.count("<polyline") == 7  # the ie line breaks once
+
+
 def test_indexvol_window_too_large(tmp_path, capsys):
     _, index = write_world(tmp_path / "w", np.random.default_rng(85), n_days=30)
     code, _, stderr = run(
@@ -424,6 +454,15 @@ def test_indexvol_requires_index(tmp_path, capsys):
     code, _, stderr = run(["indexvol", "--out", str(tmp_path)], capsys)
     assert code == 2
     assert "--index is required" in stderr
+
+
+def test_main_registers_one_exit_hook_however_often_it_runs(tmp_path, capsys, monkeypatch):
+    hooks = []
+    monkeypatch.setattr(cli.atexit, "register", hooks.append)
+    monkeypatch.setattr(cli.atexit, "unregister", lambda f: hooks.remove(f) if f in hooks else None)
+    for _ in range(2):
+        assert run(["indexvol", "--out", str(tmp_path)], capsys)[0] == 2
+    assert hooks == [gc.freeze]
 
 
 # --- compare subcommand ------------------------------------------------------------------
@@ -1094,20 +1133,22 @@ def test_a_price_ratio_past_the_float_range_is_never_written(tmp_path, argv):
     done = _probe(ENTRY_PROBE, *argv, "--market-dir", str(eod), "--index", str(index),
                   "--out", str(out))
     assert "Warning" not in done.stderr and "Traceback" not in done.stderr
-    if argv[0] == "indexvol":  # as for an ie window with no volume
-        assert done.returncode == 2
-        assert done.stderr == "error: estimator 'pk', window 3: price ratio past the float range\n"
-        assert not out.exists()
-        return
     assert done.returncode == 1
+    windows = (3,) if argv[0] == "indexvol" else (2, 3)
     assert done.stderr.splitlines() == [
         f"error: estimator {tag!r}, window {w}: price ratio past the float range"
-        for w in (2, 3) for tag in NOT_FINITE_TAGS
+        for w in windows for tag in NOT_FINITE_TAGS
     ]
-    assert done.stdout.count("wrote ") == 4
+    assert done.stdout.count("wrote ") == (2 if argv[0] == "indexvol" else 4)
     for path in sorted(out.iterdir()):
         text = path.read_text()
         assert not re.findall(r"\b(?:nan|inf)\b", text, re.I), path.name
+    if argv[0] == "indexvol":  # as for an ie window with no volume
+        rows = (out / "indexvol.csv").read_text().splitlines()
+        assert rows[0] == "date,cc,pk,gk,rs,yz,ie" and len(rows) == 3
+        for row in rows[1:]:  # every window of the last two holds the third bar
+            assert row.split(",")[2:] == ["NA"] * 5 and "NA" not in row.split(",")[1], row
+        return
     mean = (out / "grid_mean.csv").read_text().splitlines()
     assert mean[0] == "interval,window,cc,pk,gk,rs,yz,ie,csie"
     for row in mean[1:]:

@@ -228,7 +228,10 @@ def test_index_records_across_a_chunk_boundary(chunk, n_filler, header, repeat):
     (lambda data, **kw: parse_eod_file(data, FIXTURE_DAY, **kw), b"AA,10,11,9,10.5,100\n" * 3000),
     # the missing volume column is not the error: the bytes are
     (parse_index_csv, b"Date,Open,High,Low,Close\n" + b"2021-01-04,10,11,9,10.5\n" * 3000),
-], ids=["eod", "index-header"])
+    # nor is a record the csv module refuses
+    (lambda data, **kw: parse_eod_file(data, FIXTURE_DAY, **kw),
+     b"A\rB,10,11,9,10.5,100\n" + b"AA,10,11,9,10.5,100\n" * 3000),
+], ids=["eod", "index-header", "eod-refused-record"])
 def test_bytes_that_are_not_utf8_deep_in_a_file(parse, data):
     """Past the first chunks read, a byte that is not UTF-8 is still the
     file's error, at its position in the whole file, and no reject of the

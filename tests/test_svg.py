@@ -71,6 +71,19 @@ def test_small_multiples_panels():
         small_multiples([])
 
 
+def test_small_multiples_break_the_line_at_a_gap():
+    nan = float("nan")
+    text = small_multiples(
+        [("gaps", ds([1.0, nan, 2.0, 3.0, nan, nan, 4.0, 5.0])), ("empty", ds([nan] * 8))]
+    )
+    ET.fromstring(text)
+    assert "nan" not in text
+    assert [len(el.get("points").split()) for el in tags(text, "polyline")] == [2, 2]
+    assert len(tags(text, "circle")) == 1  # the run of one value
+    labels = [el.text for el in tags(text, "text")]
+    assert labels[:4] == ["gaps", "1", "5", "empty"]  # the empty panel has no value labels
+
+
 def test_dendrogram_svg_layout():
     tree = agglomerate(random_pm(np.random.default_rng(74)))
     text = dendrogram_svg(tree)
