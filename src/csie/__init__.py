@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "_vocab": ("ALPHA_DEFAULT", "ESTIMATOR_TAGS"),
     "analytics": (
-        "ComparisonGrid", "DatedSeries", "VolSeries", "align", "comparison_grids",
+        "ComparisonGrid", "DatedSeries", "align", "comparison_grids",
         "csie_dated_series", "mean_var", "moving_average", "pearson", "rolling_estimate",
         "vol_beta",
     ),

@@ -61,14 +61,6 @@ class DatedSeries:
         return len(self.dates)
 
 
-@dataclass(frozen=True)
-class VolSeries(DatedSeries):
-    """One estimator's rolling values: tag plus window length."""
-
-    tag: str
-    window: int
-
-
 def csie_dated_series(rows: Sequence[CsieDay], *, use_abs: bool = False) -> DatedSeries:
     """Daily market entropy as a dated series (signed by default)."""
     ordered = sorted(rows, key=lambda r: r.day)
@@ -90,17 +82,17 @@ def moving_average(s: DatedSeries, w: int) -> DatedSeries:
 
 
 class RollingError(ValueError):
-    """The first failed window's message; ``series`` has NaN at every failed
-    window and ``last_failed`` is the position of the newest one."""
+    """The first failed window's cause; ``series`` has NaN at every failed
+    window."""
 
-    def __init__(self, first: ValueError, series: VolSeries, last_failed: int) -> None:
-        super().__init__(str(first))
-        self.series, self.last_failed = series, last_failed
+    def __init__(self, message: str, series: DatedSeries) -> None:
+        super().__init__(message)
+        self.series = series
 
 
 def _rolls(
     series: IndexSeries, tag: str, w: int
-) -> tuple[list[VolSeries], np.ndarray, np.ndarray]:
+) -> tuple[list[DatedSeries], np.ndarray, np.ndarray]:
     """Every trailing w-bar window's estimate, all windows at once.
 
     Returns one series per blend (``ie``: signed, then absolute; the other
@@ -136,12 +128,12 @@ def _rolls(
     failed = np.flatnonzero(no_volume | not_finite)
     for values in blends:
         values[failed] = math.nan
-    return [VolSeries(dates, values, tag, w) for values in blends], failed, not_finite
+    return [DatedSeries(dates, values) for values in blends], failed, not_finite
 
 
 def rolling_estimate(
     series: IndexSeries, tag: str, w: int, *, use_abs: bool = False
-) -> VolSeries:
+) -> DatedSeries:
     """Apply the tagged estimator to every trailing w-bar window.
 
     Estimators that look back at the previous close start one date later
@@ -150,15 +142,15 @@ def rolling_estimate(
     estimator; the others are nonnegative by construction.  Windows where
     the estimator fails (``ie`` with no traded volume, or an estimate that a
     price ratio past the float range leaves without a value) give a
-    RollingError.  All windows are computed at once by the estimator's
-    kernel, each value bit-identical to the single-window function on that
-    window.
+    RollingError naming the first failed window's cause, whose ``series``
+    holds every window with NaN at the failed ones.  All windows are
+    computed at once by the estimator's kernel, each value bit-identical to
+    the single-window function on that window.
     """
     blends, failed, not_finite = _rolls(series, tag, w)
     out = blends[-1] if use_abs else blends[0]
     if len(failed):
-        first = ValueError(NOT_FINITE if not_finite[failed[0]] else NO_VOLUME)
-        raise RollingError(first, out, int(failed[-1])) from first
+        raise RollingError(NOT_FINITE if not_finite[failed[0]] else NO_VOLUME, out)
     return out
 
 

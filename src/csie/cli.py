@@ -19,12 +19,15 @@ only that day's ``CsieDay`` once it is computed.
 
 Parsing and checking the options loads no compute module: the option
 vocabulary comes from ``_vocab``, and each command imports what it calls when
-it starts.  So ``--help``, a usage error and a configuration error exit
-without loading numpy, which loads once the arguments and the configuration
-are valid and a command starts reading data.  The CLI runs numpy's BLAS with
-one thread unless the user set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS``
-or ``OMP_NUM_THREADS``: csie makes no BLAS call, and each thread of the pool
-that OpenBLAS starts when it loads costs CPU time.  At exit, the CLI
+it starts.  So ``--help``, a usage error and a configuration error, a
+missing required option included, exit without loading numpy, which loads
+once the arguments and the configuration are valid and a command starts
+reading data.  Each command is declared once, in ``_COMMANDS``, with its
+help text and the options it requires, which ``main`` checks before the
+command starts.  The CLI runs numpy's BLAS with one thread unless the user
+set ``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``:
+csie makes no BLAS call, and each thread of the pool that OpenBLAS starts
+when it loads costs CPU time.  At exit, the CLI
 freezes the garbage collector (``gc.freeze`` as an ``atexit`` hook,
 registered once however often ``main`` runs), so the interpreter does not
 collect the module objects still alive and the operating system frees that
@@ -272,8 +275,6 @@ def _csie_days(cfg: RunConfig, run: _Run) -> list[CsieDay]:
     from .cross_section import csie_day
     from .market_data import _eod_files
 
-    if cfg.market_dir is None:
-        raise ConfigError("--market-dir is required for this command")
     rows: list[CsieDay] = []
     skipped_days: list[str] = []
     try:
@@ -294,8 +295,6 @@ def _csie_days(cfg: RunConfig, run: _Run) -> list[CsieDay]:
 def _load_index(cfg: RunConfig) -> IndexSeries:
     from .market_data import read_index_csv
 
-    if cfg.index is None:
-        raise ConfigError("--index is required for this command")
     try:
         return read_index_csv(cfg.index)
     except (OSError, ValueError) as exc:
@@ -324,7 +323,7 @@ class _Run:
     def emit(self, name: str, build: Callable[[], str]) -> None:
         path = self.out_dir / name
         try:
-            path.write_text(build())
+            path.write_text(build(), encoding="utf-8")
         except (OSError, ValueError) as exc:
             print(f"failed {path}: {exc}", file=sys.stderr)
             self.status = 1
@@ -419,9 +418,7 @@ def cmd_compare(cfg: RunConfig) -> int:
     from .analytics import comparison_grids
 
     run = _Run()
-    if cfg.market_dir is None:  # checked first, then the index, then the EOD files
-        raise ConfigError("--market-dir is required for this command")
-    index = _load_index(cfg)
+    index = _load_index(cfg)  # read before any EOD file
     rows = _csie_days(cfg, run)
     run.open(cfg.out)
     grids = comparison_grids(index, rows, cfg.estimators, cfg.intervals,
@@ -438,10 +435,6 @@ def cmd_cluster(cfg: RunConfig) -> int:
     from .svg import dendrogram_svg
 
     run = _Run()
-    if cfg.market_dir is None:
-        raise ConfigError("--market-dir is required for this command")
-    if cfg.date is None:
-        raise ConfigError("--date is required for cluster")
     iso = cfg.date.isoformat()  # strftime("%Y") does not zero-pad a year before 1000
     try:
         matches = _dated_eod_files(cfg.market_dir.glob(f"*_{iso.replace('-', '')}.csv"))
@@ -462,11 +455,16 @@ def cmd_cluster(cfg: RunConfig) -> int:
     return run.status
 
 
-_COMMANDS = {
-    "csie": cmd_csie,
-    "indexvol": cmd_indexvol,
-    "compare": cmd_compare,
-    "cluster": cmd_cluster,
+# Every command: the function that runs it, its help text and the options it
+# requires, in --help order, which ``main`` checks before the command imports
+# anything.
+_COMMANDS: dict[str, tuple[Callable[[RunConfig], int], str, tuple[str, ...]]] = {
+    "csie": (cmd_csie, "daily market entropy CSV and chart from an EOD directory",
+             ("market_dir",)),
+    "indexvol": (cmd_indexvol, "rolling volatility estimators for one index CSV", ("index",)),
+    "compare": (cmd_compare, "mean/variance/pearson/beta grids of index vs market entropy",
+                ("market_dir", "index")),
+    "cluster": (cmd_cluster, "OHLC price-column dendrogram for one day", ("market_dir", "date")),
 }
 
 
@@ -476,13 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cross-sectional intrinsic entropy and OHLC volatility toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = {
-        "csie": "daily market entropy CSV and chart from an EOD directory",
-        "indexvol": "rolling volatility estimators for one index CSV",
-        "compare": "mean/variance/pearson/beta grids of index vs market entropy",
-        "cluster": "OHLC price-column dendrogram for one day",
-    }
-    for name, help_text in specs.items():
+    for name, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="flat key = value config file")
         for key, (_, _, settings) in _OPTIONS.items():
@@ -505,8 +497,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve(args)
+        command, _, required = _COMMANDS[args.command]
+        for key in required:
+            if getattr(cfg, key) is None:
+                raise ConfigError(f"--{key.replace('_', '-')} is required for this command")
         _one_blas_thread()
-        return _COMMANDS[args.command](cfg)
+        return command(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

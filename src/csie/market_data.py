@@ -12,11 +12,12 @@ does not grow with the file.  Within a chunk, the row loop only splits rows
 and rejects those of the wrong shape; ``_Judged`` then reads each price and
 volume column in one pass (only a field that fails takes the per-field
 rule), judges the columns with the one rule set, ``_unusable_rows``, and
-keeps the usable rows, the first of each symbol across chunks.  ``MarketDay`` and ``IndexSeries`` share one
-constructor body in their ``_Bars`` base and differ only in their key
-column; every day and series, whether given, parsed or read from the parse
-cache, is built and checked by its public constructor.  Every skipped row,
-including a record the csv module cannot read, is reported through an
+keeps the usable rows, the first of each symbol or date across chunks.
+``MarketDay`` and ``IndexSeries`` share one constructor body in their
+``_Bars`` base and differ only in their key column; every day and series,
+whether given, parsed or read from the parse cache, is built and checked by
+its public constructor.  Every skipped row, including a record the csv
+module cannot read, is reported through an
 ``on_reject`` callback, in line order once the whole file is read (and by
 ``read_eod_dir`` in date order, then line order), instead of failing the
 whole file; a file that does not parse costs ``read_eod_dir`` only that
@@ -53,6 +54,7 @@ OHLC_ORDERING = "ohlc-ordering"
 FIELD_COUNT = "field-count"
 UNPARSEABLE_FIELD = "unparseable-field"
 DUPLICATE_SYMBOL = "duplicate-symbol"
+DUPLICATE_DATE = "duplicate-date"
 MALFORMED_DATE = "malformed-date"
 
 # Not a rejection: the bar stays in the day but is excluded from trade-value
@@ -346,15 +348,16 @@ class _Judged:
 
     Chunk by chunk, ``judge`` converts and judges the rows that reached
     conversion and keeps the usable ones: their keys, and their OHLCV values
-    as one array part per chunk.  With ``unique_keys`` a key already kept
-    makes a row a duplicate, across chunks.
+    as one array part per chunk.  A usable row whose key is already kept is
+    a ``duplicate`` reject, across chunks.
     """
 
-    def __init__(self, *, unique_keys: bool) -> None:
+    def __init__(self, duplicate: str) -> None:
         self.keys: list = []
         self.rejected: list[RejectedRow] = []
         self._parts: list[list[np.ndarray]] = [[], [], [], [], []]
-        self._seen: set | None = set() if unique_keys else None
+        self._duplicate = duplicate
+        self._seen: set = set()
 
     def judge(
         self, offset: int, chunk: list[list[str]], lines: list[int], keys: list,
@@ -392,11 +395,10 @@ class _Judged:
         for i, key in enumerate(keys):
             if i in faults:
                 continue
-            if seen is not None:
-                if key in seen:
-                    faults[i] = DUPLICATE_SYMBOL
-                    continue
-                seen.add(key)
+            if key in seen:
+                faults[i] = self._duplicate
+                continue
+            seen.add(key)
             kept.append(i)
         self.rejected.extend(
             RejectedRow(lines[i], ",".join(chunk[lines[i] - offset - 1]), fault)
@@ -443,7 +445,7 @@ def parse_eod_file(
     Raises ValueError when no usable row remains, or for bytes that are not
     UTF-8.
     """
-    judged = _Judged(unique_keys=True)
+    judged = _Judged(DUPLICATE_SYMBOL)
     for offset, chunk in _record_chunks(data, judged.rejected):
         lines: list[int] = []
         symbols: list[str] = []
@@ -629,13 +631,8 @@ def _write_entry(entry: Path, blob: bytes) -> None:
             pass
 
 
-def read_eod_file(
-    path: str | Path,
-    day: date | None = None,
-    *,
-    on_reject: OnReject | None = None,
-) -> MarketDay:
-    """Read one EOD file; the date comes from the file name unless given.
+def read_eod_file(path: str | Path, *, on_reject: OnReject | None = None) -> MarketDay:
+    """Read one EOD file, dated by its ``<MARKET>_<YYYYMMDD>.csv`` name.
 
     The parse of a file of at least ``_CACHE_MIN_BYTES`` is kept in the
     file's entry of the parse cache, ``.csie-cache/<file name>.bin`` in its
@@ -651,8 +648,7 @@ def read_eod_file(
     renamed or deleted and the temporary files of writes cut short.
     """
     path = Path(path)
-    if day is None:
-        _, day = eod_filename_date(path.name)
+    _, day = eod_filename_date(path.name)
     data = path.read_bytes()
     code_id = _code_id() if len(data) >= _CACHE_MIN_BYTES else None
     if code_id is None:
@@ -723,7 +719,7 @@ def _eod_files(
     def load(item: tuple[date, Path]) -> tuple[MarketDay | str, list[RejectedRow]]:
         rejects: list[RejectedRow] = []
         try:
-            return read_eod_file(item[1], item[0], on_reject=rejects.append), rejects
+            return read_eod_file(item[1], on_reject=rejects.append), rejects
         except (OSError, ValueError) as exc:
             return f"skipped {item[1]}: {exc}", rejects
 
@@ -795,9 +791,10 @@ def parse_index_csv(
     part is digits, and is rejoined as in ``parse_eod_file``; any other such
     row is a field-count reject.  Records are read a chunk at a time; in each
     chunk, dates are read row by row, prices and volumes a column at a time.
-    Bad rows are skipped and reported; duplicate dates are an error.
+    Bad rows are skipped and reported; a repeated date keeps the first
+    usable row of that date, and the others are duplicate-date rejects.
     """
-    judged = _Judged(unique_keys=False)
+    judged = _Judged(DUPLICATE_DATE)
     col_of = {"date": 0, "open": 1, "high": 2, "low": 3, "close": 4, "volume": 5}
     start = 0
     n_columns = 6
@@ -845,13 +842,9 @@ def parse_index_csv(
     return IndexSeries(name, dates, *judged.columns())
 
 
-def read_index_csv(
-    path: str | Path,
-    name: str | None = None,
-    *,
-    on_reject: OnReject | None = None,
-) -> IndexSeries:
+def read_index_csv(path: str | Path, *, on_reject: OnReject | None = None) -> IndexSeries:
+    """Read one index file; the series is named after the file's stem, read
+    as UTF-8 whatever the locale (a byte that is not UTF-8 reads as U+FFFD)."""
     path = Path(path)
-    return parse_index_csv(
-        path.read_bytes(), name if name is not None else path.stem, on_reject=on_reject
-    )
+    name = os.fsencode(path.stem).decode("utf-8", "replace")
+    return parse_index_csv(path.read_bytes(), name, on_reject=on_reject)

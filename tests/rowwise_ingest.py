@@ -9,7 +9,8 @@ reason codes are the package's own.
 
 An index row longer than its header (six columns without one) has its
 bare-thousands volume tail rejoined when volume is the last column, and is a
-field-count reject otherwise.
+field-count reject otherwise.  As with symbols, the first usable row of a
+date is kept and a later one is a duplicate-date reject.
 
 Bytes are decoded as UTF-8 with an optional byte-order mark.  A csv record
 the csv module cannot read (a bare carriage return in an unquoted field, a
@@ -28,6 +29,7 @@ from datetime import date
 import numpy as np
 
 from csie.market_data import (
+    DUPLICATE_DATE,
     DUPLICATE_SYMBOL,
     FIELD_COUNT,
     MALFORMED_DATE,
@@ -204,6 +206,7 @@ def parse_index_csv(
             start = 1
 
     days: list[date] = []
+    seen: set[date] = set()
     cols: dict[str, list[float]] = {k: [] for k in ("open", "high", "low", "close")}
     volumes: list[int] = []
     width = max(col_of.values())
@@ -238,6 +241,10 @@ def parse_index_csv(
         if verdict not in (None, ZERO_VOLUME):
             reject(line_no, raw, verdict)
             continue
+        if d in seen:
+            reject(line_no, raw, DUPLICATE_DATE)
+            continue
+        seen.add(d)
         days.append(d)
         cols["open"].append(o)
         cols["high"].append(h)

@@ -108,7 +108,6 @@ def test_rolling_point_counts_and_dates():
     seeded = rolling_estimate(s, "cc", 5)
     assert len(no_seed) == 8 and list(no_seed.dates) == list(s.dates[4:])
     assert len(seeded) == 7 and list(seeded.dates) == list(s.dates[5:])
-    assert no_seed.tag == "pk" and no_seed.window == 5
 
 
 SINGLE_WINDOW = {
@@ -512,7 +511,7 @@ def test_rolling_failed_windows_raise_after_the_roll():
     with pytest.raises(analytics.RollingError, match="no volume in window") as info:
         rolling_estimate(index, "ie", 5)
     vol = info.value.series
-    assert len(vol) == len(index) - 5 and info.value.last_failed == 6
+    assert len(vol) == len(index) - 5
     assert np.flatnonzero(np.isnan(vol.values)).tolist() == [4, 5, 6]
 
 
@@ -562,7 +561,6 @@ def test_rolling_window_past_the_float_range_fails(tag):
     vol = info.value.series
     failed = np.flatnonzero(np.isnan(vol.values))
     assert vol.dates[failed].tolist() == index.dates[20:26].tolist()  # windows over bar 20 or 21
-    assert info.value.last_failed == failed[-1]
 
 
 @pytest.mark.parametrize(

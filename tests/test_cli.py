@@ -740,7 +740,8 @@ CONFIG_ERRORS = {
     "cluster-market-dir": ("cluster", ["--date", "2021-01-04"], None,
                            "--market-dir is required for this command"),
     "indexvol-index": ("indexvol", [], None, "--index is required for this command"),
-    "cluster-date": ("cluster", ["--market-dir", "m"], None, "--date is required for cluster"),
+    "cluster-date": ("cluster", ["--market-dir", "m"], None,
+                     "--date is required for this command"),
     "no-equals-sign": ("csie", [], "# runs\nwindows 7\n", "{cfg}:2: expected key = value"),
     "unknown-key": ("csie", [], "windows = 7\ncolour = blue\n", "{cfg}:2: unknown key 'colour'"),
 }
@@ -917,6 +918,24 @@ def test_entry_point_read_only_output_directory(world, tmp_path):
     assert not any(out.iterdir())
 
 
+def test_outputs_are_utf8_whatever_the_locale(world, tmp_path):
+    """An index named outside ASCII titles its SVG alike in the C locale,
+    where the file name reaches Python as undecodable bytes and the locale's
+    encoding is ASCII, and in UTF-8 mode."""
+    _, index = world
+    named = tmp_path / "\u00cdNDICE.csv"
+    named.write_bytes(index.read_bytes())
+    svgs = []
+    for utf8 in ("0", "1"):
+        out = tmp_path / f"out-utf8-{utf8}"
+        done = _probe(ENTRY_PROBE, "indexvol", "--index", str(named), "--windows", "5",
+                      "--out", str(out), env={"PYTHONUTF8": utf8, "LC_ALL": "C"})
+        assert done.returncode == 0, done.stderr
+        svgs.append((out / "indexvol.svg").read_bytes())
+    assert svgs[0] == svgs[1]
+    assert "\u00cdNDICE: rolling volatility".encode() in svgs[0]
+
+
 def test_importing_the_cli_loads_no_url_or_xml_modules():
     done = _probe(
         "import sys; before = set(sys.modules); import csie.cli; "
@@ -943,6 +962,12 @@ CLI_PROBE = (
         (["compare", "--help"], 0),
         ([], 2),
         (["indexvol", "--index", "x.csv", "--alpha", "0.5"], 2),
+        # a missing required option
+        (["csie"], 2),
+        (["indexvol"], 2),
+        (["compare", "--market-dir", "m"], 2),
+        (["cluster"], 2),
+        (["cluster", "--market-dir", "m"], 2),
     ],
 )
 def test_help_usage_and_config_errors_do_not_import_numpy(argv, rc):

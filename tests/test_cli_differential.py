@@ -11,8 +11,10 @@ compared, as its messages changed on purpose.
 
 Some changes need no name, because the seed fails on their inputs: a volume
 past int64 raised ``OverflowError`` out of the seed's ``main``, a day without
-traded volume made its ``csie`` and ``compare`` exit 1, and a file that is not
-UTF-8 made it give up on the whole directory.
+traded volume made its ``csie`` and ``compare`` exit 1, a file that is not
+UTF-8 made it give up on the whole directory, and an index date on two usable
+rows, now a ``duplicate-date`` reject, made its ``indexvol`` and ``compare``
+exit 2.
 """
 
 from __future__ import annotations

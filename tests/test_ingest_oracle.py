@@ -214,14 +214,14 @@ def test_index_records_across_a_chunk_boundary(chunk, n_filler, header, repeat):
     with mock.patch.object(md, "_CHUNK_RECORDS", chunk):
         got = outcome(parse_index_csv, data, "X")
     assert got == outcome(rowwise_ingest.parse_index_csv, data, "X")
-    if repeat:
-        assert got[0] == "ValueError: duplicate date 2021-01-05"
-    else:
-        assert len(got[0]) == n_filler + 2
-        assert [r.reason for r in got[1]] == [
-            md.OHLC_ORDERING, md.UNPARSEABLE_FIELD, md.UNPARSEABLE_FIELD
-        ]
-        assert got[1][2].content == "2021-01-08\r,10,11,9,10.5,500"
+    series, rejected = got
+    assert len(series) == n_filler + 2
+    assert series.volume[n_filler] == 200  # the first 2021-01-05 row
+    assert [r.reason for r in rejected] == [
+        md.OHLC_ORDERING, md.UNPARSEABLE_FIELD, md.UNPARSEABLE_FIELD,
+        *[md.DUPLICATE_DATE] * repeat,
+    ]
+    assert rejected[2].content == "2021-01-08\r,10,11,9,10.5,500"
 
 
 @pytest.mark.parametrize("parse, data", [

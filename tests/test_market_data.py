@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csie.market_data import (
+    DUPLICATE_DATE,
     DUPLICATE_SYMBOL,
     FIELD_COUNT,
     MALFORMED_DATE,
@@ -673,14 +674,20 @@ def test_index_two_rows_ascending():
     assert s.close[0] == 10.5
 
 
-def test_index_duplicate_date_errors():
+def test_index_duplicate_date_keeps_the_first_usable_row():
     text = (
         "Date,Open,High,Low,Close,Volume\n"
+        "2021-01-04,10,11,10.6,10.5,500\n"
         "2021-01-04,10,11,9.5,10.5,1000\n"
+        "2021-01-05,10,11,9.5,10.5,1000\n"
         "2021-01-04,11,12,10.5,11.5,2000\n"
     )
-    with pytest.raises(ValueError, match="duplicate date"):
-        parse_index_csv(text)
+    rejected = []
+    s = parse_index_csv(text, on_reject=rejected.append)
+    assert [str(d) for d in s.dates] == ["2021-01-04", "2021-01-05"]
+    assert s.volume.tolist() == [1000, 1000]
+    assert [(r.line, r.reason) for r in rejected] == [(2, OHLC_ORDERING), (5, DUPLICATE_DATE)]
+    assert rejected[1].content == "2021-01-04,11,12,10.5,11.5,2000"
 
 
 def test_index_adj_close_column_ignored():

@@ -69,14 +69,14 @@ def outcome(roll, series, tag, w, use_abs):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out, error, last = roll(series, tag, w, use_abs=use_abs), None, None
+            out, error = roll(series, tag, w, use_abs=use_abs), None
         except RollingError as exc:
-            out, error, last = exc.series, str(exc), exc.last_failed
+            out, error = exc.series, str(exc)
         except ValueError as exc:
             return f"ValueError: {exc}"
     texts = [str(r.message) for r in caught if r.category is NegativeRadicandWarning]
-    return (out.dates.tobytes(), out.values.tobytes(), np.isnan(out.values).tolist(),
-            out.tag, out.window, error, last, texts)
+    return (out.dates.tobytes(), out.values.tobytes(), np.isnan(out.values).tolist(), error,
+            texts)
 
 
 @settings(max_examples=60, deadline=None)

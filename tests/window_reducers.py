@@ -17,7 +17,7 @@ import warnings
 
 import numpy as np
 
-from csie.analytics import DatedSeries, RollingError, VolSeries
+from csie.analytics import DatedSeries, RollingError
 from csie.estimators import NegativeRadicandWarning
 from csie.market_data import IndexSeries
 
@@ -83,7 +83,9 @@ def _window_value(tag: str, t: dict, volume: np.ndarray, seed_volume, use_abs: b
     return h_co + k * h_oc + (1.0 - k) * h_ohlc
 
 
-def rolling_estimate(series: IndexSeries, tag: str, w: int, *, use_abs: bool = False) -> VolSeries:
+def rolling_estimate(
+    series: IndexSeries, tag: str, w: int, *, use_abs: bool = False
+) -> DatedSeries:
     if tag not in NEEDS_SEED:
         raise ValueError(f"unknown estimator {tag!r}")
     if tag in ("yz", "ie") and w < 2:
@@ -125,9 +127,9 @@ def rolling_estimate(series: IndexSeries, tag: str, w: int, *, use_abs: bool = F
             values[i] = value
         else:
             failed.append((i, ValueError("price ratio past the float range")))
-    out = VolSeries(series.dates[required - 1 :], values, tag, w)
+    out = DatedSeries(series.dates[required - 1 :], values)
     if failed:
-        raise RollingError(failed[0][1], out, failed[-1][0]) from failed[0][1]
+        raise RollingError(str(failed[0][1]), out)
     return out
 
 
