@@ -5,6 +5,8 @@ depend on summation order: ``exact_sum`` reduces one sequence with
 ``math.fsum``, and ``exact_rowsums`` reduces each row of a 2-D array to the
 same bits, vectorised across the rows, such as the (n_windows, w)
 ``sliding_window_view`` of a series that the estimator kernels reduce.
+``window_means`` is the one trailing mean: the moving average and the
+estimator kernels both take theirs from it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import math
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 5e-324  # smallest subnormal
@@ -94,6 +97,11 @@ def exact_rowsums(x: np.ndarray) -> np.ndarray:
     for i in np.flatnonzero(~ok).tolist():
         r[i] = exact_sum(x[i])
     return r
+
+
+def window_means(a: np.ndarray, w: int) -> np.ndarray:
+    """The mean of each w-point window of a, in window order."""
+    return exact_rowsums(sliding_window_view(a, w)) / w
 
 
 def exact_mean(values: np.ndarray | list[float]) -> float:

@@ -5,13 +5,15 @@ against classic index estimators: smooth the daily cross-sectional series
 with a w-day moving average, roll each estimator over the index with the
 same w, align the two series on dates, keep the trailing time interval, and
 compute a statistic (mean, variance, Pearson correlation, or volatility
-beta).  ``comparison_grids`` builds the grids of all four statistics in one
-pass, rolling each (estimator, window) series once.  Grids hold one cell per
-(interval, window, column) and mark cells that cannot be computed with an
-"NA" sentinel instead of dropping them.  Moving averages and rolling
-estimates compute every window at once, one row per window, and reduce each
-row with ``_util.exact_rowsums``, so each value has the bits of the
-single-window computation.
+beta).  ``STATISTICS`` is the one table of those four: for each, whether it
+pairs a column with the market's absolute moving average, and the function
+that computes its value.  ``comparison_grids`` builds the grids of all four
+statistics in one pass, rolling each (estimator, window) series once.  Grids
+hold one cell per (interval, window, column) and mark cells that cannot be
+computed with an "NA" sentinel instead of dropping them.  Moving averages and
+rolling estimates compute every window at once, one row per window, and
+reduce each row with ``_util.exact_rowsums``, so each value has the bits of
+the single-window computation.
 
 Mean, variance, covariance all use the population divisor n throughout.
 """
@@ -23,9 +25,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import exact_dot, exact_mean, exact_rowsums, pearson
+from ._util import exact_dot, exact_mean, pearson, window_means
 from ._vocab import ALL_INTERVAL, ESTIMATOR_TAGS, INTERVAL_SEMANTICS
 from .estimators import KERNELS, NOT_FINITE, bar_terms
 from .intrinsic import NO_VOLUME, _ie_rows, _shares
@@ -33,8 +34,6 @@ from .intrinsic import NO_VOLUME, _ie_rows, _shares
 if TYPE_CHECKING:
     from .cross_section import CsieDay
     from .market_data import IndexSeries
-
-STATISTICS = ("mean", "variance", "pearson", "beta")
 
 _NEEDS_SEED = {"cc": True, "pk": False, "gk": False, "rs": False, "yz": True, "ie": True}
 _MIN_WINDOW = {"yz": 2, "ie": 2}
@@ -78,7 +77,7 @@ def moving_average(s: DatedSeries, w: int) -> DatedSeries:
         raise ValueError("window must be at least 1")
     if len(s) < w:
         raise ValueError(f"insufficient data: {len(s)} points for window {w}")
-    return DatedSeries(s.dates[w - 1 :], exact_rowsums(sliding_window_view(s.values, w)) / w)
+    return DatedSeries(s.dates[w - 1 :], window_means(s.values, w))
 
 
 class RollingError(ValueError):
@@ -191,6 +190,17 @@ def vol_beta(
     return cov / var_m
 
 
+# Every grid statistic, in grid order: whether it pairs each column with the
+# market's absolute moving average (an unpaired one reads the signed blend
+# and has a trailing "csie" column), and its value from the selected
+# (column, market) entries, which raises ValueError where it is undefined.
+STATISTICS: dict[str, tuple[bool, Callable[[np.ndarray, np.ndarray], float]]] = {
+    "mean": (False, lambda est, _: mean_var(est)[0]),
+    "variance": (False, lambda est, _: mean_var(est)[1]),
+    "pearson": (True, pearson),
+    "beta": (True, vol_beta),
+}
+
 Interval = int | str
 CellKey = tuple[Interval, int, str]
 
@@ -200,7 +210,8 @@ class ComparisonGrid:
     """One statistic over every (interval, window, column) combination.
 
     ``cells`` maps (interval, window, column) to a float, or to None for
-    combinations the data cannot support.  Mean and variance grids carry a
+    combinations the data cannot support.  The grid of a statistic that
+    STATISTICS does not pair with the market (mean, variance) carries a
     trailing "csie" column holding the statistic of the smoothed market
     series itself.
     """
@@ -242,23 +253,6 @@ def _keep(
     return need <= t
 
 
-def _apply_stat(
-    statistic: str, est: np.ndarray | None, market: np.ndarray | None
-) -> float | None:
-    try:
-        if statistic == "mean":
-            return None if est is None or len(est) == 0 else mean_var(est)[0]
-        if statistic == "variance":
-            return None if est is None or len(est) == 0 else mean_var(est)[1]
-        if est is None or market is None:
-            return None
-        if statistic == "pearson":
-            return pearson(est, market)
-        return vol_beta(est, market)
-    except ValueError:
-        return None
-
-
 def comparison_grids(
     index: IndexSeries,
     market: Sequence[CsieDay],
@@ -271,18 +265,20 @@ def comparison_grids(
 ) -> dict[str, ComparisonGrid]:
     """Evaluate every statistic over the interval x window grid, in one pass.
 
-    Returns one grid per entry of STATISTICS, in that order.  For each window
-    w, the w-day moving averages of the daily market entropy (signed for
-    mean/variance, absolute for pearson/beta) and each estimator rolled over
-    the whole index are computed once and aligned on dates, and serve all
-    four statistics; the one roll of ``ie`` keeps both blends.  An
-    interval t only selects entries.  ``semantics="smoothed-points"``
-    (default) keeps the last t aligned points.  "raw-days" keeps only the
-    estimator windows (seed bar included) within the last t index bars and
-    the moving-average windows within the last t market days, and is NA when
-    either has fewer than t, or when those bars hold a failed estimator
-    window (``ie`` with no traded volume, or an estimate that is not finite;
-    smoothed-points: any failed window).  "all" keeps everything.
+    Returns one grid per entry of STATISTICS, in that order, each computed
+    and shaped as its table row says.  For each window w, the w-day moving
+    averages of the daily market entropy (absolute for the statistics
+    STATISTICS pairs with the market, signed for the others) and each
+    estimator rolled over the whole index are computed once and aligned on
+    dates, and serve all four statistics; the one roll of ``ie`` keeps both
+    blends.  An interval t only selects entries.
+    ``semantics="smoothed-points"`` (default) keeps the last t aligned
+    points.  "raw-days" keeps only the estimator windows (seed bar included)
+    within the last t index bars and the moving-average windows within the
+    last t market days, and is NA when either has fewer than t, or when those
+    bars hold a failed estimator window (``ie`` with no traded volume, or an
+    estimate that is not finite; smoothed-points: any failed window).  "all"
+    keeps everything.
     Unsupported cells become None ("NA" in CSV); the grid shape never varies
     with the data.  ``on_error`` is called with a message for each
     (estimator, window) roll that has a window whose estimate is not finite.
@@ -301,8 +297,8 @@ def comparison_grids(
     n_bars, n_days = len(index), len(market_rows)
 
     columns = {
-        stat: tuple(estimators) + (("csie",) if stat in ("mean", "variance") else ())
-        for stat in STATISTICS
+        stat: tuple(estimators) + (() if paired else ("csie",))
+        for stat, (paired, _) in STATISTICS.items()
     }
     cells: dict[str, dict[CellKey, float | None]] = {stat: {} for stat in STATISTICS}
     for w in windows_:
@@ -336,15 +332,17 @@ def comparison_grids(
             need = source - np.arange(len(ma[0]))
             keeps = [_keep(need, source, math.inf, t) for t in intervals]
             series["csie"] = (keeps, [(ma[0].values, ma[0].values)])
-        for stat in STATISTICS:
-            use_abs = stat in ("pearson", "beta")
+        for stat, (paired, compute) in STATISTICS.items():
             for col in columns[stat]:
                 keeps, blends = series.get(col, ([None] * len(intervals), []))
                 for t, keep in zip(intervals, keeps):
-                    est = mkt = None
+                    value = None
                     if keep is not None:
-                        est, mkt = (v[keep] for v in blends[use_abs])
-                    cells[stat][(t, w, col)] = _apply_stat(stat, est, mkt)
+                        try:
+                            value = compute(*(v[keep] for v in blends[paired]))
+                        except ValueError:
+                            pass
+                    cells[stat][(t, w, col)] = value
 
     return {
         stat: ComparisonGrid(stat, tuple(intervals), tuple(windows_), columns[stat], cells[stat])

@@ -13,15 +13,18 @@ file is flat ``key = value`` text with the same names as the long flags
 (underscores for dashes).  Each option is declared once, in ``_OPTIONS``,
 which gives its flag, its config key, its built-in default, the rule that
 reads its value and its help text; values are checked in ``--help`` order,
-so the first bad one is the error.  ``csie`` and ``compare`` read, judge and
-drop one EOD file at a time: a command keeps one market day in memory, and
-only that day's ``CsieDay`` once it is computed.
+so the first bad one is the error.  The same table is the run
+configuration's field list: ``RunConfig`` is a named tuple with one field
+per key.  ``csie`` and ``compare`` read, judge and drop one EOD file at a
+time: a command keeps one market day in memory, and only that day's
+``CsieDay`` once it is computed.
 
 Parsing and checking the options loads no compute module: the option
 vocabulary comes from ``_vocab``, and each command imports what it calls when
 it starts.  So ``--help``, a usage error and a configuration error, a
-missing required option included, exit without loading numpy, which loads
-once the arguments and the configuration are valid and a command starts
+missing required option included, exit without loading numpy or
+``dataclasses``; numpy loads once the arguments and the configuration are
+valid and a command starts
 reading data.  Each command is declared once, in ``_COMMANDS``, with its
 help text and the options it requires, which ``main`` checks before the
 command starts.  The CLI runs numpy's BLAS with one thread unless the user
@@ -49,11 +52,11 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import collections
 import gc
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
@@ -82,23 +85,6 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREAD
 class ConfigError(ValueError):
     """The run cannot start: missing or malformed configuration, or input
     files that are unreadable or unusable (exit 2)."""
-
-
-@dataclass
-class RunConfig:
-    market_dir: Path | None
-    index: Path | None
-    estimators: tuple[str, ...]
-    windows: tuple[int, ...]
-    intervals: tuple[int | str, ...]
-    alpha: float
-    abs: bool
-    ma: int | None
-    bubble: str | None
-    out: Path
-    interval_semantics: str
-    date: date | None
-    log_prices: bool
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -221,10 +207,11 @@ def _optional(parse: Callable[[str], Any]) -> Callable[[str], Any]:
 
 
 # Every option, in --help order, which is the order its value is checked in:
-# its config key (the flag is ``--`` plus the key with dashes for
-# underscores), its built-in default, the rule that reads its text into its
-# ``RunConfig`` field, and its argparse settings.  The argparse default stays
-# None, so ``_resolve`` can tell a flag the user gave from one left out.
+# its config key, which is also its ``RunConfig`` field (the flag is ``--``
+# plus the key with dashes for underscores), its built-in default, the rule
+# that reads its text into that field, and its argparse settings.  The
+# argparse default stays None, so ``_resolve`` can tell a flag the user gave
+# from one left out.
 _OPTIONS: dict[str, tuple[str | None, Callable[[str], Any], dict[str, Any]]] = {
     "market_dir": (None, _optional(Path), {"help": "directory of <MARKET>_<YYYYMMDD>.csv files"}),
     "index": (None, _optional(Path), {"help": "index OHLCV CSV path"}),
@@ -252,6 +239,9 @@ _OPTIONS: dict[str, tuple[str | None, Callable[[str], Any], dict[str, Any]]] = {
                    {"action": "store_const", "const": True,
                     "help": "correlate log prices when clustering"}),
 }
+
+# The resolved options: one field per key of ``_OPTIONS``, in its order.
+RunConfig = collections.namedtuple("RunConfig", _OPTIONS)
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:

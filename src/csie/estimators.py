@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import exact_rowsums
+from ._util import exact_rowsums, window_means
 
 _LN2 = math.log(2.0)
 _GK_CLOSE_COEF = 2.0 * _LN2 - 1.0
@@ -131,13 +131,9 @@ def _window_terms(w: OhlcWindow, lagged: bool = False) -> BarTerms:
     return bar_terms(w.open, w.high, w.low, w.close, w.prev_closes if lagged else None)
 
 
-def _row_means(a: np.ndarray, w: int) -> np.ndarray:
-    return exact_rowsums(sliding_window_view(a, w)) / w
-
-
 def _row_vars(a: np.ndarray, w: int) -> np.ndarray:
     """Population variance of each window: the mean squared deviation."""
-    d = sliding_window_view(a, w) - _row_means(a, w)[:, None]
+    d = sliding_window_view(a, w) - window_means(a, w)[:, None]
     return exact_rowsums(d * d) / w
 
 
@@ -155,7 +151,7 @@ def _clamped(radicand: np.ndarray, name: str) -> np.ndarray:
 
 
 def _cc(t: BarTerms, w: int) -> np.ndarray:
-    return np.sqrt(_row_means(t.cc2, w))
+    return np.sqrt(window_means(t.cc2, w))
 
 
 def _pk(t: BarTerms, w: int) -> np.ndarray:
@@ -163,18 +159,18 @@ def _pk(t: BarTerms, w: int) -> np.ndarray:
 
 
 def _gk(t: BarTerms, w: int) -> np.ndarray:
-    return np.sqrt(_clamped(_row_means(t.gk, w), "Garman-Klass"))
+    return np.sqrt(_clamped(window_means(t.gk, w), "Garman-Klass"))
 
 
 def _rs(t: BarTerms, w: int) -> np.ndarray:
-    mean = _row_means(t.rs, w)
+    mean = window_means(t.rs, w)
     return np.sqrt(np.where(mean < 0.0, 0.0, mean))
 
 
 def _yz(t: BarTerms, w: int) -> np.ndarray:
     k = yz_k(w)
     radicand = _row_vars(t.gap, w) + k * _row_vars(t.co, w)
-    return np.sqrt(_clamped(radicand + (1.0 - k) * _row_means(t.rs, w), "Yang-Zhang"))
+    return np.sqrt(_clamped(radicand + (1.0 - k) * window_means(t.rs, w), "Yang-Zhang"))
 
 
 # tag -> kernel: the estimate of every w-bar window of a run of bar terms

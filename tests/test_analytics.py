@@ -610,7 +610,7 @@ def test_grid_duplicate_market_day_rejected():
 def test_grid_input_validation():
     index, rows = grid_world(n_days=20)
     grids = comparison_grids(index, rows, ["pk"], [5], [5])
-    assert tuple(grids) == STATISTICS
+    assert tuple(grids) == tuple(STATISTICS)
     assert all(grids[stat].statistic == stat for stat in STATISTICS)
     with pytest.raises(ValueError, match="unknown estimator"):
         comparison_grids(index, rows, ["zz"], [5], [5])
