@@ -17,7 +17,8 @@ so the first bad one is the error.  The same table is the run
 configuration's field list: ``RunConfig`` is a named tuple with one field
 per key.  ``csie`` and ``compare`` read, judge and drop one EOD file at a
 time: a command keeps one market day in memory, and only that day's
-``CsieDay`` once it is computed.
+``CsieDay`` once it is computed.  A file of 64 KiB or more whose entry in
+``cross_section``'s cache matches is not parsed; ``cluster`` always parses.
 
 Parsing and checking the options loads no compute module: the option
 vocabulary comes from ``_vocab``, and each command imports what it calls when
@@ -53,6 +54,7 @@ from __future__ import annotations
 import argparse
 import atexit
 import collections
+import functools
 import gc
 import math
 import os
@@ -255,24 +257,25 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _csie_days(cfg: RunConfig, run: _Run) -> list[CsieDay]:
-    """Each market day's CSIE.
+    """Each market day's CSIE, through the result cache.
 
     EOD files are read one at a time, and a day is dropped once its CSIE is
     computed.  A skipped file's error line is printed as the file is read;
     the error lines of the days csie_day rejects wait until every file is
     read, and no day left is an error.
     """
-    from .cross_section import csie_day
+    from .cross_section import _cached_csie_day
     from .market_data import _eod_files
 
     rows: list[CsieDay] = []
     skipped_days: list[str] = []
+    read = functools.partial(_cached_csie_day, alpha=cfg.alpha)
     try:
-        for day in _eod_files(cfg.market_dir, on_skip=run.error):
-            try:
-                rows.append(csie_day(day, cfg.alpha))
-            except ValueError as exc:
-                skipped_days.append(f"skipped {day.day.isoformat()}: {exc}")
+        for row in _eod_files(cfg.market_dir, read, on_skip=run.error):
+            if isinstance(row, str):
+                skipped_days.append(row)
+            else:
+                rows.append(row)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
     for message in skipped_days:

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 from datetime import date
 from itertools import combinations
-from typing import Sequence
 
 import numpy as np
 

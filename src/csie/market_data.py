@@ -15,18 +15,16 @@ rule), judges the columns with the one rule set, ``_unusable_rows``, and
 keeps the usable rows, the first of each symbol or date across chunks.
 ``MarketDay`` and ``IndexSeries`` share one constructor body in their
 ``_Bars`` base and differ only in their key column; every day and series,
-whether given, parsed or read from the parse cache, is built and checked by
-its public constructor.  Every skipped row, including a record the csv
-module cannot read, is reported through an
-``on_reject`` callback, in line order once the whole file is read (and by
-``read_eod_dir`` in date order, then line order), instead of failing the
-whole file; a file that does not parse costs ``read_eod_dir`` only that
-file, which it reports through an ``on_skip`` callback.  ``read_eod_file``,
-through which every EOD file is read, keeps the parse of a file of at least
-``_CACHE_MIN_BYTES`` in a parse cache beside it, ``.csie-cache/<file
-name>.bin``, keyed by a hash of the file's bytes and of this module's
-source, so such a file that has not changed is parsed once across runs;
-smaller files and index files are not cached.
+whether given or parsed, is built and checked by its public constructor.
+Every skipped row, including a record the csv module cannot read, is
+reported through an ``on_reject`` callback, in line order once the whole
+file is read (and by ``read_eod_dir`` in date order, then line order),
+instead of failing the whole file; a file that does not parse, or whose
+name has no valid date, costs ``read_eod_dir`` only that file, which it
+reports through an ``on_skip`` callback.  ``read_eod_file`` and
+``read_eod_dir`` always parse: the only cache is ``csie`` and ``compare``'s
+cache of each file's ``CsieDay`` (see ``cross_section``), whose stale
+entries a listing of the directory prunes.
 """
 
 from __future__ import annotations
@@ -36,14 +34,10 @@ import io
 import itertools
 import os
 import re
-import struct
-import sys
 from dataclasses import dataclass
 from datetime import date
-from functools import cache
-from importlib.util import source_hash
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -77,6 +71,7 @@ _EOD_NAME = re.compile(r"(?P<market>.+)_(?P<date>\d{8})\.csv")
 
 OnReject = Callable[["RejectedRow"], None]
 OnSkip = Callable[[str], None]
+_T = TypeVar("_T")
 
 _Prices = Sequence[float] | np.ndarray
 
@@ -487,113 +482,9 @@ def eod_filename_date(name: str) -> tuple[str, date]:
     return m.group("market"), d
 
 
-# The parse cache: one entry per EOD file, ``<directory>/.csie-cache/<name>.bin``.
+# The cache of ``csie`` and ``compare`` (see ``cross_section``): one entry per
+# EOD file, ``<directory>/.csie-cache/<name>.bin``.
 _CACHE_DIR = ".csie-cache"
-# A smaller file is only parsed.  Creating an entry costs a fixed 0.1-1 ms,
-# more than parsing a 43-line file (1.5 KiB, 0.2-0.4 ms), while a 64 KiB file
-# parses in 7-9 ms and its entry is read in 0.3-0.5 ms.
-_CACHE_MIN_BYTES = 64 * 1024
-_CACHE_MAGIC = b"csie-pc1"
-# magic, key, rows, code points per symbol, then the size in bytes of the rejects
-_ENTRY_HEADER = struct.Struct("<8s16sQQQ")
-# one reject: its line, its reason as a position in _REASONS and its content's
-# size in bytes, followed by the content as UTF-8
-_ENTRY_REJECT = struct.Struct("<QBQ")
-_REASONS = (NONFINITE_PRICE, NONPOSITIVE_PRICE, OHLC_ORDERING, FIELD_COUNT, UNPARSEABLE_FIELD,
-            DUPLICATE_SYMBOL)
-
-
-@cache
-def _code_id() -> bytes | None:
-    """A hash of this module's source, the interpreter's version and numpy's,
-    which every cache key carries; None, and no caching, when the source
-    cannot be read."""
-    try:
-        source = Path(__file__).read_bytes()
-    except OSError:
-        return None
-    return source_hash(source + sys.version.encode() + np.__version__.encode())
-
-
-def _canonical(symbols: np.ndarray) -> bool:
-    """Whether ``symbols`` are strictly ascending and only as wide as the
-    widest, as an entry's must be.  A parse's always are: its symbols are
-    unique and hold no trailing NUL."""
-    width = symbols.dtype.itemsize // 4
-    widest = symbols.view(np.uint32)[width - 1::width]
-    return bool(widest.any() and (symbols[1:] > symbols[:-1]).all())
-
-
-def _entry_bytes(key: bytes, day: MarketDay, rejects: list[RejectedRow]) -> bytes:
-    """The cache entry of a parse: the header, the symbols as their ``<U``
-    array padded to 8 bytes, the price and volume columns, then the rejects,
-    all little-endian."""
-    columns = [
-        col.astype(col.dtype.newbyteorder("<"), copy=False).tobytes()
-        for col in (day.symbols, day.open, day.high, day.low, day.close, day.volume)
-    ]
-    columns.insert(1, bytes(-len(columns[0]) % 8))
-    rejected = bytearray()
-    for r in rejects:
-        content = r.content.encode()
-        rejected += _ENTRY_REJECT.pack(r.line, _REASONS.index(r.reason), len(content)) + content
-    header = _ENTRY_HEADER.pack(
-        _CACHE_MAGIC, key, len(day), day.symbols.dtype.itemsize // 4, len(rejected)
-    )
-    return b"".join([header, *columns, rejected])
-
-
-def _cached_day(entry: Path, key: bytes, day: date) -> tuple[MarketDay, list[RejectedRow]] | None:
-    """The day and the rejects that the cache entry holds for ``key``, or None.
-
-    Nothing in the entry is trusted: None unless its magic and key match,
-    its sizes add up to its length exactly, its symbols are valid code points
-    of the narrowest width and strictly ascending, every reject has a known
-    reason, a line past the one before it and UTF-8 content, and
-    ``MarketDay`` accepts the day.
-    """
-    try:
-        with open(entry, "rb") as f:
-            magic, stored, n, width, rejects_size = _ENTRY_HEADER.unpack(
-                f.read(_ENTRY_HEADER.size)
-            )
-            if magic != _CACHE_MAGIC or stored != key or n < 1 or width < 1:
-                return None
-            symbols_size = 4 * n * width
-            columns_at = symbols_size + -symbols_size % 8
-            size = columns_at + 40 * n + rejects_size
-            if os.fstat(f.fileno()).st_size != _ENTRY_HEADER.size + size:
-                return None
-            body = bytearray(size)
-            if f.readinto(body) != size:
-                return None
-    except (OSError, struct.error):
-        return None
-    codes = np.frombuffer(body, "<u4", n * width)
-    if not ((codes < 0xD800) | ((codes > 0xDFFF) & (codes < 0x110000))).all():
-        return None
-    symbols = codes.view(f"<U{width}")
-    o, h, l, c, volume = (
-        np.frombuffer(body, "<i8" if i == 4 else "<f8", n, columns_at + 8 * n * i)
-        for i in range(5)
-    )
-    if not _canonical(symbols):
-        return None
-    rejects: list[RejectedRow] = []
-    at = columns_at + 40 * n
-    try:
-        while at < size:
-            line, reason, length = _ENTRY_REJECT.unpack_from(body, at)
-            at += _ENTRY_REJECT.size + length
-            if at > size or line <= (rejects[-1].line if rejects else 0):
-                return None
-            rejects.append(RejectedRow(line, body[at - length:at].decode(), _REASONS[reason]))
-    except (struct.error, IndexError, UnicodeDecodeError):
-        return None
-    try:
-        return MarketDay(day, symbols, o, h, l, c, volume), rejects
-    except ValueError:
-        return None
 
 
 def _prune_cache(directory: Path, names: set[str]) -> None:
@@ -632,60 +523,33 @@ def _write_entry(entry: Path, blob: bytes) -> None:
 
 
 def read_eod_file(path: str | Path, *, on_reject: OnReject | None = None) -> MarketDay:
-    """Read one EOD file, dated by its ``<MARKET>_<YYYYMMDD>.csv`` name.
-
-    The parse of a file of at least ``_CACHE_MIN_BYTES`` is kept in the
-    file's entry of the parse cache, ``.csie-cache/<file name>.bin`` in its
-    directory, so such a file whose bytes have not changed is parsed once
-    across runs.  The file is always read first: an entry is used only when
-    its key matches the hash of those bytes and of the parser's code, and
-    when every field passes the checks of ``_cached_day``; otherwise the
-    file is parsed and the entry rewritten.  A hit gives a day equal to the
-    parse's and replays its rejects to ``on_reject`` in line order.  A parse
-    that raises is not cached, and its rejects reach ``on_reject`` before the
-    raise.  A cache that cannot be read or written only costs the parse.
-    Reading the directory with ``_eod_files`` removes the entries of files
-    renamed or deleted and the temporary files of writes cut short.
-    """
+    """Parse one EOD file, dated by its ``<MARKET>_<YYYYMMDD>.csv`` name."""
     path = Path(path)
     _, day = eod_filename_date(path.name)
-    data = path.read_bytes()
-    code_id = _code_id() if len(data) >= _CACHE_MIN_BYTES else None
-    if code_id is None:
-        return parse_eod_file(data, day, on_reject=on_reject)
-    key = source_hash(data) + code_id
-    entry = path.parent / _CACHE_DIR / f"{path.name}.bin"
-    cached = _cached_day(entry, key, day)
-    if cached is not None:
-        market_day, rejects = cached
-        if on_reject is not None:
-            for r in rejects:
-                on_reject(r)
-        return market_day
-    rejects = []
-
-    def keep(r: RejectedRow) -> None:
-        rejects.append(r)
-        if on_reject is not None:
-            on_reject(r)
-
-    market_day = parse_eod_file(data, day, on_reject=keep)
-    _write_entry(entry, _entry_bytes(key, market_day, rejects))
-    return market_day
+    return parse_eod_file(path.read_bytes(), day, on_reject=on_reject)
 
 
-def _dated_eod_files(paths: Iterable[Path]) -> list[tuple[date, Path]]:
+def _dated_eod_files(
+    paths: Iterable[Path], on_skip: OnSkip | None = None
+) -> list[tuple[date, Path]]:
     """The regular files among ``paths`` named ``<MARKET>_<YYYYMMDD>.csv``,
-    with their dates, in date order; two files of one date are a ValueError."""
+    with their dates, in date order; two files of one date are a ValueError.
+    A file of that shape whose eight digits are no date goes to ``on_skip``
+    as ``skipped <file>: bad date in file name: <name>``, in name order."""
     dated: list[tuple[date, Path]] = []
+    undated: list[str] = []
     for p in paths:
-        if not p.is_file():
+        if not (_EOD_NAME.fullmatch(p.name) and p.is_file()):
             continue
         try:
             _, d = eod_filename_date(p.name)
-        except ValueError:
+        except ValueError as exc:
+            undated.append(f"skipped {p}: {exc}")
             continue
         dated.append((d, p))
+    if on_skip is not None:
+        for message in sorted(undated):
+            on_skip(message)
     dated.sort()
     for (d1, p1), (d2, p2) in zip(dated, dated[1:]):
         if d1 == d2:
@@ -695,51 +559,53 @@ def _dated_eod_files(paths: Iterable[Path]) -> list[tuple[date, Path]]:
 
 def _eod_files(
     path: Path,
+    read: Callable[..., _T],
     threads: int = 1,
     on_reject: OnReject | None = None,
     on_skip: OnSkip | None = None,
-) -> Iterator[MarketDay]:
-    """Each ``<MARKET>_<YYYYMMDD>.csv`` in a directory, loaded in date order.
+) -> Iterator[_T]:
+    """``read(file, on_reject=...)`` of each ``<MARKET>_<YYYYMMDD>.csv`` in a
+    directory, in date order.
 
-    Yields the ``MarketDay`` of each file that parses.  A file that does not
-    (no usable row, bytes that are not UTF-8, or a read error) goes to
-    ``on_skip`` as ``skipped <file>: <reason>``.  A file's rejects reach
-    ``on_reject``, in line order, before its day or its skip.  Serially, a file is read only
-    when the day before it has been taken, so a consumer that keeps no day
-    holds one at a time; ``threads`` > 1 reads them all in a pool first.
-    Raises ValueError when there is no EOD file, or once every file is read
-    if none parsed.  The parse cache keeps only the entries of the files
-    listed.
+    A file that ``read`` raises OSError or ValueError for (no usable row,
+    bytes that are not UTF-8, or a read error) goes to ``on_skip`` as
+    ``skipped <file>: <reason>``, after the skips of names with no valid
+    date.  A file's rejects reach ``on_reject``, in line order, before its
+    result or its skip.  Serially, a file is read only when the result
+    before it has been taken; ``threads`` > 1 reads them all in a pool
+    first.  Raises ValueError when there is no EOD file, or once every file
+    is read if none was usable.  The cache keeps only the entries of the
+    files listed.
     """
-    dated = _dated_eod_files(path.iterdir())
+    dated = _dated_eod_files(path.iterdir(), on_skip)
     _prune_cache(path, {p.name for _, p in dated})
     if not dated:
         raise ValueError(f"no EOD files in {path}")
 
-    def load(item: tuple[date, Path]) -> tuple[MarketDay | str, list[RejectedRow]]:
+    def load(item: tuple[date, Path]) -> tuple[_T | None, list[RejectedRow], str | None]:
         rejects: list[RejectedRow] = []
         try:
-            return read_eod_file(item[1], on_reject=rejects.append), rejects
+            return read(item[1], on_reject=rejects.append), rejects, None
         except (OSError, ValueError) as exc:
-            return f"skipped {item[1]}: {exc}", rejects
+            return None, rejects, f"skipped {item[1]}: {exc}"
 
-    loaded: Iterable[tuple[MarketDay | str, list[RejectedRow]]] = map(load, dated)
+    loaded: Iterable[tuple[_T | None, list[RejectedRow], str | None]] = map(load, dated)
     if threads > 1 and len(dated) > 1:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=min(threads, len(dated))) as pool:
             loaded = list(pool.map(load, dated))
     usable = False
-    for day, rejects in loaded:
+    for result, rejects, skip in loaded:
         if on_reject is not None:
             for r in rejects:
                 on_reject(r)
-        if isinstance(day, str):
+        if skip is not None:
             if on_skip is not None:
-                on_skip(day)
+                on_skip(skip)
             continue
         usable = True
-        yield day
+        yield result
     if not usable:
         raise ValueError(f"no usable EOD file in {path}")
 
@@ -751,19 +617,20 @@ def read_eod_dir(
     on_reject: OnReject | None = None,
     on_skip: OnSkip | None = None,
 ) -> list[MarketDay]:
-    """Read every ``<MARKET>_<YYYYMMDD>.csv`` in a directory, sorted by date.
+    """Parse every ``<MARKET>_<YYYYMMDD>.csv`` in a directory, sorted by date.
 
     Files not matching the naming convention are ignored.  ``threads`` > 1
     parses files in a thread pool, which the GIL keeps from being faster; it
     is kept only for the benchmark's ``pool_speedup`` metric, and the CLI
     reads serially.  Results are assembled in date order either way.
-    A file that does not parse (no usable row, bytes that are not UTF-8, or a
-    read error) costs only itself: it is left out, and ``on_skip`` receives
-    ``skipped <file>: <reason>``.  Skips reach ``on_skip`` in date order, and
+    A file whose name has no valid date, or that does not parse (no usable
+    row, bytes that are not UTF-8, or a read error), costs only itself: it
+    is left out, and ``on_skip`` receives ``skipped <file>: <reason>``.
+    Skips reach ``on_skip`` in date order after those of bad names, and
     rejects reach ``on_reject`` in date order, then line order.  Raises
     ValueError when no file is left.
     """
-    return list(_eod_files(Path(path), threads, on_reject, on_skip))
+    return list(_eod_files(Path(path), read_eod_file, threads, on_reject, on_skip))
 
 
 _INDEX_COLUMNS = {"date", "open", "high", "low", "close", "volume"}

@@ -201,7 +201,7 @@ def small_multiples(panels: list[tuple[str, DatedSeries]], *, title: str = "") -
     n_ticks = min(6, len(last.dates))
     for i in range(n_ticks):
         j = round(i * (len(last.dates) - 1) / max(n_ticks - 1, 1))
-        x = 70 + (float(_day_numbers(last.dates[j : j + 1], origin)[0]) - x_lo) / max(x_hi - x_lo, 1.0) * (width - 90)
+        x = f.x(float(_day_numbers(last.dates[j : j + 1], origin)[0]))  # the last panel's frame
         c.text(x, bottom + 16, str(last.dates[j]), anchor="middle", color="#555")
     return c.to_xml()
 

@@ -176,6 +176,30 @@ def test_an_unusable_day_costs_only_itself(tmp_path, capsys, monkeypatch, comman
 
 
 @pytest.mark.parametrize("command", ["csie", "compare"])
+def test_a_file_name_with_no_date_is_a_skipped_file(tmp_path, capsys, command):
+    eod, index = write_world(tmp_path, np.random.default_rng(85), n_symbols=4, n_days=3)
+    good = (eod / "SYN_20210601.csv").read_bytes()
+    names = ("SYN_20210230.csv", "SYN_2021010\uff14.csv")  # no 30 February, a fullwidth digit
+    for name in names:
+        (eod / name).write_bytes(good)
+    (eod / "SYN_2021060.csv").write_bytes(good)  # not the shape of an EOD file name: ignored
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        [command, "--market-dir", str(eod), "--index", str(index), "--out", str(out),
+         "--estimators", "pk", "--windows", "1", "--intervals", "all"],
+        capsys,
+    )
+    assert code == 1
+    assert stderr.splitlines() == [
+        f"error: skipped {eod / name}: bad date in file name: {name}" for name in sorted(names)
+    ]
+    assert stdout.count("wrote ") == (2 if command == "csie" else 4)
+    if command == "csie":
+        rows = (out / "csie_daily.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[0] for r in rows] == ["2021-06-01", "2021-06-02", "2021-06-03"]
+
+
+@pytest.mark.parametrize("command", ["csie", "compare"])
 def test_one_market_day_is_alive_at_a_time(world, tmp_path, capsys, monkeypatch, command):
     alive = []
     real = cross_section.csie_day
@@ -307,7 +331,7 @@ def test_a_parse_cache_that_cannot_be_written_changes_nothing(tmp_path, capsys, 
     cache = eod / ".csie-cache"
     uncached = _run_with_outputs(argv, tmp_path / "out", capsys)
     assert not cache.exists()  # these files are all smaller than the cache's floor
-    monkeypatch.setattr(market_data, "_CACHE_MIN_BYTES", 0)
+    monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", 0)
     cache.write_text("not a directory")
     unwritable = _run_with_outputs(argv, tmp_path / "out", capsys)
     assert cache.read_text() == "not a directory"
@@ -316,11 +340,11 @@ def test_a_parse_cache_that_cannot_be_written_changes_nothing(tmp_path, capsys, 
     warm = _run_with_outputs(argv, tmp_path / "out", capsys)
     assert unwritable[0] in (0, 1) and unwritable[3]
     assert cold == unwritable and warm == unwritable and uncached == unwritable
-    assert cache.is_dir() == (command != "indexvol")
+    assert cache.is_dir() == (command in ("csie", "compare"))  # only these two cache
 
 
 def test_a_csie_run_leaves_only_the_entries_of_its_files(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(market_data, "_CACHE_MIN_BYTES", 0)
+    monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", 0)
     eod, _ = write_world(tmp_path, np.random.default_rng(84), n_symbols=4, n_days=5)
     argv = ["csie", "--market-dir", str(eod), "--out", str(tmp_path / "out")]
     cache = eod / ".csie-cache"
@@ -332,6 +356,69 @@ def test_a_csie_run_leaves_only_the_entries_of_its_files(tmp_path, capsys, monke
     assert sorted(p.name for p in cache.iterdir()) == sorted(
         f"{p.name}.bin" for p in eod.glob("*.csv")
     )
+
+
+def _cache_world(tmp_path: Path, monkeypatch) -> tuple[Path, Path]:
+    """A market of five days whose files are all cached."""
+    monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", 0)
+    eod, index = write_world(tmp_path, np.random.default_rng(86), n_symbols=4, n_days=5)
+    first = eod / "SYN_20210601.csv"
+    first.write_text(first.read_text() + "BAD,1,0.5,0.9,1,3\n")  # a rejected row
+    return eod, index
+
+
+def test_another_alpha_misses_and_rewrites(tmp_path, capsys, monkeypatch):
+    eod, _ = _cache_world(tmp_path, monkeypatch)
+    parsed = []
+    parse = market_data.parse_eod_file
+    monkeypatch.setattr(market_data, "parse_eod_file",
+                        lambda *a, **kw: parsed.append(1) or parse(*a, **kw))
+    runs = []
+    for alpha in ("1.34", "2.5", "2.5", "1.34"):
+        argv = ["csie", "--market-dir", str(eod), "--alpha", alpha]
+        code, _, stderr, written = _run_with_outputs(argv, tmp_path / "out", capsys)
+        assert code == 0, stderr
+        cache = {p.name: p.read_bytes() for p in (eod / ".csie-cache").iterdir()}
+        runs.append((written, cache, len(parsed)))
+        parsed.clear()
+    (csv_a, cache_a, parses_a), (csv_b, cache_b, parses_b), (csv_b2, cache_b2, parses_b2), \
+        (csv_a2, cache_a2, parses_a2) = runs
+    # one entry per file, rewritten for the other alpha: each change of alpha parses again
+    assert (parses_a, parses_b, parses_b2, parses_a2) == (5, 5, 0, 5)
+    assert csv_a == csv_a2 != csv_b == csv_b2
+    assert cache_a == cache_a2 and cache_b == cache_b2 and cache_a.keys() == cache_b.keys()
+    assert len(cache_a) == 5 and all(cache_a[name] != cache_b[name] for name in cache_a)
+
+
+def test_compare_after_csie_parses_nothing(tmp_path, capsys, monkeypatch):
+    eod, index = _cache_world(tmp_path, monkeypatch)
+    calls = []
+    parse, judge = market_data.parse_eod_file, cross_section.csie_day
+    monkeypatch.setattr(market_data, "parse_eod_file",
+                        lambda *a, **kw: calls.append("parse") or parse(*a, **kw))
+    monkeypatch.setattr(cross_section, "csie_day",
+                        lambda *a, **kw: calls.append("csie_day") or judge(*a, **kw))
+    argv = ["--market-dir", str(eod), "--index", str(index), "--windows", "2",
+            "--intervals", "all", "--alpha", "1.5"]
+    assert _run_with_outputs(["csie", *argv], tmp_path / "csie", capsys)[0] == 0
+    assert calls == ["parse", "csie_day"] * 5
+    calls.clear()
+    cached = [_run_with_outputs([command, *argv], tmp_path / command, capsys)
+              for command in ("csie", "compare")]
+    assert calls == []
+    shutil.rmtree(eod / ".csie-cache")
+    assert [_run_with_outputs([command, *argv], tmp_path / command, capsys)
+            for command in ("csie", "compare")] == cached
+
+
+def test_only_csie_and_compare_write_entries(tmp_path, capsys, monkeypatch):
+    eod, index = _cache_world(tmp_path, monkeypatch)
+    for argv in (["indexvol", "--windows", "2"], ["cluster", "--date", "2021-06-01"]):
+        code, _, stderr, _ = _run_with_outputs(
+            [*argv, "--market-dir", str(eod), "--index", str(index)], tmp_path / "out", capsys)
+        assert code == 0, stderr
+    assert len(market_data.read_eod_dir(eod)) == 5
+    assert not (eod / ".csie-cache").exists()
 
 
 def test_csie_reruns_byte_identical(world, tmp_path, capsys):

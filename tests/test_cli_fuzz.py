@@ -7,8 +7,8 @@ none, and an index file that is valid, edited, too short or missing, then
 runs one subcommand in-process, twice.  Whatever it is given, ``main``
 returns 0, 1 or 2, no exception escapes it, no numpy ``RuntimeWarning`` is
 raised and no file it writes holds a ``nan`` or ``inf``; the second run, on
-the parse cache the first one wrote, gives the same exit code, output lines
-and files.
+the cache the first one wrote (``csie`` and ``compare`` keep one), gives the
+same exit code, output lines and files.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csie import market_data
+from csie import cross_section
 from csie.cli import main
 
 from helpers import weekdays, write_world
@@ -149,10 +149,10 @@ def run_main(argv: list[str], out_dir: Path) -> tuple:
 @settings(max_examples=30, deadline=None)
 @given(files=EOD_FILES, index=INDEX, cluster_day=st.integers(0, N_DAYS - 1))
 def test_a_command_exits_0_1_or_2_on_any_input(templates, command, files, index, cluster_day):
-    """A second run in the same directory, on the parse cache the first one
-    wrote (for files of any size), gives the same exit code, lines and files."""
+    """A second run in the same directory, on the cache the first one wrote
+    (for files of any size), gives the same exit code, lines and files."""
     with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(market_data, "_CACHE_MIN_BYTES", 0):
+            mock.patch.object(cross_section, "_CACHE_MIN_BYTES", 0):
         root = Path(tmp)
         eod, index_path = write_inputs(root, templates, files, index)
         argv = [command, "--market-dir", str(eod), "--index", str(index_path),

@@ -1,0 +1,63 @@
+"""Every module-level import in ``src/csie`` is used.
+
+No linter runs on this code, and a dead import can load a module when a
+command starts, so this test looks for one with ``ast``: a name bound by an
+import outside any function or class (in a top-level ``if`` or ``try`` too)
+must be read somewhere in its module, or be listed in ``__all__``.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "csie").glob("*.py"))
+
+
+def _module_imports(body: list[ast.stmt]) -> dict[str, int]:
+    """The names that the imports among ``body`` bind, with their lines,
+    looking into ``if`` and ``try`` blocks but not into definitions."""
+    bound: dict[str, int] = {}
+    for node in body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        if isinstance(node, (ast.If, ast.Try)):
+            handlers = getattr(node, "handlers", [])
+            for block in (node.body, node.orelse, getattr(node, "finalbody", []),
+                          *(h.body for h in handlers)):
+                bound.update(_module_imports(block))
+    return bound
+
+
+def _read_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads, and the strings of its ``__all__``."""
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ) and isinstance(node.value, (ast.List, ast.Tuple)):
+            names.update(e.value for e in node.value.elts if isinstance(e, ast.Constant))
+    return names
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_module_level_import_is_used(source):
+    tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+    used = _read_names(tree)
+    unused = {name: line for name, line in _module_imports(tree.body).items() if name not in used}
+    assert unused == {}, f"{source.name}: unused imports (name: line) {unused}"
+
+
+def test_the_check_finds_an_unused_import():
+    tree = ast.parse(
+        "import os\nimport sys as system\nfrom typing import Any, Sequence\n"
+        "if True:\n    import json\ntry:\n    import csv\nexcept ImportError:\n    csv = None\n"
+        "def f(x: Any) -> None:\n    import re\n    return system.argv\n"
+    )
+    unused = set(_module_imports(tree.body)) - _read_names(tree)
+    assert unused == {"os", "Sequence", "json"}

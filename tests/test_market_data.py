@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gc
 import os
+import struct
 import tempfile
 import warnings
 from datetime import date, datetime, timedelta
@@ -34,7 +36,9 @@ from csie.market_data import (
     read_eod_file,
 )
 
-from csie import market_data
+from csie import cross_section, market_data
+from csie._vocab import ALPHA_DEFAULT
+from csie.cross_section import csie_day
 from helpers import FIXTURE_DAY, make_unreadable, table1_csv, to_eod_csv
 from rowwise_ingest import _verdict
 from test_ingest_fuzz import inputs
@@ -377,9 +381,18 @@ def test_read_eod_dir_sorted_and_filtered(tmp_path):
     for stamp in ("20210602", "20210601", "20210603"):
         (tmp_path / f"SYN_{stamp}.csv").write_text("AA,1,2,0.5,1.5,10\n")
     (tmp_path / "notes.txt").write_text("ignore me")
-    days = read_eod_dir(tmp_path)
+    (tmp_path / "SYN_2021060.csv").write_text("AA,1,2,0.5,1.5,10\n")  # not the shape
+    # the shape of an EOD file's name, but no date: a skipped file
+    for name in ("SYN_20210230.csv", "SYN_2021010\uff14.csv"):
+        (tmp_path / name).write_text("AA,1,2,0.5,1.5,10\n")
+    skipped = []
+    days = read_eod_dir(tmp_path, on_skip=skipped.append)
     assert [d.day.isoformat() for d in days] == [
         "2021-06-01", "2021-06-02", "2021-06-03",
+    ]
+    assert skipped == [
+        f"skipped {tmp_path / name}: bad date in file name: {name}"
+        for name in ("SYN_2021010\uff14.csv", "SYN_20210230.csv")  # in name order
     ]
 
 
@@ -452,19 +465,44 @@ def test_read_eod_dir_empty_errors(tmp_path):
         read_eod_dir(tmp_path)
 
 
-# --- the parse cache -----------------------------------------------------------
+# --- the cache of csie and compare ----------------------------------------------
 
 def _entry(path: Path) -> Path:
     return path.parent / ".csie-cache" / f"{path.name}.bin"
 
 
+def _bits(row) -> object:
+    """A ``CsieDay`` with its floats as their bytes, so that -0.0 is not 0.0;
+    a refused day's text as it is."""
+    if isinstance(row, str):
+        return row
+    return tuple(struct.pack("<d", v) if type(v) is float else v
+                 for v in (getattr(row, f.name) for f in dataclasses.fields(row)))
+
+
 def _outcome(read) -> tuple:
-    """What one read gives: the day or the ValueError's text, and the rejects."""
+    """What one read gives: the day's bits, its refusal or the ValueError's
+    text, and the rejects."""
     rejected = []
     try:
-        return read(on_reject=rejected.append), rejected
+        return _bits(read(rejected.append)), rejected
     except ValueError as exc:
         return str(exc), rejected
+
+
+def _uncached(data: bytes | str, alpha: float = ALPHA_DEFAULT):
+    """The reader that parses and judges ``data`` with no cache."""
+    def read(on_reject):
+        day = parse_eod_file(data, D, on_reject=on_reject)
+        try:
+            return csie_day(day, alpha)
+        except ValueError as exc:
+            return f"skipped {D.isoformat()}: {exc}"
+    return read
+
+
+def _cached(path: Path, alpha: float = ALPHA_DEFAULT):
+    return lambda on_reject: cross_section._cached_csie_day(path, alpha, on_reject)
 
 
 def _counting_parses():
@@ -473,7 +511,7 @@ def _counting_parses():
 
 def _caching_every_file():
     """Cache files of any size: the test files are smaller than the floor."""
-    return mock.patch.object(market_data, "_CACHE_MIN_BYTES", 0)
+    return mock.patch.object(cross_section, "_CACHE_MIN_BYTES", 0)
 
 
 @pytest.fixture
@@ -484,56 +522,22 @@ def cache_every_file():
 
 @settings(max_examples=150, deadline=None)
 @given(inputs(table1_csv()))
-def test_a_cached_read_is_the_parse(data):
-    parsed = _outcome(lambda **kw: parse_eod_file(data, D, **kw))
+def test_a_cached_day_is_the_parse_and_csie_day(data):
+    parsed = _outcome(_uncached(data))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"SYN_{D.strftime('%Y%m%d')}.csv"
         path.write_bytes(data)
         with _counting_parses() as parse, _caching_every_file():
-            miss = _outcome(lambda **kw: read_eod_file(path, **kw))
+            miss = _outcome(_cached(path))
             written = _entry(path).exists()
-            hit = _outcome(lambda **kw: read_eod_file(path, **kw))
+            hit = _outcome(_cached(path))
     assert miss == parsed and hit == parsed
-    if isinstance(parsed[0], str):
-        assert not written and parse.call_count == 2
-        return
-    assert written and parse.call_count == 1
-    for day in (miss[0], hit[0]):
-        for slot in ("symbols", "open", "high", "low", "close", "volume"):
-            column, expected = getattr(day, slot), getattr(parsed[0], slot)
-            assert column.dtype == expected.dtype and column.flags.writeable, slot
+    assert [r.line for r in hit[1]] == sorted(r.line for r in hit[1])
+    cached = isinstance(parsed[0], tuple)  # neither a failed parse nor a refused day
+    assert written == cached and parse.call_count == (1 if cached else 2)
 
 
 CACHED_TEXT = table1_csv() + "BAD,1,0.5,0.9,1,3\nSHORT,1\n"
-
-
-def _planted(day: MarketDay, **columns) -> MarketDay:
-    """``day`` with some columns replaced, unchecked, as a corrupt entry holds it."""
-    fake = MarketDay.__new__(MarketDay)
-    for slot in ("day", "symbols", "open", "high", "low", "close", "volume"):
-        setattr(fake, slot, columns.get(slot, getattr(day, slot)))
-    return fake
-
-
-def _with_price(day: MarketDay, value: float) -> MarketDay:
-    close = day.close.copy()
-    close[3] = value
-    return _planted(day, close=close)
-
-
-def _with_code(blob: bytes, code: int) -> bytes:
-    """``blob`` with the last symbol's first code point set to ``code``, past
-    every letter, so the symbols stay ascending."""
-    header = market_data._ENTRY_HEADER
-    _, _, rows, width, _ = header.unpack_from(blob)
-    at = header.size + 4 * width * (rows - 1)
-    return blob[:at] + code.to_bytes(4, "little") + blob[at + 4:]
-
-
-def _with_rows(blob: bytes, rows: int) -> bytes:
-    header = market_data._ENTRY_HEADER
-    magic, key, _, width, rejects_size = header.unpack_from(blob)
-    return header.pack(magic, key, rows, width, rejects_size) + blob[header.size:]
 
 
 def _last_reject_byte(blob: bytes, before_end: int, value: int) -> bytes:
@@ -541,37 +545,34 @@ def _last_reject_byte(blob: bytes, before_end: int, value: int) -> bytes:
     return blob[:at] + bytes([value]) + blob[at + 1:]
 
 
+def _planted(**fields):
+    """A corrupt entry: the good one's key and rejects, and its CsieDay with
+    some fields replaced, unchecked."""
+    return lambda blob, key, row, rej: cross_section._entry_bytes(
+        key, dataclasses.replace(row, **fields), rej)
+
+
 _SHORT = len("SHORT,1")  # the content of the last reject
-# Each builds a corrupt entry from the good one, its key, day and rejects.
+# Each builds a corrupt entry from the good one, its key, CsieDay and rejects.
 CORRUPT_ENTRIES = {
-    "empty": lambda blob, key, day, rej: b"",
-    "truncated": lambda blob, key, day, rej: blob[:-1],
-    "extended": lambda blob, key, day, rej: blob + b"\0",
-    "bad-magic": lambda blob, key, day, rej: b"X" + blob[1:],
-    "wrong-key": lambda blob, key, day, rej: market_data._entry_bytes(
-        bytes(16), day, rej),
-    "more-rows": lambda blob, key, day, rej: _with_rows(blob, len(day) + 1),
-    "no-rows": lambda blob, key, day, rej: _with_rows(blob, 0),
-    "huge-rows": lambda blob, key, day, rej: _with_rows(blob, 2**61),
-    "unsorted-symbols": lambda blob, key, day, rej: market_data._entry_bytes(
-        key, _planted(day, symbols=day.symbols[::-1].copy()), rej),
-    "duplicate-symbols": lambda blob, key, day, rej: market_data._entry_bytes(
-        key, _planted(day, symbols=np.sort(np.r_[day.symbols[:1], day.symbols[:-1]])), rej),
-    "wider-symbols": lambda blob, key, day, rej: market_data._entry_bytes(
-        key, _planted(day, symbols=day.symbols.astype("<U9")), rej),
-    "code-point-past-unicode": lambda blob, key, day, rej: _with_code(blob, 0x110000),
-    "surrogate-code-point": lambda blob, key, day, rej: _with_code(blob, 0xD800),
-    "nan-price": lambda blob, key, day, rej: market_data._entry_bytes(
-        key, _with_price(day, float("nan")), rej),
-    "negative-price": lambda blob, key, day, rej: market_data._entry_bytes(
-        key, _with_price(day, -1.0), rej),
-    "negative-volume": lambda blob, key, day, rej: market_data._entry_bytes(
-        key, _planted(day, volume=-day.volume), rej),
-    "rejects-out-of-order": lambda blob, key, day, rej: market_data._entry_bytes(
-        key, day, rej[::-1]),
-    "unknown-reason": lambda blob, key, day, rej: _last_reject_byte(blob, _SHORT + 9, 200),
-    "reject-not-utf8": lambda blob, key, day, rej: _last_reject_byte(blob, 1, 0xFF),
-    "reject-past-the-end": lambda blob, key, day, rej: _last_reject_byte(blob, _SHORT + 8, 99),
+    "empty": lambda blob, key, row, rej: b"",
+    "truncated": lambda blob, key, row, rej: blob[:-1],
+    "last-reject-cut-off": lambda blob, key, row, rej: blob[
+        :-(_SHORT + cross_section._ENTRY_REJECT.size)],
+    "extended": lambda blob, key, row, rej: blob + b"\0",
+    "bad-magic": lambda blob, key, row, rej: b"X" + blob[1:],
+    "wrong-key": lambda blob, key, row, rej: cross_section._entry_bytes(bytes(24), row, rej),
+    "rejects-out-of-order": lambda blob, key, row, rej: cross_section._entry_bytes(
+        key, row, rej[::-1]),
+    "unknown-reason": lambda blob, key, row, rej: _last_reject_byte(blob, _SHORT + 9, 200),
+    "reject-not-utf8": lambda blob, key, row, rej: _last_reject_byte(blob, 1, 0xFF),
+    "reject-past-the-end": lambda blob, key, row, rej: _last_reject_byte(blob, _SHORT + 8, 99),
+    "nan-value": _planted(h_oc=float("nan")),
+    "inf-value": _planted(total_value=float("inf")),
+    "no-symbols": _planted(m=0),
+    "negative-m": _planted(m=-3),
+    "degenerate-wide": _planted(degenerate=True),
+    "one-symbol-not-degenerate": _planted(m=1),
 }
 
 
@@ -580,15 +581,18 @@ def test_a_corrupt_or_planted_entry_is_a_miss_and_rewritten(tmp_path, corrupt,
                                                             cache_every_file):
     path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
     path.write_text(CACHED_TEXT)
-    day, rejected = _outcome(lambda **kw: read_eod_file(path, **kw))
+    uncached = _outcome(_uncached(CACHED_TEXT))
+    rejected = []
+    row = cross_section._cached_csie_day(path, ALPHA_DEFAULT, rejected.append)
+    assert (_bits(row), rejected) == uncached
     blob = _entry(path).read_bytes()
-    key = blob[8:24]
-    assert market_data._entry_bytes(key, day, rejected) == blob
+    key = blob[8:32]
+    assert cross_section._entry_bytes(key, row, rejected) == blob
     with _counting_parses() as parse:
-        assert _outcome(lambda **kw: read_eod_file(path, **kw)) == (day, rejected)
+        assert _outcome(_cached(path)) == uncached
         assert parse.call_count == 0
-        _entry(path).write_bytes(corrupt(blob, key, day, rejected))
-        assert _outcome(lambda **kw: read_eod_file(path, **kw)) == (day, rejected)
+        _entry(path).write_bytes(corrupt(blob, key, row, rejected))
+        assert _outcome(_cached(path)) == uncached
         assert parse.call_count == 1
     assert _entry(path).read_bytes() == blob
 
@@ -599,47 +603,74 @@ def test_an_entry_that_is_a_directory_costs_only_the_parse(tmp_path, cache_every
     _entry(path).mkdir(parents=True)
     with _counting_parses() as parse:
         for _ in range(2):
-            assert read_eod_file(path) == parse_eod_file(CACHED_TEXT, D)
+            assert _outcome(_cached(path)) == _outcome(_uncached(CACHED_TEXT))
     assert parse.call_count == 2
     assert [p.name for p in _entry(path).parent.iterdir()] == [_entry(path).name]
 
 
-def test_nothing_is_cached_without_the_parser_source(tmp_path, monkeypatch,
-                                                     cache_every_file):
-    monkeypatch.setattr(market_data, "__file__", str(tmp_path / "gone.py"))
-    assert market_data._code_id.__wrapped__() is None
-    monkeypatch.setattr(market_data, "_code_id", market_data._code_id.__wrapped__)
+def test_nothing_is_cached_without_the_package_source(tmp_path, monkeypatch,
+                                                      cache_every_file):
+    monkeypatch.setattr(cross_section, "__file__", str(tmp_path / "gone" / "cross_section.py"))
+    assert cross_section._code_id.__wrapped__() is None
+    monkeypatch.setattr(cross_section, "_code_id", cross_section._code_id.__wrapped__)
     path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
     path.write_text(CACHED_TEXT)
-    rejected, on_reject = collect()
-    assert read_eod_file(path, on_reject=on_reject) == parse_eod_file(CACHED_TEXT, D)
+    day, rejected = _outcome(_cached(path))
+    assert (day, rejected) == _outcome(_uncached(CACHED_TEXT))
     assert [r.content for r in rejected] == ["BAD,1,0.5,0.9,1,3", "SHORT,1"]
     assert not _entry(path).parent.exists()
+
+
+def test_an_edit_to_any_module_is_a_new_key(tmp_path, monkeypatch):
+    package = tmp_path / "csie"
+    package.mkdir()
+    for name in ("__init__.py", "cross_section.py", "svg.py"):
+        (package / name).write_text(f"# {name}\n")
+    (package / "notes.txt").write_text("not a module")
+    monkeypatch.setattr(cross_section, "__file__", str(package / "cross_section.py"))
+    ids = [cross_section._code_id.__wrapped__()]
+    (package / "notes.txt").write_text("still not a module")
+    ids.append(cross_section._code_id.__wrapped__())
+    (package / "svg.py").write_text("# an edit\n")
+    ids.append(cross_section._code_id.__wrapped__())
+    assert ids[0] == ids[1] != ids[2]
 
 
 def test_an_edit_that_keeps_size_and_mtime_is_seen(tmp_path, cache_every_file):
     path = tmp_path / "SYN_20210601.csv"
     path.write_text("AA,1,2,0.5,1.5,10\n")
     before = path.stat()
-    assert read_eod_file(path).volume.tolist() == [10]
+    assert cross_section._cached_csie_day(path, ALPHA_DEFAULT, [].append).total_value == 15.0
     path.write_text("AA,1,2,0.5,1.5,20\n")
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     after = path.stat()
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-    assert read_eod_file(path).volume.tolist() == [20]
+    assert cross_section._cached_csie_day(path, ALPHA_DEFAULT, [].append).total_value == 30.0
 
 
 def test_only_a_file_of_the_floor_or_more_is_cached(tmp_path, monkeypatch):
     path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
     path.write_text(CACHED_TEXT)
-    day = parse_eod_file(CACHED_TEXT, D)
-    monkeypatch.setattr(market_data, "_CACHE_MIN_BYTES", path.stat().st_size + 1)
+    uncached = _outcome(_uncached(CACHED_TEXT))
+    monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", path.stat().st_size + 1)
     with _counting_parses() as parse:
-        assert read_eod_file(path) == day and read_eod_file(path) == day
+        assert _outcome(_cached(path)) == uncached == _outcome(_cached(path))
         assert parse.call_count == 2 and not _entry(path).parent.exists()
-        monkeypatch.setattr(market_data, "_CACHE_MIN_BYTES", path.stat().st_size)
-        assert read_eod_file(path) == day and read_eod_file(path) == day
+        monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", path.stat().st_size)
+        assert _outcome(_cached(path)) == uncached == _outcome(_cached(path))
         assert parse.call_count == 3 and _entry(path).exists()
+
+
+def test_a_day_csie_day_refuses_is_not_cached(tmp_path, cache_every_file):
+    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
+    path.write_text("AA,10,11,9,10.5,0\nBB,20,21,19,20.5,0\nCC,1,2,0.5,3,5\n")
+    refusal = f"skipped {D.isoformat()}: empty cross-section on {D.isoformat()}"
+    with _counting_parses() as parse:
+        for _ in range(2):
+            rejected = []
+            assert cross_section._cached_csie_day(path, ALPHA_DEFAULT, rejected.append) == refusal
+            assert [(r.line, r.reason) for r in rejected] == [(3, OHLC_ORDERING)]
+    assert parse.call_count == 2 and not _entry(path).parent.exists()
 
 
 @pytest.mark.parametrize(
@@ -647,17 +678,14 @@ def test_only_a_file_of_the_floor_or_more_is_cached(tmp_path, monkeypatch):
     [(b"A\x00,1,2,0.5,1.6,10\n", DUPLICATE_SYMBOL), (b"\x00,1,2,0.5,1.5,10\n", UNPARSEABLE_FIELD)],
     ids=["nul-twin", "nul-only"],
 )
-def test_a_symbol_is_read_without_its_trailing_nuls(tmp_path, cache_every_file, second, reason):
+def test_a_symbol_is_read_without_its_trailing_nuls(tmp_path, second, reason):
     """numpy drops trailing NULs, so the parser does too: ``A\\x00`` is a
-    second ``A`` and ``\\x00`` an empty symbol.  The entry holds the day."""
+    second ``A`` and ``\\x00`` an empty symbol."""
     path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
     path.write_bytes(b"A,1,2,0.5,1.5,10\n" + second)
-    with _counting_parses() as parse:
-        for _ in range(2):
-            rejected, on_reject = collect()
-            assert read_eod_file(path, on_reject=on_reject).symbols.tolist() == ["A"]
-            assert [(r.line, r.reason) for r in rejected] == [(2, reason)]
-    assert parse.call_count == 1 and _entry(path).exists()
+    rejected, on_reject = collect()
+    assert read_eod_file(path, on_reject=on_reject).symbols.tolist() == ["A"]
+    assert [(r.line, r.reason) for r in rejected] == [(2, reason)]
 
 
 # --- index series ---------------------------------------------------------------
