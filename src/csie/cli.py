@@ -54,7 +54,6 @@ from __future__ import annotations
 import argparse
 import atexit
 import collections
-import functools
 import gc
 import math
 import os
@@ -264,14 +263,12 @@ def _csie_days(cfg: RunConfig, run: _Run) -> list[CsieDay]:
     the error lines of the days csie_day rejects wait until every file is
     read, and no day left is an error.
     """
-    from .cross_section import _cached_csie_day
-    from .market_data import _eod_files
+    from .cross_section import _cached_csie_days
 
     rows: list[CsieDay] = []
     skipped_days: list[str] = []
-    read = functools.partial(_cached_csie_day, alpha=cfg.alpha)
     try:
-        for row in _eod_files(cfg.market_dir, read, on_skip=run.error):
+        for row in _cached_csie_days(cfg.market_dir, cfg.alpha, run.error):
             if isinstance(row, str):
                 skipped_days.append(row)
             else:

@@ -14,29 +14,30 @@ variant used when comparing against classic volatility estimators.
 ``csie`` and ``compare`` read each EOD file of at least ``_CACHE_MIN_BYTES``
 through a cache of its ``CsieDay`` and rejects, ``.csie-cache/<file
 name>.bin`` beside it, so an unchanged file is parsed once across runs with
-the same alpha.
+the same alpha.  Only this module writes or prunes that cache.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import re
 import struct
 import sys
 from dataclasses import dataclass
 from datetime import date
-from functools import cache
+from functools import cache, partial
 from importlib.util import source_hash
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import market_data
 from ._util import exact_sum, xlogx
 from ._vocab import ALPHA_DEFAULT, check_alpha
-from .market_data import (_CACHE_DIR, DUPLICATE_SYMBOL, FIELD_COUNT, NONFINITE_PRICE,
-                          NONPOSITIVE_PRICE, OHLC_ORDERING, UNPARSEABLE_FIELD, MarketDay,
-                          OnReject, RejectedRow, _write_entry, eod_filename_date)
+from .market_data import (_EOD_NAME, EOD_REASONS, MarketDay, OnReject, OnSkip, RejectedRow,
+                          _eod_files, eod_filename_date)
 
 CSIE_CSV_HEADER = (
     "date,m,total_value,f,h_oc,h_olhc,csie_signed,csie_abs,degenerate_flag"
@@ -154,7 +155,10 @@ def csie_csv(rows: Sequence[CsieDay]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The cache: one entry per EOD file, ``<directory>/.csie-cache/<name>.bin``.
+# The cache: one entry per EOD file, ``<directory>/.csie-cache/<name>.bin``,
+# written through ``<name>.bin.<pid>.tmp``; only these two names are the cache's.
+_CACHE_DIR = ".csie-cache"
+_CACHE_NAME = re.compile(rf"(?P<file>{_EOD_NAME.pattern})\.bin(?P<tmp>\.\d+\.tmp)?")
 # A smaller file is only parsed.  Creating an entry costs a fixed 0.1-1 ms,
 # more than parsing a 43-line file (1.5 KiB, 0.2-0.4 ms), while a 64 KiB file
 # parses in 7-9 ms and its entry is read and checked in about 0.1 ms.
@@ -163,11 +167,9 @@ _CACHE_MAGIC = b"csie-cd1"
 # magic, key, then the CsieDay without its date (m, total_value, f, h_oc,
 # h_olhc, csie_signed, csie_abs, degenerate) and the size in bytes of the rejects
 _ENTRY_HEADER = struct.Struct("<8s24sq6d?Q")
-# one reject: its line, its reason as a position in _REASONS and its content's
-# size in bytes, followed by the content as UTF-8
+# one reject: its line, its reason as a position in EOD_REASONS and its
+# content's size in bytes, followed by the content as UTF-8
 _ENTRY_REJECT = struct.Struct("<QBQ")
-_REASONS = (NONFINITE_PRICE, NONPOSITIVE_PRICE, OHLC_ORDERING, FIELD_COUNT, UNPARSEABLE_FIELD,
-            DUPLICATE_SYMBOL)
 
 
 @cache
@@ -187,8 +189,8 @@ def _entry_bytes(key: bytes, row: CsieDay, rejects: list[RejectedRow]) -> bytes:
     """The cache entry of a day: the header, then the rejects, little-endian."""
     rejected = bytearray()
     for r in rejects:
-        content = r.content.encode()
-        rejected += _ENTRY_REJECT.pack(r.line, _REASONS.index(r.reason), len(content)) + content
+        text = r.content.encode()
+        rejected += _ENTRY_REJECT.pack(r.line, EOD_REASONS.index(r.reason), len(text)) + text
     header = _ENTRY_HEADER.pack(
         _CACHE_MAGIC, key, row.m, row.total_value, row.f, row.h_oc, row.h_olhc,
         row.csie_signed, row.csie_abs, row.degenerate, len(rejected),
@@ -218,7 +220,7 @@ def _cached_row(entry: Path, key: bytes, day: date) -> tuple[CsieDay, list[Rejec
             at += _ENTRY_REJECT.size + length
             if at > len(blob) or line <= (rejects[-1].line if rejects else 0):
                 return None
-            rejects.append(RejectedRow(line, blob[at - length:at].decode(), _REASONS[reason]))
+            rejects.append(RejectedRow(line, blob[at - length:at].decode(), EOD_REASONS[reason]))
     except (struct.error, IndexError, UnicodeDecodeError):
         return None
     return CsieDay(day, m, *values, degenerate), rejects
@@ -263,3 +265,44 @@ def _cached_csie_day(path: Path, alpha: float, on_reject: OnReject) -> CsieDay |
     if entry is not None:
         _write_entry(entry, _entry_bytes(key, row, rejects))
     return row
+
+
+def _write_entry(entry: Path, blob: bytes) -> None:
+    """Write a cache entry through a temporary file of this process; an
+    OSError (a read-only directory, a file in the cache directory's place,
+    a full disk) leaves the cache as it was."""
+    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
+    try:
+        entry.parent.mkdir(exist_ok=True)
+        tmp.write_bytes(blob)
+        os.replace(tmp, entry)
+    except OSError:
+        try:
+            tmp.unlink(missing_ok=True)
+        except OSError:
+            pass
+
+
+def _prune_cache(directory: Path) -> None:
+    """Remove the entries of the EOD files that ``directory`` no longer lists
+    and every temporary file of a write (one in flight in another process
+    costs that process only its entry); any other name stays, and an OSError
+    leaves the name it meets as it was."""
+    try:
+        names = os.listdir(directory / _CACHE_DIR)
+        listed = set(os.listdir(directory))
+    except OSError:
+        return
+    for name in names:
+        match = _CACHE_NAME.fullmatch(name)
+        if match and (match["tmp"] or match["file"] not in listed):
+            try:
+                os.unlink(directory / _CACHE_DIR / name)
+            except OSError:
+                pass
+
+
+def _cached_csie_days(directory: Path, alpha: float, on_skip: OnSkip) -> Iterator[CsieDay | str]:
+    """``_eod_files`` of ``directory`` through ``_cached_csie_day``, once the cache is pruned."""
+    _prune_cache(directory)
+    return _eod_files(directory, partial(_cached_csie_day, alpha=alpha), on_skip=on_skip)

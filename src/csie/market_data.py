@@ -22,9 +22,7 @@ file is read (and by ``read_eod_dir`` in date order, then line order),
 instead of failing the whole file; a file that does not parse, or whose
 name has no valid date, costs ``read_eod_dir`` only that file, which it
 reports through an ``on_skip`` callback.  ``read_eod_file`` and
-``read_eod_dir`` always parse: the only cache is ``csie`` and ``compare``'s
-cache of each file's ``CsieDay`` (see ``cross_section``), whose stale
-entries a listing of the directory prunes.
+``read_eod_dir`` always parse, and create, change or delete no file.
 """
 
 from __future__ import annotations
@@ -50,6 +48,9 @@ UNPARSEABLE_FIELD = "unparseable-field"
 DUPLICATE_SYMBOL = "duplicate-symbol"
 DUPLICATE_DATE = "duplicate-date"
 MALFORMED_DATE = "malformed-date"
+# The reasons of EOD rejects; a cache entry stores a reject's reason as its index here.
+EOD_REASONS = (NONFINITE_PRICE, NONPOSITIVE_PRICE, OHLC_ORDERING, FIELD_COUNT,
+               UNPARSEABLE_FIELD, DUPLICATE_SYMBOL)
 
 # Not a rejection: the bar stays in the day but is excluded from trade-value
 # weighting (nothing changed hands, so it carries no information).
@@ -482,46 +483,6 @@ def eod_filename_date(name: str) -> tuple[str, date]:
     return m.group("market"), d
 
 
-# The cache of ``csie`` and ``compare`` (see ``cross_section``): one entry per
-# EOD file, ``<directory>/.csie-cache/<name>.bin``.
-_CACHE_DIR = ".csie-cache"
-
-
-def _prune_cache(directory: Path, names: set[str]) -> None:
-    """Remove the cache entries of ``directory`` whose file is not among
-    ``names``, and the temporary files of writes cut short; an OSError
-    leaves the entry it meets as it was.  The temporary file of a write in
-    flight in another process goes too, which costs that process only its
-    entry."""
-    try:
-        entries = list((directory / _CACHE_DIR).iterdir())
-    except OSError:
-        return
-    for entry in entries:
-        name = entry.name
-        if name.endswith(".tmp") or (name.endswith(".bin") and name[:-4] not in names):
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-
-
-def _write_entry(entry: Path, blob: bytes) -> None:
-    """Write a cache entry through a temporary file of this process; an
-    OSError (a read-only directory, a file in the cache directory's place,
-    a full disk) leaves the cache as it was."""
-    tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
-    try:
-        entry.parent.mkdir(exist_ok=True)
-        tmp.write_bytes(blob)
-        os.replace(tmp, entry)
-    except OSError:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
-
-
 def read_eod_file(path: str | Path, *, on_reject: OnReject | None = None) -> MarketDay:
     """Parse one EOD file, dated by its ``<MARKET>_<YYYYMMDD>.csv`` name."""
     path = Path(path)
@@ -574,11 +535,9 @@ def _eod_files(
     result or its skip.  Serially, a file is read only when the result
     before it has been taken; ``threads`` > 1 reads them all in a pool
     first.  Raises ValueError when there is no EOD file, or once every file
-    is read if none was usable.  The cache keeps only the entries of the
-    files listed.
+    is read if none was usable.
     """
     dated = _dated_eod_files(path.iterdir(), on_skip)
-    _prune_cache(path, {p.name for _, p in dated})
     if not dated:
         raise ValueError(f"no EOD files in {path}")
 

@@ -358,6 +358,29 @@ def test_a_csie_run_leaves_only_the_entries_of_its_files(tmp_path, capsys, monke
     )
 
 
+@pytest.mark.parametrize("linked", [False, True], ids=["plain", "symlinked"])
+def test_a_csie_run_prunes_only_the_names_the_cache_writes(tmp_path, capsys, monkeypatch,
+                                                           linked):
+    monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", 0)
+    eod, _ = write_world(tmp_path, np.random.default_rng(87), n_symbols=4, n_days=3)
+    cache = eod / ".csie-cache"
+    if linked:
+        (tmp_path / "elsewhere").mkdir()
+        cache.symlink_to(tmp_path / "elsewhere")
+    else:
+        cache.mkdir()
+    foreign = {"notes.bin": b"not csie's", "draft.tmp": b"not csie's either"}
+    own = {"SYN_20200101.csv.bin": b"the entry of a deleted file",
+           "SYN_20210601.csv.bin.12345.tmp": b"a write cut short"}
+    for name, data in {**foreign, **own}.items():
+        (cache / name).write_bytes(data)
+    assert run(["csie", "--market-dir", str(eod), "--out", str(tmp_path / "out")], capsys)[0] == 0
+    entries = {f"{p.name}.bin" for p in eod.glob("*.csv")}
+    assert cache.is_symlink() == linked
+    assert {p.name for p in cache.iterdir()} == entries | foreign.keys()
+    assert {name: (cache / name).read_bytes() for name in foreign} == foreign
+
+
 def _cache_world(tmp_path: Path, monkeypatch) -> tuple[Path, Path]:
     """A market of five days whose files are all cached."""
     monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", 0)

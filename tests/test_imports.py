@@ -1,4 +1,5 @@
-"""Every module-level import in ``src/csie`` is used.
+"""Every module-level import in ``src/csie`` is used, and only
+``cross_section`` names the result cache.
 
 No linter runs on this code, and a dead import can load a module when a
 command starts, so this test looks for one with ``ast``: a name bound by an
@@ -61,3 +62,13 @@ def test_the_check_finds_an_unused_import():
     )
     unused = set(_module_imports(tree.body)) - _read_names(tree)
     assert unused == {"os", "Sequence", "json"}
+
+
+CACHE_NAMES = (".csie-cache", "_CACHE_DIR", "_write_entry", "_prune_cache")
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[p.name for p in SOURCES])
+def test_only_cross_section_names_the_cache(source):
+    text = source.read_text(encoding="utf-8")
+    named = [name for name in CACHE_NAMES if name in text]
+    assert named == (list(CACHE_NAMES) if source.name == "cross_section.py" else [])

@@ -673,6 +673,26 @@ def test_a_day_csie_day_refuses_is_not_cached(tmp_path, cache_every_file):
     assert parse.call_count == 2 and not _entry(path).parent.exists()
 
 
+def _tree(root: Path) -> dict[str, bytes | None]:
+    """Every path under ``root`` with its bytes, None for a directory."""
+    return {str(p.relative_to(root)): None if p.is_dir() else p.read_bytes()
+            for p in root.rglob("*")}
+
+
+def test_a_library_read_creates_changes_and_deletes_no_file(tmp_path, cache_every_file):
+    path = tmp_path / "SYN_20210601.csv"
+    path.write_text(CACHED_TEXT)
+    cross_section._cached_csie_day(path, ALPHA_DEFAULT, [].append)  # writes the entry
+    (tmp_path / "notes.txt").write_text("not an EOD file")
+    cache = _entry(path).parent
+    for name in ("SYN_20200101.csv.bin", "SYN_20210601.csv.bin.12345.tmp", "notes.bin"):
+        (cache / name).write_bytes(b"planted")
+    before = _tree(tmp_path)
+    assert len(read_eod_dir(tmp_path)) == len(read_eod_dir(tmp_path, threads=2)) == 1
+    read_eod_file(path)
+    assert _tree(tmp_path) == before
+
+
 @pytest.mark.parametrize(
     "second, reason",
     [(b"A\x00,1,2,0.5,1.6,10\n", DUPLICATE_SYMBOL), (b"\x00,1,2,0.5,1.5,10\n", UNPARSEABLE_FIELD)],
