@@ -16,6 +16,8 @@ reduce each row with ``_util.exact_rowsums``, so each value has the bits of
 the single-window computation.
 
 Mean, variance, covariance all use the population divisor n throughout.
+The estimator modules load when a series is first rolled, so ``csie csie``
+does not load them.
 """
 
 from __future__ import annotations
@@ -28,8 +30,6 @@ import numpy as np
 
 from ._util import exact_dot, exact_mean, pearson, window_means
 from ._vocab import ALL_INTERVAL, ESTIMATOR_TAGS, INTERVAL_SEMANTICS
-from .estimators import KERNELS, NOT_FINITE, bar_terms
-from .intrinsic import NO_VOLUME, _ie_rows, _shares
 
 if TYPE_CHECKING:
     from .cross_section import CsieDay
@@ -100,6 +100,9 @@ def _rolls(
     number.  The other failed windows are ``ie`` windows with NO_VOLUME; a
     window with no volume fails with that cause alone.
     """
+    from .estimators import KERNELS, bar_terms
+    from .intrinsic import _ie_rows, _shares
+
     if tag not in ESTIMATOR_TAGS:
         raise ValueError(f"unknown estimator {tag!r}")
     if w < _MIN_WINDOW.get(tag, 1):
@@ -146,6 +149,9 @@ def rolling_estimate(
     computed at once by the estimator's kernel, each value bit-identical to
     the single-window function on that window.
     """
+    from .estimators import NOT_FINITE
+    from .intrinsic import NO_VOLUME
+
     blends, failed, not_finite = _rolls(series, tag, w)
     out = blends[-1] if use_abs else blends[0]
     if len(failed):
@@ -283,6 +289,8 @@ def comparison_grids(
     with the data.  ``on_error`` is called with a message for each
     (estimator, window) roll that has a window whose estimate is not finite.
     """
+    from .estimators import NOT_FINITE
+
     if semantics not in INTERVAL_SEMANTICS:
         raise ValueError(f"unknown interval semantics {semantics!r}")
     for tag in estimators:

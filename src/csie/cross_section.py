@@ -287,7 +287,9 @@ def _prune_cache(directory: Path) -> None:
     """Remove the entries of the EOD files that ``directory`` no longer lists
     and every temporary file of a write (one in flight in another process
     costs that process only its entry); any other name stays, and an OSError
-    leaves the name it meets as it was."""
+    leaves the name it meets as it was.  A cache that several directories
+    share, through a symlink say, loses each other directory's entries, so
+    each market directory needs its own."""
     try:
         names = os.listdir(directory / _CACHE_DIR)
         listed = set(os.listdir(directory))
@@ -305,4 +307,4 @@ def _prune_cache(directory: Path) -> None:
 def _cached_csie_days(directory: Path, alpha: float, on_skip: OnSkip) -> Iterator[CsieDay | str]:
     """``_eod_files`` of ``directory`` through ``_cached_csie_day``, once the cache is pruned."""
     _prune_cache(directory)
-    return _eod_files(directory, partial(_cached_csie_day, alpha=alpha), on_skip=on_skip)
+    return _eod_files(directory, partial(_cached_csie_day, alpha=alpha), lambda r: None, on_skip)

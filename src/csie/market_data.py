@@ -21,7 +21,8 @@ reported through an ``on_reject`` callback, in line order once the whole
 file is read (and by ``read_eod_dir`` in date order, then line order),
 instead of failing the whole file; a file that does not parse, or whose
 name has no valid date, costs ``read_eod_dir`` only that file, which it
-reports through an ``on_skip`` callback.  ``read_eod_file`` and
+reports through an ``on_skip`` callback.  ``read_eod_dir`` and the CLI read a
+directory's files one at a time, in one thread.  ``read_eod_file`` and
 ``read_eod_dir`` always parse, and create, change or delete no file.
 """
 
@@ -58,6 +59,9 @@ ZERO_VOLUME = "zero-volume"
 
 # Volumes are held as int64; a larger one is an unusable number.
 _INT64_MAX = int(np.iinfo(np.int64).max)
+
+# A day's symbols are one numpy string array as wide as the longest: longer is unusable.
+_MAX_SYMBOL_CHARS = 64
 
 # Records a parser reads, converts and judges at a time, so that what a parse
 # holds besides the rows it keeps does not grow with the file.  A chunk stays
@@ -435,9 +439,9 @@ def parse_eod_file(
     are skipped and reported through ``on_reject`` once the file is read;
     zero-volume rows are kept (they are flagged through
     ``MarketDay.tradable``).  A symbol is its field without surrounding
-    whitespace or trailing NULs, which numpy's strings do not hold; one
-    left empty is unparseable.  Duplicate symbols keep the first usable
-    occurrence.
+    whitespace or trailing NULs, which numpy's strings do not hold; one left
+    empty or longer than ``_MAX_SYMBOL_CHARS`` is unparseable.  Duplicate
+    symbols keep the first usable occurrence.
     Raises ValueError when no usable row remains, or for bytes that are not
     UTF-8.
     """
@@ -455,7 +459,7 @@ def parse_eod_file(
                 judged.rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
                 continue
             symbol = symbol.rstrip("\x00")  # the key numpy's strings store
-            if not symbol:
+            if not symbol or len(symbol) > _MAX_SYMBOL_CHARS:
                 judged.rejected.append(RejectedRow(line_no, ",".join(row), UNPARSEABLE_FIELD))
                 continue
             lines.append(line_no)
@@ -521,47 +525,30 @@ def _dated_eod_files(
 def _eod_files(
     path: Path,
     read: Callable[..., _T],
-    threads: int = 1,
     on_reject: OnReject | None = None,
     on_skip: OnSkip | None = None,
 ) -> Iterator[_T]:
-    """``read(file, on_reject=...)`` of each ``<MARKET>_<YYYYMMDD>.csv`` in a
-    directory, in date order.
+    """``read(file, on_reject=on_reject)`` of each ``<MARKET>_<YYYYMMDD>.csv``
+    in a directory, in date order, one file at a time: a file is read only
+    when the result before it has been taken.
 
     A file that ``read`` raises OSError or ValueError for (no usable row,
     bytes that are not UTF-8, or a read error) goes to ``on_skip`` as
     ``skipped <file>: <reason>``, after the skips of names with no valid
-    date.  A file's rejects reach ``on_reject``, in line order, before its
-    result or its skip.  Serially, a file is read only when the result
-    before it has been taken; ``threads`` > 1 reads them all in a pool
-    first.  Raises ValueError when there is no EOD file, or once every file
-    is read if none was usable.
+    date.  A file's rejects reach ``on_reject`` as ``read`` delivers them,
+    before its result or its skip.  Raises ValueError when there is no EOD
+    file, or once every file is read if none was usable.
     """
     dated = _dated_eod_files(path.iterdir(), on_skip)
     if not dated:
         raise ValueError(f"no EOD files in {path}")
-
-    def load(item: tuple[date, Path]) -> tuple[_T | None, list[RejectedRow], str | None]:
-        rejects: list[RejectedRow] = []
-        try:
-            return read(item[1], on_reject=rejects.append), rejects, None
-        except (OSError, ValueError) as exc:
-            return None, rejects, f"skipped {item[1]}: {exc}"
-
-    loaded: Iterable[tuple[_T | None, list[RejectedRow], str | None]] = map(load, dated)
-    if threads > 1 and len(dated) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(threads, len(dated))) as pool:
-            loaded = list(pool.map(load, dated))
     usable = False
-    for result, rejects, skip in loaded:
-        if on_reject is not None:
-            for r in rejects:
-                on_reject(r)
-        if skip is not None:
+    for _, file in dated:
+        try:
+            result = read(file, on_reject=on_reject)
+        except (OSError, ValueError) as exc:
             if on_skip is not None:
-                on_skip(skip)
+                on_skip(f"skipped {file}: {exc}")
             continue
         usable = True
         yield result
@@ -578,10 +565,10 @@ def read_eod_dir(
 ) -> list[MarketDay]:
     """Parse every ``<MARKET>_<YYYYMMDD>.csv`` in a directory, sorted by date.
 
-    Files not matching the naming convention are ignored.  ``threads`` > 1
-    parses files in a thread pool, which the GIL keeps from being faster; it
-    is kept only for the benchmark's ``pool_speedup`` metric, and the CLI
-    reads serially.  Results are assembled in date order either way.
+    Files not matching the naming convention are ignored, and files are
+    read one at a time.  ``threads`` is accepted and ignored, as the CLI
+    ignores ``CSIE_THREADS``; it stays only while the benchmark harness
+    passes it.
     A file whose name has no valid date, or that does not parse (no usable
     row, bytes that are not UTF-8, or a read error), costs only itself: it
     is left out, and ``on_skip`` receives ``skipped <file>: <reason>``.
@@ -589,7 +576,7 @@ def read_eod_dir(
     rejects reach ``on_reject`` in date order, then line order.  Raises
     ValueError when no file is left.
     """
-    return list(_eod_files(Path(path), read_eod_file, threads, on_reject, on_skip))
+    return list(_eod_files(Path(path), read_eod_file, on_reject, on_skip))
 
 
 _INDEX_COLUMNS = {"date", "open", "high", "low", "close", "volume"}

@@ -38,6 +38,7 @@ from csie.market_data import (
     OHLC_ORDERING,
     UNPARSEABLE_FIELD,
     ZERO_VOLUME,
+    _MAX_SYMBOL_CHARS,
     IndexSeries,
     MarketDay,
     OnReject,
@@ -141,7 +142,7 @@ def parse_eod_file(
         except ValueError:
             reject(line_no, raw, UNPARSEABLE_FIELD)
             continue
-        if not symbol:
+        if not symbol or len(symbol) > _MAX_SYMBOL_CHARS:
             reject(line_no, raw, UNPARSEABLE_FIELD)
             continue
         bar = DailyBar(symbol, o, h, l, c, volume)

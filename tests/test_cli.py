@@ -1124,6 +1124,8 @@ def test_a_command_loads_only_the_modules_it_uses(world, tmp_path, argv):
         assert "csie.clustering" not in loaded
     if argv[0] == "indexvol":  # the index estimators need no market cross-section
         assert "csie.cross_section" not in loaded
+    if argv[0] == "csie":  # the market entropy needs no index estimator
+        assert "csie.estimators" not in loaded and "csie.intrinsic" not in loaded
 
 
 # Runs the CLI and prints its exit code, its OS thread count ("-" where

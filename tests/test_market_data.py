@@ -6,6 +6,8 @@ import gc
 import os
 import struct
 import tempfile
+import threading
+import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta
 from pathlib import Path
@@ -460,6 +462,22 @@ def test_read_eod_dir_skips_a_file_it_cannot_parse(tmp_path, monkeypatch, thread
         assert skipped == skips
 
 
+def test_read_eod_dir_starts_no_thread(tmp_path, monkeypatch):
+    """``threads`` is accepted and ignored: files are read one at a time."""
+    for stamp in ("20210601", "20210602", "20210603"):
+        (tmp_path / f"SYN_{stamp}.csv").write_text(f"AA,1,2,0.5,1.5,10\nBB,1,0.9,0.5,0.8,{stamp}\n")
+    rejected, on_reject = collect()
+    expected = read_eod_dir(tmp_path, on_reject=on_reject)
+
+    def refuse(self):
+        raise AssertionError(f"started thread {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    rejected4, on_reject4 = collect()
+    assert read_eod_dir(tmp_path, threads=4, on_reject=on_reject4) == expected
+    assert rejected4 == rejected and len(rejected) == 3
+
+
 def test_read_eod_dir_empty_errors(tmp_path):
     with pytest.raises(ValueError, match="no EOD files"):
         read_eod_dir(tmp_path)
@@ -706,6 +724,28 @@ def test_a_symbol_is_read_without_its_trailing_nuls(tmp_path, second, reason):
     rejected, on_reject = collect()
     assert read_eod_file(path, on_reject=on_reject).symbols.tolist() == ["A"]
     assert [(r.line, r.reason) for r in rejected] == [(2, reason)]
+
+
+@pytest.mark.parametrize("length, kept", [(64, True), (65, False), (50_000, False)])
+def test_a_symbol_longer_than_64_characters_is_unparseable(tmp_path, length, kept):
+    """A day holds its symbols as one numpy string array as wide as the
+    longest symbol, so one 50,000-character symbol among 1,001 short ones
+    once made a 72 KB file's day take about 200 MB; that row is a reject."""
+    rows = [f"S{i:04d},1,2,0.5,1.5,10" for i in range(1001)]
+    rows.insert(500, f"{'X' * length},1,2,0.5,1.5,10")
+    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
+    path.write_text("\n".join(rows) + "\n")
+    rejected, on_reject = collect()
+    tracemalloc.start()
+    try:
+        day = read_eod_file(path, on_reject=on_reject)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(day) == 1001 + kept
+    assert [(r.line, r.reason) for r in rejected] == ([] if kept else [(501, UNPARSEABLE_FIELD)])
+    assert day.symbols.dtype.itemsize == 4 * (length if kept else 5)
+    assert peak < 4 * 2**20
 
 
 # --- index series ---------------------------------------------------------------
