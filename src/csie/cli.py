@@ -207,6 +207,10 @@ def _optional(parse: Callable[[str], Any]) -> Callable[[str], Any]:
     return lambda s: parse(s) if s else None
 
 
+# Each --bubble kind: the ``CsieDay`` field that sizes a day's bubble, and its label.
+_BUBBLES = {"count": ("m", "symbols traded"), "value": ("total_value", "traded value")}
+
+
 # Every option, in --help order, which is the order its value is checked in:
 # its config key, which is also its ``RunConfig`` field (the flag is ``--``
 # plus the key with dashes for underscores), its built-in default, the rule
@@ -226,8 +230,9 @@ _OPTIONS: dict[str, tuple[str | None, Callable[[str], Any], dict[str, Any]]] = {
     "abs": ("false", lambda s: _parse_bool(s, "abs"),
             {"action": "store_const", "const": True, "help": "use absolute entropy variants"}),
     "ma": (None, _parse_ma, {"help": "moving-average overlay window for charts"}),
-    "bubble": (None, _choice(("count", "value"), "bubble must be 'count' or 'value'"),
-               {"choices": ("count", "value"), "help": "bubble sizing for the csie chart"}),
+    "bubble": (None,
+               _choice(tuple(_BUBBLES), f"bubble must be {' or '.join(map(repr, _BUBBLES))}"),
+               {"choices": tuple(_BUBBLES), "help": "bubble sizing for the csie chart"}),
     "out": (".", Path, {"help": "output directory"}),
     "interval_semantics": (
         "smoothed-points",
@@ -336,14 +341,10 @@ def cmd_csie(cfg: RunConfig) -> int:
     def build_chart() -> str:
         series = csie_dated_series(rows, use_abs=cfg.abs)
         overlay = moving_average(series, cfg.ma) if cfg.ma else None
-        sizes = None
-        label = ""
-        if cfg.bubble == "count":
-            sizes = np.array([r.m for r in rows], dtype=float)
-            label = "symbols traded"
-        elif cfg.bubble == "value":
-            sizes = np.array([r.total_value for r in rows], dtype=float)
-            label = "traded value"
+        sizes, label = None, ""
+        if cfg.bubble is not None:
+            field, label = _BUBBLES[cfg.bubble]
+            sizes = np.array([getattr(r, field) for r in rows], dtype=float)
         kind = "absolute" if cfg.abs else "signed"
         return line_chart(
             series,

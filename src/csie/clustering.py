@@ -4,7 +4,8 @@ Treats the day's open, high, low, and close vectors (one entry per symbol)
 as four observations and merges them bottom-up under average linkage
 (UPGMA): at each step the pair of clusters with the smallest mean pairwise
 correlation distance joins.  Four leaves means exactly three merges.  Ties
-are broken by lexicographic cluster label so reruns cannot differ.
+are broken by lexicographic cluster label (its leaves in sorted order, which
+``MergeStep.node`` forms for a merge) so reruns cannot differ.
 """
 
 from __future__ import annotations
@@ -71,6 +72,11 @@ class MergeStep:
     right: Label
     height: float
 
+    @property
+    def node(self) -> Label:
+        """The merged cluster's label: its leaves in sorted order."""
+        return tuple(sorted(self.left + self.right))
+
 
 @dataclass(frozen=True)
 class Dendrogram:
@@ -83,16 +89,14 @@ class Dendrogram:
         """Newick text with branch lengths (leaves sit at height 0)."""
         height_of: dict[Label, float] = {(leaf,): 0.0 for leaf in LEAF_NAMES}
         text_of: dict[Label, str] = {(leaf,): leaf for leaf in LEAF_NAMES}
-        node: Label = ()
         for s in self.steps:
-            node = tuple(sorted(s.left + s.right))
             left_len = s.height - height_of[s.left]
             right_len = s.height - height_of[s.right]
-            text_of[node] = (
+            text_of[s.node] = (
                 f"({text_of[s.left]}:{left_len!r},{text_of[s.right]}:{right_len!r})"
             )
-            height_of[node] = s.height
-        return text_of[node] + ";"
+            height_of[s.node] = s.height
+        return text_of[self.steps[-1].node] + ";"
 
     def merge_csv(self) -> str:
         lines = ["step,left,right,height"]
@@ -131,14 +135,8 @@ def agglomerate(pm: PriceMatrix, *, log_prices: bool = False) -> Dendrogram:
     active: list[Label] = sorted((leaf,) for leaf in LEAF_NAMES)
     steps: list[MergeStep] = []
     while len(active) > 1:
-        best: tuple[float, Label, Label] | None = None
-        for a, b in combinations(active, 2):
-            a, b = sorted((a, b))
-            cand = (linkage(a, b), a, b)
-            if best is None or cand < best:
-                best = cand
-        assert best is not None
-        d, a, b = best
+        # ``active`` is sorted, so each pair comes as (a, b) with a < b
+        d, a, b = min((linkage(a, b), a, b) for a, b in combinations(active, 2))
         if steps and d < steps[-1].height:
             warnings.warn(
                 f"height inversion at merge {len(steps) + 1}: {d!r} after "
@@ -147,10 +145,7 @@ def agglomerate(pm: PriceMatrix, *, log_prices: bool = False) -> Dendrogram:
                 stacklevel=2,
             )
         steps.append(MergeStep(a, b, d))
-        active.remove(a)
-        active.remove(b)
-        active.append(tuple(sorted(a + b)))
-        active.sort()
+        active = sorted([x for x in active if x not in (a, b)] + [steps[-1].node])
     return Dendrogram(pm.day, (steps[0], steps[1], steps[2]))
 
 

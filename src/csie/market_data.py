@@ -108,7 +108,7 @@ def _unusable_rows(
 
     The first code that applies wins: a nonfinite price, a nonpositive
     price, OHLC ordering, then a negative volume, which is an unparseable
-    field (the parsers store a volume past int64 as -1).  Zero volume is
+    field (``_int64_volumes`` makes a volume past int64 -1).  Zero volume is
     usable.  Only the rows some mask flags are labelled.
     """
     masks = {
@@ -119,6 +119,34 @@ def _unusable_rows(
     }
     bad = np.flatnonzero(np.logical_or.reduce(list(masks.values())))
     return {i: next(code for code, mask in masks.items() if mask[i]) for i in bad.tolist()}
+
+
+def _usable_symbol_length(n: int | np.ndarray) -> bool | np.ndarray:
+    """Whether a symbol of ``n`` characters (an int, or elementwise an array) is usable."""
+    return (n > 0) & (n <= _MAX_SYMBOL_CHARS)
+
+
+def _symbol_array(symbols: Sequence[str] | np.ndarray) -> np.ndarray:
+    """``symbols`` as one numpy string array (one given is not copied), each
+    length checked before an array as wide as the longest is built."""
+    if isinstance(symbols, np.ndarray) and symbols.dtype.kind == "U":
+        lengths = np.char.str_len(symbols)
+    else:
+        symbols = [s.rstrip("\x00") for s in symbols]  # what numpy would store
+        lengths = np.array([len(s) for s in symbols], dtype=np.int64)
+    bad = np.flatnonzero(~_usable_symbol_length(lengths))
+    if bad.size:
+        raise ValueError(f"{UNPARSEABLE_FIELD} at symbol {bad[0]} in the order given: "
+                         f"{lengths[bad[0]]} characters, not 1 to {_MAX_SYMBOL_CHARS}")
+    return np.asarray(symbols, dtype=str)
+
+
+def _int64_volumes(volume: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Volumes as int64, with -1 (an unparseable field) for each int64 cannot hold."""
+    try:
+        return np.asarray(volume, dtype=np.int64)
+    except OverflowError:
+        return np.array([v if 0 <= v <= _INT64_MAX else -1 for v in volume], dtype=np.int64)
 
 
 class _Bars:
@@ -137,7 +165,7 @@ class _Bars:
         for a repeated key.
         """
         o, h, l, c = (np.asarray(col, dtype=float) for col in (open, high, low, close))
-        vol = np.asarray(volume, dtype=np.int64)
+        vol = _int64_volumes(volume)
         for col in (o, h, l, c, vol):
             if col.shape != keys.shape:
                 raise ValueError("column lengths differ")
@@ -180,7 +208,7 @@ class MarketDay(_Bars):
         self, day: date, symbols: Sequence[str] | np.ndarray, open: _Prices, high: _Prices,
         low: _Prices, close: _Prices, volume: Sequence[int] | np.ndarray,
     ) -> None:
-        symbols = np.asarray(symbols, dtype=str)
+        symbols = _symbol_array(symbols)
         if len(symbols) == 0:
             raise ValueError("empty market day")
         self.day = day
@@ -338,11 +366,6 @@ def _convert(fields: Sequence[str], convert: Callable[[str], float]) -> tuple[li
             failed.append(i)
 
 
-def _volume_in_range(volume: int) -> int:
-    """The volume, or -1 when int64 cannot hold it (the rules reject that later)."""
-    return volume if 0 <= volume <= _INT64_MAX else -1
-
-
 class _Judged:
     """The rows a parser has kept so far, and the rows it has rejected.
 
@@ -384,10 +407,7 @@ class _Judged:
             columns.append(values)
             unparseable.update(failed)
         o, h, l, c = (np.array(col, dtype=float) for col in columns[:4])
-        try:
-            volume = np.array(columns[4], dtype=np.int64)
-        except OverflowError:
-            volume = np.array([_volume_in_range(v) for v in columns[4]], dtype=np.int64)
+        volume = _int64_volumes(columns[4])
         faults = _unusable_rows(o, h, l, c, volume)
         faults.update(dict.fromkeys(unparseable, UNPARSEABLE_FIELD))
         kept: list[int] = []
@@ -459,7 +479,7 @@ def parse_eod_file(
                 judged.rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
                 continue
             symbol = symbol.rstrip("\x00")  # the key numpy's strings store
-            if not symbol or len(symbol) > _MAX_SYMBOL_CHARS:
+            if not _usable_symbol_length(len(symbol)):
                 judged.rejected.append(RejectedRow(line_no, ",".join(row), UNPARSEABLE_FIELD))
                 continue
             lines.append(line_no)
@@ -469,7 +489,7 @@ def parse_eod_file(
     judged.deliver(on_reject)
     if not judged.keys:
         raise ValueError(f"no usable rows for {day.isoformat()}")
-    return MarketDay(day, judged.keys, *judged.columns())
+    return MarketDay(day, np.asarray(judged.keys, dtype=str), *judged.columns())
 
 
 def eod_filename_date(name: str) -> tuple[str, date]:

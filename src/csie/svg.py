@@ -101,19 +101,20 @@ class _Frame:
         return self.y1 - (v - self.dy0) / (self.dy1 - self.dy0) * (self.y1 - self.y0)
 
 
-def _day_numbers(dates: np.ndarray, origin: np.datetime64) -> np.ndarray:
-    return (np.asarray(dates, dtype="datetime64[D]") - origin).astype(float)
+def _date_ticks(f: _Frame, dates: np.ndarray) -> list[tuple[float, str]]:
+    """Pixel x and label of up to six evenly spaced dates, ends included."""
+    xs = dates.astype(float)
+    n_ticks = min(6, len(dates))
+    picks = (round(i * (len(dates) - 1) / max(n_ticks - 1, 1)) for i in range(n_ticks))
+    return [(f.x(float(xs[j])), str(dates[j])) for j in picks]
 
 
-def _axes(c: _Canvas, f: _Frame, dates: np.ndarray, origin: np.datetime64) -> None:
+def _axes(c: _Canvas, f: _Frame, dates: np.ndarray) -> None:
     c.line(f.x0, f.y1, f.x1, f.y1)
     c.line(f.x0, f.y0, f.x0, f.y1)
-    n_ticks = min(6, len(dates))
-    for i in range(n_ticks):
-        j = round(i * (len(dates) - 1) / max(n_ticks - 1, 1))
-        x = f.x(float(_day_numbers(dates[j : j + 1], origin)[0]))
+    for x, label in _date_ticks(f, dates):
         c.line(x, f.y1, x, f.y1 + 4)
-        c.text(x, f.y1 + 16, str(dates[j]), anchor="middle", color="#555")
+        c.text(x, f.y1 + 16, label, anchor="middle", color="#555")
     for i in range(5):
         v = f.dy0 + i * (f.dy1 - f.dy0) / 4
         y = f.y(v)
@@ -134,14 +135,14 @@ def line_chart(
     the main series) sit on the line, and ``ma`` draws a second series."""
     width, height = 960, 380
     c = _Canvas(width, height)
-    lo = min(float(series.values.min()), float(ma.values.min()) if ma is not None and len(ma) else float(series.values.min()))
-    hi = max(float(series.values.max()), float(ma.values.max()) if ma is not None and len(ma) else float(series.values.max()))
+    drawn = [series.values] + ([ma.values] if ma is not None and len(ma) else [])
+    lo = min(float(v.min()) for v in drawn)
+    hi = max(float(v.max()) for v in drawn)
     span = hi - lo
     pad = span * 0.05 if span > 0 else 1.0
-    origin = np.asarray(series.dates, dtype="datetime64[D]")[0]
-    xs = _day_numbers(series.dates, origin)
+    xs = series.dates.astype(float)
     f = _Frame(70, 40, width - 20, height - 40, float(xs[0]), float(xs[-1]), lo - pad, hi + pad)
-    _axes(c, f, series.dates, origin)
+    _axes(c, f, series.dates)
     if title:
         c.text(width / 2, 22, title, anchor="middle")
     if bubble_sizes is not None:
@@ -155,7 +156,7 @@ def line_chart(
     c.polyline([(f.x(float(xv)), f.y(float(yv))) for xv, yv in zip(xs, series.values)],
                "#1f3d7a")
     if ma is not None and len(ma):
-        mxs = _day_numbers(ma.dates, origin)
+        mxs = ma.dates.astype(float)
         c.polyline([(f.x(float(xv)), f.y(float(yv))) for xv, yv in zip(mxs, ma.values)],
                    "#d77f2a")
         if ma_label:
@@ -176,9 +177,8 @@ def small_multiples(panels: list[tuple[str, DatedSeries]], *, title: str = "") -
     c = _Canvas(width, height)
     if title:
         c.text(width / 2, 22, title, anchor="middle")
-    origin = np.asarray(panels[0][1].dates, dtype="datetime64[D]")[0]
-    x_lo = min(float(_day_numbers(s.dates, origin)[0]) for _, s in panels)
-    x_hi = max(float(_day_numbers(s.dates, origin)[-1]) for _, s in panels)
+    x_lo = min(float(s.dates[0].astype(float)) for _, s in panels)
+    x_hi = max(float(s.dates[-1].astype(float)) for _, s in panels)
     for i, (label, s) in enumerate(panels):
         top = 40 + i * panel_height
         finite = s.values[np.isfinite(s.values)]
@@ -187,7 +187,7 @@ def small_multiples(panels: list[tuple[str, DatedSeries]], *, title: str = "") -
         f = _Frame(70, top + 8, width - 20, top + panel_height - 8,
                    x_lo, x_hi, lo - pad, hi + pad)
         c.line(f.x0, f.y1, f.x1, f.y1)
-        xs = _day_numbers(s.dates, origin)
+        xs = s.dates.astype(float)
         for drawn, run in itertools.groupby(zip(xs, s.values), lambda p: math.isfinite(p[1])):
             if drawn:
                 c.polyline([(f.x(float(xv)), f.y(float(yv))) for xv, yv in run],
@@ -196,42 +196,25 @@ def small_multiples(panels: list[tuple[str, DatedSeries]], *, title: str = "") -
         if len(finite):
             c.text(f.x0 - 7, f.y(lo) + 4, f"{lo:.4g}", anchor="end", color="#555")
             c.text(f.x0 - 7, f.y(hi) + 4, f"{hi:.4g}", anchor="end", color="#555")
-    last = panels[-1][1]
     bottom = 40 + len(panels) * panel_height
-    n_ticks = min(6, len(last.dates))
-    for i in range(n_ticks):
-        j = round(i * (len(last.dates) - 1) / max(n_ticks - 1, 1))
-        x = f.x(float(_day_numbers(last.dates[j : j + 1], origin)[0]))  # the last panel's frame
-        c.text(x, bottom + 16, str(last.dates[j]), anchor="middle", color="#555")
+    for x, label in _date_ticks(f, panels[-1][1].dates):  # the last panel's frame
+        c.text(x, bottom + 16, label, anchor="middle", color="#555")
     return c.to_xml()
 
 
 def dendrogram_svg(dendro: Dendrogram) -> str:
-    """Classic bottom-up dendrogram of the four price columns."""
+    """Classic bottom-up dendrogram of the four price columns: the leaves in
+    the order one walk over the merge steps gives the root (left child first),
+    and each node at the mean position of the leaves in its label."""
     width, height = 520, 360
-    children: dict[Label, tuple[Label, Label]] = {}
-    heights: dict[Label, float] = {}
+    leaves: dict[Label, list[str]] = {}
     for s in dendro.steps:
-        node = tuple(sorted(s.left + s.right))
-        children[node] = (s.left, s.right)
-        heights[node] = s.height
-    root = tuple(sorted(("open", "high", "low", "close")))
-
-    def leaf_order(node: Label) -> list[str]:
-        if node not in children:
-            return list(node)
-        left, right = children[node]
-        return leaf_order(left) + leaf_order(right)
-
-    order = leaf_order(root)
+        leaves[s.node] = leaves.get(s.left, [*s.left]) + leaves.get(s.right, [*s.right])
+    order = leaves[dendro.steps[-1].node]
     c = _Canvas(width, height)
     c.text(width / 2, 22, f"OHLC clustering {dendro.day.isoformat()}", anchor="middle")
-    max_h = max(heights.values())
+    max_h = max(s.height for s in dendro.steps)
     f = _Frame(60, 40, width - 20, height - 50, -0.5, len(order) - 0.5, 0.0, max_h * 1.05 if max_h > 0 else 1.0)
-
-    def x_of(node: Label) -> float:
-        members = leaf_order(node)
-        return sum(order.index(leaf) for leaf in members) / len(members)
 
     for i in range(5):
         v = i * f.dy1 / 4
@@ -241,13 +224,11 @@ def dendrogram_svg(dendro: Dendrogram) -> str:
     for leaf in order:
         c.text(f.x(order.index(leaf)), height - 30, leaf, anchor="middle")
 
-    node_height: dict[Label, float] = {(leaf,): 0.0 for leaf in order}
+    place: dict[Label, tuple[float, float]] = {(leaf,): (i, 0.0) for i, leaf in enumerate(order)}
     for s in dendro.steps:
-        node = tuple(sorted(s.left + s.right))
-        xl, xr = x_of(s.left), x_of(s.right)
-        y = f.y(s.height)
-        c.line(f.x(xl), f.y(node_height[s.left]), f.x(xl), y, color="#1f3d7a", width=1.4)
-        c.line(f.x(xr), f.y(node_height[s.right]), f.x(xr), y, color="#1f3d7a", width=1.4)
+        (xl, hl), (xr, hr), y = place[s.left], place[s.right], f.y(s.height)
+        c.line(f.x(xl), f.y(hl), f.x(xl), y, color="#1f3d7a", width=1.4)
+        c.line(f.x(xr), f.y(hr), f.x(xr), y, color="#1f3d7a", width=1.4)
         c.line(f.x(xl), y, f.x(xr), y, color="#1f3d7a", width=1.4)
-        node_height[node] = s.height
+        place[s.node] = (sum(order.index(leaf) for leaf in s.node) / len(s.node), s.height)
     return c.to_xml()

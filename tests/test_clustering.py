@@ -36,6 +36,24 @@ def random_pm(rng, m=12):
     return pm(*cols)
 
 
+def duplicate_pm():
+    """High duplicates close, so those two columns are at distance 0."""
+    rng = np.random.default_rng(54)
+    o = rng.uniform(10, 20, 10)
+    l = rng.uniform(1, 5, 10)
+    c = rng.uniform(30, 40, 10)
+    return pm(o, c.copy(), l, c)
+
+
+def tie_pm():
+    """e_i + 1 columns: every pair correlates at exactly -1/3, so all six
+    distances tie and only the label order can decide the merges."""
+    cols = {name: [1.0] * 4 for name in LEAF_NAMES}
+    for i, name in enumerate(LEAF_NAMES):
+        cols[name][i] = 2.0
+    return pm(cols["open"], cols["high"], cols["low"], cols["close"])
+
+
 # --- correlation distance --------------------------------------------------------
 
 def test_distance_identical_vectors_zero():
@@ -93,23 +111,14 @@ def test_matrix_from_market_day():
 # --- merge sequence ---------------------------------------------------------------------
 
 def test_duplicate_columns_merge_first_at_zero_height():
-    rng = np.random.default_rng(54)
-    o = rng.uniform(10, 20, 10)
-    l = rng.uniform(1, 5, 10)
-    c = rng.uniform(30, 40, 10)
-    tree = agglomerate(pm(o, c.copy(), l, c))  # high duplicates close
+    tree = agglomerate(duplicate_pm())
     first = tree.steps[0]
     assert (first.left, first.right) == (("close",), ("high",))
     assert first.height == 0.0
 
 
 def test_equidistant_ties_break_lexicographically():
-    # e_i + 1 columns: every pair correlates at exactly -1/3, so all six
-    # distances tie and only the label order can decide the merges
-    cols = {name: [1.0] * 4 for name in LEAF_NAMES}
-    for i, name in enumerate(LEAF_NAMES):
-        cols[name][i] = 2.0
-    tree = agglomerate(pm(cols["open"], cols["high"], cols["low"], cols["close"]))
+    tree = agglomerate(tie_pm())
     d = 1.0 - (-1.0 / 3.0)
     s1, s2, s3 = tree.steps
     assert (s1.left, s1.right) == (("close",), ("high",))

@@ -1,10 +1,12 @@
-"""Every module-level import in ``src/csie`` is used, and only
-``cross_section`` names the result cache.
+"""Every import in ``src/csie`` is used, and only ``cross_section`` names
+the result cache.
 
 No linter runs on this code, and a dead import can load a module when a
 command starts, so this test looks for one with ``ast``: a name bound by an
 import outside any function or class (in a top-level ``if`` or ``try`` too)
-must be read somewhere in its module, or be listed in ``__all__``.
+must be read somewhere in its module, or be listed in ``__all__``.  A name
+bound by an import in a function (the way a command loads only the modules
+it uses) must be read in that function, nested definitions included.
 """
 
 from __future__ import annotations
@@ -46,6 +48,19 @@ def _read_names(tree: ast.Module) -> set[str]:
     return names
 
 
+def _unread_function_imports(tree: ast.Module) -> dict[str, int]:
+    """``<function>.<name>`` of each name that an import in a function binds
+    and that function does not read, with the import's line."""
+    unread: dict[str, int] = {}
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            read = {node.id for node in ast.walk(fn) if isinstance(node, ast.Name)}
+            for name, line in _module_imports(fn.body).items():
+                if name not in read:
+                    unread[f"{fn.name}.{name}"] = line
+    return unread
+
+
 @pytest.mark.parametrize("source", SOURCES, ids=[p.name for p in SOURCES])
 def test_every_module_level_import_is_used(source):
     tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
@@ -62,6 +77,26 @@ def test_the_check_finds_an_unused_import():
     )
     unused = set(_module_imports(tree.body)) - _read_names(tree)
     assert unused == {"os", "Sequence", "json"}
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[p.name for p in SOURCES])
+def test_every_function_level_import_is_read_in_its_function(source):
+    tree = ast.parse(source.read_text(encoding="utf-8"), str(source))
+    unread = _unread_function_imports(tree)
+    assert unread == {}, f"{source.name}: unread imports (function.name: line) {unread}"
+
+
+def test_the_check_finds_an_import_its_function_does_not_read():
+    tree = ast.parse(
+        "import re\n"
+        "def f():\n    import json\n    from os import path, sep\n    return path\n"
+        "def g():\n    import csv\n    def inner():\n        return csv\n    return inner\n"
+        "def h():\n    if True:\n        import re\n    return json\n"
+        "class C:\n    def m(self):\n        import sys as system\n        return re\n"
+    )
+    assert _unread_function_imports(tree) == {
+        "f.json": 3, "f.sep": 4, "h.re": 13, "m.system": 17,
+    }
 
 
 CACHE_NAMES = (".csie-cache", "_CACHE_DIR", "_write_entry", "_prune_cache")

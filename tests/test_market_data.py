@@ -285,6 +285,19 @@ def test_market_day_rejects_duplicates_and_bad_columns():
         MarketDay(D, ["A"], [1.0], [2.0], [0.5], [1.5], [-1])
 
 
+@pytest.mark.parametrize("volume", [2**63, -(2**63) - 1, 10**30])
+@pytest.mark.parametrize("kind", ["MarketDay", "IndexSeries"])
+def test_a_volume_past_int64_is_an_unparseable_field(kind, volume):
+    """The constructors convert volumes as the parsers do: one that int64
+    cannot hold is the first unusable row's reason, not an OverflowError."""
+    key_of, build, keys_of, _ = BUILDS[kind]
+    keys = [key_of(0), key_of(1)]
+    with pytest.raises(ValueError, match=f"^{UNPARSEABLE_FIELD} at {keys[1]}: "):
+        build(keys, [1.0, 1.0], [2.0, 2.0], [0.5, 0.5], [1.5, 1.5], [10, volume])
+    built = build(keys, [1.0, 1.0], [2.0, 2.0], [0.5, 0.5], [1.5, 1.5], [10, 2**63 - 1])
+    assert built.volume.tolist() == [10, 2**63 - 1]
+
+
 @st.composite
 def keyed_bars(draw):
     """Rows of (key, open, high, low, close, volume): valid bars, bars with one
@@ -713,24 +726,45 @@ def test_a_library_read_creates_changes_and_deletes_no_file(tmp_path, cache_ever
 
 @pytest.mark.parametrize(
     "second, reason",
-    [(b"A\x00,1,2,0.5,1.6,10\n", DUPLICATE_SYMBOL), (b"\x00,1,2,0.5,1.5,10\n", UNPARSEABLE_FIELD)],
-    ids=["nul-twin", "nul-only"],
+    [(b"A\x00,1,2,0.5,1.6,10\n", DUPLICATE_SYMBOL), (b"\x00,1,2,0.5,1.5,10\n", UNPARSEABLE_FIELD),
+     (b",1,2,0.5,1.5,10\n", UNPARSEABLE_FIELD)],
+    ids=["nul-twin", "nul-only", "empty"],
 )
 def test_a_symbol_is_read_without_its_trailing_nuls(tmp_path, second, reason):
     """numpy drops trailing NULs, so the parser does too: ``A\\x00`` is a
-    second ``A`` and ``\\x00`` an empty symbol."""
+    second ``A`` and ``\\x00`` an empty symbol.  The constructor agrees,
+    given the symbols as a list or as a numpy array."""
     path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
     path.write_bytes(b"A,1,2,0.5,1.5,10\n" + second)
     rejected, on_reject = collect()
     assert read_eod_file(path, on_reject=on_reject).symbols.tolist() == ["A"]
     assert [(r.line, r.reason) for r in rejected] == [(2, reason)]
+    symbols = ["A", second.decode().split(",")[0]]
+    for given in (symbols, np.array(symbols)):
+        with pytest.raises(ValueError, match=f"^{reason}"):
+            MarketDay(D, given, [1, 1], [2, 2], [0.5, 0.5], [1.5, 1.5], [1, 1])
 
 
 @pytest.mark.parametrize("length, kept", [(64, True), (65, False), (50_000, False)])
 def test_a_symbol_longer_than_64_characters_is_unparseable(tmp_path, length, kept):
     """A day holds its symbols as one numpy string array as wide as the
     longest symbol, so one 50,000-character symbol among 1,001 short ones
-    once made a 72 KB file's day take about 200 MB; that row is a reject."""
+    once made a 72 KB file's day take about 200 MB; that row is a reject,
+    and the constructor refuses it before building the array."""
+    symbols = [f"S{i:04d}" for i in range(1001)]
+    symbols.insert(500, "X" * length)
+    columns = ([1.0] * 1002, [2.0] * 1002, [0.5] * 1002, [1.5] * 1002, [10] * 1002)
+    tracemalloc.start()
+    try:
+        if kept:
+            assert MarketDay(D, symbols, *columns).symbols.dtype.itemsize == 4 * length
+        else:
+            with pytest.raises(ValueError, match=f"^{UNPARSEABLE_FIELD} at symbol 500 "):
+                MarketDay(D, symbols, *columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
     rows = [f"S{i:04d},1,2,0.5,1.5,10" for i in range(1001)]
     rows.insert(500, f"{'X' * length},1,2,0.5,1.5,10")
     path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"

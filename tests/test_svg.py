@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 from datetime import date
 
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from csie.analytics import DatedSeries, moving_average
-from csie.clustering import agglomerate
+from csie.clustering import LEAF_NAMES, agglomerate
 from csie.svg import dendrogram_svg, line_chart, small_multiples
 
 from helpers import weekdays
-from test_clustering import random_pm
+from test_clustering import duplicate_pm, random_pm, tie_pm
 
 
 def ds(values, start=date(2022, 3, 1)):
@@ -93,3 +94,29 @@ def test_dendrogram_svg_layout():
         assert leaf in labels
     # three merges, three lines each, plus axis and tick marks
     assert len(tags(text, "line")) == 3 * 3 + 1 + 5
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [tie_pm, duplicate_pm]
+    + [lambda seed=seed: random_pm(np.random.default_rng(seed), m=3 + seed % 9)
+       for seed in range(200, 230)],
+    ids=["ties", "duplicate-columns"] + [f"random-{seed}" for seed in range(200, 230)],
+)
+@pytest.mark.parametrize("log_prices", [False, True], ids=["raw", "log"])
+def test_dendrogram_svg_draws_the_newick_tree(matrix, log_prices):
+    """The two renderings of one dendrogram agree: the SVG's leaf labels,
+    left to right, are the Newick text's leaves in order, and each merge's
+    bar runs between the mean positions of its two children's leaves."""
+    tree = agglomerate(matrix(), log_prices=log_prices)
+    text = dendrogram_svg(tree)
+    leaf_x = {el.text: float(el.get("x")) for el in tags(text, "text") if el.text in LEAF_NAMES}
+    assert sorted(leaf_x, key=leaf_x.get) == re.findall("open|high|low|close", tree.newick())
+    bars = [el for el in tags(text, "line") if el.get("stroke") == "#1f3d7a"][2::3]
+    assert len(bars) == len(tree.steps)
+    for bar, step in zip(bars, tree.steps):
+        assert bar.get("y1") == bar.get("y2")
+        for end, child in (("x1", step.left), ("x2", step.right)):
+            mean = sum(leaf_x[leaf] for leaf in child) / len(child)
+            assert abs(float(bar.get(end)) - mean) <= 0.01
+    assert tree.steps[-1].node == tuple(sorted(LEAF_NAMES))
