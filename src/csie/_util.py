@@ -6,7 +6,8 @@ depend on summation order: ``exact_sum`` reduces one sequence with
 same bits, vectorised across the rows, such as the (n_windows, w)
 ``sliding_window_view`` of a series that the estimator kernels reduce.
 ``window_means`` is the one trailing mean: the moving average and the
-estimator kernels both take theirs from it.
+estimator kernels both take theirs from it.  ``int64_volumes`` is the one
+volume rule of days, index series and estimator windows.
 """
 
 from __future__ import annotations
@@ -19,6 +20,28 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 _U = 2.0**-53  # unit roundoff of float64
 _TINY = 5e-324  # smallest subnormal
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _whole(v: object) -> int:
+    """``v`` as an int when it is a whole number from 0 to int64's largest, else -1."""
+    try:
+        n = int(v)
+    except (TypeError, ValueError, OverflowError):
+        return -1
+    return n if n == v and 0 <= n <= _INT64_MAX else -1
+
+
+def int64_volumes(volume: Sequence[int] | np.ndarray) -> np.ndarray:
+    """Volumes as int64, with -1 for each that is not a whole number int64
+    can hold (past int64, with a fraction, NaN or infinite), which every
+    holder of volumes then refuses as it refuses a negative one."""
+    vol = np.asarray(volume)
+    if vol.dtype == np.int64:  # the column every parser builds
+        return vol
+    # value by value as given: numpy holds some mixes of ints as floats
+    items = volume.tolist() if isinstance(volume, np.ndarray) else volume
+    return np.array([_whole(v) for v in items], dtype=np.int64)
 
 
 def exact_sum(values: np.ndarray | list[float]) -> float:

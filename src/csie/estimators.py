@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._util import exact_rowsums, window_means
+from ._util import exact_rowsums, int64_volumes, window_means
 
 _LN2 = math.log(2.0)
 _GK_CLOSE_COEF = 2.0 * _LN2 - 1.0
@@ -81,9 +81,11 @@ def bar_terms(o: np.ndarray, h: np.ndarray, l: np.ndarray, c: np.ndarray,
 class OhlcWindow:
     """n consecutive bars, optionally preceded by a seed bar's close/volume.
 
-    Prices must be positive; the high/low ordering of bars is the data
-    layer's responsibility, so windows built by hand can describe malformed
-    bars (which is how the Garman-Klass clamp can trigger).
+    Prices must be positive, and volumes, the seed's too, whole numbers
+    from 0 to int64's largest (``int64_volumes``, the data layer's rule);
+    the high/low ordering of bars is the data layer's responsibility, so
+    windows built by hand can describe malformed bars (which is how the
+    Garman-Klass clamp can trigger).
     """
 
     end: object
@@ -102,15 +104,17 @@ class OhlcWindow:
         if self.volume is None:
             object.__setattr__(self, "volume", np.zeros(len(self.close), dtype=np.int64))
         else:
-            object.__setattr__(
-                self, "volume", np.asarray(self.volume, dtype=np.int64)
-            )
+            object.__setattr__(self, "volume", int64_volumes(self.volume))
+        if self.seed_volume is not None:
+            object.__setattr__(self, "seed_volume", int(int64_volumes([self.seed_volume])[0]))
         n = len(self.close)
         if n < 1:
             raise ValueError("empty window")
         for name in ("open", "high", "low", "volume"):
             if len(getattr(self, name)) != n:
                 raise ValueError("column lengths differ")
+        if (self.volume < 0).any() or (self.seed_volume or 0) < 0:
+            raise ValueError("negative or non-whole volume in window")
         for name in ("open", "high", "low", "close"):
             arr = getattr(self, name)
             if not np.isfinite(arr).all() or (arr <= 0.0).any():

@@ -2,17 +2,23 @@
 
 Daily files carry one row per listed symbol (Symbol,Open,High,Low,Close,Volume);
 index files carry one row per trading day (Date,Open,High,Low,Close[,AdjClose],
-Volume).  Both parsers are tolerant of header rows, of a UTF-8 byte-order
-mark and of thousands separators inside the volume field.  A parser refuses
-bytes that are not UTF-8 before it reads a record (a file of ASCII bytes
-needs no check), then decodes the file's csv records straight from its
-bytes, ``_CHUNK_RECORDS`` at a time, and converts and judges each chunk
-before it reads the next, so what a parse holds besides the rows it keeps
-does not grow with the file.  Within a chunk, the row loop only splits rows
-and rejects those of the wrong shape; ``_Judged`` then reads each price and
-volume column in one pass (only a field that fails takes the per-field
-rule), judges the columns with the one rule set, ``_unusable_rows``, and
-keeps the usable rows, the first of each symbol or date across chunks.
+Volume).  Both parsers read their rows with one reader, ``_read_rows``,
+which differs between the formats only in the key column's name and rule,
+the reason codes of a bad and of a repeated key, and the volume rule.  A
+first record that names the key column (``symbol`` or ``date``) is a
+header: each column is read from the position its name holds, any other
+column is ignored, and a header that lacks a column refuses the file.  The
+reader is tolerant of a UTF-8 byte-order mark and of thousands separators
+inside the volume field.  It refuses bytes that are not UTF-8 before it
+reads a record (a file of ASCII bytes needs no check), then decodes the
+file's csv records straight from its bytes, ``_CHUNK_RECORDS`` at a time,
+and converts and judges each chunk before it reads the next, so what a
+parse holds besides the rows it keeps does not grow with the file.  Within
+a chunk, the row loop only splits rows and rejects those of the wrong shape
+or with a bad key; ``_Judged`` then reads each price and volume column in
+one pass (only a field that fails takes the per-field rule), judges the
+columns with the one rule set, ``_unusable_rows``, and keeps the usable
+rows, the first of each symbol or date across chunks.
 ``MarketDay`` and ``IndexSeries`` share one constructor body in their
 ``_Bars`` base and differ only in their key column; every day and series,
 whether given or parsed, is built and checked by its public constructor.
@@ -40,6 +46,8 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
+from ._util import int64_volumes
+
 # Reason codes for rows a parser cannot use.
 NONFINITE_PRICE = "nonfinite-price"
 NONPOSITIVE_PRICE = "nonpositive-price"
@@ -56,9 +64,6 @@ EOD_REASONS = (NONFINITE_PRICE, NONPOSITIVE_PRICE, OHLC_ORDERING, FIELD_COUNT,
 # Not a rejection: the bar stays in the day but is excluded from trade-value
 # weighting (nothing changed hands, so it carries no information).
 ZERO_VOLUME = "zero-volume"
-
-# Volumes are held as int64; a larger one is an unusable number.
-_INT64_MAX = int(np.iinfo(np.int64).max)
 
 # A day's symbols are one numpy string array as wide as the longest: longer is unusable.
 _MAX_SYMBOL_CHARS = 64
@@ -108,8 +113,9 @@ def _unusable_rows(
 
     The first code that applies wins: a nonfinite price, a nonpositive
     price, OHLC ordering, then a negative volume, which is an unparseable
-    field (``_int64_volumes`` makes a volume past int64 -1).  Zero volume is
-    usable.  Only the rows some mask flags are labelled.
+    field (``int64_volumes`` makes -1 of a volume past int64, with a
+    fraction or NaN).  Zero volume is usable.  Only the rows some mask
+    flags are labelled.
     """
     masks = {
         NONFINITE_PRICE: ~(np.isfinite(o) & np.isfinite(h) & np.isfinite(l) & np.isfinite(c)),
@@ -141,14 +147,6 @@ def _symbol_array(symbols: Sequence[str] | np.ndarray) -> np.ndarray:
     return np.asarray(symbols, dtype=str)
 
 
-def _int64_volumes(volume: Sequence[int] | np.ndarray) -> np.ndarray:
-    """Volumes as int64, with -1 (an unparseable field) for each int64 cannot hold."""
-    try:
-        return np.asarray(volume, dtype=np.int64)
-    except OverflowError:
-        return np.array([v if 0 <= v <= _INT64_MAX else -1 for v in volume], dtype=np.int64)
-
-
 class _Bars:
     """Daily OHLCV bars held as columns in ascending order of their keys."""
 
@@ -165,7 +163,7 @@ class _Bars:
         for a repeated key.
         """
         o, h, l, c = (np.asarray(col, dtype=float) for col in (open, high, low, close))
-        vol = _int64_volumes(volume)
+        vol = int64_volumes(volume)
         for col in (o, h, l, c, vol):
             if col.shape != keys.shape:
                 raise ValueError("column lengths differ")
@@ -266,12 +264,11 @@ def _strip_thousands(field: str) -> str:
 def _split_row(row: list[str], n_fixed: int) -> list[str] | None:
     """Collapse a row whose trailing volume was split on embedded commas.
 
-    ``n_fixed`` is the number of columns preceding volume; anything beyond the
-    expected width is rejoined into the volume field when every part is
-    digits, apart from surrounding whitespace.
+    ``row`` has more than ``n_fixed + 1`` fields, ``n_fixed`` being the
+    number of columns preceding volume; anything beyond that width is
+    rejoined into the volume field when every part is digits, apart from
+    surrounding whitespace.
     """
-    if len(row) < n_fixed + 1:
-        return None
     tail = row[n_fixed:]
     joined = "".join(tail)
     if all(tail) and joined.isdigit():  # no part empty or with whitespace: one test
@@ -407,7 +404,7 @@ class _Judged:
             columns.append(values)
             unparseable.update(failed)
         o, h, l, c = (np.array(col, dtype=float) for col in columns[:4])
-        volume = _int64_volumes(columns[4])
+        volume = int64_volumes(columns[4])
         faults = _unusable_rows(o, h, l, c, volume)
         faults.update(dict.fromkeys(unparseable, UNPARSEABLE_FIELD))
         kept: list[int] = []
@@ -440,9 +437,88 @@ class _Judged:
                 on_reject(r)
 
 
-def _transpose(rows: list[list[str]], width: int) -> list[Sequence[str]]:
-    """The first ``width`` columns of rows that have at least that many fields."""
-    return list(zip(*rows))[:width] if rows else [()] * width
+def _symbol(field: str) -> str:
+    """A symbol field's key, its surrounding whitespace stripped: the field
+    without trailing NULs, which numpy's strings do not hold; ValueError
+    when that leaves it empty or longer than ``_MAX_SYMBOL_CHARS``."""
+    symbol = field.rstrip("\x00")
+    if not _usable_symbol_length(len(symbol)):
+        raise ValueError(field)
+    return symbol
+
+
+def _parse_day(field: str) -> date:
+    """A date field's key, its surrounding whitespace stripped."""
+    # fromisoformat alone also reads 20210106 and 2021-W01-1
+    if len(field) != 10 or field[4] != "-" or field[7] != "-":
+        raise ValueError(f"not a YYYY-MM-DD date: {field!r}")
+    return date.fromisoformat(field)
+
+
+# The columns after a file's key column, in the order a headerless file holds them.
+_OHLCV = ("open", "high", "low", "close", "volume")
+
+
+def _read_rows(
+    data: str | bytes, on_reject: OnReject | None, kind: str, key: str,
+    key_of: Callable[[str], object], bad_key: str, duplicate: str, to_volume: Callable[[str], int],
+) -> _Judged:
+    """The usable rows of a ``kind`` file (``EOD`` or ``index``), once every
+    reject has reached ``on_reject`` in line order.
+
+    ``key_of`` reads the ``key`` column's field, stripped, and raises
+    ValueError for a ``bad_key`` reject; a later usable row of a kept key is
+    a ``duplicate`` reject; ``to_volume`` reads a volume field without its
+    commas.  The first record is a header when a field of it names the key
+    column: each column is then read where its name stands, any other column
+    is ignored, and a header that lacks one of the six names raises
+    ``<kind> header missing columns: [...]``.  Without a header the key
+    comes first, then ``_OHLCV``.  A row longer than the header (six fields
+    without one) is rejoined when volume is the last column and every extra
+    part is digits; any other such row, or one too short for every column,
+    is a field-count reject.
+    """
+    judged = _Judged(duplicate)
+    columns = (key, *_OHLCV)
+    col_of = {name: i for i, name in enumerate(columns)}
+    n_columns = len(columns)
+    for offset, chunk in _record_chunks(data, judged.rejected):
+        if offset == 0:
+            header = [f.strip().lower() for f in chunk[0]]
+            if key in header:
+                col_of = {field: i for i, field in enumerate(header) if field in columns}
+                missing = set(columns) - col_of.keys()
+                if missing:
+                    raise ValueError(f"{kind} header missing columns: {sorted(missing)}")
+                n_columns = len(chunk[0])
+                chunk[0] = []  # the header, read, stands in its chunk as a blank row
+            k = col_of[key]
+            width = max(col_of.values())
+            volume_last = col_of["volume"] == n_columns - 1
+        lines: list[int] = []
+        rows: list[list[str]] = []
+        keys: list = []
+        for line_no, row in enumerate(chunk, start=offset + 1):
+            field = row[k].strip() if len(row) > k else ""
+            if not field and _blank(row):
+                continue
+            split = row
+            if len(row) > n_columns:  # a bare-thousands volume tail, or too many fields
+                split = _split_row(row, n_columns - 1) if volume_last else None
+            if split is None or len(split) <= width:
+                judged.rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
+                continue
+            try:
+                keys.append(key_of(field))  # a split keeps the fields before volume
+            except ValueError:
+                judged.rejected.append(RejectedRow(line_no, ",".join(row), bad_key))
+                continue
+            lines.append(line_no)
+            rows.append(split)
+        fields = list(zip(*rows)) or [()] * n_columns
+        judged.judge(offset, chunk, lines, keys, [fields[col_of[c]] for c in _OHLCV], to_volume)
+    judged.deliver(on_reject)
+    return judged
 
 
 def parse_eod_file(
@@ -453,40 +529,21 @@ def parse_eod_file(
 ) -> MarketDay:
     """Parse one daily Symbol,Open,High,Low,Close,Volume file.
 
-    Records are read a chunk at a time.  In each chunk, the row loop only
-    splits rows and rejects those of the wrong shape; the price and volume
-    columns are then converted in one pass each.  Rows that cannot be used
-    are skipped and reported through ``on_reject`` once the file is read;
-    zero-volume rows are kept (they are flagged through
+    Rows are read by ``_read_rows``: column order is taken from the header
+    when its first record names a ``symbol`` column (any other column, such
+    as a date, is ignored), otherwise assumed positional.  Rows that cannot
+    be used are skipped and reported through ``on_reject`` once the file is
+    read; zero-volume rows are kept (they are flagged through
     ``MarketDay.tradable``).  A symbol is its field without surrounding
     whitespace or trailing NULs, which numpy's strings do not hold; one left
     empty or longer than ``_MAX_SYMBOL_CHARS`` is unparseable.  Duplicate
     symbols keep the first usable occurrence.
-    Raises ValueError when no usable row remains, or for bytes that are not
+    Raises ValueError for a header that lacks a column (``EOD header missing
+    columns: [...]``), when no usable row remains, or for bytes that are not
     UTF-8.
     """
-    judged = _Judged(DUPLICATE_SYMBOL)
-    for offset, chunk in _record_chunks(data, judged.rejected):
-        lines: list[int] = []
-        symbols: list[str] = []
-        rows: list[list[str]] = []
-        for line_no, row in enumerate(chunk, start=offset + 1):
-            symbol = row[0].strip() if row else ""
-            if (line_no == 1 and symbol.lower() == "symbol") or (not symbol and _blank(row)):
-                continue
-            split = row if len(row) == 6 else _split_row(row, 5)
-            if split is None:
-                judged.rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
-                continue
-            symbol = symbol.rstrip("\x00")  # the key numpy's strings store
-            if not _usable_symbol_length(len(symbol)):
-                judged.rejected.append(RejectedRow(line_no, ",".join(row), UNPARSEABLE_FIELD))
-                continue
-            lines.append(line_no)
-            symbols.append(symbol)
-            rows.append(split)
-        judged.judge(offset, chunk, lines, symbols, _transpose(rows, 6)[1:], int)
-    judged.deliver(on_reject)
+    judged = _read_rows(data, on_reject, "EOD", "symbol", _symbol, UNPARSEABLE_FIELD,
+                        DUPLICATE_SYMBOL, int)
     if not judged.keys:
         raise ValueError(f"no usable rows for {day.isoformat()}")
     return MarketDay(day, np.asarray(judged.keys, dtype=str), *judged.columns())
@@ -599,16 +656,6 @@ def read_eod_dir(
     return list(_eod_files(Path(path), read_eod_file, on_reject, on_skip))
 
 
-_INDEX_COLUMNS = {"date", "open", "high", "low", "close", "volume"}
-
-
-def _parse_day(field: str) -> date:
-    field = field.strip()  # fromisoformat alone also reads 20210106 and 2021-W01-1
-    if len(field) != 10 or field[4] != "-" or field[7] != "-":
-        raise ValueError(f"not a YYYY-MM-DD date: {field!r}")
-    return date.fromisoformat(field)
-
-
 def parse_index_csv(
     data: str | bytes,
     name: str = "index",
@@ -617,56 +664,17 @@ def parse_index_csv(
 ) -> IndexSeries:
     """Parse a Date,Open,High,Low,Close[,AdjClose],Volume index file.
 
-    Column order is taken from the header when present (any other column,
-    such as an adjusted close, is ignored), otherwise assumed positional.  A
-    row longer than the header (six columns without one) is a volume split on
-    bare thousands separators when volume is the last column and every extra
-    part is digits, and is rejoined as in ``parse_eod_file``; any other such
-    row is a field-count reject.  Records are read a chunk at a time; in each
-    chunk, dates are read row by row, prices and volumes a column at a time.
-    Bad rows are skipped and reported; a repeated date keeps the first
-    usable row of that date, and the others are duplicate-date rejects.
+    Rows are read by ``_read_rows``, as in ``parse_eod_file``: column order
+    is taken from the header when its first record names a ``date`` column
+    (any other column, such as an adjusted close, is ignored), otherwise
+    assumed positional, and a header that lacks a column is a ValueError
+    (``index header missing columns: [...]``).  Bad rows are skipped and
+    reported; a date that is not YYYY-MM-DD is a malformed-date reject, and
+    a repeated date keeps the first usable row of that date, the others
+    being duplicate-date rejects.
     """
-    judged = _Judged(DUPLICATE_DATE)
-    col_of = {"date": 0, "open": 1, "high": 2, "low": 3, "close": 4, "volume": 5}
-    start = 0
-    n_columns = 6
-    for offset, chunk in _record_chunks(data, judged.rejected):
-        if offset == 0:
-            header = [f.strip().lower() for f in chunk[0]]
-            if "date" in header:
-                col_of = {field: i for i, field in enumerate(header) if field in _INDEX_COLUMNS}
-                missing = _INDEX_COLUMNS - col_of.keys()
-                if missing:
-                    raise ValueError(f"index header missing columns: {sorted(missing)}")
-                start, n_columns = 1, len(chunk[0])
-            width = max(col_of.values())
-            volume_last = col_of["volume"] == n_columns - 1
-        lines: list[int] = []
-        rows: list[list[str]] = []
-        days: list[date] = []
-        skip = start if offset == 0 else 0
-        for line_no, row in enumerate(chunk[skip:], start=offset + skip + 1):
-            if _blank(row):
-                continue
-            split = row
-            if len(row) > n_columns:  # a bare-thousands volume tail, or too many fields
-                split = _split_row(row, n_columns - 1) if volume_last else None
-            if split is None or len(split) <= width:
-                judged.rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
-                continue
-            try:
-                d = _parse_day(split[col_of["date"]])
-            except ValueError:
-                judged.rejected.append(RejectedRow(line_no, ",".join(row), MALFORMED_DATE))
-                continue
-            lines.append(line_no)
-            rows.append(split)
-            days.append(d)
-        columns = _transpose(rows, width + 1)
-        fields = [columns[col_of[k]] for k in ("open", "high", "low", "close", "volume")]
-        judged.judge(offset, chunk, lines, days, fields, _index_volume)
-    judged.deliver(on_reject)
+    judged = _read_rows(data, on_reject, "index", "date", _parse_day, MALFORMED_DATE,
+                        DUPLICATE_DATE, _index_volume)
     if not judged.keys:
         raise ValueError(f"no usable rows in index {name!r}")
     # through the ordinals, far faster than ``np.asarray`` of ``date`` objects

@@ -7,10 +7,14 @@ package's parsers to give the same ``MarketDay``/``IndexSeries`` (or the same
 objects the package no longer has are inlined here; the constructors and the
 reason codes are the package's own.
 
-An index row longer than its header (six columns without one) has its
-bare-thousands volume tail rejoined when volume is the last column, and is a
-field-count reject otherwise.  As with symbols, the first usable row of a
-date is kept and a later one is a duplicate-date reject.
+An EOD file's first record is a header when one of its fields is
+``symbol``, an index file's when one is ``date``: each column is then read
+from the position its name holds, any other column is ignored, and a header
+that lacks one of the six names is a ``ValueError``.  A row longer than its
+header (six columns without one) has its bare-thousands volume tail
+rejoined when volume is the last column, and is a field-count reject
+otherwise.  As with symbols, the first usable row of a date is kept and a
+later one is a duplicate-date reject.
 
 Bytes are decoded as UTF-8 with an optional byte-order mark.  A csv record
 the csv module cannot read (a bare carriage return in an unquoted field, a
@@ -108,6 +112,9 @@ def _records(text: str):
             yield number, row, ",".join(row)
 
 
+_EOD_COLUMNS = {"symbol", "open", "high", "low", "close", "volume"}
+
+
 def parse_eod_file(
     data: str | bytes,
     day: date,
@@ -121,24 +128,40 @@ def parse_eod_file(
         if on_reject is not None:
             on_reject(RejectedRow(line, content, reason))
 
+    rows = list(_records(data))
+    col_of = {"symbol": 0, "open": 1, "high": 2, "low": 3, "close": 4, "volume": 5}
+    start = 0
+    if rows and rows[0][1] is not None:
+        header = [f.strip().lower() for f in rows[0][1]]
+        if "symbol" in header:
+            col_of = {field: i for i, field in enumerate(header) if field in _EOD_COLUMNS}
+            missing = _EOD_COLUMNS - col_of.keys()
+            if missing:
+                raise ValueError(f"EOD header missing columns: {sorted(missing)}")
+            start = 1
+
     bars: list[DailyBar] = []
     seen: set[str] = set()
-    for line_no, row, raw in _records(data):
+    width = max(col_of.values())
+    n_columns = len(rows[0][1]) if start else 6
+    for line_no, row, raw in rows[start:]:
         if row is None:
             reject(line_no, raw, UNPARSEABLE_FIELD)
             continue
         if not row or all(not f.strip() for f in row):
             continue
-        if line_no == 1 and row[0].strip().lower() == "symbol":
-            continue
-        row = _split_row(row, 5)
-        if row is None:
+        if len(row) > n_columns:
+            row = _split_row(row, n_columns - 1) if col_of["volume"] == n_columns - 1 else None
+        if row is None or len(row) <= width:
             reject(line_no, raw, FIELD_COUNT)
             continue
-        symbol = row[0].strip().rstrip("\x00")  # as numpy's strings hold it
+        symbol = row[col_of["symbol"]].strip().rstrip("\x00")  # as numpy's strings hold it
         try:
-            o, h, l, c = (float(_strip_thousands(f)) for f in row[1:5])
-            volume = int(_strip_thousands(row[5]))
+            o, h, l, c = (
+                float(_strip_thousands(row[col_of[k]]))
+                for k in ("open", "high", "low", "close")
+            )
+            volume = int(_strip_thousands(row[col_of["volume"]]))
         except ValueError:
             reject(line_no, raw, UNPARSEABLE_FIELD)
             continue

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from csie import analytics
+from csie._util import exact_mean
 from csie.analytics import (
     ALL_INTERVAL,
     STATISTICS,
@@ -76,6 +77,18 @@ def test_ma_two_point_example():
 def test_ma_insufficient_data():
     with pytest.raises(ValueError, match="insufficient"):
         moving_average(ds([1.0, 2.0]), 3)
+    with pytest.raises(ValueError, match="window must be at least 1"):
+        moving_average(ds([1.0, 2.0]), 0)
+
+
+@pytest.mark.parametrize("dates, values, message", [
+    (["2022-03-01", "2022-03-02"], [1.0], "differ in length"),
+    (["2022-03-02", "2022-03-01"], [1.0, 2.0], "strictly increasing"),
+    (["2022-03-01", "2022-03-01"], [1.0, 2.0], "strictly increasing"),
+])
+def test_dated_series_refuses_unequal_lengths_and_unordered_dates(dates, values, message):
+    with pytest.raises(ValueError, match=message):
+        DatedSeries(np.array(dates, dtype="datetime64[D]"), np.array(values))
 
 
 def test_ma_matches_naive():
@@ -200,6 +213,8 @@ def test_mean_var_basics():
     assert mean_var([4.0, 4.0, 4.0])[1] == 0.0
     with pytest.raises(ValueError):
         mean_var([])
+    with pytest.raises(ValueError, match="mean of empty sequence"):
+        exact_mean([])
 
 
 def test_mean_var_matches_naive():
@@ -285,6 +300,12 @@ def test_beta_scaling_laws():
 def test_beta_zero_market_variance_errors():
     with pytest.raises(ValueError, match="zero market variance"):
         vol_beta([1.0, 2.0], [3.0, 3.0])
+
+
+@pytest.mark.parametrize("statistic", [pearson, vol_beta])
+def test_pearson_and_beta_refuse_unequal_lengths(statistic):
+    with pytest.raises(ValueError, match="length mismatch"):
+        statistic([1.0, 2.0, 3.0], [1.0, 2.0])
 
 
 def test_beta_matches_naive():
@@ -591,6 +612,16 @@ def test_grid_reports_each_roll_past_the_float_range():
             for w in (5, 10):
                 assert g.cell(t, w, "pk") is None and g.cell(t, w, "ie") is None
                 assert math.isfinite(g.cell(t, w, "cc"))
+
+
+def test_grid_window_needing_more_bars_than_the_index_has_is_na():
+    """cc needs a seed bar before each window, so with 12 bars and w = 12 it
+    cannot roll: its column is NA for every interval, while pk has values."""
+    index, rows = grid_world(n_days=12)
+    g = comparison_grids(index, rows, ["cc", "pk"], [1, ALL_INTERVAL], [12])["mean"]
+    for t in (1, ALL_INTERVAL):
+        assert g.cell(t, 12, "cc") is None
+        assert math.isfinite(g.cell(t, 12, "pk"))
 
 
 def test_grid_raw_days_interval_too_large_is_na():

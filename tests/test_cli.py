@@ -128,6 +128,12 @@ UNUSABLE_DAY = {
         b"AA,1e-300,1e300,1e-300,1e300,1\nBB,10,11,9,10.5,200\nCC,20,21,19,20.5,200\n",
         "skipped 2021-06-02: entropy terms on 2021-06-02 are past the float range",
     ),
+    # a header that names no price or volume column: written without the standard one
+    "header-missing-columns": (
+        b"symbol,o,h,l,c,v\nAA,10,11,9,10.5,200\n",
+        "skipped {eod}/M_20210602.csv: EOD header missing columns: "
+        "['close', 'high', 'low', 'open', 'volume']",
+    ),
     # a usable file that cannot be read
     "unreadable": (
         b"AA,10,11,9,10.5,200\nBB,20,21,19,20.5,200\n",
@@ -147,7 +153,8 @@ def test_an_unusable_day_costs_only_itself(tmp_path, capsys, monkeypatch, comman
         (eod / f"M_{stamp}.csv").write_bytes(
             header + f"AA,10,11,9,10.5,{volume}\nBB,20,21,19,20.5,{volume}\n".encode()
         )
-    (eod / "M_20210602.csv").write_bytes(header + middle)
+    own_header = middle.startswith(b"symbol")
+    (eod / "M_20210602.csv").write_bytes(middle if own_header else header + middle)
     if case == "unreadable":
         make_unreadable(monkeypatch, eod / "M_20210602.csv")
     index = tmp_path / "index.csv"

@@ -143,6 +143,22 @@ def _nul_only_symbol(eod: Path) -> bool:
     return False
 
 
+EOD_COLUMNS = ("symbol", "open", "high", "low", "close", "volume")
+
+
+def _eod_header_with_named_columns(eod: Path) -> bool:
+    """Whether a market file's first record names a ``symbol`` column and is
+    not the standard header: the seed read such a file's columns by position,
+    and skipped the record only when its first field was ``symbol``."""
+    for path in sorted(eod.glob("*.csv")) if eod.is_dir() else ():
+        with contextlib.suppress(OSError, ValueError, csv.Error):
+            records = csv.reader(io.StringIO(path.read_bytes().decode("utf-8-sig")))
+            header = [f.strip().lower() for f in next(records, [])]
+            if "symbol" in header and header != [*EOD_COLUMNS]:
+                return True
+    return False
+
+
 def _index_records(index: Path) -> list[list[str]]:
     try:
         return list(csv.reader(io.StringIO(index.read_bytes().decode("utf-8-sig"))))
@@ -175,6 +191,8 @@ def divergence(command: str, windows: str, intervals: str, cluster_date: date,
                 return "an index window whose price ratios pass the float range fails"
     if command != "indexvol" and _nul_only_symbol(eod):
         return "a symbol of only NULs is an unparseable-field reject"
+    if command != "indexvol" and _eod_header_with_named_columns(eod):
+        return "an EOD header names its columns, and one that lacks a column refuses the file"
     days = _market_days(eod)
     if uses_market and any(_traded_value_past_the_float_range(d) for d in days):
         return "a day whose traded value passes the float range is an error"

@@ -107,3 +107,51 @@ def test_only_cross_section_names_the_cache(source):
     text = source.read_text(encoding="utf-8")
     named = [name for name in CACHE_NAMES if name in text]
     assert named == (list(CACHE_NAMES) if source.name == "cross_section.py" else [])
+
+
+# Steps of the one row reader of EOD and index files: a second caller would
+# be a second row loop.
+SINGLE_CALLER = ("_record_chunks", "_split_row")
+
+
+def _users(sources: dict[str, str], names: tuple[str, ...]) -> dict[str, list[str]]:
+    """For each of ``names``, ``<module>:<function>`` of each function that
+    reads it, as a name or an attribute, in order of first read; a read
+    outside any function is ``<module>:``, and a nested function is a user
+    of its own."""
+    users: dict[str, list[str]] = {name: [] for name in names}
+
+    def visit(node: ast.AST, user: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{user.split(':')[0]}:{child.name}")
+                continue
+            name = getattr(child, "id", None) or getattr(child, "attr", None)
+            if name in users and user not in users[name]:
+                users[name].append(user)
+            visit(child, user)
+
+    for module, text in sources.items():
+        visit(ast.parse(text), f"{module}:")
+    return users
+
+
+def test_each_step_of_the_row_reader_has_one_caller():
+    users = _users({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}, SINGLE_CALLER)
+    counts = {name: len(found) for name, found in users.items()}
+    assert counts == dict.fromkeys(SINGLE_CALLER, 1), users
+
+
+def test_the_check_finds_a_second_caller():
+    planted = {
+        "market_data": "def _read_rows(data):\n    return _split_row(_record_chunks(data), 5)\n",
+        "other": (
+            "from .market_data import _split_row\n"
+            "def parse(rows):\n    return [_split_row(r, 5) for r in rows]\n"
+            "CHUNKS = market_data._record_chunks(b'')\n"
+        ),
+    }
+    assert _users(planted, SINGLE_CALLER) == {
+        "_record_chunks": ["market_data:_read_rows", "other:"],
+        "_split_row": ["market_data:_read_rows", "other:parse"],
+    }

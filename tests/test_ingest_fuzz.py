@@ -3,7 +3,7 @@
 Whatever bytes they are given, ``parse_eod_file``, ``parse_index_csv`` and
 ``load_config_file`` raise nothing but ``ValueError``, and an EOD parse
 accounts for every csv record: each is accepted, rejected, blank or the
-header row.
+header row, or the header lacks a column and refuses the whole file.
 """
 
 from __future__ import annotations
@@ -86,17 +86,22 @@ def inputs(valid: str) -> st.SearchStrategy[bytes]:
 @given(inputs(table1_csv()))
 def test_eod_parser_raises_only_value_error_and_accounts_for_every_record(data):
     rejected = []
+    refused = False
     try:
         accepted = len(parse_eod_file(data, FIXTURE_DAY, on_reject=rejected.append))
-    except ValueError:
+    except ValueError as exc:
         accepted = 0
+        refused = str(exc).startswith("EOD header missing columns")
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError:
         return  # the parser refuses such bytes as a whole
     records = [fields for _, fields, _ in rowwise_ingest._records(text)]
+    header = bool(records and records[0] and "symbol" in [f.strip().lower() for f in records[0]])
+    if refused:  # a header that lacks a column refuses the file and all its records
+        assert header and rejected == []
+        return
     blank = sum(fields is not None and not "".join(fields).strip() for fields in records)
-    header = bool(records and records[0] and records[0][0].strip().lower() == "symbol")
     assert accepted + len(rejected) + blank + header == len(records)
 
 

@@ -87,8 +87,22 @@ def file_bytes(draw, header: str | None, rows: st.SearchStrategy[str]) -> bytes:
 
 @st.composite
 def eod_files(draw) -> bytes:
-    header = draw(st.sampled_from([None, "Symbol,Open,High,Low,Close,Volume", "symbol,o,h,l,c,v"]))
-    return file_bytes(draw, header, rows_of(SYMBOLS, VOLUME_FIELDS))
+    """An EOD file without a header or with one: the standard one, one that
+    lacks every price and volume name (the file is refused), one that lists
+    Close before Open, or one with a column the parsers ignore."""
+    header = draw(
+        st.sampled_from(
+            [
+                None,
+                "Symbol,Open,High,Low,Close,Volume",
+                "symbol,o,h,l,c,v",
+                "Symbol,Close,High,Low,Open,Volume",
+                "Symbol,Open,High,Low,Close,Adj Close,Volume",
+            ]
+        )
+    )
+    adj_close = header is not None and "Adj Close" in header
+    return file_bytes(draw, header, rows_of(SYMBOLS, VOLUME_FIELDS, adj_close))
 
 
 INDEX_DATES = st.one_of(

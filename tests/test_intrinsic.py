@@ -79,6 +79,27 @@ def test_probs_zero_total_volume_rejected():
         volume_probs(w)
 
 
+@pytest.mark.parametrize("volumes, seed_volume", [
+    ([5, -1, 10], 3), ([5, 1, 10], -3), ([5.7, 1, 10], 3), ([5, 1, 10], 2.5),
+    ([5, math.nan, 10], 3), ([5, 1, 10], math.nan), ([5, 2**63, 10], 3),
+])
+def test_window_refuses_a_negative_or_non_whole_volume(volumes, seed_volume):
+    """A window holds volumes by the data layer's rule: a negative volume
+    gave a negative share and a finite estimate, and a fraction was
+    truncated."""
+    p = [1.0, 1.0, 1.0]
+    with pytest.raises(ValueError, match="negative or non-whole volume in window"):
+        mk(p, p, p, p, volumes, 1.0, seed_volume)
+
+
+def test_window_holds_whole_float_volumes_as_ints():
+    p = [1.0, 2.0, 3.0]
+    w = mk(p, p, p, p, [5.0, 1.0, 10.0], 1.0, 3.0)
+    assert w.volume.dtype == np.int64 and w.volume.tolist() == [5, 1, 10]
+    assert type(w.seed_volume) is int and w.seed_volume == 3
+    assert ie_estimate(w) == ie_estimate(mk(p, p, p, p, [5, 1, 10], 1.0, 3))
+
+
 def test_probs_need_seed_volume():
     w = OhlcWindow(
         end="w",

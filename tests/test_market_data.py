@@ -93,6 +93,52 @@ def test_headerless_file_parses():
     assert len(day) == 1 and day.bar("XX").close == 1.5
 
 
+THREE_SYMBOLS = [
+    {"symbol": "A", "open": "10", "high": "11", "low": "9", "close": "10.5", "volume": "100"},
+    {"symbol": "B", "open": "20", "high": "21", "low": "19.5", "close": "19.8", "volume": "300"},
+    {"symbol": "C", "open": "5", "high": "5.5", "low": "4.9", "close": "5.2", "volume": "50"},
+]
+
+
+def eod_text(header: str) -> str:
+    """``THREE_SYMBOLS`` under ``header``, each column where its name stands;
+    a column of another name holds a date."""
+    names = [f.strip().lower() for f in header.split(",")]
+    rows = [",".join(row.get(name, "2021-01-04") for name in names) for row in THREE_SYMBOLS]
+    return "\n".join([header, *rows]) + "\n"
+
+
+@pytest.mark.parametrize("header", [
+    "Symbol,Close,High,Low,Open,Volume",
+    "Symbol,Date,Open,High,Low,Close,Volume",
+    " VOLUME ,symbol,low,high,close,open",
+])
+def test_an_eod_header_names_its_columns(header):
+    """Each column is read from the position its name holds in the header,
+    and any other column is ignored."""
+    standard = parse_eod_file(eod_text("Symbol,Open,High,Low,Close,Volume"), D)
+    assert standard.bar("B") == DailyBar("B", 20.0, 21.0, 19.5, 19.8, 300)
+    rejected, on_reject = collect()
+    assert parse_eod_file(eod_text(header), D, on_reject=on_reject) == standard
+    assert rejected == []
+
+
+@pytest.mark.parametrize("header, missing", [
+    ("symbol,o,h,l,c,v", ["close", "high", "low", "open", "volume"]),
+    ("Symbol,Open,High,Low,Close", ["volume"]),
+])
+def test_an_eod_header_that_lacks_a_column_refuses_the_file(header, missing):
+    """A first record that names a symbol column is a header, and one that
+    lacks a price or volume name refuses the whole file, delivering no
+    reject."""
+    rejected, on_reject = collect()
+    text = header + "\nA,10,11,9,10.5,100\nB,oops\n"
+    with pytest.raises(ValueError) as info:
+        parse_eod_file(text, D, on_reject=on_reject)
+    assert str(info.value) == f"EOD header missing columns: {missing}"
+    assert rejected == []
+
+
 def test_duplicate_symbol_keeps_first_reports_later():
     rejected, on_reject = collect()
     text = "XX,1,2,0.5,1.5,100\nXX,3,4,2.5,3.5,200\n"
@@ -296,6 +342,22 @@ def test_a_volume_past_int64_is_an_unparseable_field(kind, volume):
         build(keys, [1.0, 1.0], [2.0, 2.0], [0.5, 0.5], [1.5, 1.5], [10, volume])
     built = build(keys, [1.0, 1.0], [2.0, 2.0], [0.5, 0.5], [1.5, 1.5], [10, 2**63 - 1])
     assert built.volume.tolist() == [10, 2**63 - 1]
+
+
+@pytest.mark.parametrize("volume", [1.5, -0.5, np.nan, np.inf, 2.0**63])
+@pytest.mark.parametrize("kind", ["MarketDay", "IndexSeries"])
+def test_a_volume_that_is_not_a_whole_number_is_an_unparseable_field(kind, volume):
+    """The constructors hold a volume as no parser would: one with a
+    fraction, NaN or infinite is the first unusable row's reason, neither
+    truncated nor an error that names no row.  A whole float is kept."""
+    key_of, build, _, _ = BUILDS[kind]
+    keys = [key_of(0), key_of(1)]
+    prices = ([1.0, 1.0], [2.0, 2.0], [0.5, 0.5], [1.5, 1.5])
+    for volumes in ([10, volume], np.array([10.0, volume])):
+        with pytest.raises(ValueError, match=f"^{UNPARSEABLE_FIELD} at {keys[1]}: .* volume -1$"):
+            build(keys, *prices, volumes)
+    built = build(keys, *prices, np.array([10.0, 7.0]))
+    assert built.volume.dtype == np.int64 and built.volume.tolist() == [10, 7]
 
 
 @st.composite
