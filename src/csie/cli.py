@@ -17,8 +17,9 @@ so the first bad one is the error.  The same table is the run
 configuration's field list: ``RunConfig`` is a named tuple with one field
 per key.  ``csie`` and ``compare`` read, judge and drop one EOD file at a
 time: a command keeps one market day in memory, and only that day's
-``CsieDay`` once it is computed.  A file of 64 KiB or more whose entry in
-``cross_section``'s cache matches is not parsed; ``cluster`` always parses.
+``CsieDay`` once it is computed.  A file whose bytes hash to what
+``cross_section``'s cache holds for its date is not parsed, whatever its
+size; ``cluster`` always parses.
 
 Parsing and checking the options loads no compute module: the option
 vocabulary comes from ``_vocab``, and each command imports what it calls when

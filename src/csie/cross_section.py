@@ -11,10 +11,10 @@ depends only on the cross-section width m.  The signed blend keeps direction
 (negative means predominantly selling); the absolute blend is the magnitude
 variant used when comparing against classic volatility estimators.
 
-``csie`` and ``compare`` read each EOD file of at least ``_CACHE_MIN_BYTES``
-through a cache of its ``CsieDay`` and rejects, ``.csie-cache/<file
-name>.bin`` beside it, so an unchanged file is parsed once across runs with
-the same alpha.  Only this module writes or prunes that cache.
+``csie`` and ``compare`` read a market directory through its cache, one
+entry ``.csie-cache/days.bin`` that holds each day's ``CsieDay`` and rejects
+with the hash of its file, so an unchanged file is parsed once across runs
+with the same alpha.  Only this module writes or prunes that cache.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ import os
 import re
 import struct
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from datetime import date
-from functools import cache, partial
+from functools import cache
 from importlib.util import source_hash
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -155,18 +156,19 @@ def csie_csv(rows: Sequence[CsieDay]) -> str:
     return "\n".join(lines) + "\n"
 
 
-# The cache: one entry per EOD file, ``<directory>/.csie-cache/<name>.bin``,
-# written through ``<name>.bin.<pid>.tmp``; only these two names are the cache's.
+# The cache: one entry per market directory, ``<directory>/.csie-cache/days.bin``,
+# written through ``days.bin.<pid>.tmp``.
 _CACHE_DIR = ".csie-cache"
-_CACHE_NAME = re.compile(rf"(?P<file>{_EOD_NAME.pattern})\.bin(?P<tmp>\.\d+\.tmp)?")
-# A smaller file is only parsed.  Creating an entry costs a fixed 0.1-1 ms,
-# more than parsing a 43-line file (1.5 KiB, 0.2-0.4 ms), while a 64 KiB file
-# parses in 7-9 ms and its entry is read and checked in about 0.1 ms.
-_CACHE_MIN_BYTES = 64 * 1024
-_CACHE_MAGIC = b"csie-cd1"
-# magic, key, then the CsieDay without its date (m, total_value, f, h_oc,
-# h_olhc, csie_signed, csie_abs, degenerate) and the size in bytes of the rejects
-_ENTRY_HEADER = struct.Struct("<8s24sq6d?Q")
+# What pruning removes: the entry's temporary files, and the per-file entries
+# ``<EOD file name>.bin`` of the layout before this one with their temporary files.
+_STALE_NAME = re.compile(rf"{_EOD_NAME.pattern}\.bin(?:\.\d+\.tmp)?|days\.bin\.\d+\.tmp")
+_CACHE_MAGIC = b"csie-dd1"
+# magic, then the key: ``_code_id()`` and alpha
+_ENTRY_HEADER = struct.Struct("<8s16s")
+# one day: its date's ordinal, the hash of its file's bytes, its CsieDay
+# without its date (m, total_value, f, h_oc, h_olhc, csie_signed, csie_abs,
+# degenerate) and the size in bytes of its rejects
+_ENTRY_DAY = struct.Struct("<i8sq6d?Q")
 # one reject: its line, its reason as a position in EOD_REASONS and its
 # content's size in bytes, followed by the content as UTF-8
 _ENTRY_REJECT = struct.Struct("<QBQ")
@@ -175,7 +177,7 @@ _ENTRY_REJECT = struct.Struct("<QBQ")
 @cache
 def _code_id() -> bytes | None:
     """A hash of every module of this package, the interpreter's version and
-    numpy's, which every cache key carries; None, and no caching, when the
+    numpy's, which the cache's key carries; None, and no caching, when the
     sources cannot be read."""
     try:
         package = Path(__file__).parent
@@ -185,90 +187,55 @@ def _code_id() -> bytes | None:
     return source_hash(source + sys.version.encode() + np.__version__.encode())
 
 
-def _entry_bytes(key: bytes, row: CsieDay, rejects: list[RejectedRow]) -> bytes:
-    """The cache entry of a day: the header, then the rejects, little-endian."""
+def _day_bytes(digest: bytes, row: CsieDay, rejects: list[RejectedRow]) -> bytes:
+    """A day's part of the cache entry: the day, then its rejects, little-endian."""
     rejected = bytearray()
     for r in rejects:
         text = r.content.encode()
         rejected += _ENTRY_REJECT.pack(r.line, EOD_REASONS.index(r.reason), len(text)) + text
-    header = _ENTRY_HEADER.pack(
-        _CACHE_MAGIC, key, row.m, row.total_value, row.f, row.h_oc, row.h_olhc,
+    return _ENTRY_DAY.pack(
+        row.day.toordinal(), digest, row.m, row.total_value, row.f, row.h_oc, row.h_olhc,
         row.csie_signed, row.csie_abs, row.degenerate, len(rejected),
-    )
-    return header + rejected
+    ) + rejected
 
 
-def _cached_row(entry: Path, key: bytes, day: date) -> tuple[CsieDay, list[RejectedRow]] | None:
-    """The day's ``CsieDay`` and the rejects that the cache entry holds for
-    ``key``; None unless its magic and key match, its size is its header's
-    and its rejects' exactly, its numbers are finite, ``m`` is at least 1,
-    the day is degenerate exactly when ``m`` is 1, and every reject has a
-    known reason, a line past the one before it and UTF-8 content."""
+def _held_days(entry: Path, key: bytes | None) -> dict[date, tuple]:
+    """Each day that the cache entry holds for ``key``, as its file's hash,
+    its ``CsieDay`` and its rejects.  Empty unless the entry can be read,
+    its magic and key match, its size is its header's and its days'
+    exactly, and every day checks out: its date is one ``date`` holds, its
+    numbers are finite, ``m`` is at least 1, it is degenerate exactly when
+    ``m`` is 1, and each reject has a known reason, a line past the one
+    before it and UTF-8 content."""
+    held = {}
     try:
         blob = entry.read_bytes()
-        magic, stored, m, *values, degenerate, size = _ENTRY_HEADER.unpack_from(blob)
-    except (OSError, struct.error):
-        return None
-    if (magic != _CACHE_MAGIC or stored != key or len(blob) != _ENTRY_HEADER.size + size
-            or m < 1 or degenerate != (m == 1) or not all(map(math.isfinite, values))):
-        return None
-    rejects: list[RejectedRow] = []
-    at = _ENTRY_HEADER.size
-    try:
-        while at < len(blob):
-            line, reason, length = _ENTRY_REJECT.unpack_from(blob, at)
-            at += _ENTRY_REJECT.size + length
-            if at > len(blob) or line <= (rejects[-1].line if rejects else 0):
-                return None
-            rejects.append(RejectedRow(line, blob[at - length:at].decode(), EOD_REASONS[reason]))
-    except (struct.error, IndexError, UnicodeDecodeError):
-        return None
-    return CsieDay(day, m, *values, degenerate), rejects
-
-
-def _cached_csie_day(path: Path, alpha: float, on_reject: OnReject) -> CsieDay | str:
-    """The ``CsieDay`` of one EOD file, or ``skipped <date>: <reason>`` for
-    a day ``csie_day`` refuses.
-
-    A file of at least ``_CACHE_MIN_BYTES`` has a cache entry keyed by the
-    hash of its bytes, ``_code_id`` and alpha.  An entry that ``_cached_row``
-    accepts skips the parse and ``csie_day``, and gives ``on_reject`` the
-    rejects the parse gave.  On a miss the entry is rewritten unless the
-    parse or ``csie_day`` fails; a cache that cannot be read or written only
-    costs the parse.
-    """
-    _, day = eod_filename_date(path.name)
-    data = path.read_bytes()
-    key = entry = None
-    if len(data) >= _CACHE_MIN_BYTES and _code_id() is not None:
-        key = source_hash(data) + _code_id() + struct.pack("<d", alpha)
-        entry = path.parent / _CACHE_DIR / f"{path.name}.bin"
-        cached = _cached_row(entry, key, day)
-        if cached is not None:
-            row, rejects = cached
-            for r in rejects:
-                on_reject(r)
-            return row
-    rejects = []
-
-    def keep(r: RejectedRow) -> None:
-        rejects.append(r)
-        on_reject(r)
-
-    # looked up in its module at each call, so that a wrapper set there (the
-    # benchmark's layer trace) sees this parse too
-    market = market_data.parse_eod_file(data, day, on_reject=keep)
-    try:
-        row = csie_day(market, alpha)
-    except ValueError as exc:
-        return f"skipped {day.isoformat()}: {exc}"
-    if entry is not None:
-        _write_entry(entry, _entry_bytes(key, row, rejects))
-    return row
+        magic, stored = _ENTRY_HEADER.unpack_from(blob)
+        at = _ENTRY_HEADER.size
+        while magic == _CACHE_MAGIC and stored == key and at < len(blob):
+            ordinal, digest, m, *values, degenerate, size = _ENTRY_DAY.unpack_from(blob, at)
+            at += _ENTRY_DAY.size
+            end = at + size
+            if (end > len(blob) or m < 1 or degenerate != (m == 1)
+                    or not all(map(math.isfinite, values))):
+                return {}
+            rejects: list[RejectedRow] = []
+            while at < end:
+                line, reason, length = _ENTRY_REJECT.unpack_from(blob, at)
+                at += _ENTRY_REJECT.size + length
+                if at > end or line <= (rejects[-1].line if rejects else 0):
+                    return {}
+                text = blob[at - length:at].decode()
+                rejects.append(RejectedRow(line, text, EOD_REASONS[reason]))
+            day = date.fromordinal(ordinal)
+            held[day] = (digest, CsieDay(day, m, *values, degenerate), rejects)
+    except (OSError, struct.error, IndexError, ValueError):  # ValueError: a bad date or UTF-8
+        return {}
+    return held
 
 
 def _write_entry(entry: Path, blob: bytes) -> None:
-    """Write a cache entry through a temporary file of this process; an
+    """Write the cache entry through a temporary file of this process; an
     OSError (a read-only directory, a file in the cache directory's place,
     a full disk) leaves the cache as it was."""
     tmp = entry.with_name(f"{entry.name}.{os.getpid()}.tmp")
@@ -277,34 +244,69 @@ def _write_entry(entry: Path, blob: bytes) -> None:
         tmp.write_bytes(blob)
         os.replace(tmp, entry)
     except OSError:
-        try:
+        with suppress(OSError):
             tmp.unlink(missing_ok=True)
-        except OSError:
-            pass
 
 
 def _prune_cache(directory: Path) -> None:
-    """Remove the entries of the EOD files that ``directory`` no longer lists
-    and every temporary file of a write (one in flight in another process
-    costs that process only its entry); any other name stays, and an OSError
-    leaves the name it meets as it was.  A cache that several directories
-    share, through a symlink say, loses each other directory's entries, so
-    each market directory needs its own."""
-    try:
-        names = os.listdir(directory / _CACHE_DIR)
-        listed = set(os.listdir(directory))
-    except OSError:
-        return
-    for name in names:
-        match = _CACHE_NAME.fullmatch(name)
-        if match and (match["tmp"] or match["file"] not in listed):
-            try:
-                os.unlink(directory / _CACHE_DIR / name)
-            except OSError:
-                pass
+    """Remove the names ``_STALE_NAME`` matches from the cache of
+    ``directory``: the temporary files of writes (one in flight in another
+    process costs that process only its write) and the per-file entries of
+    the layout before this one.  Any other name stays, and an OSError leaves
+    the name it meets as it was."""
+    with suppress(OSError):
+        for name in os.listdir(directory / _CACHE_DIR):
+            if _STALE_NAME.fullmatch(name):
+                with suppress(OSError):
+                    os.unlink(directory / _CACHE_DIR / name)
 
 
-def _cached_csie_days(directory: Path, alpha: float, on_skip: OnSkip) -> Iterator[CsieDay | str]:
-    """``_eod_files`` of ``directory`` through ``_cached_csie_day``, once the cache is pruned."""
+def _cached_csie_days(directory: Path, alpha: float, on_skip: OnSkip,
+                      on_reject: OnReject = lambda r: None) -> Iterator[CsieDay | str]:
+    """The ``CsieDay`` of each EOD file of ``directory``, or ``skipped
+    <date>: <reason>`` for a day ``csie_day`` refuses, read by ``_eod_files``
+    once the cache is pruned.
+
+    The cache entry is read once.  A date whose file's bytes hash to what
+    the entry holds for it skips the parse and ``csie_day``, and gives
+    ``on_reject`` the rejects the parse gave; any other file is parsed and
+    judged.  After the last file the entry is rewritten if its dates
+    changed: a date was computed, or a date it held is no longer read.  A
+    file that does not parse and a day that ``csie_day`` refuses get no
+    record; a cache that cannot be read or written only costs the parse.
+    """
     _prune_cache(directory)
-    return _eod_files(directory, partial(_cached_csie_day, alpha=alpha), lambda r: None, on_skip)
+    entry = directory / _CACHE_DIR / "days.bin"
+    key = None if _code_id() is None else _code_id() + struct.pack("<d", alpha)
+    held = _held_days(entry, key)
+    days: dict[date, tuple] = {}
+
+    def read(path: Path, on_reject: OnReject) -> CsieDay | str:
+        _, day = eod_filename_date(path.name)
+        data = path.read_bytes()
+        digest = source_hash(data)
+        if day in held and held[day][0] == digest:
+            _, row, rejects = days[day] = held[day]
+            for r in rejects:
+                on_reject(r)
+            return row
+        rejects = []
+
+        def keep(r: RejectedRow) -> None:
+            rejects.append(r)
+            on_reject(r)
+
+        # looked up in its module at each call, so that a wrapper set there (the
+        # benchmark's layer trace) sees this parse too
+        market = market_data.parse_eod_file(data, day, on_reject=keep)
+        try:
+            row = csie_day(market, alpha)
+        except ValueError as exc:
+            return f"skipped {day.isoformat()}: {exc}"
+        days[day] = (digest, row, rejects)
+        return row
+
+    yield from _eod_files(directory, read, on_reject, on_skip)
+    if key is not None and days != held:  # a date was computed, or a held one is no longer read
+        records = b"".join(_day_bytes(*d) for d in days.values())
+        _write_entry(entry, _ENTRY_HEADER.pack(_CACHE_MAGIC, key) + records)

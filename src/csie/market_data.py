@@ -7,13 +7,14 @@ which differs between the formats only in the key column's name and rule,
 the reason codes of a bad and of a repeated key, and the volume rule.  A
 first record that names the key column (``symbol`` or ``date``) is a
 header: each column is read from the position its name holds, any other
-column is ignored, and a header that lacks a column refuses the file.  The
-reader is tolerant of a UTF-8 byte-order mark and of thousands separators
-inside the volume field.  It refuses bytes that are not UTF-8 before it
-reads a record (a file of ASCII bytes needs no check), then decodes the
-file's csv records straight from its bytes, ``_CHUNK_RECORDS`` at a time,
-and converts and judges each chunk before it reads the next, so what a
-parse holds besides the rows it keeps does not grow with the file.  Within
+column is ignored, and a header that lacks a column or names one twice
+refuses the file.  The reader is tolerant of a UTF-8 byte-order mark and of
+thousands separators inside the volume field.  It refuses bytes that are
+not UTF-8 before it reads a record (a file of ASCII bytes needs no check),
+then decodes the file's csv records straight from its bytes,
+``_CHUNK_RECORDS`` at a time, and converts and judges each chunk before it
+reads the next, so what a parse holds besides the rows it keeps does not
+grow with the file.  Within
 a chunk, the row loop only splits rows and rejects those of the wrong shape
 or with a bad key; ``_Judged`` then reads each price and volume column in
 one pass (only a field that fails takes the per-field rule), judges the
@@ -471,8 +472,9 @@ def _read_rows(
     a ``duplicate`` reject; ``to_volume`` reads a volume field without its
     commas.  The first record is a header when a field of it names the key
     column: each column is then read where its name stands, any other column
-    is ignored, and a header that lacks one of the six names raises
-    ``<kind> header missing columns: [...]``.  Without a header the key
+    is ignored, a header that lacks one of the six names raises
+    ``<kind> header missing columns: [...]`` and one that names one twice
+    ``<kind> header repeats columns: [...]``.  Without a header the key
     comes first, then ``_OHLCV``.  A row longer than the header (six fields
     without one) is rejoined when volume is the last column and every extra
     part is digits; any other such row, or one too short for every column,
@@ -490,6 +492,9 @@ def _read_rows(
                 missing = set(columns) - col_of.keys()
                 if missing:
                     raise ValueError(f"{kind} header missing columns: {sorted(missing)}")
+                repeated = sorted({f for f in header if f in columns and header.count(f) > 1})
+                if repeated:
+                    raise ValueError(f"{kind} header repeats columns: {repeated}")
                 n_columns = len(chunk[0])
                 chunk[0] = []  # the header, read, stands in its chunk as a blank row
             k = col_of[key]
@@ -539,8 +544,8 @@ def parse_eod_file(
     empty or longer than ``_MAX_SYMBOL_CHARS`` is unparseable.  Duplicate
     symbols keep the first usable occurrence.
     Raises ValueError for a header that lacks a column (``EOD header missing
-    columns: [...]``), when no usable row remains, or for bytes that are not
-    UTF-8.
+    columns: [...]``) or names one twice (``EOD header repeats columns:
+    [...]``), when no usable row remains, or for bytes that are not UTF-8.
     """
     judged = _read_rows(data, on_reject, "EOD", "symbol", _symbol, UNPARSEABLE_FIELD,
                         DUPLICATE_SYMBOL, int)
@@ -667,11 +672,12 @@ def parse_index_csv(
     Rows are read by ``_read_rows``, as in ``parse_eod_file``: column order
     is taken from the header when its first record names a ``date`` column
     (any other column, such as an adjusted close, is ignored), otherwise
-    assumed positional, and a header that lacks a column is a ValueError
-    (``index header missing columns: [...]``).  Bad rows are skipped and
-    reported; a date that is not YYYY-MM-DD is a malformed-date reject, and
-    a repeated date keeps the first usable row of that date, the others
-    being duplicate-date rejects.
+    assumed positional, and a header that lacks a column or names one twice
+    is a ValueError (``index header missing columns: [...]``, ``index header
+    repeats columns: [...]``).  Bad rows are skipped and reported; a date
+    that is not YYYY-MM-DD is a malformed-date reject, and a repeated date
+    keeps the first usable row of that date, the others being
+    duplicate-date rejects.
     """
     judged = _read_rows(data, on_reject, "index", "date", _parse_day, MALFORMED_DATE,
                         DUPLICATE_DATE, _index_volume)

@@ -10,10 +10,10 @@ reason codes are the package's own.
 An EOD file's first record is a header when one of its fields is
 ``symbol``, an index file's when one is ``date``: each column is then read
 from the position its name holds, any other column is ignored, and a header
-that lacks one of the six names is a ``ValueError``.  A row longer than its
-header (six columns without one) has its bare-thousands volume tail
-rejoined when volume is the last column, and is a field-count reject
-otherwise.  As with symbols, the first usable row of a date is kept and a
+that lacks one of the six names, or names one twice, is a ``ValueError``.
+A row longer than its header (six columns without one) has its
+bare-thousands volume tail rejoined when volume is the last column, and is
+a field-count reject otherwise.  As with symbols, the first usable row of a date is kept and a
 later one is a duplicate-date reject.
 
 Bytes are decoded as UTF-8 with an optional byte-order mark.  A csv record
@@ -138,6 +138,9 @@ def parse_eod_file(
             missing = _EOD_COLUMNS - col_of.keys()
             if missing:
                 raise ValueError(f"EOD header missing columns: {sorted(missing)}")
+            repeated = sorted({f for f in header if f in _EOD_COLUMNS and header.count(f) > 1})
+            if repeated:
+                raise ValueError(f"EOD header repeats columns: {repeated}")
             start = 1
 
     bars: list[DailyBar] = []
@@ -227,6 +230,9 @@ def parse_index_csv(
             missing = _INDEX_COLUMNS - col_of.keys()
             if missing:
                 raise ValueError(f"index header missing columns: {sorted(missing)}")
+            repeated = sorted({f for f in header if f in _INDEX_COLUMNS and header.count(f) > 1})
+            if repeated:
+                raise ValueError(f"index header repeats columns: {repeated}")
             start = 1
 
     days: list[date] = []

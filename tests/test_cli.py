@@ -5,6 +5,7 @@ import gc
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -16,6 +17,7 @@ import pytest
 
 import csie
 from csie import analytics, cli, cross_section, market_data
+from csie._vocab import ALPHA_DEFAULT
 from csie.cli import _resolve, build_parser, load_config_file, main
 from csie.market_data import MarketDay
 
@@ -217,6 +219,7 @@ def test_one_market_day_is_alive_at_a_time(world, tmp_path, capsys, monkeypatch,
 
     monkeypatch.setattr(cross_section, "csie_day", counting)
     eod, index = world
+    shutil.rmtree(eod / ".csie-cache", ignore_errors=True)  # a cold cache: every day is computed
     code, _, stderr = run(
         [command, "--market-dir", str(eod), "--index", str(index), "--out", str(tmp_path),
          "--windows", "5", "--intervals", "all"],
@@ -327,8 +330,7 @@ def _run_with_outputs(argv: list[str], out: Path, capsys) -> tuple:
 
 
 @pytest.mark.parametrize("command", ["csie", "indexvol", "compare", "cluster"])
-def test_a_parse_cache_that_cannot_be_written_changes_nothing(tmp_path, capsys, monkeypatch,
-                                                              command):
+def test_a_parse_cache_that_cannot_be_written_changes_nothing(tmp_path, capsys, command):
     eod, index = write_world(tmp_path, np.random.default_rng(83), n_symbols=4, n_days=20)
     (eod / "SYN_20210629.csv").write_text("AA,10,9,9,10.5,200\n")  # no usable row: a skip
     first = eod / "SYN_20210601.csv"
@@ -336,39 +338,33 @@ def test_a_parse_cache_that_cannot_be_written_changes_nothing(tmp_path, capsys, 
     argv = [command, "--market-dir", str(eod), "--index", str(index), "--windows", "5",
             "--intervals", "all", "--date", "2021-06-01"]
     cache = eod / ".csie-cache"
-    uncached = _run_with_outputs(argv, tmp_path / "out", capsys)
-    assert not cache.exists()  # these files are all smaller than the cache's floor
-    monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", 0)
     cache.write_text("not a directory")
     unwritable = _run_with_outputs(argv, tmp_path / "out", capsys)
     assert cache.read_text() == "not a directory"
     cache.unlink()
     cold = _run_with_outputs(argv, tmp_path / "out", capsys)
+    assert cache.is_dir() == (command in ("csie", "compare"))  # only these two cache
     warm = _run_with_outputs(argv, tmp_path / "out", capsys)
     assert unwritable[0] in (0, 1) and unwritable[3]
-    assert cold == unwritable and warm == unwritable and uncached == unwritable
-    assert cache.is_dir() == (command in ("csie", "compare"))  # only these two cache
+    assert cold == unwritable and warm == unwritable
 
 
-def test_a_csie_run_leaves_only_the_entries_of_its_files(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", 0)
+def test_a_csie_run_leaves_one_entry_of_the_dates_it_read(tmp_path, capsys):
     eod, _ = write_world(tmp_path, np.random.default_rng(84), n_symbols=4, n_days=5)
     argv = ["csie", "--market-dir", str(eod), "--out", str(tmp_path / "out")]
     cache = eod / ".csie-cache"
     assert run(argv, capsys)[0] == 0
-    (eod / "SYN_20210601.csv").rename(eod / "NYSE_20210601.csv")
-    (cache / "SYN_20210602.csv.bin.12345.tmp").write_bytes(b"a write cut short")
-    assert (cache / "SYN_20210601.csv.bin").exists()
+    (eod / "SYN_20210601.csv").unlink()
+    (cache / "days.bin.12345.tmp").write_bytes(b"a write cut short")
     assert run(argv, capsys)[0] == 0
-    assert sorted(p.name for p in cache.iterdir()) == sorted(
-        f"{p.name}.bin" for p in eod.glob("*.csv")
-    )
+    assert [p.name for p in cache.iterdir()] == ["days.bin"]
+    key = cross_section._code_id() + struct.pack("<d", ALPHA_DEFAULT)
+    assert sorted(cross_section._held_days(cache / "days.bin", key)) == sorted(
+        market_data.eod_filename_date(p.name)[1] for p in eod.glob("*.csv"))
 
 
 @pytest.mark.parametrize("linked", [False, True], ids=["plain", "symlinked"])
-def test_a_csie_run_prunes_only_the_names_the_cache_writes(tmp_path, capsys, monkeypatch,
-                                                           linked):
-    monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", 0)
+def test_a_csie_run_prunes_only_the_names_the_cache_writes(tmp_path, capsys, linked):
     eod, _ = write_world(tmp_path, np.random.default_rng(87), n_symbols=4, n_days=3)
     cache = eod / ".csie-cache"
     if linked:
@@ -376,21 +372,21 @@ def test_a_csie_run_prunes_only_the_names_the_cache_writes(tmp_path, capsys, mon
         cache.symlink_to(tmp_path / "elsewhere")
     else:
         cache.mkdir()
-    foreign = {"notes.bin": b"not csie's", "draft.tmp": b"not csie's either"}
-    own = {"SYN_20200101.csv.bin": b"the entry of a deleted file",
-           "SYN_20210601.csv.bin.12345.tmp": b"a write cut short"}
+    foreign = {"notes.bin": b"not csie's", "draft.tmp": b"not csie's either",
+               "days.bin.tmp": b"no process id", "days.bin.old": b"a copy"}
+    own = {"SYN_20200101.csv.bin": b"an entry of the per-file layout",
+           "SYN_20210601.csv.bin.12345.tmp": b"a per-file write cut short",
+           "days.bin.12345.tmp": b"a write cut short"}
     for name, data in {**foreign, **own}.items():
         (cache / name).write_bytes(data)
     assert run(["csie", "--market-dir", str(eod), "--out", str(tmp_path / "out")], capsys)[0] == 0
-    entries = {f"{p.name}.bin" for p in eod.glob("*.csv")}
     assert cache.is_symlink() == linked
-    assert {p.name for p in cache.iterdir()} == entries | foreign.keys()
+    assert {p.name for p in cache.iterdir()} == {"days.bin"} | foreign.keys()
     assert {name: (cache / name).read_bytes() for name in foreign} == foreign
 
 
-def _cache_world(tmp_path: Path, monkeypatch) -> tuple[Path, Path]:
-    """A market of five days whose files are all cached."""
-    monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", 0)
+def _cache_world(tmp_path: Path) -> tuple[Path, Path]:
+    """A market of five days."""
     eod, index = write_world(tmp_path, np.random.default_rng(86), n_symbols=4, n_days=5)
     first = eod / "SYN_20210601.csv"
     first.write_text(first.read_text() + "BAD,1,0.5,0.9,1,3\n")  # a rejected row
@@ -398,7 +394,7 @@ def _cache_world(tmp_path: Path, monkeypatch) -> tuple[Path, Path]:
 
 
 def test_another_alpha_misses_and_rewrites(tmp_path, capsys, monkeypatch):
-    eod, _ = _cache_world(tmp_path, monkeypatch)
+    eod, _ = _cache_world(tmp_path)
     parsed = []
     parse = market_data.parse_eod_file
     monkeypatch.setattr(market_data, "parse_eod_file",
@@ -413,15 +409,15 @@ def test_another_alpha_misses_and_rewrites(tmp_path, capsys, monkeypatch):
         parsed.clear()
     (csv_a, cache_a, parses_a), (csv_b, cache_b, parses_b), (csv_b2, cache_b2, parses_b2), \
         (csv_a2, cache_a2, parses_a2) = runs
-    # one entry per file, rewritten for the other alpha: each change of alpha parses again
+    # one entry, rewritten for the other alpha: each change of alpha parses again
     assert (parses_a, parses_b, parses_b2, parses_a2) == (5, 5, 0, 5)
     assert csv_a == csv_a2 != csv_b == csv_b2
-    assert cache_a == cache_a2 and cache_b == cache_b2 and cache_a.keys() == cache_b.keys()
-    assert len(cache_a) == 5 and all(cache_a[name] != cache_b[name] for name in cache_a)
+    assert cache_a == cache_a2 and cache_b == cache_b2
+    assert cache_a.keys() == cache_b.keys() == {"days.bin"} and cache_a != cache_b
 
 
 def test_compare_after_csie_parses_nothing(tmp_path, capsys, monkeypatch):
-    eod, index = _cache_world(tmp_path, monkeypatch)
+    eod, index = _cache_world(tmp_path)
     calls = []
     parse, judge = market_data.parse_eod_file, cross_section.csie_day
     monkeypatch.setattr(market_data, "parse_eod_file",
@@ -441,8 +437,65 @@ def test_compare_after_csie_parses_nothing(tmp_path, capsys, monkeypatch):
             for command in ("csie", "compare")] == cached
 
 
+def test_the_entry_across_runs(tmp_path, capsys, monkeypatch):
+    """csie runs over one market directory whose files are edited, renamed,
+    deleted and added: a run parses only the files whose date the entry
+    does not hold with their bytes, gives a cold run's outputs and entry,
+    and writes the entry only when a date was computed or dropped.  The
+    first run removes the per-file entries of the old layout and keeps
+    foreign names; a warm compare then parses no file."""
+    eod, index = _cache_world(tmp_path)
+    cache = eod / ".csie-cache"
+    cache.mkdir()
+    foreign = {"notes.txt": b"not csie's", "SYN_20210601.csv.txt": b"nor this"}
+    old_layout = {"SYN_20210601.csv.bin": b"a per-file entry", "SYN_20210602.csv.bin.7.tmp": b""}
+    for name, data in {**foreign, **old_layout}.items():
+        (cache / name).write_bytes(data)
+    parsed, writes = [], []
+    parse, write = market_data.parse_eod_file, cross_section._write_entry
+    monkeypatch.setattr(market_data, "parse_eod_file",
+                        lambda data, day, **kw: parsed.append(day) or parse(data, day, **kw))
+    monkeypatch.setattr(cross_section, "_write_entry", lambda *a: writes.append(a) or write(*a))
+    argv = ["csie", "--market-dir", str(eod)]
+    key = cross_section._code_id() + struct.pack("<d", ALPHA_DEFAULT)
+
+    def warm_then_cold() -> tuple[list[date], int]:
+        """The parsed dates and the writes of a run, once its outputs and
+        entry are shown to be a cold run's."""
+        parsed.clear()
+        writes.clear()
+        warm = _run_with_outputs(argv, tmp_path / "out", capsys)
+        seen = (sorted(parsed), len(writes))
+        entry = (cache / "days.bin").read_bytes()
+        (cache / "days.bin").unlink()
+        assert _run_with_outputs(argv, tmp_path / "out", capsys) == warm
+        assert (cache / "days.bin").read_bytes() == entry
+        return seen
+
+    days = [date(2021, 6, d) for d in (1, 2, 3, 4, 7)]
+    assert warm_then_cold() == (days, 1)
+    assert {p.name for p in cache.iterdir()} == {"days.bin"} | foreign.keys()
+    edited = eod / "SYN_20210602.csv"
+    edited.write_text(edited.read_text().replace("SY00", "SY09"))
+    assert warm_then_cold() == ([days[1]], 1)
+    (eod / "SYN_20210603.csv").rename(eod / "NYSE_20210603.csv")  # its date and bytes stay
+    assert warm_then_cold() == ([], 0)
+    (eod / "SYN_20210604.csv").unlink()
+    shutil.copy(eod / "SYN_20210607.csv", eod / "SYN_20210608.csv")
+    assert warm_then_cold() == ([date(2021, 6, 8)], 1)
+    assert warm_then_cold() == ([], 0)
+    assert sorted(cross_section._held_days(cache / "days.bin", key)) == [
+        *days[:3], days[4], date(2021, 6, 8)]
+    compare = ["compare", "--market-dir", str(eod), "--index", str(index), "--windows", "2",
+               "--intervals", "all"]
+    parsed.clear()
+    writes.clear()
+    assert _run_with_outputs(compare, tmp_path / "compare", capsys)[0] == 0
+    assert parsed == [] and writes == []
+
+
 def test_only_csie_and_compare_write_entries(tmp_path, capsys, monkeypatch):
-    eod, index = _cache_world(tmp_path, monkeypatch)
+    eod, index = _cache_world(tmp_path)
     for argv in (["indexvol", "--windows", "2"], ["cluster", "--date", "2021-06-01"]):
         code, _, stderr, _ = _run_with_outputs(
             [*argv, "--market-dir", str(eod), "--index", str(index)], tmp_path / "out", capsys)

@@ -7,8 +7,8 @@ none, and an index file that is valid, edited, too short or missing, then
 runs one subcommand in-process, twice.  Whatever it is given, ``main``
 returns 0, 1 or 2, no exception escapes it, no numpy ``RuntimeWarning`` is
 raised and no file it writes holds a ``nan`` or ``inf``; the second run, on
-the cache the first one wrote (``csie`` and ``compare`` keep one), gives the
-same exit code, output lines and files.
+the cache entry the first one wrote (``csie`` and ``compare`` keep one), gives
+the same exit code, output lines and files.
 """
 
 from __future__ import annotations
@@ -21,14 +21,12 @@ import tempfile
 import warnings
 from datetime import date
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csie import cross_section
 from csie.cli import main
 
 from helpers import weekdays, write_world
@@ -149,17 +147,27 @@ def run_main(argv: list[str], out_dir: Path) -> tuple:
 @settings(max_examples=30, deadline=None)
 @given(files=EOD_FILES, index=INDEX, cluster_day=st.integers(0, N_DAYS - 1))
 def test_a_command_exits_0_1_or_2_on_any_input(templates, command, files, index, cluster_day):
-    """A second run in the same directory, on the cache the first one wrote
-    (for files of any size), gives the same exit code, lines and files."""
-    with tempfile.TemporaryDirectory() as tmp, \
-            mock.patch.object(cross_section, "_CACHE_MIN_BYTES", 0):
+    """A second run in the same directory, on the cache the first one wrote,
+    gives the same exit code, lines and files.  After each run the cache
+    holds one entry and no temporary file, or does not exist: ``csie``
+    writes it exactly when it writes a day, and ``indexvol`` and ``cluster``
+    never do."""
+    with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         eod, index_path = write_inputs(root, templates, files, index)
         argv = [command, "--market-dir", str(eod), "--index", str(index_path),
                 "--out", str(root / "out"), "--windows", "2", "--intervals", "3,all",
                 "--date", DAYS[cluster_day].isoformat()]
+        cache = eod / ".csie-cache"
         first = run_main(argv, root / "out")
+        after_first = sorted(p.name for p in cache.iterdir()) if cache.exists() else []
         again = run_main(argv, root / "out")
+        after_again = sorted(p.name for p in cache.iterdir()) if cache.exists() else []
+    assert after_again == after_first and after_first in ([], ["days.bin"])
+    if command == "csie":
+        assert (after_first == ["days.bin"]) == ("csie_daily.csv" in first[3])
+    elif command != "compare":
+        assert after_first == []
     rc, out, err, written, numpy_warnings = first
     assert rc in (0, 1, 2), err
     assert "Traceback" not in out + err

@@ -99,7 +99,7 @@ def test_the_check_finds_an_import_its_function_does_not_read():
     }
 
 
-CACHE_NAMES = (".csie-cache", "_CACHE_DIR", "_write_entry", "_prune_cache")
+CACHE_NAMES = (".csie-cache", "days.bin", "_CACHE_DIR", "_write_entry", "_prune_cache")
 
 
 @pytest.mark.parametrize("source", SOURCES, ids=[p.name for p in SOURCES])

@@ -91,14 +91,14 @@ def test_eod_parser_raises_only_value_error_and_accounts_for_every_record(data):
         accepted = len(parse_eod_file(data, FIXTURE_DAY, on_reject=rejected.append))
     except ValueError as exc:
         accepted = 0
-        refused = str(exc).startswith("EOD header missing columns")
+        refused = str(exc).startswith(("EOD header missing columns", "EOD header repeats columns"))
     try:
         text = data.decode("utf-8-sig")
     except UnicodeDecodeError:
         return  # the parser refuses such bytes as a whole
     records = [fields for _, fields, _ in rowwise_ingest._records(text)]
     header = bool(records and records[0] and "symbol" in [f.strip().lower() for f in records[0]])
-    if refused:  # a header that lacks a column refuses the file and all its records
+    if refused:  # a header that lacks or repeats a column refuses the file and its records
         assert header and rejected == []
         return
     blank = sum(fields is not None and not "".join(fields).strip() for fields in records)

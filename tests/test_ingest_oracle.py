@@ -89,7 +89,8 @@ def file_bytes(draw, header: str | None, rows: st.SearchStrategy[str]) -> bytes:
 def eod_files(draw) -> bytes:
     """An EOD file without a header or with one: the standard one, one that
     lacks every price and volume name (the file is refused), one that lists
-    Close before Open, or one with a column the parsers ignore."""
+    Close before Open, one with a column the parsers ignore, or one that
+    names Close twice (the file is refused)."""
     header = draw(
         st.sampled_from(
             [
@@ -98,6 +99,7 @@ def eod_files(draw) -> bytes:
                 "symbol,o,h,l,c,v",
                 "Symbol,Close,High,Low,Open,Volume",
                 "Symbol,Open,High,Low,Close,Adj Close,Volume",
+                "Symbol,Open,High,Low,Close,Volume,Close",
             ]
         )
     )
@@ -121,6 +123,7 @@ def index_files(draw) -> bytes:
                 "Date,Open,High,Low,Close,Adj Close,Volume",
                 "Date,Open,High,Low,Close,Volume,Note",
                 "date,open,high,low,close",
+                "Date,Open,High,Low,Close,Volume, close",
             ]
         )
     )

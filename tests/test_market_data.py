@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 import warnings
 from datetime import date, datetime, timedelta
+from importlib.util import source_hash
 from pathlib import Path
 from unittest import mock
 
@@ -136,6 +137,24 @@ def test_an_eod_header_that_lacks_a_column_refuses_the_file(header, missing):
     with pytest.raises(ValueError) as info:
         parse_eod_file(text, D, on_reject=on_reject)
     assert str(info.value) == f"EOD header missing columns: {missing}"
+    assert rejected == []
+
+
+@pytest.mark.parametrize("parse, key, header, row, message", [
+    (parse_eod_file, D, "Symbol,Open,High,Low,Close,Volume,Close", "A,10,11,9,10.5,100,10.2",
+     "EOD header repeats columns: ['close']"),
+    (parse_index_csv, "X", "Date,Open,High,Low,Close,Volume,Close",
+     "2021-01-04,10,11,9,10.5,100,10.2", "index header repeats columns: ['close']"),
+    (parse_index_csv, "X", "Date,Open,High, open ,Low,Close,Volume,DATE",
+     "2021-01-04,10,11,10,9,10.5,100,2021-01-05", "index header repeats columns: ['date', 'open']"),
+], ids=["eod", "index", "index-case-and-spaces"])
+def test_a_header_that_names_a_column_twice_refuses_the_file(parse, key, header, row, message):
+    """A column named twice is read from neither position: the file is
+    refused, delivering no reject, as when a column is missing."""
+    rejected, on_reject = collect()
+    with pytest.raises(ValueError) as info:
+        parse(f"{header}\n{row}\n", key, on_reject=on_reject)
+    assert str(info.value) == message
     assert rejected == []
 
 
@@ -560,8 +579,8 @@ def test_read_eod_dir_empty_errors(tmp_path):
 
 # --- the cache of csie and compare ----------------------------------------------
 
-def _entry(path: Path) -> Path:
-    return path.parent / ".csie-cache" / f"{path.name}.bin"
+def _entry(directory: Path) -> Path:
+    return directory / ".csie-cache" / "days.bin"
 
 
 def _bits(row) -> object:
@@ -595,22 +614,21 @@ def _uncached(data: bytes | str, alpha: float = ALPHA_DEFAULT):
 
 
 def _cached(path: Path, alpha: float = ALPHA_DEFAULT):
-    return lambda on_reject: cross_section._cached_csie_day(path, alpha, on_reject)
+    """The reader of the one EOD file ``path`` through its directory's cache:
+    its ``CsieDay`` or refusal, or a ValueError with the parse's text."""
+    def read(on_reject):
+        skipped = []
+        try:
+            [row] = cross_section._cached_csie_days(path.parent, alpha, skipped.append, on_reject)
+        except ValueError:
+            [skip] = skipped
+            raise ValueError(skip.removeprefix(f"skipped {path}: ")) from None
+        return row
+    return read
 
 
 def _counting_parses():
     return mock.patch.object(market_data, "parse_eod_file", wraps=parse_eod_file)
-
-
-def _caching_every_file():
-    """Cache files of any size: the test files are smaller than the floor."""
-    return mock.patch.object(cross_section, "_CACHE_MIN_BYTES", 0)
-
-
-@pytest.fixture
-def cache_every_file():
-    with _caching_every_file():
-        yield
 
 
 @settings(max_examples=150, deadline=None)
@@ -620,9 +638,9 @@ def test_a_cached_day_is_the_parse_and_csie_day(data):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"SYN_{D.strftime('%Y%m%d')}.csv"
         path.write_bytes(data)
-        with _counting_parses() as parse, _caching_every_file():
+        with _counting_parses() as parse:
             miss = _outcome(_cached(path))
-            written = _entry(path).exists()
+            written = _entry(path.parent).exists()
             hit = _outcome(_cached(path))
     assert miss == parsed and hit == parsed
     assert [r.line for r in hit[1]] == sorted(r.line for r in hit[1])
@@ -631,6 +649,7 @@ def test_a_cached_day_is_the_parse_and_csie_day(data):
 
 
 CACHED_TEXT = table1_csv() + "BAD,1,0.5,0.9,1,3\nSHORT,1\n"
+_HEADER = cross_section._ENTRY_HEADER.size
 
 
 def _last_reject_byte(blob: bytes, before_end: int, value: int) -> bytes:
@@ -638,71 +657,100 @@ def _last_reject_byte(blob: bytes, before_end: int, value: int) -> bytes:
     return blob[:at] + bytes([value]) + blob[at + 1:]
 
 
+def _rebuilt(blob: bytes, row, rejects, key: bytes | None = None) -> bytes:
+    """The one-day entry ``blob`` with its key, its ``CsieDay`` or its
+    rejects replaced, unchecked; the file's hash stays."""
+    head = blob[:_HEADER] if key is None else cross_section._ENTRY_HEADER.pack(
+        cross_section._CACHE_MAGIC, key)
+    return head + cross_section._day_bytes(blob[_HEADER + 4:_HEADER + 12], row, rejects)
+
+
 def _planted(**fields):
     """A corrupt entry: the good one's key and rejects, and its CsieDay with
-    some fields replaced, unchecked."""
-    return lambda blob, key, row, rej: cross_section._entry_bytes(
-        key, dataclasses.replace(row, **fields), rej)
+    some fields replaced."""
+    return lambda blob, row, rej: _rebuilt(blob, dataclasses.replace(row, **fields), rej)
+
+
+def _dated(ordinal: int):
+    """A corrupt entry: the good one with its day's date ordinal replaced."""
+    return lambda blob, row, rej: (
+        blob[:_HEADER] + struct.pack("<i", ordinal) + blob[_HEADER + 4:])
 
 
 _SHORT = len("SHORT,1")  # the content of the last reject
-# Each builds a corrupt entry from the good one, its key, CsieDay and rejects.
+# Each builds a corrupt entry from the good one, its CsieDay and its rejects.
 CORRUPT_ENTRIES = {
-    "empty": lambda blob, key, row, rej: b"",
-    "truncated": lambda blob, key, row, rej: blob[:-1],
-    "last-reject-cut-off": lambda blob, key, row, rej: blob[
+    "empty": lambda blob, row, rej: b"",
+    "truncated": lambda blob, row, rej: blob[:-1],
+    "last-reject-cut-off": lambda blob, row, rej: blob[
         :-(_SHORT + cross_section._ENTRY_REJECT.size)],
-    "extended": lambda blob, key, row, rej: blob + b"\0",
-    "bad-magic": lambda blob, key, row, rej: b"X" + blob[1:],
-    "wrong-key": lambda blob, key, row, rej: cross_section._entry_bytes(bytes(24), row, rej),
-    "rejects-out-of-order": lambda blob, key, row, rej: cross_section._entry_bytes(
-        key, row, rej[::-1]),
-    "unknown-reason": lambda blob, key, row, rej: _last_reject_byte(blob, _SHORT + 9, 200),
-    "reject-not-utf8": lambda blob, key, row, rej: _last_reject_byte(blob, 1, 0xFF),
-    "reject-past-the-end": lambda blob, key, row, rej: _last_reject_byte(blob, _SHORT + 8, 99),
+    "extended": lambda blob, row, rej: blob + b"\0",
+    "bad-magic": lambda blob, row, rej: b"X" + blob[1:],
+    "wrong-key": lambda blob, row, rej: _rebuilt(blob, row, rej, key=bytes(16)),
+    "rejects-out-of-order": lambda blob, row, rej: _rebuilt(blob, row, rej[::-1]),
+    "unknown-reason": lambda blob, row, rej: _last_reject_byte(blob, _SHORT + 9, 200),
+    "reject-not-utf8": lambda blob, row, rej: _last_reject_byte(blob, 1, 0xFF),
+    "reject-past-the-end": lambda blob, row, rej: _last_reject_byte(blob, _SHORT + 8, 99),
     "nan-value": _planted(h_oc=float("nan")),
     "inf-value": _planted(total_value=float("inf")),
     "no-symbols": _planted(m=0),
     "negative-m": _planted(m=-3),
     "degenerate-wide": _planted(degenerate=True),
     "one-symbol-not-degenerate": _planted(m=1),
+    "date-before-year-1": _dated(0),
+    "date-past-year-9999": _dated(date.max.toordinal() + 1),
 }
 
 
 @pytest.mark.parametrize("corrupt", CORRUPT_ENTRIES.values(), ids=CORRUPT_ENTRIES.keys())
-def test_a_corrupt_or_planted_entry_is_a_miss_and_rewritten(tmp_path, corrupt,
-                                                            cache_every_file):
+def test_a_corrupt_or_planted_entry_is_a_miss_and_rewritten(tmp_path, corrupt):
     path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
     path.write_text(CACHED_TEXT)
     uncached = _outcome(_uncached(CACHED_TEXT))
     rejected = []
-    row = cross_section._cached_csie_day(path, ALPHA_DEFAULT, rejected.append)
+    row = _cached(path)(rejected.append)
     assert (_bits(row), rejected) == uncached
-    blob = _entry(path).read_bytes()
-    key = blob[8:32]
-    assert cross_section._entry_bytes(key, row, rejected) == blob
+    blob = _entry(tmp_path).read_bytes()
+    key = cross_section._code_id() + struct.pack("<d", ALPHA_DEFAULT)
+    assert blob == _rebuilt(blob, row, rejected, key)
+    assert blob[_HEADER:_HEADER + 12] == struct.pack("<i", D.toordinal()) + source_hash(
+        path.read_bytes())
     with _counting_parses() as parse:
         assert _outcome(_cached(path)) == uncached
         assert parse.call_count == 0
-        _entry(path).write_bytes(corrupt(blob, key, row, rejected))
+        _entry(tmp_path).write_bytes(corrupt(blob, row, rejected))
         assert _outcome(_cached(path)) == uncached
         assert parse.call_count == 1
-    assert _entry(path).read_bytes() == blob
+    assert _entry(tmp_path).read_bytes() == blob
 
 
-def test_an_entry_that_is_a_directory_costs_only_the_parse(tmp_path, cache_every_file):
+def test_one_bad_day_makes_the_whole_entry_a_miss(tmp_path):
+    """The checks hold for the entry as a whole: a good day beside a
+    planted one is parsed again too, and the entry is rewritten whole."""
+    for stamp in ("20210601", "20210602"):
+        (tmp_path / f"SYN_{stamp}.csv").write_text(CACHED_TEXT)
+    days = cross_section._cached_csie_days
+    good = list(days(tmp_path, ALPHA_DEFAULT, [].append))
+    blob = _entry(tmp_path).read_bytes()
+    m_at = _HEADER + (len(blob) - _HEADER) // 2 + 12  # the second of two equal days, its m
+    _entry(tmp_path).write_bytes(blob[:m_at] + struct.pack("<q", 0) + blob[m_at + 8:])
+    with _counting_parses() as parse:
+        assert list(days(tmp_path, ALPHA_DEFAULT, [].append)) == good
+    assert parse.call_count == 2 and _entry(tmp_path).read_bytes() == blob
+
+
+def test_an_entry_that_is_a_directory_costs_only_the_parse(tmp_path):
     path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
     path.write_text(CACHED_TEXT)
-    _entry(path).mkdir(parents=True)
+    _entry(tmp_path).mkdir(parents=True)
     with _counting_parses() as parse:
         for _ in range(2):
             assert _outcome(_cached(path)) == _outcome(_uncached(CACHED_TEXT))
     assert parse.call_count == 2
-    assert [p.name for p in _entry(path).parent.iterdir()] == [_entry(path).name]
+    assert [p.name for p in _entry(tmp_path).parent.iterdir()] == [_entry(tmp_path).name]
 
 
-def test_nothing_is_cached_without_the_package_source(tmp_path, monkeypatch,
-                                                      cache_every_file):
+def test_nothing_is_cached_without_the_package_source(tmp_path, monkeypatch):
     monkeypatch.setattr(cross_section, "__file__", str(tmp_path / "gone" / "cross_section.py"))
     assert cross_section._code_id.__wrapped__() is None
     monkeypatch.setattr(cross_section, "_code_id", cross_section._code_id.__wrapped__)
@@ -711,7 +759,7 @@ def test_nothing_is_cached_without_the_package_source(tmp_path, monkeypatch,
     day, rejected = _outcome(_cached(path))
     assert (day, rejected) == _outcome(_uncached(CACHED_TEXT))
     assert [r.content for r in rejected] == ["BAD,1,0.5,0.9,1,3", "SHORT,1"]
-    assert not _entry(path).parent.exists()
+    assert not _entry(tmp_path).parent.exists()
 
 
 def test_an_edit_to_any_module_is_a_new_key(tmp_path, monkeypatch):
@@ -729,41 +777,28 @@ def test_an_edit_to_any_module_is_a_new_key(tmp_path, monkeypatch):
     assert ids[0] == ids[1] != ids[2]
 
 
-def test_an_edit_that_keeps_size_and_mtime_is_seen(tmp_path, cache_every_file):
+def test_an_edit_that_keeps_size_and_mtime_is_seen(tmp_path):
     path = tmp_path / "SYN_20210601.csv"
     path.write_text("AA,1,2,0.5,1.5,10\n")
     before = path.stat()
-    assert cross_section._cached_csie_day(path, ALPHA_DEFAULT, [].append).total_value == 15.0
+    assert _cached(path)([].append).total_value == 15.0
     path.write_text("AA,1,2,0.5,1.5,20\n")
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     after = path.stat()
     assert (after.st_size, after.st_mtime_ns) == (before.st_size, before.st_mtime_ns)
-    assert cross_section._cached_csie_day(path, ALPHA_DEFAULT, [].append).total_value == 30.0
+    assert _cached(path)([].append).total_value == 30.0
 
 
-def test_only_a_file_of_the_floor_or_more_is_cached(tmp_path, monkeypatch):
-    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
-    path.write_text(CACHED_TEXT)
-    uncached = _outcome(_uncached(CACHED_TEXT))
-    monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", path.stat().st_size + 1)
-    with _counting_parses() as parse:
-        assert _outcome(_cached(path)) == uncached == _outcome(_cached(path))
-        assert parse.call_count == 2 and not _entry(path).parent.exists()
-        monkeypatch.setattr(cross_section, "_CACHE_MIN_BYTES", path.stat().st_size)
-        assert _outcome(_cached(path)) == uncached == _outcome(_cached(path))
-        assert parse.call_count == 3 and _entry(path).exists()
-
-
-def test_a_day_csie_day_refuses_is_not_cached(tmp_path, cache_every_file):
+def test_a_day_csie_day_refuses_is_not_cached(tmp_path):
     path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
     path.write_text("AA,10,11,9,10.5,0\nBB,20,21,19,20.5,0\nCC,1,2,0.5,3,5\n")
     refusal = f"skipped {D.isoformat()}: empty cross-section on {D.isoformat()}"
     with _counting_parses() as parse:
         for _ in range(2):
             rejected = []
-            assert cross_section._cached_csie_day(path, ALPHA_DEFAULT, rejected.append) == refusal
+            assert _cached(path)(rejected.append) == refusal
             assert [(r.line, r.reason) for r in rejected] == [(3, OHLC_ORDERING)]
-    assert parse.call_count == 2 and not _entry(path).parent.exists()
+    assert parse.call_count == 2 and not _entry(tmp_path).parent.exists()
 
 
 def _tree(root: Path) -> dict[str, bytes | None]:
@@ -772,13 +807,14 @@ def _tree(root: Path) -> dict[str, bytes | None]:
             for p in root.rglob("*")}
 
 
-def test_a_library_read_creates_changes_and_deletes_no_file(tmp_path, cache_every_file):
+def test_a_library_read_creates_changes_and_deletes_no_file(tmp_path):
     path = tmp_path / "SYN_20210601.csv"
     path.write_text(CACHED_TEXT)
-    cross_section._cached_csie_day(path, ALPHA_DEFAULT, [].append)  # writes the entry
+    _cached(path)([].append)  # writes the entry
     (tmp_path / "notes.txt").write_text("not an EOD file")
-    cache = _entry(path).parent
-    for name in ("SYN_20200101.csv.bin", "SYN_20210601.csv.bin.12345.tmp", "notes.bin"):
+    cache = _entry(tmp_path).parent
+    for name in ("SYN_20200101.csv.bin", "SYN_20210601.csv.bin.12345.tmp", "days.bin.12345.tmp",
+                 "notes.bin"):
         (cache / name).write_bytes(b"planted")
     before = _tree(tmp_path)
     assert len(read_eod_dir(tmp_path)) == len(read_eod_dir(tmp_path, threads=2)) == 1
