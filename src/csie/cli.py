@@ -42,10 +42,11 @@ Each command runs through one ``_Run``, which prints every ``error:`` line
 of a partial run and every ``wrote``/``failed`` line, and decides the exit
 status.  Exit codes: 0 all outputs written, 1 partial or processing failure
 (per-output status on stderr), 2 unusable input (unreadable directory,
-unparseable index, bad configuration).  An EOD file that does not parse (no
-usable row, bytes that are not UTF-8, or a read error) and a market day
-whose cross-section cannot be computed are each skipped with an ``error:``
-line on stderr; the outputs cover the other days and the exit code is 1.
+unparseable index, bad configuration, a market directory without a usable
+day).  An EOD file that does not parse (no usable row, bytes that are not
+UTF-8, or a read error), or whose day's cross-section cannot be computed,
+is skipped with one ``error: skipped <file>: <reason>`` line on stderr, in
+date order; the outputs cover the other days and the exit code is 1.
 Likewise, an ``indexvol`` estimator whose windows fail costs only their
 cells, which are NA, with one ``error:`` line and exit code 1.
 """
@@ -262,30 +263,18 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def _csie_days(cfg: RunConfig, run: _Run) -> list[CsieDay]:
-    """Each market day's CSIE, through the result cache.
+    """Each usable market day's CSIE, through the result cache.
 
     EOD files are read one at a time, and a day is dropped once its CSIE is
-    computed.  A skipped file's error line is printed as the file is read;
-    the error lines of the days csie_day rejects wait until every file is
-    read, and no day left is an error.
+    computed.  A skipped file's error line, a day csie_day refuses included,
+    is printed as the file is read; no usable day is unusable input.
     """
     from .cross_section import _cached_csie_days
 
-    rows: list[CsieDay] = []
-    skipped_days: list[str] = []
     try:
-        for row in _cached_csie_days(cfg.market_dir, cfg.alpha, run.error):
-            if isinstance(row, str):
-                skipped_days.append(row)
-            else:
-                rows.append(row)
+        return list(_cached_csie_days(cfg.market_dir, cfg.alpha, run.error))
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
-    for message in skipped_days:
-        run.error(message)
-    if not rows:
-        raise ValueError("no market day has a usable cross-section")
-    return rows
 
 
 def _load_index(cfg: RunConfig) -> IndexSeries:
@@ -423,20 +412,21 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_cluster(cfg: RunConfig) -> int:
     from .clustering import cluster_day
-    from .market_data import _dated_eod_files, read_eod_file
+    from .market_data import _dated_eod_files, parse_eod_file
     from .svg import dendrogram_svg
 
     run = _Run()
     iso = cfg.date.isoformat()  # strftime("%Y") does not zero-pad a year before 1000
+    suffix = f"_{iso.replace('-', '')}.csv"
     try:
-        matches = _dated_eod_files(cfg.market_dir.glob(f"*_{iso.replace('-', '')}.csv"))
-    except ValueError as exc:
+        matches = _dated_eod_files(p for p in cfg.market_dir.iterdir() if p.name.endswith(suffix))
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
     if not matches:
         raise ConfigError(f"no EOD file for {iso} in {cfg.market_dir}")
     path = matches[0][1]
     try:
-        day = read_eod_file(path)
+        day = parse_eod_file(path.read_bytes(), cfg.date)
         dendro = cluster_day(day, log_prices=cfg.log_prices)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc

@@ -38,7 +38,7 @@ from . import market_data
 from ._util import exact_sum, xlogx
 from ._vocab import ALPHA_DEFAULT, check_alpha
 from .market_data import (_EOD_NAME, EOD_REASONS, MarketDay, OnReject, OnSkip, RejectedRow,
-                          _eod_files, eod_filename_date)
+                          _eod_files)
 
 CSIE_CSV_HEADER = (
     "date,m,total_value,f,h_oc,h_olhc,csie_signed,csie_abs,degenerate_flag"
@@ -262,18 +262,20 @@ def _prune_cache(directory: Path) -> None:
 
 
 def _cached_csie_days(directory: Path, alpha: float, on_skip: OnSkip,
-                      on_reject: OnReject = lambda r: None) -> Iterator[CsieDay | str]:
-    """The ``CsieDay`` of each EOD file of ``directory``, or ``skipped
-    <date>: <reason>`` for a day ``csie_day`` refuses, read by ``_eod_files``
-    once the cache is pruned.
+                      on_reject: OnReject = lambda r: None) -> Iterator[CsieDay]:
+    """The ``CsieDay`` of each usable EOD file of ``directory``, read by
+    ``_eod_files`` once the cache is pruned.
 
-    The cache entry is read once.  A date whose file's bytes hash to what
-    the entry holds for it skips the parse and ``csie_day``, and gives
-    ``on_reject`` the rejects the parse gave; any other file is parsed and
-    judged.  After the last file the entry is rewritten if its dates
-    changed: a date was computed, or a date it held is no longer read.  A
-    file that does not parse and a day that ``csie_day`` refuses get no
-    record; a cache that cannot be read or written only costs the parse.
+    The cache entry is read once.  ``_eod_files`` hands each file's bytes
+    and date to ``read``, which only hashes them: a date whose bytes hash
+    to what the entry holds for it skips the parse and ``csie_day``, and
+    gives ``on_reject`` the rejects the parse gave; any other file is parsed
+    and judged.  A file that does not parse and a day that ``csie_day``
+    refuses raise out of ``read`` alike, so each reaches ``on_skip`` as
+    ``skipped <file>: <reason>`` after its rejects, and gets no record.
+    After the last file the entry is rewritten if its dates changed: a date
+    was computed, or a date it held is no longer read.  A cache that cannot
+    be read or written only costs the parse.
     """
     _prune_cache(directory)
     entry = directory / _CACHE_DIR / "days.bin"
@@ -281,9 +283,7 @@ def _cached_csie_days(directory: Path, alpha: float, on_skip: OnSkip,
     held = _held_days(entry, key)
     days: dict[date, tuple] = {}
 
-    def read(path: Path, on_reject: OnReject) -> CsieDay | str:
-        _, day = eod_filename_date(path.name)
-        data = path.read_bytes()
+    def read(data: bytes, day: date, on_reject: OnReject) -> CsieDay:
         digest = source_hash(data)
         if day in held and held[day][0] == digest:
             _, row, rejects = days[day] = held[day]
@@ -298,11 +298,7 @@ def _cached_csie_days(directory: Path, alpha: float, on_skip: OnSkip,
 
         # looked up in its module at each call, so that a wrapper set there (the
         # benchmark's layer trace) sees this parse too
-        market = market_data.parse_eod_file(data, day, on_reject=keep)
-        try:
-            row = csie_day(market, alpha)
-        except ValueError as exc:
-            return f"skipped {day.isoformat()}: {exc}"
+        row = csie_day(market_data.parse_eod_file(data, day, on_reject=keep), alpha)
         days[day] = (digest, row, rejects)
         return row
 

@@ -85,7 +85,7 @@ class OhlcWindow:
     from 0 to int64's largest (``int64_volumes``, the data layer's rule);
     the high/low ordering of bars is the data layer's responsibility, so
     windows built by hand can describe malformed bars (which is how the
-    Garman-Klass clamp can trigger).
+    Garman-Klass, Rogers-Satchell and Yang-Zhang clamps can trigger).
     """
 
     end: object
@@ -167,8 +167,7 @@ def _gk(t: BarTerms, w: int) -> np.ndarray:
 
 
 def _rs(t: BarTerms, w: int) -> np.ndarray:
-    mean = window_means(t.rs, w)
-    return np.sqrt(np.where(mean < 0.0, 0.0, mean))
+    return np.sqrt(_clamped(window_means(t.rs, w), "Rogers-Satchell"))
 
 
 def _yz(t: BarTerms, w: int) -> np.ndarray:
@@ -215,7 +214,9 @@ def vol_garman_klass(w: OhlcWindow) -> float:
 
 
 def vol_rogers_satchell(w: OhlcWindow) -> float:
-    """Drift-independent range estimator; each bar term is >= 0 for valid bars."""
+    """Drift-independent range estimator; each bar term is >= 0 for valid bars,
+    and a negative mean, which only malformed bars give, is clamped at 0
+    with a NegativeRadicandWarning, as in ``vol_garman_klass``."""
     return _one(_rs, w)
 
 

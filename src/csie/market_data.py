@@ -26,11 +26,14 @@ whether given or parsed, is built and checked by its public constructor.
 Every skipped row, including a record the csv module cannot read, is
 reported through an ``on_reject`` callback, in line order once the whole
 file is read (and by ``read_eod_dir`` in date order, then line order),
-instead of failing the whole file; a file that does not parse, or whose
-name has no valid date, costs ``read_eod_dir`` only that file, which it
-reports through an ``on_skip`` callback.  ``read_eod_dir`` and the CLI read a
-directory's files one at a time, in one thread.  ``read_eod_file`` and
-``read_eod_dir`` always parse, and create, change or delete no file.
+instead of failing the whole file.  A market directory is read by one path,
+``_eod_files``, for ``read_eod_dir`` and the CLI alike: it dates each listed
+name once, reads each EOD file's bytes once, in date order and in one
+thread, and hands them with their date to a reader (``parse_eod_file``, or
+the result cache of ``cross_section``).  A file whose name has no valid
+date, or that its reader cannot use, costs only itself, and is reported
+through an ``on_skip`` callback.  ``read_eod_file`` and ``read_eod_dir``
+always parse, and create, change or delete no file.
 """
 
 from __future__ import annotations
@@ -554,11 +557,15 @@ def parse_eod_file(
     return MarketDay(day, np.asarray(judged.keys, dtype=str), *judged.columns())
 
 
+class _NotAnEodName(ValueError):
+    """A file name not of the ``<MARKET>_<YYYYMMDD>.csv`` shape."""
+
+
 def eod_filename_date(name: str) -> tuple[str, date]:
     """Split ``<MARKET>_<YYYYMMDD>.csv`` into market name and date."""
     m = _EOD_NAME.fullmatch(name)
     if m is None:
-        raise ValueError(f"not an EOD file name: {name}")
+        raise _NotAnEodName(f"not an EOD file name: {name}")
     stamp = m.group("date")  # eight digits, but ``\d`` also matches those of other scripts
     try:
         if not stamp.isascii():
@@ -581,19 +588,22 @@ def _dated_eod_files(
 ) -> list[tuple[date, Path]]:
     """The regular files among ``paths`` named ``<MARKET>_<YYYYMMDD>.csv``,
     with their dates, in date order; two files of one date are a ValueError.
-    A file of that shape whose eight digits are no date goes to ``on_skip``
-    as ``skipped <file>: bad date in file name: <name>``, in name order."""
+    Each name is dated once, by ``eod_filename_date``.  A file of that shape
+    whose eight digits are no date goes to ``on_skip`` as ``skipped <file>:
+    bad date in file name: <name>``, in name order."""
     dated: list[tuple[date, Path]] = []
     undated: list[str] = []
     for p in paths:
-        if not (_EOD_NAME.fullmatch(p.name) and p.is_file()):
-            continue
         try:
-            _, d = eod_filename_date(p.name)
-        except ValueError as exc:
-            undated.append(f"skipped {p}: {exc}")
+            d = eod_filename_date(p.name)[1]
+        except _NotAnEodName:
             continue
-        dated.append((d, p))
+        except ValueError as exc:
+            if p.is_file():
+                undated.append(f"skipped {p}: {exc}")
+            continue
+        if p.is_file():
+            dated.append((d, p))
     if on_skip is not None:
         for message in sorted(undated):
             on_skip(message)
@@ -610,24 +620,28 @@ def _eod_files(
     on_reject: OnReject | None = None,
     on_skip: OnSkip | None = None,
 ) -> Iterator[_T]:
-    """``read(file, on_reject=on_reject)`` of each ``<MARKET>_<YYYYMMDD>.csv``
-    in a directory, in date order, one file at a time: a file is read only
-    when the result before it has been taken.
+    """``read(data, day, on_reject=on_reject)`` of each
+    ``<MARKET>_<YYYYMMDD>.csv`` in a directory, in date order, one file at a
+    time: ``data`` is the file's bytes, read once here, and ``day`` the date
+    ``_dated_eod_files`` gave its name.  A file is read only when the result
+    before it has been taken.
 
-    A file that ``read`` raises OSError or ValueError for (no usable row,
-    bytes that are not UTF-8, or a read error) goes to ``on_skip`` as
-    ``skipped <file>: <reason>``, after the skips of names with no valid
-    date.  A file's rejects reach ``on_reject`` as ``read`` delivers them,
-    before its result or its skip.  Raises ValueError when there is no EOD
-    file, or once every file is read if none was usable.
+    This is the one place where a listed file meets its outcome: a file
+    that ``read`` raises OSError or ValueError for (no usable row, bytes
+    that are not UTF-8, a read error, or a day the caller refuses) goes to
+    ``on_skip`` as ``skipped <file>: <reason>``, in date order after the
+    skips of names with no valid date.  A file's rejects reach
+    ``on_reject`` as ``read`` delivers them, before its result or its skip.
+    Raises ValueError when there is no EOD file, or once every file is read
+    if none was usable.
     """
     dated = _dated_eod_files(path.iterdir(), on_skip)
     if not dated:
         raise ValueError(f"no EOD files in {path}")
     usable = False
-    for _, file in dated:
+    for day, file in dated:
         try:
-            result = read(file, on_reject=on_reject)
+            result = read(file.read_bytes(), day, on_reject=on_reject)
         except (OSError, ValueError) as exc:
             if on_skip is not None:
                 on_skip(f"skipped {file}: {exc}")
@@ -648,9 +662,10 @@ def read_eod_dir(
     """Parse every ``<MARKET>_<YYYYMMDD>.csv`` in a directory, sorted by date.
 
     Files not matching the naming convention are ignored, and files are
-    read one at a time.  ``threads`` is accepted and ignored, as the CLI
-    ignores ``CSIE_THREADS``; it stays only while the benchmark harness
-    passes it.
+    read one at a time: ``_eod_files`` reads each file's bytes and hands
+    them to ``parse_eod_file`` with the date of its name.  ``threads`` is
+    accepted and ignored, as the CLI ignores ``CSIE_THREADS``; it stays only
+    while the benchmark harness passes it.
     A file whose name has no valid date, or that does not parse (no usable
     row, bytes that are not UTF-8, or a read error), costs only itself: it
     is left out, and ``on_skip`` receives ``skipped <file>: <reason>``.
@@ -658,7 +673,7 @@ def read_eod_dir(
     rejects reach ``on_reject`` in date order, then line order.  Raises
     ValueError when no file is left.
     """
-    return list(_eod_files(Path(path), read_eod_file, on_reject, on_skip))
+    return list(_eod_files(Path(path), parse_eod_file, on_reject, on_skip))
 
 
 def parse_index_csv(

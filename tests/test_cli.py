@@ -79,12 +79,24 @@ def test_csie_abs_variant_title(world, tmp_path, capsys):
     assert "absolute" in (out / "csie_series.svg").read_text()
 
 
-def test_csie_missing_market_dir(tmp_path, capsys):
-    code, _, stderr = run(
-        ["csie", "--market-dir", str(tmp_path / "nope"), "--out", str(tmp_path)], capsys
+@pytest.mark.parametrize("place", ["missing", "a-file"])
+@pytest.mark.parametrize("command", ["csie", "compare", "cluster"])
+def test_csie_missing_market_dir(tmp_path, capsys, command, place):
+    """Every command that reads a market directory refuses a missing one,
+    or a regular file in its place, with the same message."""
+    market = tmp_path / "nope"
+    if place == "a-file":
+        market.write_text("not a directory")
+    index = tmp_path / "index.csv"
+    index.write_text("Date,Open,High,Low,Close,Volume\n2021-01-04,10,11,9,10.5,1000\n")
+    code, stdout, stderr = run(
+        [command, "--market-dir", str(market), "--index", str(index), "--date", "2021-01-04",
+         "--out", str(tmp_path / "out")],
+        capsys,
     )
-    assert code == 2
-    assert "cannot load market data" in stderr
+    assert (code, stdout) == (2, "")
+    [line] = stderr.splitlines()
+    assert line.startswith(f"error: cannot load market data from {market}: [Errno "), line
 
 
 @pytest.mark.parametrize(
@@ -104,8 +116,11 @@ def test_csie_overflowing_traded_value_is_an_error(tmp_path, capsys, rows, messa
     (eod / "M_20210104.csv").write_text("Symbol,Open,High,Low,Close,Volume\n" + "\n".join(rows))
     out = tmp_path / "out"
     code, stdout, stderr = run(["csie", "--market-dir", str(eod), "--out", str(out)], capsys)
-    assert code == 1
-    assert stderr.startswith("error:") and message in stderr
+    # the one day is a skipped file, and a directory without a usable day is unusable input
+    assert code == 2
+    skip, load = stderr.splitlines()
+    assert skip.startswith(f"error: skipped {eod}/M_20210104.csv: ") and message in skip
+    assert load == f"error: cannot load market data from {eod}: no usable EOD file in {eod}"
     assert not (out / "csie_daily.csv").exists() and "inf" not in stdout
 
 
@@ -114,7 +129,7 @@ def test_csie_overflowing_traded_value_is_an_error(tmp_path, capsys, rows, messa
 UNUSABLE_DAY = {
     "zero-volume": (
         b"AA,10,11,9,10.5,0\nBB,20,21,19,20.5,0\n",
-        "skipped 2021-06-02: empty cross-section on 2021-06-02",
+        "skipped {eod}/M_20210602.csv: empty cross-section on 2021-06-02",
     ),
     "no-usable-row": (
         b"AA,10,9,9,10.5,200\n",
@@ -128,7 +143,7 @@ UNUSABLE_DAY = {
     # C/O of AA overflows to inf, and AA's psi is 1 to double precision
     "price-ratio-overflow": (
         b"AA,1e-300,1e300,1e-300,1e300,1\nBB,10,11,9,10.5,200\nCC,20,21,19,20.5,200\n",
-        "skipped 2021-06-02: entropy terms on 2021-06-02 are past the float range",
+        "skipped {eod}/M_20210602.csv: entropy terms on 2021-06-02 are past the float range",
     ),
     # a header that names no price or volume column: written without the standard one
     "header-missing-columns": (
@@ -242,8 +257,8 @@ SKIPS = (
 # cannot be read; every stderr channel of compare then prints, each in turn.
 @pytest.mark.parametrize("command, index_ok", [("csie", False), ("compare", False),
                                                ("compare", True), ("compare", "extreme")])
-def test_skipped_files_are_reported_before_skipped_days(tmp_path, capsys, monkeypatch, command,
-                                                         index_ok):
+def test_skipped_files_and_days_are_reported_in_date_order(tmp_path, capsys, monkeypatch,
+                                                           command, index_ok):
     eod = tmp_path / "eod"
     eod.mkdir()
     for stamp, rows in SKIPS:
@@ -264,10 +279,9 @@ def test_skipped_files_are_reported_before_skipped_days(tmp_path, capsys, monkey
         capsys,
     )
     file_line = f"error: skipped {eod}/M_20210603.csv: no usable rows for 2021-06-03"
-    day_line = "error: skipped 2021-06-02: empty cross-section on 2021-06-02"
+    day_line = f"error: skipped {eod}/M_20210602.csv: empty cross-section on 2021-06-02"
     if command == "compare" and not index_ok:
-        # the index fails once the first file parses: before the later file's
-        # skip line and the day lines
+        # the index fails before any EOD file is read: no skip line
         assert (code, stdout) == (2, "")
         assert stderr.splitlines() == [
             f"error: cannot load index from {index}: no usable rows in index 'index'"
@@ -275,13 +289,13 @@ def test_skipped_files_are_reported_before_skipped_days(tmp_path, capsys, monkey
     elif index_ok == "extreme":
         assert code == 1
         assert stderr.splitlines() == [
-            file_line, f"error: skipped {unreadable}: {read_error}", day_line,
+            day_line, file_line, f"error: skipped {unreadable}: {read_error}",
             "error: estimator 'pk', window 1: price ratio past the float range",
         ]
         assert stdout.count("wrote ") == 4
     else:
         assert code == 1
-        assert stderr.splitlines() == [file_line, day_line]
+        assert stderr.splitlines() == [day_line, file_line]
         assert stdout.count("wrote ") == (2 if command == "csie" else 4)
 
 
@@ -383,6 +397,32 @@ def test_a_csie_run_prunes_only_the_names_the_cache_writes(tmp_path, capsys, lin
     assert cache.is_symlink() == linked
     assert {p.name for p in cache.iterdir()} == {"days.bin"} | foreign.keys()
     assert {name: (cache / name).read_bytes() for name in foreign} == foreign
+
+
+@pytest.mark.parametrize("command", ["csie", "compare"])
+def test_each_listed_file_is_dated_once_and_read_once(tmp_path, capsys, monkeypatch, command):
+    """Cold and warm, a run dates each name its market directory lists
+    once, and reads each EOD file's bytes once."""
+    eod, index = write_world(tmp_path, np.random.default_rng(89), n_symbols=4, n_days=3)
+    dated, read = [], []
+    date_name = market_data.eod_filename_date
+    monkeypatch.setattr(market_data, "eod_filename_date",
+                        lambda name: dated.append(name) or date_name(name))
+    read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes", lambda path: read.append(path) or read_bytes(path))
+    for warm in (False, True):
+        listed = sorted(os.listdir(eod))
+        dated.clear()
+        read.clear()
+        code, _, stderr = run(
+            [command, "--market-dir", str(eod), "--index", str(index),
+             "--out", str(tmp_path / "out"), "--windows", "1", "--intervals", "all"],
+            capsys,
+        )
+        assert code == 0, stderr
+        assert (eod / ".csie-cache").is_dir() and (".csie-cache" in listed) == warm
+        assert sorted(dated) == listed
+        assert sorted(p for p in read if p.parent == eod) == sorted(eod.glob("*.csv"))
 
 
 def _cache_world(tmp_path: Path) -> tuple[Path, Path]:

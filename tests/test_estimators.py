@@ -112,12 +112,21 @@ def test_gk_single_bar_no_drift():
     )
 
 
-def test_gk_negative_radicand_clamped_with_warning():
-    # zero range but a large close-to-open move is malformed OHLC; the data
-    # layer rejects it, but a hand-built window must clamp, not go NaN
-    w = mk([1.0], [1.0], [1.0], [2.0])
-    with pytest.warns(NegativeRadicandWarning):
-        assert vol_garman_klass(w) == 0.0
+@pytest.mark.parametrize(
+    "estimator, w, message",
+    [
+        # zero range but a large close-to-open move
+        (vol_garman_klass, mk([1.0], [1.0], [1.0], [2.0]), "Garman-Klass radicand "),
+        # a low above the high
+        (vol_rogers_satchell, mk([10.0], [11.0], [11.5], [12.0]), "Rogers-Satchell radicand "),
+    ],
+    ids=["gk", "rs"],
+)
+def test_gk_negative_radicand_clamped_with_warning(estimator, w, message):
+    # malformed OHLC: the data layer rejects it, but a hand-built window
+    # must clamp with a warning, not go NaN or clamp silently
+    with pytest.warns(NegativeRadicandWarning, match=f"^{message}-.* clamped to 0$"):
+        assert estimator(w) == 0.0
 
 
 # --- Rogers-Satchell -------------------------------------------------------------

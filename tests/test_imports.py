@@ -155,3 +155,29 @@ def test_the_check_finds_a_second_caller():
         "_record_chunks": ["market_data:_read_rows", "other:"],
         "_split_row": ["market_data:_read_rows", "other:parse"],
     }
+
+
+# The one function that dates an EOD file name, and its callers: the listing
+# of a market directory and the public one-file reader.  A third caller would
+# date a listed file again.
+DATER_CALLERS = {"eod_filename_date": ["market_data:_dated_eod_files", "market_data:read_eod_file"]}
+
+
+def _dater_callers(sources: dict[str, str]) -> dict[str, list[str]]:
+    return {name: sorted(found) for name, found in _users(sources, tuple(DATER_CALLERS)).items()}
+
+
+def test_a_file_name_is_dated_by_two_callers():
+    assert _dater_callers({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == DATER_CALLERS
+
+
+def test_the_check_finds_a_third_dater():
+    planted = {
+        "market_data": (
+            "def read_eod_file(path):\n    return eod_filename_date(path.name)\n"
+            "def _dated_eod_files(paths):\n    return [eod_filename_date(p.name) for p in paths]\n"
+        ),
+        "cross_section": "def read(path):\n    return market_data.eod_filename_date(path.name)\n",
+    }
+    assert _dater_callers(planted) == {"eod_filename_date": [
+        "cross_section:read", "market_data:_dated_eod_files", "market_data:read_eod_file"]}

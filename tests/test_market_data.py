@@ -593,8 +593,8 @@ def _bits(row) -> object:
 
 
 def _outcome(read) -> tuple:
-    """What one read gives: the day's bits, its refusal or the ValueError's
-    text, and the rejects."""
+    """What one read gives: the day's bits or the ValueError's text, and the
+    rejects."""
     rejected = []
     try:
         return _bits(read(rejected.append)), rejected
@@ -605,17 +605,14 @@ def _outcome(read) -> tuple:
 def _uncached(data: bytes | str, alpha: float = ALPHA_DEFAULT):
     """The reader that parses and judges ``data`` with no cache."""
     def read(on_reject):
-        day = parse_eod_file(data, D, on_reject=on_reject)
-        try:
-            return csie_day(day, alpha)
-        except ValueError as exc:
-            return f"skipped {D.isoformat()}: {exc}"
+        return csie_day(parse_eod_file(data, D, on_reject=on_reject), alpha)
     return read
 
 
 def _cached(path: Path, alpha: float = ALPHA_DEFAULT):
     """The reader of the one EOD file ``path`` through its directory's cache:
-    its ``CsieDay`` or refusal, or a ValueError with the parse's text."""
+    its ``CsieDay``, or a ValueError with the text of its skip, whether the
+    parse or ``csie_day`` refused it."""
     def read(on_reject):
         skipped = []
         try:
@@ -790,15 +787,26 @@ def test_an_edit_that_keeps_size_and_mtime_is_seen(tmp_path):
 
 
 def test_a_day_csie_day_refuses_is_not_cached(tmp_path):
-    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
-    path.write_text("AA,10,11,9,10.5,0\nBB,20,21,19,20.5,0\nCC,1,2,0.5,3,5\n")
-    refusal = f"skipped {D.isoformat()}: empty cross-section on {D.isoformat()}"
+    """Cold and warm, a refused day's rejects reach ``on_reject`` in line
+    order before its skip reaches ``on_skip``, and it gets no record; the
+    held day before it replays its rejects in the same order on a hit."""
+    held, refused = tmp_path / "SYN_20210601.csv", tmp_path / "SYN_20210602.csv"
+    held.write_text(CACHED_TEXT)
+    refused.write_text("AA,10,11,9,10.5,0\nBB,20,21,19,20.5,0\nCC,1,2,0.5,3,5\nDD,1\n")
+    held_rejects, on_reject = collect()
+    parse_eod_file(CACHED_TEXT, D, on_reject=on_reject)
+    expected = [*((r.line, r.reason) for r in held_rejects), (3, OHLC_ORDERING), (4, FIELD_COUNT),
+                f"skipped {refused}: empty cross-section on 2021-06-02"]
+    key = cross_section._code_id() + struct.pack("<d", ALPHA_DEFAULT)
     with _counting_parses() as parse:
-        for _ in range(2):
-            rejected = []
-            assert _cached(path)(rejected.append) == refusal
-            assert [(r.line, r.reason) for r in rejected] == [(3, OHLC_ORDERING)]
-    assert parse.call_count == 2 and not _entry(tmp_path).parent.exists()
+        for parses in (2, 3):  # warm, only the refused day is parsed again
+            events = []
+            rows = list(cross_section._cached_csie_days(
+                tmp_path, ALPHA_DEFAULT, events.append,
+                lambda r: events.append((r.line, r.reason))))
+            assert [r.day for r in rows] == [date(2021, 6, 1)]
+            assert events == expected and parse.call_count == parses
+            assert list(cross_section._held_days(_entry(tmp_path), key)) == [date(2021, 6, 1)]
 
 
 def _tree(root: Path) -> dict[str, bytes | None]:

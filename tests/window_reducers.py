@@ -62,7 +62,7 @@ def _window_value(tag: str, t: dict, volume: np.ndarray, seed_volume, use_abs: b
     if tag == "gk":
         return math.sqrt(_clamped(_mean(t["gk"]), "Garman-Klass"))
     if tag == "rs":
-        return math.sqrt(max(_mean(t["rs"]), 0.0))
+        return math.sqrt(_clamped(_mean(t["rs"]), "Rogers-Satchell"))
     if tag == "yz":
         k = _k(n)
         radicand = _var(t["gap"]) + k * _var(t["co"])
