@@ -40,7 +40,7 @@ _EXPORTS = {
     "intrinsic": ("IeEstimate", "ie_estimate", "volume_probs"),
     "market_data": (
         "DailyBar", "IndexSeries", "MarketDay", "RejectedRow", "eod_filename_date",
-        "parse_eod_file", "parse_index_csv", "read_eod_dir", "read_eod_file", "read_index_csv",
+        "parse_eod_file", "parse_index_csv", "read_eod_dir", "read_index_csv",
     ),
     "svg": ("dendrogram_svg", "line_chart", "small_multiples"),
 }

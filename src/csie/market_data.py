@@ -5,21 +5,22 @@ index files carry one row per trading day (Date,Open,High,Low,Close[,AdjClose],
 Volume).  Both parsers read their rows with one reader, ``_read_rows``,
 which differs between the formats only in the key column's name and rule,
 the reason codes of a bad and of a repeated key, and the volume rule.  A
-first record that names the key column (``symbol`` or ``date``) is a
-header: each column is read from the position its name holds, any other
-column is ignored, and a header that lacks a column or names one twice
-refuses the file.  The reader is tolerant of a UTF-8 byte-order mark and of
-thousands separators inside the volume field.  It refuses bytes that are
-not UTF-8 before it reads a record (a file of ASCII bytes needs no check),
-then decodes the file's csv records straight from its bytes,
+first non-blank record that names the key column (``symbol`` or ``date``)
+is a header: each column is read from the position its name holds, any
+other column is ignored, and a header that lacks a column or names one
+twice refuses the file.  The reader is tolerant of a UTF-8 byte-order mark
+and of thousands separators inside the volume field.  It refuses bytes
+that are not UTF-8 before it reads a record (a file of ASCII bytes needs no
+check), then decodes the file's csv records straight from its bytes,
 ``_CHUNK_RECORDS`` at a time, and converts and judges each chunk before it
 reads the next, so what a parse holds besides the rows it keeps does not
-grow with the file.  Within
-a chunk, the row loop only splits rows and rejects those of the wrong shape
-or with a bad key; ``_Judged`` then reads each price and volume column in
-one pass (only a field that fails takes the per-field rule), judges the
+grow with the file.  Within a chunk, the row loop only splits rows and
+rejects those of the wrong shape or with a bad key; the reader then reads
+each price and volume column of the rows left in one pass, through
+``_convert`` (only a field that fails takes the per-field rule), judges the
 columns with the one rule set, ``_unusable_rows``, and keeps the usable
-rows, the first of each symbol or date across chunks.
+rows, the first of each symbol or date across chunks, as one array part per
+column and chunk.  The parsers join the parts once a file has a usable row.
 ``MarketDay`` and ``IndexSeries`` share one constructor body in their
 ``_Bars`` base and differ only in their key column; every day and series,
 whether given or parsed, is built and checked by its public constructor.
@@ -32,8 +33,8 @@ name once, reads each EOD file's bytes once, in date order and in one
 thread, and hands them with their date to a reader (``parse_eod_file``, or
 the result cache of ``cross_section``).  A file whose name has no valid
 date, or that its reader cannot use, costs only itself, and is reported
-through an ``on_skip`` callback.  ``read_eod_file`` and ``read_eod_dir``
-always parse, and create, change or delete no file.
+through an ``on_skip`` callback.  ``read_eod_dir`` always parses, and
+creates, changes or deletes no file.
 """
 
 from __future__ import annotations
@@ -367,80 +368,6 @@ def _convert(fields: Sequence[str], convert: Callable[[str], float]) -> tuple[li
             failed.append(i)
 
 
-class _Judged:
-    """The rows a parser has kept so far, and the rows it has rejected.
-
-    Chunk by chunk, ``judge`` converts and judges the rows that reached
-    conversion and keeps the usable ones: their keys, and their OHLCV values
-    as one array part per chunk.  A usable row whose key is already kept is
-    a ``duplicate`` reject, across chunks.
-    """
-
-    def __init__(self, duplicate: str) -> None:
-        self.keys: list = []
-        self.rejected: list[RejectedRow] = []
-        self._parts: list[list[np.ndarray]] = [[], [], [], [], []]
-        self._duplicate = duplicate
-        self._seen: set = set()
-
-    def judge(
-        self, offset: int, chunk: list[list[str]], lines: list[int], keys: list,
-        fields: list[Sequence[str]], to_volume: Callable[[str], int],
-    ) -> None:
-        """Convert one chunk's price and volume columns and apply the OHLCV rules.
-
-        ``fields`` holds the open, high, low, close and volume field columns
-        of the chunk's rows that reached conversion: row ``i`` came from line
-        ``lines[i]``, whose fields are ``chunk[lines[i] - offset - 1]``, and
-        has key ``keys[i]``.  Through ``_convert``, prices are read with
-        ``float`` and volumes, their commas removed, with ``to_volume``.  A
-        row with a field that cannot be read is unparseable; the others are
-        judged by ``_unusable_rows``.
-        """
-        columns = []
-        unparseable: set[int] = set()
-        opens, highs, lows, closes, volumes = fields
-        for column, convert in zip(
-            (opens, highs, lows, closes, [v.replace(",", "") for v in volumes]),
-            (float, float, float, float, to_volume),
-        ):
-            values, failed = _convert(column, convert)
-            columns.append(values)
-            unparseable.update(failed)
-        o, h, l, c = (np.array(col, dtype=float) for col in columns[:4])
-        volume = int64_volumes(columns[4])
-        faults = _unusable_rows(o, h, l, c, volume)
-        faults.update(dict.fromkeys(unparseable, UNPARSEABLE_FIELD))
-        kept: list[int] = []
-        seen = self._seen
-        for i, key in enumerate(keys):
-            if i in faults:
-                continue
-            if key in seen:
-                faults[i] = self._duplicate
-                continue
-            seen.add(key)
-            kept.append(i)
-        self.rejected.extend(
-            RejectedRow(lines[i], ",".join(chunk[lines[i] - offset - 1]), fault)
-            for i, fault in faults.items()
-        )
-        self.keys.extend([keys[i] for i in kept])
-        take = np.array(kept, dtype=np.intp)
-        for part, col in zip(self._parts, (o, h, l, c, volume)):
-            part.append(col[take])
-
-    def columns(self) -> list[np.ndarray]:
-        """The kept rows' open, high, low, close and volume columns."""
-        return [np.concatenate(part) for part in self._parts]
-
-    def deliver(self, on_reject: OnReject | None) -> None:
-        """Report every reject through ``on_reject``, in line order."""
-        if on_reject is not None:
-            for r in sorted(self.rejected, key=lambda r: r.line):
-                on_reject(r)
-
-
 def _symbol(field: str) -> str:
     """A symbol field's key, its surrounding whitespace stripped: the field
     without trailing NULs, which numpy's strings do not hold; ValueError
@@ -466,46 +393,59 @@ _OHLCV = ("open", "high", "low", "close", "volume")
 def _read_rows(
     data: str | bytes, on_reject: OnReject | None, kind: str, key: str,
     key_of: Callable[[str], object], bad_key: str, duplicate: str, to_volume: Callable[[str], int],
-) -> _Judged:
-    """The usable rows of a ``kind`` file (``EOD`` or ``index``), once every
-    reject has reached ``on_reject`` in line order.
+) -> tuple[list, list[list[np.ndarray]]]:
+    """The keys of the usable rows of a ``kind`` file (``EOD`` or
+    ``index``), and their open, high, low, close and volume columns as one
+    array part per chunk, once every reject has reached ``on_reject`` in
+    line order.
 
     ``key_of`` reads the ``key`` column's field, stripped, and raises
     ValueError for a ``bad_key`` reject; a later usable row of a kept key is
-    a ``duplicate`` reject; ``to_volume`` reads a volume field without its
-    commas.  The first record is a header when a field of it names the key
-    column: each column is then read where its name stands, any other column
-    is ignored, a header that lacks one of the six names raises
-    ``<kind> header missing columns: [...]`` and one that names one twice
-    ``<kind> header repeats columns: [...]``.  Without a header the key
-    comes first, then ``_OHLCV``.  A row longer than the header (six fields
-    without one) is rejoined when volume is the last column and every extra
-    part is digits; any other such row, or one too short for every column,
-    is a field-count reject.
+    a ``duplicate`` reject, across chunks.  The first non-blank record is a
+    header when a field of it names the key column: each column is then
+    read where its name stands, any other column is ignored, a header that
+    lacks one of the six names raises ``<kind> header missing columns:
+    [...]`` and one that names one twice ``<kind> header repeats columns:
+    [...]``.  A record the csv module cannot read stands as a blank row, so
+    the header may follow it.  Without a header the key comes first, then
+    ``_OHLCV``.  A row longer than the header (six fields without one) is
+    rejoined when volume is the last column and every extra part is digits;
+    any other such row, or one too short for every column, is a field-count
+    reject.  Each chunk's price and volume columns of the rows left are then
+    read by ``_convert``, prices with ``float`` and volumes, their commas
+    removed, with ``to_volume``: a row with a field that cannot be read is
+    unparseable, and the others are judged by ``_unusable_rows``.
     """
-    judged = _Judged(duplicate)
-    columns = (key, *_OHLCV)
-    col_of = {name: i for i, name in enumerate(columns)}
-    n_columns = len(columns)
-    for offset, chunk in _record_chunks(data, judged.rejected):
-        if offset == 0:
-            header = [f.strip().lower() for f in chunk[0]]
+    rejected: list[RejectedRow] = []
+    keys: list = []
+    parts: list[list[np.ndarray]] = [[], [], [], [], []]
+    seen: set = set()
+    names = (key, *_OHLCV)
+    col_of: dict[str, int] | None = None  # set by the first non-blank record
+    for offset, chunk in _record_chunks(data, rejected):
+        if col_of is None:
+            first = next((row for row in chunk if not _blank(row)), None)
+            if first is None:
+                continue
+            col_of = {name: i for i, name in enumerate(names)}
+            n_columns = len(names)
+            header = [f.strip().lower() for f in first]
             if key in header:
-                col_of = {field: i for i, field in enumerate(header) if field in columns}
-                missing = set(columns) - col_of.keys()
+                col_of = {field: i for i, field in enumerate(header) if field in names}
+                missing = set(names) - col_of.keys()
                 if missing:
                     raise ValueError(f"{kind} header missing columns: {sorted(missing)}")
-                repeated = sorted({f for f in header if f in columns and header.count(f) > 1})
+                repeated = sorted({f for f in header if f in names and header.count(f) > 1})
                 if repeated:
                     raise ValueError(f"{kind} header repeats columns: {repeated}")
-                n_columns = len(chunk[0])
-                chunk[0] = []  # the header, read, stands in its chunk as a blank row
+                n_columns = len(first)
+                first.clear()  # the header, read, stands in its chunk as a blank row
             k = col_of[key]
             width = max(col_of.values())
             volume_last = col_of["volume"] == n_columns - 1
         lines: list[int] = []
         rows: list[list[str]] = []
-        keys: list = []
+        chunk_keys: list = []
         for line_no, row in enumerate(chunk, start=offset + 1):
             field = row[k].strip() if len(row) > k else ""
             if not field and _blank(row):
@@ -514,19 +454,47 @@ def _read_rows(
             if len(row) > n_columns:  # a bare-thousands volume tail, or too many fields
                 split = _split_row(row, n_columns - 1) if volume_last else None
             if split is None or len(split) <= width:
-                judged.rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
+                rejected.append(RejectedRow(line_no, ",".join(row), FIELD_COUNT))
                 continue
             try:
-                keys.append(key_of(field))  # a split keeps the fields before volume
+                chunk_keys.append(key_of(field))  # a split keeps the fields before volume
             except ValueError:
-                judged.rejected.append(RejectedRow(line_no, ",".join(row), bad_key))
+                rejected.append(RejectedRow(line_no, ",".join(row), bad_key))
                 continue
             lines.append(line_no)
             rows.append(split)
         fields = list(zip(*rows)) or [()] * n_columns
-        judged.judge(offset, chunk, lines, keys, [fields[col_of[c]] for c in _OHLCV], to_volume)
-    judged.deliver(on_reject)
-    return judged
+        columns = [fields[col_of[name]] for name in _OHLCV]
+        columns[4] = [v.replace(",", "") for v in columns[4]]
+        unparseable: set[int] = set()
+        for i, convert in enumerate((float, float, float, float, to_volume)):
+            columns[i], failed = _convert(columns[i], convert)
+            unparseable.update(failed)
+        o, h, l, c = (np.array(col, dtype=float) for col in columns[:4])
+        volume = int64_volumes(columns[4])
+        faults = _unusable_rows(o, h, l, c, volume)
+        faults.update(dict.fromkeys(unparseable, UNPARSEABLE_FIELD))
+        kept: list[int] = []
+        for i, row_key in enumerate(chunk_keys):
+            if i in faults:
+                continue
+            if row_key in seen:
+                faults[i] = duplicate
+                continue
+            seen.add(row_key)
+            kept.append(i)
+        rejected.extend(
+            RejectedRow(lines[i], ",".join(chunk[lines[i] - offset - 1]), fault)
+            for i, fault in faults.items()
+        )
+        keys.extend([chunk_keys[i] for i in kept])
+        take = np.array(kept, dtype=np.intp)
+        for part, col in zip(parts, (o, h, l, c, volume)):
+            part.append(col[take])
+    if on_reject is not None:
+        for r in sorted(rejected, key=lambda r: r.line):
+            on_reject(r)
+    return keys, parts
 
 
 def parse_eod_file(
@@ -538,8 +506,8 @@ def parse_eod_file(
     """Parse one daily Symbol,Open,High,Low,Close,Volume file.
 
     Rows are read by ``_read_rows``: column order is taken from the header
-    when its first record names a ``symbol`` column (any other column, such
-    as a date, is ignored), otherwise assumed positional.  Rows that cannot
+    when its first non-blank record names a ``symbol`` column (any other
+    column, such as a date, is ignored), otherwise assumed positional.  Rows that cannot
     be used are skipped and reported through ``on_reject`` once the file is
     read; zero-volume rows are kept (they are flagged through
     ``MarketDay.tradable``).  A symbol is its field without surrounding
@@ -550,11 +518,11 @@ def parse_eod_file(
     columns: [...]``) or names one twice (``EOD header repeats columns:
     [...]``), when no usable row remains, or for bytes that are not UTF-8.
     """
-    judged = _read_rows(data, on_reject, "EOD", "symbol", _symbol, UNPARSEABLE_FIELD,
-                        DUPLICATE_SYMBOL, int)
-    if not judged.keys:
+    keys, parts = _read_rows(data, on_reject, "EOD", "symbol", _symbol, UNPARSEABLE_FIELD,
+                             DUPLICATE_SYMBOL, int)
+    if not keys:
         raise ValueError(f"no usable rows for {day.isoformat()}")
-    return MarketDay(day, np.asarray(judged.keys, dtype=str), *judged.columns())
+    return MarketDay(day, np.asarray(keys, dtype=str), *map(np.concatenate, parts))
 
 
 class _NotAnEodName(ValueError):
@@ -574,13 +542,6 @@ def eod_filename_date(name: str) -> tuple[str, date]:
     except ValueError as exc:
         raise ValueError(f"bad date in file name: {name}") from exc
     return m.group("market"), d
-
-
-def read_eod_file(path: str | Path, *, on_reject: OnReject | None = None) -> MarketDay:
-    """Parse one EOD file, dated by its ``<MARKET>_<YYYYMMDD>.csv`` name."""
-    path = Path(path)
-    _, day = eod_filename_date(path.name)
-    return parse_eod_file(path.read_bytes(), day, on_reject=on_reject)
 
 
 def _dated_eod_files(
@@ -685,23 +646,24 @@ def parse_index_csv(
     """Parse a Date,Open,High,Low,Close[,AdjClose],Volume index file.
 
     Rows are read by ``_read_rows``, as in ``parse_eod_file``: column order
-    is taken from the header when its first record names a ``date`` column
-    (any other column, such as an adjusted close, is ignored), otherwise
-    assumed positional, and a header that lacks a column or names one twice
-    is a ValueError (``index header missing columns: [...]``, ``index header
-    repeats columns: [...]``).  Bad rows are skipped and reported; a date
-    that is not YYYY-MM-DD is a malformed-date reject, and a repeated date
-    keeps the first usable row of that date, the others being
-    duplicate-date rejects.
+    is taken from the header when its first non-blank record names a
+    ``date`` column (any other column, such as an adjusted close, is
+    ignored), otherwise assumed positional, and a header that lacks a column
+    or names one twice is a ValueError (``index header missing columns:
+    [...]``, ``index header repeats columns: [...]``).  Bad rows are skipped
+    and reported; a date that is not YYYY-MM-DD is a malformed-date reject,
+    and a repeated date keeps the first usable row of that date, the others
+    being duplicate-date rejects.  Raises ValueError when no usable row
+    remains.
     """
-    judged = _read_rows(data, on_reject, "index", "date", _parse_day, MALFORMED_DATE,
-                        DUPLICATE_DATE, _index_volume)
-    if not judged.keys:
+    keys, parts = _read_rows(data, on_reject, "index", "date", _parse_day, MALFORMED_DATE,
+                             DUPLICATE_DATE, _index_volume)
+    if not keys:
         raise ValueError(f"no usable rows in index {name!r}")
     # through the ordinals, far faster than ``np.asarray`` of ``date`` objects
-    days = np.fromiter(map(date.toordinal, judged.keys), np.int64, len(judged.keys))
+    days = np.fromiter(map(date.toordinal, keys), np.int64, len(keys))
     dates = (days - _EPOCH_ORDINAL).astype("datetime64[D]")
-    return IndexSeries(name, dates, *judged.columns())
+    return IndexSeries(name, dates, *map(np.concatenate, parts))
 
 
 def read_index_csv(path: str | Path, *, on_reject: OnReject | None = None) -> IndexSeries:

@@ -21,11 +21,16 @@ _FONT = 'font-family="sans-serif" font-size="11"'
 
 
 def _escape(s: str) -> str:
-    """Text content with ``&``, ``<`` and ``>`` as XML entities.
+    """Text content with ``&``, ``<`` and ``>`` as XML entities, and each
+    character XML 1.0 forbids (a C0 control other than tab, line feed and
+    carriage return, a lone surrogate, U+FFFE or U+FFFF) as U+FFFD.
 
     The same as ``xml.sax.saxutils.escape`` without extra entities, whose
     import pulls in ``urllib.request``.
     """
+    if not s.isprintable():  # Python prints no character that XML forbids
+        s = "".join(c if c in "\t\n\r" or " " <= c <= "\ud7ff" or "\ue000" <= c <= "\ufffd"
+                    or c >= "\U00010000" else "\ufffd" for c in s)
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 

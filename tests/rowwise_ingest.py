@@ -7,8 +7,9 @@ package's parsers to give the same ``MarketDay``/``IndexSeries`` (or the same
 objects the package no longer has are inlined here; the constructors and the
 reason codes are the package's own.
 
-An EOD file's first record is a header when one of its fields is
-``symbol``, an index file's when one is ``date``: each column is then read
+An EOD file's first non-blank record is a header when one of its fields is
+``symbol``, an index file's when one is ``date``; a record the csv module
+cannot read is passed over as a blank one is.  Each column is then read
 from the position its name holds, any other column is ignored, and a header
 that lacks one of the six names, or names one twice, is a ``ValueError``.
 A row longer than its header (six columns without one) has its
@@ -112,6 +113,12 @@ def _records(text: str):
             yield number, row, ",".join(row)
 
 
+def _first_non_blank(rows) -> int | None:
+    """The position in ``rows`` of the first record with a non-blank field."""
+    return next((i for i, (_, fields, _) in enumerate(rows) if fields and "".join(fields).strip()),
+                None)
+
+
 _EOD_COLUMNS = {"symbol", "open", "high", "low", "close", "volume"}
 
 
@@ -130,9 +137,10 @@ def parse_eod_file(
 
     rows = list(_records(data))
     col_of = {"symbol": 0, "open": 1, "high": 2, "low": 3, "close": 4, "volume": 5}
-    start = 0
-    if rows and rows[0][1] is not None:
-        header = [f.strip().lower() for f in rows[0][1]]
+    first = _first_non_blank(rows)
+    header_at = None
+    if first is not None:
+        header = [f.strip().lower() for f in rows[first][1]]
         if "symbol" in header:
             col_of = {field: i for i, field in enumerate(header) if field in _EOD_COLUMNS}
             missing = _EOD_COLUMNS - col_of.keys()
@@ -141,13 +149,15 @@ def parse_eod_file(
             repeated = sorted({f for f in header if f in _EOD_COLUMNS and header.count(f) > 1})
             if repeated:
                 raise ValueError(f"EOD header repeats columns: {repeated}")
-            start = 1
+            header_at = first
 
     bars: list[DailyBar] = []
     seen: set[str] = set()
     width = max(col_of.values())
-    n_columns = len(rows[0][1]) if start else 6
-    for line_no, row, raw in rows[start:]:
+    n_columns = 6 if header_at is None else len(rows[header_at][1])
+    for i, (line_no, row, raw) in enumerate(rows):
+        if i == header_at:
+            continue
         if row is None:
             reject(line_no, raw, UNPARSEABLE_FIELD)
             continue
@@ -217,9 +227,10 @@ def parse_index_csv(
 
     rows = list(_records(data))
     col_of = {"date": 0, "open": 1, "high": 2, "low": 3, "close": 4, "volume": 5}
-    start = 0
-    if rows and rows[0][1] is not None:
-        header = [f.strip().lower() for f in rows[0][1]]
+    first = _first_non_blank(rows)
+    header_at = None
+    if first is not None:
+        header = [f.strip().lower() for f in rows[first][1]]
         if "date" in header:
             col_of = {}
             for i, field in enumerate(header):
@@ -233,15 +244,17 @@ def parse_index_csv(
             repeated = sorted({f for f in header if f in _INDEX_COLUMNS and header.count(f) > 1})
             if repeated:
                 raise ValueError(f"index header repeats columns: {repeated}")
-            start = 1
+            header_at = first
 
     days: list[date] = []
     seen: set[date] = set()
     cols: dict[str, list[float]] = {k: [] for k in ("open", "high", "low", "close")}
     volumes: list[int] = []
     width = max(col_of.values())
-    n_columns = len(rows[0][1]) if start else 6
-    for line_no, row, raw in rows[start:]:
+    n_columns = 6 if header_at is None else len(rows[header_at][1])
+    for i, (line_no, row, raw) in enumerate(rows):
+        if i == header_at:
+            continue
         if row is None:
             reject(line_no, raw, UNPARSEABLE_FIELD)
             continue

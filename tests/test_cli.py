@@ -593,6 +593,19 @@ def test_indexvol_row_count(tmp_path, capsys):
     assert "window 60" in (out / "indexvol.svg").read_text()
 
 
+def test_indexvol_chart_of_an_index_named_with_a_control_character(tmp_path, capsys):
+    """The chart title holds the index name, whose escape character XML
+    does not allow: it is written as U+FFFD, so the SVG parses."""
+    _, index = write_world(tmp_path / "w", np.random.default_rng(83), n_days=65)
+    named = index.rename(index.with_name("ix\x1bq.csv"))
+    out = tmp_path / "out"
+    code, _, stderr = run(["indexvol", "--index", str(named), "--out", str(out)], capsys)
+    assert code == 0, stderr
+    svg = (out / "indexvol.svg").read_text(encoding="utf-8")
+    ET.fromstring(svg)
+    assert "ix\ufffdq" in svg and "\x1b" not in svg
+
+
 def test_indexvol_uses_the_first_window_as_written(tmp_path, capsys):
     _, index = write_world(tmp_path / "w", np.random.default_rng(83), n_days=65)
     out = tmp_path / "out"

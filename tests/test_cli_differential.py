@@ -29,6 +29,7 @@ import tempfile
 import warnings
 from datetime import date
 from pathlib import Path
+from typing import Iterable
 from unittest import mock
 
 import numpy as np
@@ -37,7 +38,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csie.cli import main
-from csie.market_data import IndexSeries, MarketDay, read_eod_file, read_index_csv
+from csie.market_data import (IndexSeries, MarketDay, eod_filename_date, parse_eod_file,
+                              read_index_csv)
 
 from test_cli_fuzz import (CONTENTS, DAYS, N_DAYS, NOT_A_NUMBER, market_texts,
                            write_inputs)
@@ -91,7 +93,7 @@ def _market_days(eod: Path) -> list[MarketDay]:
     days = []
     for path in sorted(eod.glob("*.csv")) if eod.is_dir() else ():
         with contextlib.suppress(OSError, ValueError):
-            days.append(read_eod_file(path))
+            days.append(parse_eod_file(path.read_bytes(), eod_filename_date(path.name)[1]))
     return days
 
 
@@ -144,6 +146,28 @@ def _nul_only_symbol(eod: Path) -> bool:
 
 
 EOD_COLUMNS = ("symbol", "open", "high", "low", "close", "volume")
+INDEX_COLUMNS = ("date", *EOD_COLUMNS[1:])
+
+
+def _late_named_header(records: Iterable[list[str]], columns: tuple[str, ...]) -> bool:
+    """Whether the first record is blank and the first non-blank one names
+    the key column, ``columns[0]``, but is not ``columns`` in order: this
+    package reads the columns by the names of that header, the seed read it
+    as a data row and the columns by position."""
+    records = iter(records)
+    if "".join(next(records, ["not blank"])).strip():
+        return False
+    header = [f.strip().lower() for f in next((r for r in records if "".join(r).strip()), [])]
+    return columns[0] in header and header != list(columns)
+
+
+def _late_eod_header(eod: Path) -> bool:
+    for path in sorted(eod.glob("*.csv")) if eod.is_dir() else ():
+        with contextlib.suppress(OSError, ValueError, csv.Error):
+            text = path.read_bytes().decode("utf-8-sig")
+            if _late_named_header(csv.reader(io.StringIO(text)), EOD_COLUMNS):
+                return True
+    return False
 
 
 def _eod_header_with_named_columns(eod: Path) -> bool:
@@ -178,6 +202,8 @@ def divergence(command: str, windows: str, intervals: str, cluster_date: date,
         return "indexvol uses the first window as written, not the smallest"
     if uses_index:
         records = _index_records(index)
+        if _late_named_header(records, INDEX_COLUMNS):
+            return "a header after blank lines is still a header"
         has_header = bool(records) and "date" in [f.strip().lower() for f in records[0]]
         width = len(records[0]) if has_header else 6
         if any(len(r) > width and "".join(r).strip() for r in records):
@@ -191,6 +217,8 @@ def divergence(command: str, windows: str, intervals: str, cluster_date: date,
                 return "an index window whose price ratios pass the float range fails"
     if command != "indexvol" and _nul_only_symbol(eod):
         return "a symbol of only NULs is an unparseable-field reject"
+    if command != "indexvol" and _late_eod_header(eod):
+        return "a header after blank lines is still a header"
     if command != "indexvol" and _eod_header_with_named_columns(eod):
         return "an EOD header names its columns, and one that lacks a column refuses the file"
     days = _market_days(eod)

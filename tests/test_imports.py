@@ -110,8 +110,8 @@ def test_only_cross_section_names_the_cache(source):
 
 
 # Steps of the one row reader of EOD and index files: a second caller would
-# be a second row loop.
-SINGLE_CALLER = ("_record_chunks", "_split_row")
+# be a second row loop, or a second place that converts and judges columns.
+SINGLE_CALLER = ("_record_chunks", "_split_row", "_convert")
 
 
 def _users(sources: dict[str, str], names: tuple[str, ...]) -> dict[str, list[str]]:
@@ -144,40 +144,44 @@ def test_each_step_of_the_row_reader_has_one_caller():
 
 def test_the_check_finds_a_second_caller():
     planted = {
-        "market_data": "def _read_rows(data):\n    return _split_row(_record_chunks(data), 5)\n",
+        "market_data": (
+            "def _read_rows(data):\n"
+            "    return _convert(_split_row(_record_chunks(data), 5), float)\n"
+        ),
         "other": (
             "from .market_data import _split_row\n"
             "def parse(rows):\n    return [_split_row(r, 5) for r in rows]\n"
             "CHUNKS = market_data._record_chunks(b'')\n"
+            "class Judged:\n    def judge(self, column):\n        return _convert(column, float)\n"
         ),
     }
     assert _users(planted, SINGLE_CALLER) == {
         "_record_chunks": ["market_data:_read_rows", "other:"],
         "_split_row": ["market_data:_read_rows", "other:parse"],
+        "_convert": ["market_data:_read_rows", "other:judge"],
     }
 
 
-# The one function that dates an EOD file name, and its callers: the listing
-# of a market directory and the public one-file reader.  A third caller would
-# date a listed file again.
-DATER_CALLERS = {"eod_filename_date": ["market_data:_dated_eod_files", "market_data:read_eod_file"]}
+# The one function that dates an EOD file name, and its one caller, the
+# listing of a market directory.  A second caller would date a listed file
+# again.
+DATER_CALLERS = {"eod_filename_date": ["market_data:_dated_eod_files"]}
 
 
 def _dater_callers(sources: dict[str, str]) -> dict[str, list[str]]:
     return {name: sorted(found) for name, found in _users(sources, tuple(DATER_CALLERS)).items()}
 
 
-def test_a_file_name_is_dated_by_two_callers():
+def test_a_file_name_is_dated_by_one_caller():
     assert _dater_callers({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == DATER_CALLERS
 
 
-def test_the_check_finds_a_third_dater():
+def test_the_check_finds_a_second_dater():
     planted = {
         "market_data": (
-            "def read_eod_file(path):\n    return eod_filename_date(path.name)\n"
             "def _dated_eod_files(paths):\n    return [eod_filename_date(p.name) for p in paths]\n"
         ),
         "cross_section": "def read(path):\n    return market_data.eod_filename_date(path.name)\n",
     }
     assert _dater_callers(planted) == {"eod_filename_date": [
-        "cross_section:read", "market_data:_dated_eod_files", "market_data:read_eod_file"]}
+        "cross_section:read", "market_data:_dated_eod_files"]}

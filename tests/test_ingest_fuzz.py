@@ -97,7 +97,8 @@ def test_eod_parser_raises_only_value_error_and_accounts_for_every_record(data):
     except UnicodeDecodeError:
         return  # the parser refuses such bytes as a whole
     records = [fields for _, fields, _ in rowwise_ingest._records(text)]
-    header = bool(records and records[0] and "symbol" in [f.strip().lower() for f in records[0]])
+    first = next((fields for fields in records if fields and "".join(fields).strip()), [])
+    header = "symbol" in [f.strip().lower() for f in first]
     if refused:  # a header that lacks or repeats a column refuses the file and its records
         assert header and rejected == []
         return

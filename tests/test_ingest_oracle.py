@@ -79,6 +79,7 @@ def file_bytes(draw, header: str | None, rows: st.SearchStrategy[str]) -> bytes:
     lines = draw(st.lists(rows, max_size=12))
     if header is not None:
         lines.insert(0, header)
+    lines[:0] = draw(st.lists(BLANK, max_size=2))  # the header is the first non-blank record
     newline = draw(st.sampled_from(["\n", "\r\n"]))
     text = newline.join(lines) + draw(st.sampled_from(["", newline]))
     bom = draw(st.sampled_from(["", "\ufeff"]))

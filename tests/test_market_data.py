@@ -36,7 +36,6 @@ from csie.market_data import (
     parse_eod_file,
     parse_index_csv,
     read_eod_dir,
-    read_eod_file,
 )
 
 from csie import cross_section, market_data
@@ -84,9 +83,12 @@ def test_header_only_file_errors():
         parse_eod_file("Symbol,Open,High,Low,Close,Volume\n", D)
 
 
-def test_empty_file_errors():
-    with pytest.raises(ValueError):
-        parse_eod_file("", D)
+@pytest.mark.parametrize("data", ["", b""], ids=["str", "bytes"])
+@pytest.mark.parametrize("parse", [lambda data: parse_eod_file(data, D), parse_index_csv],
+                         ids=["eod", "index"])
+def test_empty_file_errors(parse, data):
+    with pytest.raises(ValueError, match="^no usable rows"):
+        parse(data)
 
 
 def test_headerless_file_parses():
@@ -156,6 +158,28 @@ def test_a_header_that_names_a_column_twice_refuses_the_file(parse, key, header,
         parse(f"{header}\n{row}\n", key, on_reject=on_reject)
     assert str(info.value) == message
     assert rejected == []
+
+
+@pytest.mark.parametrize("chunk", [1, 2, market_data._CHUNK_RECORDS])
+@pytest.mark.parametrize("lead, rejects", [
+    ("\n \n,,\n", []),
+    ("\nA\rB,1,2\n", [(2, UNPARSEABLE_FIELD)]),  # a record the csv module cannot read
+], ids=["blank", "unreadable"])
+@pytest.mark.parametrize("parse, key, header, row", [
+    (parse_eod_file, D, "Symbol,Close,High,Low,Open,Volume", "A,10.5,11,9,10,100"),
+    (parse_index_csv, "X", "Date,Close,High,Low,Open,Volume", "2021-01-04,10.5,11,9,10,100"),
+], ids=["eod", "index"])
+def test_a_header_after_blank_lines_is_still_a_header(chunk, lead, rejects, parse, key, header,
+                                                      row):
+    """The header is the first non-blank record, in whichever chunk it
+    falls: its columns are read by name, so open and close are not
+    swapped, and it is no reject.  A record the csv module cannot read
+    stands as a blank row, so a header may follow it too."""
+    rejected, on_reject = collect()
+    with mock.patch.object(market_data, "_CHUNK_RECORDS", chunk):
+        bars = parse(f"{lead}{header}\n{row}\n".encode(), key, on_reject=on_reject)
+    assert (len(bars), bars.open[0], bars.close[0]) == (1, 10.0, 10.5)
+    assert [(r.line, r.reason) for r in rejected] == rejects
 
 
 def test_duplicate_symbol_keeps_first_reports_later():
@@ -826,7 +850,6 @@ def test_a_library_read_creates_changes_and_deletes_no_file(tmp_path):
         (cache / name).write_bytes(b"planted")
     before = _tree(tmp_path)
     assert len(read_eod_dir(tmp_path)) == len(read_eod_dir(tmp_path, threads=2)) == 1
-    read_eod_file(path)
     assert _tree(tmp_path) == before
 
 
@@ -836,14 +859,13 @@ def test_a_library_read_creates_changes_and_deletes_no_file(tmp_path):
      (b",1,2,0.5,1.5,10\n", UNPARSEABLE_FIELD)],
     ids=["nul-twin", "nul-only", "empty"],
 )
-def test_a_symbol_is_read_without_its_trailing_nuls(tmp_path, second, reason):
+def test_a_symbol_is_read_without_its_trailing_nuls(second, reason):
     """numpy drops trailing NULs, so the parser does too: ``A\\x00`` is a
     second ``A`` and ``\\x00`` an empty symbol.  The constructor agrees,
     given the symbols as a list or as a numpy array."""
-    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
-    path.write_bytes(b"A,1,2,0.5,1.5,10\n" + second)
     rejected, on_reject = collect()
-    assert read_eod_file(path, on_reject=on_reject).symbols.tolist() == ["A"]
+    day = parse_eod_file(b"A,1,2,0.5,1.5,10\n" + second, D, on_reject=on_reject)
+    assert day.symbols.tolist() == ["A"]
     assert [(r.line, r.reason) for r in rejected] == [(2, reason)]
     symbols = ["A", second.decode().split(",")[0]]
     for given in (symbols, np.array(symbols)):
@@ -852,7 +874,7 @@ def test_a_symbol_is_read_without_its_trailing_nuls(tmp_path, second, reason):
 
 
 @pytest.mark.parametrize("length, kept", [(64, True), (65, False), (50_000, False)])
-def test_a_symbol_longer_than_64_characters_is_unparseable(tmp_path, length, kept):
+def test_a_symbol_longer_than_64_characters_is_unparseable(length, kept):
     """A day holds its symbols as one numpy string array as wide as the
     longest symbol, so one 50,000-character symbol among 1,001 short ones
     once made a 72 KB file's day take about 200 MB; that row is a reject,
@@ -873,12 +895,11 @@ def test_a_symbol_longer_than_64_characters_is_unparseable(tmp_path, length, kep
     assert peak < 4 * 2**20
     rows = [f"S{i:04d},1,2,0.5,1.5,10" for i in range(1001)]
     rows.insert(500, f"{'X' * length},1,2,0.5,1.5,10")
-    path = tmp_path / f"SYN_{D.strftime('%Y%m%d')}.csv"
-    path.write_text("\n".join(rows) + "\n")
+    data = ("\n".join(rows) + "\n").encode()
     rejected, on_reject = collect()
     tracemalloc.start()
     try:
-        day = read_eod_file(path, on_reject=on_reject)
+        day = parse_eod_file(data, D, on_reject=on_reject)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -54,10 +54,16 @@ def test_line_chart_single_point_and_constant_series():
     ET.fromstring(text)
 
 
-def test_line_chart_escapes_markup():
-    text = line_chart(ds([1.0, 2.0]), title="a < b & c")
+@pytest.mark.parametrize("title, shown", [
+    ("a < b & c", "a &lt; b &amp; c"),
+    ("ix\x1bq \x00\ud800\ufffe\uffff", "ix\ufffdq \ufffd\ufffd\ufffd\ufffd"),
+    ("tab\there \U0001f600\x7f", "tab\there \U0001f600\x7f"),
+], ids=["markup", "not-xml", "allowed"])
+def test_line_chart_escapes_markup(title, shown):
+    """Markup is escaped, and each character XML 1.0 forbids is U+FFFD."""
+    text = line_chart(ds([1.0, 2.0]), title=title)
     ET.fromstring(text)
-    assert "a &lt; b &amp; c" in text
+    assert shown in text
 
 
 def test_small_multiples_panels():
