@@ -39,9 +39,10 @@ _NEEDS_SEED = {"cc": True, "pk": False, "gk": False, "rs": False, "yz": True, "i
 _MIN_WINDOW = {"yz": 2, "ie": 2}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DatedSeries:
-    """Real values on strictly increasing dates."""
+    """Real values on strictly increasing dates; compared and hashed by
+    identity, as its arrays have no single truth value."""
 
     dates: np.ndarray
     values: np.ndarray
@@ -105,8 +106,8 @@ def _rolls(
 
     if tag not in ESTIMATOR_TAGS:
         raise ValueError(f"unknown estimator {tag!r}")
-    if w < _MIN_WINDOW.get(tag, 1):
-        raise ValueError(f"estimator {tag!r} needs a window of at least 2")
+    if w < (least := _MIN_WINDOW.get(tag, 1)):
+        raise ValueError(f"estimator {tag!r} needs a window of at least {least}")
     required = w + 1 if _NEEDS_SEED[tag] else w
     if len(series) < required:
         raise ValueError(

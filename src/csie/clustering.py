@@ -29,9 +29,11 @@ class InversionWarning(UserWarning):
     """A merge happened below the height of an earlier merge."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriceMatrix:
-    """One day's four price columns over m symbols (m >= 3, prices > 0)."""
+    """One day's four price columns over m symbols (m >= 3, prices > 0);
+    compared and hashed by identity, as its arrays have no single truth
+    value."""
 
     day: date
     open: np.ndarray

@@ -37,8 +37,7 @@ import numpy as np
 from . import market_data
 from ._util import exact_sum, xlogx
 from ._vocab import ALPHA_DEFAULT, check_alpha
-from .market_data import (_EOD_NAME, EOD_REASONS, MarketDay, OnReject, OnSkip, RejectedRow,
-                          _eod_files)
+from .market_data import EOD_REASONS, MarketDay, OnReject, OnSkip, RejectedRow, _eod_files
 
 CSIE_CSV_HEADER = (
     "date,m,total_value,f,h_oc,h_olhc,csie_signed,csie_abs,degenerate_flag"
@@ -159,9 +158,8 @@ def csie_csv(rows: Sequence[CsieDay]) -> str:
 # The cache: one entry per market directory, ``<directory>/.csie-cache/days.bin``,
 # written through ``days.bin.<pid>.tmp``.
 _CACHE_DIR = ".csie-cache"
-# What pruning removes: the entry's temporary files, and the per-file entries
-# ``<EOD file name>.bin`` of the layout before this one with their temporary files.
-_STALE_NAME = re.compile(rf"{_EOD_NAME.pattern}\.bin(?:\.\d+\.tmp)?|days\.bin\.\d+\.tmp")
+# What pruning removes: the entry's temporary files.
+_STALE_NAME = re.compile(r"days\.bin\.\d+\.tmp")
 _CACHE_MAGIC = b"csie-dd1"
 # magic, then the key: ``_code_id()`` and alpha
 _ENTRY_HEADER = struct.Struct("<8s16s")
@@ -251,9 +249,8 @@ def _write_entry(entry: Path, blob: bytes) -> None:
 def _prune_cache(directory: Path) -> None:
     """Remove the names ``_STALE_NAME`` matches from the cache of
     ``directory``: the temporary files of writes (one in flight in another
-    process costs that process only its write) and the per-file entries of
-    the layout before this one.  Any other name stays, and an OSError leaves
-    the name it meets as it was."""
+    process costs that process only its write).  Any other name stays, and
+    an OSError leaves the name it meets as it was."""
     with suppress(OSError):
         for name in os.listdir(directory / _CACHE_DIR):
             if _STALE_NAME.fullmatch(name):

@@ -34,9 +34,11 @@ from .estimators import BarTerms, OhlcWindow, _finite, _window_terms, yz_k
 NO_VOLUME = "no volume in window"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class VolumeProbs:
-    """Volume shares for a window: p_1..p_n plus the seed day's p_0."""
+    """Volume shares for a window: p_1..p_n plus the seed day's p_0;
+    compared and hashed by identity, as its array has no single truth
+    value."""
 
     probs: np.ndarray
     seed_prob: float

@@ -491,6 +491,8 @@ def _read_rows(
         take = np.array(kept, dtype=np.intp)
         for part, col in zip(parts, (o, h, l, c, volume)):
             part.append(col[take])
+        # so that reading the next chunk does not hold this one's rows too
+        del chunk, rows, fields, columns, lines, chunk_keys, faults
     if on_reject is not None:
         for r in sorted(rejected, key=lambda r: r.line):
             on_reject(r)

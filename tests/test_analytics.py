@@ -23,6 +23,7 @@ from csie.analytics import (
     rolling_estimate,
     vol_beta,
 )
+from csie.clustering import PriceMatrix
 from csie.cross_section import CsieDay, csie_series
 from csie.market_data import IndexSeries
 from csie.estimators import (
@@ -33,7 +34,7 @@ from csie.estimators import (
     vol_rogers_satchell,
     vol_yang_zhang,
 )
-from csie.intrinsic import ie_estimate
+from csie.intrinsic import VolumeProbs, ie_estimate
 
 from helpers import make_index_series, make_market_day, weekdays
 from oracles import naive_beta, naive_ma, naive_mean, naive_pearson, naive_var
@@ -202,6 +203,18 @@ def test_rolling_errors():
         rolling_estimate(s, "cc", 6)
     with pytest.raises(ValueError, match="at least 2"):
         rolling_estimate(s, "yz", 1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ds([1.0, 2.0]),
+    lambda: PriceMatrix(date(2022, 3, 1), *np.ones((4, 3))),
+    lambda: VolumeProbs(np.array([0.5, 0.5]), 0.25, 4.0),
+], ids=["DatedSeries", "PriceMatrix", "VolumeProbs"])
+def test_the_types_that_hold_arrays_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b and not a == b
+    assert a in [b, a] and b not in [a]
+    assert hash(a) == hash(a) and {a: 1}[a] == 1 and len({a, b}) == 2
 
 
 # --- summary statistics -----------------------------------------------------------

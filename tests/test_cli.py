@@ -387,10 +387,10 @@ def test_a_csie_run_prunes_only_the_names_the_cache_writes(tmp_path, capsys, lin
     else:
         cache.mkdir()
     foreign = {"notes.bin": b"not csie's", "draft.tmp": b"not csie's either",
-               "days.bin.tmp": b"no process id", "days.bin.old": b"a copy"}
-    own = {"SYN_20200101.csv.bin": b"an entry of the per-file layout",
-           "SYN_20210601.csv.bin.12345.tmp": b"a per-file write cut short",
-           "days.bin.12345.tmp": b"a write cut short"}
+               "days.bin.tmp": b"no process id", "days.bin.old": b"a copy",
+               "SYN_20200101.csv.bin": b"an entry of an older per-file layout",
+               "SYN_20210601.csv.bin.12345.tmp": b"a per-file write cut short"}
+    own = {"days.bin.12345.tmp": b"a write cut short"}
     for name, data in {**foreign, **own}.items():
         (cache / name).write_bytes(data)
     assert run(["csie", "--market-dir", str(eod), "--out", str(tmp_path / "out")], capsys)[0] == 0
@@ -481,15 +481,15 @@ def test_the_entry_across_runs(tmp_path, capsys, monkeypatch):
     """csie runs over one market directory whose files are edited, renamed,
     deleted and added: a run parses only the files whose date the entry
     does not hold with their bytes, gives a cold run's outputs and entry,
-    and writes the entry only when a date was computed or dropped.  The
-    first run removes the per-file entries of the old layout and keeps
-    foreign names; a warm compare then parses no file."""
+    and writes the entry only when a date was computed or dropped.  Foreign
+    names stay, the per-file entries of an older layout among them; a warm
+    compare then parses no file."""
     eod, index = _cache_world(tmp_path)
     cache = eod / ".csie-cache"
     cache.mkdir()
-    foreign = {"notes.txt": b"not csie's", "SYN_20210601.csv.txt": b"nor this"}
-    old_layout = {"SYN_20210601.csv.bin": b"a per-file entry", "SYN_20210602.csv.bin.7.tmp": b""}
-    for name, data in {**foreign, **old_layout}.items():
+    foreign = {"notes.txt": b"not csie's", "SYN_20210601.csv.txt": b"nor this",
+               "SYN_20210601.csv.bin": b"a per-file entry", "SYN_20210602.csv.bin.7.tmp": b""}
+    for name, data in foreign.items():
         (cache / name).write_bytes(data)
     parsed, writes = [], []
     parse, write = market_data.parse_eod_file, cross_section._write_entry

@@ -127,7 +127,8 @@ def _users(sources: dict[str, str], names: tuple[str, ...]) -> dict[str, list[st
                 visit(child, f"{user.split(':')[0]}:{child.name}")
                 continue
             name = getattr(child, "id", None) or getattr(child, "attr", None)
-            if name in users and user not in users[name]:
+            reads = not isinstance(getattr(child, "ctx", None), ast.Store)
+            if reads and name in users and user not in users[name]:
                 users[name].append(user)
             visit(child, user)
 
@@ -164,8 +165,10 @@ def test_the_check_finds_a_second_caller():
 
 # The one function that dates an EOD file name, and its one caller, the
 # listing of a market directory.  A second caller would date a listed file
-# again.
-DATER_CALLERS = {"eod_filename_date": ["market_data:_dated_eod_files"]}
+# again, and a second reader of the name pattern would hold a second copy of
+# the ``<MARKET>_<YYYYMMDD>.csv`` rule.
+DATER_CALLERS = {"eod_filename_date": ["market_data:_dated_eod_files"],
+                 "_EOD_NAME": ["market_data:eod_filename_date"]}
 
 
 def _dater_callers(sources: dict[str, str]) -> dict[str, list[str]]:
@@ -179,9 +182,17 @@ def test_a_file_name_is_dated_by_one_caller():
 def test_the_check_finds_a_second_dater():
     planted = {
         "market_data": (
+            "_EOD_NAME = re.compile(r'.+_\\d{8}\\.csv')\n"
+            "def eod_filename_date(name):\n    return _EOD_NAME.fullmatch(name)\n"
             "def _dated_eod_files(paths):\n    return [eod_filename_date(p.name) for p in paths]\n"
         ),
-        "cross_section": "def read(path):\n    return market_data.eod_filename_date(path.name)\n",
+        "cross_section": (
+            "from .market_data import _EOD_NAME\n"
+            "_STALE_NAME = re.compile(_EOD_NAME.pattern + '.bin')\n"
+            "def read(path):\n    return market_data.eod_filename_date(path.name)\n"
+        ),
     }
-    assert _dater_callers(planted) == {"eod_filename_date": [
-        "cross_section:read", "market_data:_dated_eod_files"]}
+    assert _dater_callers(planted) == {
+        "eod_filename_date": ["cross_section:read", "market_data:_dated_eod_files"],
+        "_EOD_NAME": ["cross_section:", "market_data:eod_filename_date"],
+    }

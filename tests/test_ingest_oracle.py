@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import gc
 import tracemalloc
 from datetime import date, timedelta
 from unittest import mock
@@ -308,3 +309,35 @@ def test_a_wide_file_parses_in_bounded_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5e6
+
+
+@pytest.mark.parametrize("parse", [
+    lambda eod, index: parse_eod_file(eod, FIXTURE_DAY),
+    lambda eod, index: parse_index_csv(index),
+], ids=["eod", "index"])
+def test_a_chunk_starts_below_the_young_collection_threshold(monkeypatch, parse):
+    """The reader drops a chunk's rows before it reads the next: with the
+    collector off, the tracked objects a parse holds at each chunk's start
+    stay below the young generation's threshold of 700, and exceed those at
+    the first chunk's start by less than one chunk's records (holding the
+    chunk before too took about 380 more)."""
+    eod, index, _ = clean_files()
+    counts = []
+    chunks = md._record_chunks
+
+    def counted(data, rejected):
+        for item in chunks(data, rejected):
+            counts.append(gc.get_count()[0])
+            yield item
+
+    monkeypatch.setattr(md, "_record_chunks", counted)
+    parse(eod, index)  # imports and caches outside the count
+    counts.clear()
+    gc.collect()
+    gc.disable()
+    try:
+        parse(eod, index)
+    finally:
+        gc.enable()
+    assert len(counts) == 14 and max(counts) < 700, counts
+    assert max(counts) - counts[0] < md._CHUNK_RECORDS, counts

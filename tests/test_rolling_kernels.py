@@ -89,6 +89,16 @@ def test_rolls_match_the_per_window_reference(series):
                 assert outcome(rolling_estimate, series, tag, w, use_abs) == want, (tag, w, use_abs)
 
 
+@pytest.mark.parametrize("tag, w, least", [*((tag, 0, 1) for tag in TAGS[:4]),
+                                            ("yz", 0, 2), ("ie", 0, 2), ("yz", 1, 2), ("ie", 1, 2)])
+@pytest.mark.parametrize("roll", [rolling_estimate, window_reducers.rolling_estimate],
+                         ids=["package", "reference"])
+def test_a_too_small_window_names_the_tags_own_minimum(roll, tag, w, least):
+    series = make_index_series(np.random.default_rng(5), 6)
+    want = f"ValueError: estimator {tag!r} needs a window of at least {least}"
+    assert outcome(roll, series, tag, w, False) == want
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 70), st.sampled_from(WINDOWS))
 def test_moving_average_matches_the_per_window_reference(seed, n, w):

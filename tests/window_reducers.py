@@ -88,8 +88,9 @@ def rolling_estimate(
 ) -> DatedSeries:
     if tag not in NEEDS_SEED:
         raise ValueError(f"unknown estimator {tag!r}")
-    if tag in ("yz", "ie") and w < 2:
-        raise ValueError(f"estimator {tag!r} needs a window of at least 2")
+    least = 2 if tag in ("yz", "ie") else 1
+    if w < least:
+        raise ValueError(f"estimator {tag!r} needs a window of at least {least}")
     required = w + 1 if NEEDS_SEED[tag] else w
     if len(series) < required:
         raise ValueError(
