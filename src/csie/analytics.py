@@ -212,7 +212,7 @@ Interval = int | str
 CellKey = tuple[Interval, int, str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparisonGrid:
     """One statistic over every (interval, window, column) combination.
 
@@ -220,7 +220,8 @@ class ComparisonGrid:
     combinations the data cannot support.  The grid of a statistic that
     STATISTICS does not pair with the market (mean, variance) carries a
     trailing "csie" column holding the statistic of the smoothed market
-    series itself.
+    series itself.  Grids are compared and hashed by identity, as a mapping
+    does not hash.
     """
 
     statistic: str

@@ -19,7 +19,8 @@ per key.  ``csie`` and ``compare`` read, judge and drop one EOD file at a
 time: a command keeps one market day in memory, and only that day's
 ``CsieDay`` once it is computed.  A file whose bytes hash to what
 ``cross_section``'s cache holds for its date is not parsed, whatever its
-size; ``cluster`` always parses.
+size; ``cluster`` always parses, and reads only the files of its date.  All
+three find and read their files through ``market_data._eod_files``.
 
 Parsing and checking the options loads no compute module: the option
 vocabulary comes from ``_vocab``, and each command imports what it calls when
@@ -44,9 +45,11 @@ status.  Exit codes: 0 all outputs written, 1 partial or processing failure
 (per-output status on stderr), 2 unusable input (unreadable directory,
 unparseable index, bad configuration, a market directory without a usable
 day).  An EOD file that does not parse (no usable row, bytes that are not
-UTF-8, or a read error), or whose day's cross-section cannot be computed,
-is skipped with one ``error: skipped <file>: <reason>`` line on stderr, in
-date order; the outputs cover the other days and the exit code is 1.
+UTF-8, or a read error), or whose day the command cannot compute (its
+cross-section, or for ``cluster`` its dendrogram), is skipped with one
+``error: skipped <file>: <reason>`` line on stderr, in date order; the
+outputs cover the other days and the exit code is 1, or 2 when no usable
+day is left, as for ``cluster`` whose one file is skipped.
 Likewise, an ``indexvol`` estimator whose windows fail costs only their
 cells, which are NA, with one ``error:`` line and exit code 1.
 """
@@ -68,8 +71,9 @@ from ._vocab import ALL_INTERVAL, ALPHA_DEFAULT, ESTIMATOR_TAGS, INTERVAL_SEMANT
 
 if TYPE_CHECKING:
     from .analytics import DatedSeries
+    from .clustering import Dendrogram
     from .cross_section import CsieDay
-    from .market_data import IndexSeries
+    from .market_data import IndexSeries, OnReject
 
 _FIG_STACK_ORDER = ESTIMATOR_TAGS[::-1]
 _LONG_NAMES = {
@@ -412,24 +416,20 @@ def cmd_compare(cfg: RunConfig) -> int:
 
 def cmd_cluster(cfg: RunConfig) -> int:
     from .clustering import cluster_day
-    from .market_data import _dated_eod_files, parse_eod_file
+    from .market_data import _eod_files, parse_eod_file
     from .svg import dendrogram_svg
 
+    def read(data: bytes, day: date, on_reject: OnReject | None) -> Dendrogram:
+        return cluster_day(parse_eod_file(data, day, on_reject=on_reject),
+                           log_prices=cfg.log_prices)
+
     run = _Run()
-    iso = cfg.date.isoformat()  # strftime("%Y") does not zero-pad a year before 1000
-    suffix = f"_{iso.replace('-', '')}.csv"
     try:
-        matches = _dated_eod_files(p for p in cfg.market_dir.iterdir() if p.name.endswith(suffix))
+        # a second file of the date raises, so a usable file gives the one result
+        [dendro] = _eod_files(cfg.market_dir, read, on_skip=run.error, day=cfg.date)
     except (OSError, ValueError) as exc:
         raise ConfigError(f"cannot load market data from {cfg.market_dir}: {exc}") from exc
-    if not matches:
-        raise ConfigError(f"no EOD file for {iso} in {cfg.market_dir}")
-    path = matches[0][1]
-    try:
-        day = parse_eod_file(path.read_bytes(), cfg.date)
-        dendro = cluster_day(day, log_prices=cfg.log_prices)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+    iso = cfg.date.isoformat()  # strftime("%Y") does not zero-pad a year before 1000
     run.open(cfg.out)
     run.emit(f"cluster_{iso}.newick", lambda: dendro.newick() + "\n")
     run.emit(f"cluster_{iso}_merges.csv", dendro.merge_csv)

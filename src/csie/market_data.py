@@ -28,13 +28,14 @@ Every skipped row, including a record the csv module cannot read, is
 reported through an ``on_reject`` callback, in line order once the whole
 file is read (and by ``read_eod_dir`` in date order, then line order),
 instead of failing the whole file.  A market directory is read by one path,
-``_eod_files``, for ``read_eod_dir`` and the CLI alike: it dates each listed
-name once, reads each EOD file's bytes once, in date order and in one
-thread, and hands them with their date to a reader (``parse_eod_file``, or
-the result cache of ``cross_section``).  A file whose name has no valid
-date, or that its reader cannot use, costs only itself, and is reported
-through an ``on_skip`` callback.  ``read_eod_dir`` always parses, and
-creates, changes or deletes no file.
+``_eod_files``, for ``read_eod_dir`` and every command of the CLI that
+reads one: it dates each listed name once, keeps only the names of one date
+when asked to, reads each EOD file's bytes once, in date order and in one
+thread, and hands them with their date to a reader (``parse_eod_file``, the
+result cache of ``cross_section``, or ``cluster``'s parse and clustering).
+A file whose name has no valid date, or that its reader cannot use, costs
+only itself, and is reported through an ``on_skip`` callback.
+``read_eod_dir`` always parses, and creates, changes or deletes no file.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import re
 from dataclasses import dataclass
 from datetime import date
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -546,26 +547,45 @@ def eod_filename_date(name: str) -> tuple[str, date]:
     return m.group("market"), d
 
 
-def _dated_eod_files(
-    paths: Iterable[Path], on_skip: OnSkip | None = None
-) -> list[tuple[date, Path]]:
-    """The regular files among ``paths`` named ``<MARKET>_<YYYYMMDD>.csv``,
-    with their dates, in date order; two files of one date are a ValueError.
-    Each name is dated once, by ``eod_filename_date``.  A file of that shape
-    whose eight digits are no date goes to ``on_skip`` as ``skipped <file>:
-    bad date in file name: <name>``, in name order."""
+def _eod_files(
+    path: Path,
+    read: Callable[..., _T],
+    on_reject: OnReject | None = None,
+    on_skip: OnSkip | None = None,
+    day: date | None = None,
+) -> Iterator[_T]:
+    """``read(data, d, on_reject=on_reject)`` of each regular file named
+    ``<MARKET>_<YYYYMMDD>.csv`` in a directory, or only of those dated
+    ``day`` when it is given, in date order, one file at a time: ``data`` is
+    the file's bytes, read once here, and ``d`` the date that
+    ``eod_filename_date`` gives its name, each name being dated once.  A
+    file is read only when the result before it has been taken.
+
+    This is the one place where a listed file meets its outcome.  A name of
+    that shape whose eight digits are no date goes to ``on_skip`` as
+    ``skipped <file>: bad date in file name: <name>``, in name order, before
+    any file is read.  A file that ``read`` raises OSError or ValueError for
+    (no usable row, bytes that are not UTF-8, a read error, or a day the
+    caller refuses) goes to ``on_skip`` as ``skipped <file>: <reason>``, in
+    date order.  A file's rejects reach ``on_reject`` as ``read`` delivers
+    them, before its result or its skip.  With ``day`` given, the names of
+    other dates, and those whose digits are no date, are dropped before any
+    check: they are neither statted, read nor reported.  Raises ValueError
+    when two files share a date, when there is no EOD file, or once every
+    file is read if none was usable.
+    """
     dated: list[tuple[date, Path]] = []
     undated: list[str] = []
-    for p in paths:
+    for p in path.iterdir():
         try:
             d = eod_filename_date(p.name)[1]
         except _NotAnEodName:
             continue
         except ValueError as exc:
-            if p.is_file():
+            if day is None and p.is_file():
                 undated.append(f"skipped {p}: {exc}")
             continue
-        if p.is_file():
+        if (day is None or d == day) and p.is_file():
             dated.append((d, p))
     if on_skip is not None:
         for message in sorted(undated):
@@ -574,37 +594,13 @@ def _dated_eod_files(
     for (d1, p1), (d2, p2) in zip(dated, dated[1:]):
         if d1 == d2:
             raise ValueError(f"duplicate date {d1.isoformat()}: {p1.name}, {p2.name}")
-    return dated
-
-
-def _eod_files(
-    path: Path,
-    read: Callable[..., _T],
-    on_reject: OnReject | None = None,
-    on_skip: OnSkip | None = None,
-) -> Iterator[_T]:
-    """``read(data, day, on_reject=on_reject)`` of each
-    ``<MARKET>_<YYYYMMDD>.csv`` in a directory, in date order, one file at a
-    time: ``data`` is the file's bytes, read once here, and ``day`` the date
-    ``_dated_eod_files`` gave its name.  A file is read only when the result
-    before it has been taken.
-
-    This is the one place where a listed file meets its outcome: a file
-    that ``read`` raises OSError or ValueError for (no usable row, bytes
-    that are not UTF-8, a read error, or a day the caller refuses) goes to
-    ``on_skip`` as ``skipped <file>: <reason>``, in date order after the
-    skips of names with no valid date.  A file's rejects reach
-    ``on_reject`` as ``read`` delivers them, before its result or its skip.
-    Raises ValueError when there is no EOD file, or once every file is read
-    if none was usable.
-    """
-    dated = _dated_eod_files(path.iterdir(), on_skip)
     if not dated:
-        raise ValueError(f"no EOD files in {path}")
+        raise ValueError(f"no EOD files in {path}" if day is None
+                         else f"no EOD file for {day.isoformat()} in {path}")
     usable = False
-    for day, file in dated:
+    for d, file in dated:
         try:
-            result = read(file.read_bytes(), day, on_reject=on_reject)
+            result = read(file.read_bytes(), d, on_reject=on_reject)
         except (OSError, ValueError) as exc:
             if on_skip is not None:
                 on_skip(f"skipped {file}: {exc}")

@@ -13,6 +13,7 @@ from csie._util import exact_mean
 from csie.analytics import (
     ALL_INTERVAL,
     STATISTICS,
+    ComparisonGrid,
     DatedSeries,
     align,
     comparison_grids,
@@ -205,11 +206,13 @@ def test_rolling_errors():
         rolling_estimate(s, "yz", 1)
 
 
+# The types that hold arrays, and the grid, whose mapping of cells does not hash.
 @pytest.mark.parametrize("make", [
     lambda: ds([1.0, 2.0]),
     lambda: PriceMatrix(date(2022, 3, 1), *np.ones((4, 3))),
     lambda: VolumeProbs(np.array([0.5, 0.5]), 0.25, 4.0),
-], ids=["DatedSeries", "PriceMatrix", "VolumeProbs"])
+    lambda: ComparisonGrid("mean", (30,), (5,), ("cc",), {(30, 5, "cc"): 0.5}),
+], ids=["DatedSeries", "PriceMatrix", "VolumeProbs", "ComparisonGrid"])
 def test_the_types_that_hold_arrays_compare_and_hash_by_identity(make):
     a, b = make(), make()
     assert a == a and a != b and not a == b

@@ -832,7 +832,7 @@ def test_cluster_unknown_date(world, tmp_path, capsys):
         capsys,
     )
     assert code == 2
-    assert "no EOD file" in stderr
+    assert stderr == f"error: cannot load market data from {eod}: no EOD file for 1999-01-04 in {eod}\n"
 
 
 @pytest.mark.parametrize("command", ["csie", "cluster"])
@@ -860,8 +860,51 @@ def test_cluster_of_an_unreadable_file_is_an_input_error(world, tmp_path, capsys
         ["cluster", "--market-dir", str(eod), "--date", "2021-06-01", "--out", str(out)], capsys
     )
     assert (code, stdout) == (2, "")
-    assert stderr == f"error: {path}: {read_error}\n"
+    assert stderr == (f"error: skipped {path}: {read_error}\n"
+                      f"error: cannot load market data from {eod}: no usable EOD file in {eod}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ("Symbol,Open,High,Low,Close,Volume\nAA,10,9,11,10,100\n", "no usable rows for 2021-01-04"),
+        ("AA,10,11,9,10.5,100\nBB,20,21,19,20.5,100\n", "price matrix needs at least 3 symbols"),
+    ],
+    ids=["no-usable-row", "two-symbols"],
+)
+def test_cluster_of_an_unusable_day_is_a_skipped_file(tmp_path, capsys, text, reason):
+    """The ``--date`` file that does not parse, or whose day ``cluster_day``
+    refuses, gets the ``skipped`` line of ``csie`` and ``compare``, and
+    leaves no usable day."""
+    eod = tmp_path / "eod"
+    eod.mkdir()
+    (eod / "M_20210104.csv").write_text(text)
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        ["cluster", "--market-dir", str(eod), "--date", "2021-01-04", "--out", str(out)], capsys
+    )
+    assert (code, stdout) == (2, "")
+    assert stderr == (f"error: skipped {eod / 'M_20210104.csv'}: {reason}\n"
+                      f"error: cannot load market data from {eod}: no usable EOD file in {eod}\n")
+    assert not out.exists()
+
+
+def test_cluster_reads_and_reports_only_the_files_of_its_date(world, tmp_path, capsys):
+    """Names of other dates, two files of one date and a name whose digits
+    are no date among them, are neither read nor reported."""
+    eod, _ = world
+    local = tmp_path / "eod"
+    local.mkdir()
+    (local / "SYN_20210601.csv").write_bytes((eod / "SYN_20210601.csv").read_bytes())
+    for name in ("SYN_20210230.csv", "NYSE_20210602.csv", "NASDAQ_20210602.csv"):
+        (local / name).write_text("not,an,EOD,file\n")
+    out = tmp_path / "out"
+    code, stdout, stderr = run(
+        ["cluster", "--market-dir", str(local), "--date", "2021-06-01", "--out", str(out)], capsys
+    )
+    assert (code, stderr) == (0, "")
+    assert stdout.count("wrote ") == 3
 
 
 def test_cluster_counts_only_regular_files(world, tmp_path, capsys):

@@ -167,7 +167,7 @@ def test_the_check_finds_a_second_caller():
 # listing of a market directory.  A second caller would date a listed file
 # again, and a second reader of the name pattern would hold a second copy of
 # the ``<MARKET>_<YYYYMMDD>.csv`` rule.
-DATER_CALLERS = {"eod_filename_date": ["market_data:_dated_eod_files"],
+DATER_CALLERS = {"eod_filename_date": ["market_data:_eod_files"],
                  "_EOD_NAME": ["market_data:eod_filename_date"]}
 
 
@@ -184,7 +184,8 @@ def test_the_check_finds_a_second_dater():
         "market_data": (
             "_EOD_NAME = re.compile(r'.+_\\d{8}\\.csv')\n"
             "def eod_filename_date(name):\n    return _EOD_NAME.fullmatch(name)\n"
-            "def _dated_eod_files(paths):\n    return [eod_filename_date(p.name) for p in paths]\n"
+            "def _eod_files(path):\n"
+            "    return [eod_filename_date(p.name) for p in path.iterdir()]\n"
         ),
         "cross_section": (
             "from .market_data import _EOD_NAME\n"
@@ -193,6 +194,36 @@ def test_the_check_finds_a_second_dater():
         ),
     }
     assert _dater_callers(planted) == {
-        "eod_filename_date": ["cross_section:read", "market_data:_dated_eod_files"],
+        "eod_filename_date": ["cross_section:read", "market_data:_eod_files"],
         "_EOD_NAME": ["cross_section:", "market_data:eod_filename_date"],
     }
+
+
+# The callers of the one listing of a market directory, one for each way a
+# directory is read: a second lister would be a second place where a listed
+# file meets its outcome, the place that will group a date's files.
+LISTER_CALLERS = {"_eod_files": ["cli:cmd_cluster", "cross_section:_cached_csie_days",
+                                 "market_data:read_eod_dir"]}
+
+
+def _lister_callers(sources: dict[str, str]) -> dict[str, list[str]]:
+    return {name: sorted(found) for name, found in _users(sources, tuple(LISTER_CALLERS)).items()}
+
+
+def test_a_market_directory_is_listed_by_one_function():
+    assert _lister_callers({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == (
+        LISTER_CALLERS
+    )
+
+
+def test_the_check_finds_a_second_lister():
+    planted = {
+        "market_data": (
+            "def _eod_files(path, read):\n    return map(read, sorted(path.iterdir()))\n"
+            "def read_eod_dir(path):\n    return list(_eod_files(path, parse_eod_file))\n"
+        ),
+        "cli": (
+            "def cmd_csie(cfg):\n    return list(market_data._eod_files(cfg.market_dir, read))\n"
+        ),
+    }
+    assert _lister_callers(planted) == {"_eod_files": ["cli:cmd_csie", "market_data:read_eod_dir"]}
