@@ -7,7 +7,11 @@ same bits, vectorised across the rows, such as the (n_windows, w)
 ``sliding_window_view`` of a series that the estimator kernels reduce.
 ``window_means`` is the one trailing mean: the moving average and the
 estimator kernels both take theirs from it.  ``int64_volumes`` is the one
-volume rule of days, index series and estimator windows.
+volume rule of days, index series and estimator windows.  ``pow2_scaled`` is
+the one scaling of the statistics: the variance, the Pearson correlation and
+the beta are computed on their inputs scaled by one power of two, and scaled
+back with ``ldexp_or_error``, so their squares and products stay inside the
+float range and a statistic past it raises ValueError.
 """
 
 from __future__ import annotations
@@ -139,21 +143,32 @@ def exact_dot(a: np.ndarray, b: np.ndarray) -> float:
     return exact_sum(np.multiply(a, b))
 
 
-def _unit_scaled(x: np.ndarray) -> np.ndarray:
-    """x times the power of two that puts its largest magnitude in [0.5, 1).
+def pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(y, e) with x == y * 2**e and the largest magnitude of y in [0.5, 1),
+    unless x is all zeros (then y is x and e is 0).
 
-    The scale is exact unless a value becomes subnormal, so a statistic that
-    is invariant under scaling keeps its bits, and its sums of squares and
-    products can neither overflow nor underflow to zero.
+    The scale is exact unless a value becomes subnormal, so a statistic
+    computed on the result and scaled back by ``ldexp`` keeps the bits of one
+    computed on x, and its sums of squares and products can neither overflow
+    nor underflow to zero.  ``pearson`` here, and ``mean_var`` and
+    ``vol_beta`` in ``analytics``, scale their inputs by it.
     """
     _, exponent = np.frexp(np.max(np.abs(x)))
-    return np.ldexp(x, -exponent)
+    return np.ldexp(x, -exponent), int(exponent)
+
+
+def ldexp_or_error(x: float, e: int) -> float:
+    """x times 2**e; a result past the float range raises ValueError."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError as exc:
+        raise ValueError("statistic past the float range") from exc
 
 
 def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
     """Pearson correlation; errors when either side has zero variance.
 
-    Each side is scaled by a power of two first (``_unit_scaled``), so
+    Each side is scaled by a power of two first (``pow2_scaled``), so
     values near either end of the float range correlate like any others.
     """
     a = np.asarray(a, dtype=float)
@@ -163,7 +178,7 @@ def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) ->
     n = len(a)
     if n < 2:
         raise ValueError("correlation needs at least 2 points")
-    a, b = _unit_scaled(a), _unit_scaled(b)
+    (a, _), (b, _) = pow2_scaled(a), pow2_scaled(b)
     da = a - exact_mean(a)
     db = b - exact_mean(b)
     va = exact_dot(da, da)

@@ -13,7 +13,12 @@ file is flat ``key = value`` text with the same names as the long flags
 (underscores for dashes).  Each option is declared once, in ``_OPTIONS``,
 which gives its flag, its config key, its built-in default, the rule that
 reads its value and its help text; values are checked in ``--help`` order,
-so the first bad one is the error.  The same table is the run
+so the first bad one is the error.  Two rules read most values: a whole
+number of at least 1 (``--ma``, each window, each numeric interval), and a
+comma list of at least one item with none repeated (``--estimators``,
+``--windows``, ``--intervals``), which keeps its items in the order given;
+``compare`` orders the windows and the intervals (numbers ascending, "all"
+last) before it builds its grids.  The same table is the run
 configuration's field list: ``RunConfig`` is a named tuple with one field
 per key.  ``csie`` and ``compare`` read, judge and drop one EOD file at a
 time: a command keeps one market day in memory, and only that day's
@@ -124,48 +129,40 @@ def _parse_bool(s: str, name: str) -> bool:
     raise ConfigError(f"{name} must be a boolean, got {s!r}")
 
 
-def _parse_windows(s: str) -> tuple[int, ...]:
-    try:
-        values = tuple(int(p) for p in s.split(",") if p.strip())
-    except ValueError as exc:
-        raise ConfigError(f"bad windows list {s!r}") from exc
-    if not values or any(w < 1 for w in values):
-        raise ConfigError("windows must be positive integers")
-    if len(set(values)) != len(values):
-        raise ConfigError("duplicate windows")
-    return values
-
-
-def _parse_intervals(s: str) -> tuple[int | str, ...]:
-    parts = [p.strip() for p in s.split(",") if p.strip()]
-    numeric: list[int] = []
-    for p in (p for p in parts if p != ALL_INTERVAL):
+def _positive(noun: str) -> Callable[[str], int]:
+    """The rule for a whole number of at least 1."""
+    def parse(s: str) -> int:
         try:
-            t = int(p)
+            n = int(s)
         except ValueError as exc:
-            raise ConfigError(f"bad interval {p!r}") from exc
-        if t < 1:
-            raise ConfigError("intervals must be positive")
-        numeric.append(t)
-    if not parts:
-        raise ConfigError("empty intervals list")
-    has_all = ALL_INTERVAL in parts
-    if len(set(numeric)) + has_all != len(parts):
-        raise ConfigError("duplicate intervals")
-    out: tuple[int | str, ...] = tuple(sorted(numeric))
-    return out + ((ALL_INTERVAL,) if has_all else ())
+            raise ConfigError(f"bad {noun} {s!r}") from exc
+        if n < 1:
+            raise ConfigError(f"{noun} must be at least 1")
+        return n
+    return parse
 
 
-def _parse_estimators(s: str) -> tuple[str, ...]:
-    tags = tuple(p.strip() for p in s.split(",") if p.strip())
-    if not tags:
-        raise ConfigError("empty estimator list")
-    for t in tags:
-        if t not in ESTIMATOR_TAGS:
-            raise ConfigError(f"unknown estimator {t!r}")
-    if len(set(tags)) != len(tags):
-        raise ConfigError("duplicate estimator tags")
-    return tags
+def _comma_list(noun: str, item: Callable[[str], Any]) -> Callable[[str], tuple[Any, ...]]:
+    """The rule for a comma list of at least one item, none repeated: each
+    non-blank item read by ``item``, in the order given."""
+    def parse(s: str) -> tuple[Any, ...]:
+        values = tuple(item(p.strip()) for p in s.split(",") if p.strip())
+        if not values:
+            raise ConfigError(f"empty {noun} list")
+        if len(set(values)) != len(values):
+            raise ConfigError(f"duplicate {noun}s")
+        return values
+    return parse
+
+
+def _interval(s: str) -> int | str:
+    return s if s == ALL_INTERVAL else _positive("interval")(s)
+
+
+def _estimator(s: str) -> str:
+    if s not in ESTIMATOR_TAGS:
+        raise ConfigError(f"unknown estimator {s!r}")
+    return s
 
 
 def _parse_date_opt(s: str) -> date:
@@ -191,16 +188,6 @@ def _parse_alpha(s: str) -> float:
     return alpha
 
 
-def _parse_ma(s: str) -> int:
-    try:
-        ma = int(s)
-    except ValueError as exc:
-        raise ConfigError(f"bad ma {s!r}") from exc
-    if ma < 1:
-        raise ConfigError("ma must be at least 1")
-    return ma
-
-
 def _choice(choices: tuple[str, ...], message: str) -> Callable[[str], str]:
     def parse(s: str) -> str:
         if s not in choices:
@@ -222,20 +209,22 @@ _BUBBLES = {"count": ("m", "symbols traded"), "value": ("total_value", "traded v
 # plus the key with dashes for underscores), its built-in default, the rule
 # that reads its text into that field, and its argparse settings.  The
 # argparse default stays None, so ``_resolve`` can tell a flag the user gave
-# from one left out.
+# from one left out.  A comma list keeps its items in the order given;
+# ``compare`` orders ``--windows`` and ``--intervals`` (numbers ascending,
+# "all" last), and ``indexvol`` takes the first window.
 _OPTIONS: dict[str, tuple[str | None, Callable[[str], Any], dict[str, Any]]] = {
     "market_dir": (None, _optional(Path), {"help": "directory of <MARKET>_<YYYYMMDD>.csv files"}),
     "index": (None, _optional(Path), {"help": "index OHLCV CSV path"}),
-    "estimators": (",".join(ESTIMATOR_TAGS), _parse_estimators,
+    "estimators": (",".join(ESTIMATOR_TAGS), _comma_list("estimator", _estimator),
                    {"help": "comma list from cc,pk,gk,rs,yz,ie"}),
-    "windows": ("5,10,20,30", _parse_windows,
+    "windows": ("5,10,20,30", _comma_list("window", _positive("window")),
                 {"help": "comma list of rolling windows (indexvol uses the first)"}),
-    "intervals": ("30,60,120,260,520,780,1300,all", _parse_intervals,
+    "intervals": ("30,60,120,260,520,780,1300,all", _comma_list("interval", _interval),
                   {"help": "comma list of trailing intervals, 'all' allowed"}),
     "alpha": (str(ALPHA_DEFAULT), _parse_alpha, {"help": "entropy blend alpha (> 1)"}),
     "abs": ("false", lambda s: _parse_bool(s, "abs"),
             {"action": "store_const", "const": True, "help": "use absolute entropy variants"}),
-    "ma": (None, _parse_ma, {"help": "moving-average overlay window for charts"}),
+    "ma": (None, _positive("ma"), {"help": "moving-average overlay window for charts"}),
     "bubble": (None,
                _choice(tuple(_BUBBLES), f"bubble must be {' or '.join(map(repr, _BUBBLES))}"),
                {"choices": tuple(_BUBBLES), "help": "bubble sizing for the csie chart"}),
@@ -406,9 +395,9 @@ def cmd_compare(cfg: RunConfig) -> int:
     index = _load_index(cfg)  # read before any EOD file
     rows = _csie_days(cfg, run)
     run.open(cfg.out)
-    grids = comparison_grids(index, rows, cfg.estimators, cfg.intervals,
-                             tuple(sorted(cfg.windows)), semantics=cfg.interval_semantics,
-                             on_error=run.error)
+    intervals = sorted(cfg.intervals, key=lambda t: math.inf if t == ALL_INTERVAL else t)
+    grids = comparison_grids(index, rows, cfg.estimators, intervals, sorted(cfg.windows),
+                             semantics=cfg.interval_semantics, on_error=run.error)
     for stat, grid in grids.items():
         run.emit(f"grid_{stat}.csv", grid.to_csv)
     return run.status

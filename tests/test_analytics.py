@@ -7,6 +7,8 @@ from datetime import date
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from csie import analytics
 from csie._util import exact_mean
@@ -329,6 +331,71 @@ def test_beta_matches_naive():
     v = [float(x) for x in rng.normal(1, 0.3, 30)]
     m = [float(x) for x in rng.normal(1, 0.2, 30)]
     assert math.isclose(vol_beta(v, m), naive_beta(v, m), rel_tol=1e-12)
+
+
+# --- statistics at the ends of the float range -----------------------------------------
+
+def test_a_variance_past_the_float_range_raises():
+    with pytest.raises(ValueError, match="past the float range"):  # was (0.0, inf)
+        mean_var(np.array([1e300, -1e300]))
+
+
+def test_beta_at_the_ends_of_the_float_range():
+    assert vol_beta(np.array([1.0, 2.0]), np.array([1e200, -1e200])) == -5e-201  # was -0.0
+    with pytest.raises(ValueError, match="past the float range"):  # was -inf
+        vol_beta(np.array([1e300, -1e300]), np.array([1e-100, 2e-100]))
+
+
+# Zero and magnitudes from 2**-61 to 2**61, which stay normal scaled by 2**k
+# for |k| <= 900.
+NORMAL = st.one_of(
+    st.just(0.0),
+    st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-60, 60)),
+    st.builds(math.ldexp, st.floats(-1.0, -0.5, exclude_min=True), st.integers(-60, 60)),
+)
+SCALES = st.integers(-900, 900)
+PAIRS = st.integers(2, 30).flatmap(
+    lambda n: st.tuples(*[st.lists(NORMAL, min_size=n, max_size=n).map(np.array)] * 2)
+)
+
+
+def outcome(statistic, *args):
+    """The bits of what ``statistic`` returns, or ValueError where it raises."""
+    try:
+        return np.array(statistic(*args), dtype=float).tobytes()
+    except ValueError:
+        return ValueError
+
+
+def scaled(x: float, k: int):
+    """x * 2**k, or ValueError when that is past the float range."""
+    try:
+        return math.ldexp(x, k)
+    except OverflowError:
+        return ValueError
+
+
+@given(st.lists(NORMAL, min_size=1, max_size=30).map(np.array), SCALES)
+def test_mean_var_commutes_with_powers_of_two(x, k):
+    mu, var = mean_var(x)
+    want = scaled(var, 2 * k)
+    if want is not ValueError:
+        want = np.array([math.ldexp(mu, k), want]).tobytes()
+    assert outcome(mean_var, np.ldexp(x, k)) == want
+
+
+@given(PAIRS, SCALES, SCALES)
+def test_beta_and_pearson_commute_with_powers_of_two(pair, k, j):
+    v, m = pair
+    vk, mj = np.ldexp(v, k), np.ldexp(m, j)
+    assert outcome(pearson, vk, mj) == outcome(pearson, v, m)
+    try:
+        beta = vol_beta(v, m)
+    except ValueError:  # zero market variance
+        assert outcome(vol_beta, vk, mj) is ValueError
+        return
+    want = scaled(beta, k - j)
+    assert outcome(vol_beta, vk, mj) == (want if want is ValueError else outcome(float, want))
 
 
 # --- csie series handoff ------------------------------------------------------------

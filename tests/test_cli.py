@@ -8,6 +8,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import warnings
 import xml.etree.ElementTree as ET
 from datetime import date
 from pathlib import Path
@@ -772,6 +773,67 @@ def test_compare_raw_days_flag(world, tmp_path, capsys):
     assert (out_s / "grid_pearson.csv").read_text() != (out_r / "grid_pearson.csv").read_text()
 
 
+def test_compare_orders_windows_and_intervals(world, tmp_path, capsys):
+    """The lists keep the order given; compare orders the grid rows by window,
+    then interval, numbers ascending and "all" last."""
+    eod, index = world
+    out = tmp_path / "out"
+    code, _, stderr = run(
+        ["compare", "--market-dir", str(eod), "--index", str(index), "--out", str(out),
+         "--windows", "10,5", "--intervals", "all,40,20", "--estimators", "pk"],
+        capsys,
+    )
+    assert code == 0, stderr
+    rows = (out / "grid_mean.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[:2] for r in rows] == [
+        [t, w] for w in ("5", "10") for t in ("20", "40", "all")
+    ]
+
+
+def write_overflow_world(root: Path) -> tuple[Path, Path]:
+    """40 weekday EOD files of three ordinary symbols, every third one also
+    holding a symbol whose open and low are 1e-290, so that day's signed
+    CSIE is of order 1e290; and an index of 40 ordinary bars."""
+    rng = np.random.default_rng(37)
+    eod = root / "eod"
+    eod.mkdir(parents=True)
+    index_lines = ["Date,Open,High,Low,Close,Volume"]
+    for i, d in enumerate(weekdays(date(2020, 1, 6), 40)):
+        lines = ["Symbol,Open,High,Low,Close,Volume"]
+        for symbol in ("BBB", "CCC", "DDD", "IDX"):
+            o = 10.0 * (1 + rng.uniform(-0.01, 0.01))
+            c = o * (1 + rng.uniform(-0.02, 0.02))
+            v = int(rng.integers(100, 1001))
+            lines.append(f"{symbol},{o!r},{max(o, c) * 1.001!r},{min(o, c) * 0.999!r},{c!r},{v}")
+        index_lines.append(d.isoformat() + lines.pop()[3:])
+        if i % 3 == 0:
+            lines.append("AAA,1e-290,10,1e-290,10,500")
+        (eod / f"X_{d:%Y%m%d}.csv").write_text("\n".join(lines) + "\n")
+    index = root / "index.csv"
+    index.write_text("\n".join(index_lines) + "\n")
+    return eod, index
+
+
+def test_compare_writes_na_for_a_variance_past_the_float_range(tmp_path, capsys):
+    """The csie column's variance is past the float range: its cells are NA,
+    with no nan or inf in any grid and no overflow warning."""
+    eod, index = write_overflow_world(tmp_path)
+    out = tmp_path / "out"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, stderr = run(
+            ["compare", "--market-dir", str(eod), "--index", str(index), "--out", str(out),
+             "--windows", "5", "--intervals", "10,all"],
+            capsys,
+        )
+    assert code == 0, stderr
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    for grid in sorted(out.iterdir()):
+        assert not re.search(r"nan|inf", grid.read_text(), re.IGNORECASE), grid.name
+    rows = [r.split(",") for r in (out / "grid_variance.csv").read_text().splitlines()]
+    assert rows[0][-1] == "csie" and [r[-1] for r in rows[1:]] == ["NA", "NA"]
+
+
 # --- cluster subcommand ---------------------------------------------------------------------
 
 def test_cluster_outputs(world, tmp_path, capsys):
@@ -970,19 +1032,18 @@ def test_config_file_may_start_with_a_byte_order_mark(tmp_path):
 # its config file (None for no file) and the message, in which ``{cfg}``
 # stands for the config file's path.  Each is raised before any input is read.
 CONFIG_ERRORS = {
-    "windows-bad": ("csie", ["--windows", "5,x"], None, "bad windows list '5,x'"),
-    "windows-zero": ("csie", ["--windows", "5,0"], None, "windows must be positive integers"),
-    "windows-empty": ("csie", ["--windows", ","], None, "windows must be positive integers"),
+    "windows-bad": ("csie", ["--windows", "5,x"], None, "bad window 'x'"),
+    "windows-zero": ("csie", ["--windows", "5,0"], None, "window must be at least 1"),
+    "windows-empty": ("csie", ["--windows", ","], None, "empty window list"),
     "windows-repeated": ("csie", ["--windows", "5,5"], None, "duplicate windows"),
     "interval-bad": ("csie", ["--intervals", "30,x"], None, "bad interval 'x'"),
-    "interval-zero": ("csie", ["--intervals", "0,all"], None, "intervals must be positive"),
-    "intervals-empty": ("csie", ["--intervals", " , "], None, "empty intervals list"),
+    "interval-zero": ("csie", ["--intervals", "0,all"], None, "interval must be at least 1"),
+    "intervals-empty": ("csie", ["--intervals", " , "], None, "empty interval list"),
     "interval-repeated": ("csie", ["--intervals", "30,30"], None, "duplicate intervals"),
     "all-repeated": ("csie", ["--intervals", "all,30,all"], None, "duplicate intervals"),
     "estimators-empty": ("csie", ["--estimators", ","], None, "empty estimator list"),
     "estimator-unknown": ("csie", ["--estimators", "cc,zz"], None, "unknown estimator 'zz'"),
-    "estimator-repeated": ("csie", ["--estimators", "cc,pk,cc"], None,
-                           "duplicate estimator tags"),
+    "estimator-repeated": ("csie", ["--estimators", "cc,pk,cc"], None, "duplicate estimators"),
     "date-bad": ("cluster", ["--date", "2021-13-01"], None,
                  "bad date '2021-13-01' (want YYYY-MM-DD or YYYYMMDD)"),
     "date-seven-digits": ("cluster", ["--date", "2016022"], None,
@@ -1028,7 +1089,7 @@ def test_each_configuration_error_exits_2_with_its_message(tmp_path, capsys, cas
 # the keys before it are mended.
 CHECK_ORDER = [
     ("estimators = zz", "unknown estimator 'zz'"),
-    ("windows = 0", "windows must be positive integers"),
+    ("windows = 0", "window must be at least 1"),
     ("intervals = x", "bad interval 'x'"),
     ("alpha = 0.5", "alpha must exceed 1 and be finite, got 0.5"),
     ("abs = maybe", "abs must be a boolean, got 'maybe'"),
@@ -1093,8 +1154,8 @@ EMPTY_VALUE = {
     "market_dir": [],
     "index": [],
     "estimators": "empty estimator list",
-    "windows": "windows must be positive integers",
-    "intervals": "empty intervals list",
+    "windows": "empty window list",
+    "intervals": "empty interval list",
     "alpha": "bad alpha ''",
     "abs": "abs must be a boolean, got ''",
     "ma": "bad ma ''",

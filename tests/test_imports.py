@@ -118,13 +118,13 @@ def _users(sources: dict[str, str], names: tuple[str, ...]) -> dict[str, list[st
     """For each of ``names``, ``<module>:<function>`` of each function that
     reads it, as a name or an attribute, in order of first read; a read
     outside any function is ``<module>:``, and a nested function is a user
-    of its own."""
+    of its own, ``<module>:<function>.<nested>``."""
     users: dict[str, list[str]] = {name: [] for name in names}
 
     def visit(node: ast.AST, user: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, f"{user.split(':')[0]}:{child.name}")
+                visit(child, f"{user}{'' if user.endswith(':') else '.'}{child.name}")
                 continue
             name = getattr(child, "id", None) or getattr(child, "attr", None)
             reads = not isinstance(getattr(child, "ctx", None), ast.Store)
@@ -227,3 +227,61 @@ def test_the_check_finds_a_second_lister():
         ),
     }
     assert _lister_callers(planted) == {"_eod_files": ["cli:cmd_csie", "market_data:read_eod_dir"]}
+
+
+# The one rule that splits option text into a comma list: a second function
+# that splits text in the CLI would be a second wording of that rule.
+SPLITTERS = {"split": ["cli:_comma_list.parse"]}
+
+
+def test_only_the_comma_list_rule_splits_option_text():
+    [cli] = [p for p in SOURCES if p.name == "cli.py"]
+    assert _users({"cli": cli.read_text(encoding="utf-8")}, tuple(SPLITTERS)) == SPLITTERS
+
+
+def test_the_check_finds_a_second_splitter():
+    planted = {
+        "cli": (
+            "def _comma_list(noun, item):\n"
+            "    def parse(s):\n        return tuple(map(item, s.split(',')))\n"
+            "    return parse\n"
+            "def _parse_windows(s):\n    return tuple(int(p) for p in s.split(','))\n"
+        ),
+    }
+    assert _users(planted, tuple(SPLITTERS)) == {
+        "split": ["cli:_comma_list.parse", "cli:_parse_windows"]
+    }
+
+
+# The one power-of-two scaling of the statistics and its callers: a second
+# caller of ``np.frexp`` would be a second copy of the scaling.
+SCALER_CALLERS = {"pow2_scaled": ["_util:pearson", "analytics:mean_var", "analytics:vol_beta"],
+                  "frexp": ["_util:pow2_scaled"]}
+
+
+def _scaler_callers(sources: dict[str, str]) -> dict[str, list[str]]:
+    return {name: sorted(found) for name, found in _users(sources, tuple(SCALER_CALLERS)).items()}
+
+
+def test_the_statistics_share_one_scaling():
+    assert _scaler_callers({p.stem: p.read_text(encoding="utf-8") for p in SOURCES}) == (
+        SCALER_CALLERS
+    )
+
+
+def test_the_check_finds_a_second_scaling():
+    planted = {
+        "_util": (
+            "def pow2_scaled(x):\n    _, e = np.frexp(np.max(np.abs(x)))\n"
+            "    return np.ldexp(x, -e), int(e)\n"
+            "def pearson(a, b):\n    return pow2_scaled(a), pow2_scaled(b)\n"
+        ),
+        "analytics": (
+            "def mean_var(values):\n    return _util.pow2_scaled(values)\n"
+            "def vol_beta(v, m):\n    _, e = np.frexp(np.max(np.abs(m)))\n    return e\n"
+        ),
+    }
+    assert _scaler_callers(planted) == {
+        "pow2_scaled": ["_util:pearson", "analytics:mean_var"],
+        "frexp": ["_util:pow2_scaled", "analytics:vol_beta"],
+    }
