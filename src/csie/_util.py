@@ -7,11 +7,15 @@ same bits, vectorised across the rows, such as the (n_windows, w)
 ``sliding_window_view`` of a series that the estimator kernels reduce.
 ``window_means`` is the one trailing mean: the moving average and the
 estimator kernels both take theirs from it.  ``int64_volumes`` is the one
-volume rule of days, index series and estimator windows.  ``pow2_scaled`` is
-the one scaling of the statistics: the variance, the Pearson correlation and
-the beta are computed on their inputs scaled by one power of two, and scaled
-back with ``ldexp_or_error``, so their squares and products stay inside the
-float range and a statistic past it raises ValueError.
+volume rule of days, index series and estimator windows.  ``scaled_mean``
+is the one scaling of the statistics, and ``centred`` its deviations: the
+mean, the variance, the Pearson correlation and the beta are computed on
+their inputs scaled by one power of two, and scaled back with ``ldexp`` (the
+mean, which cannot overflow) or ``ldexp_or_error``, so their sums, squares
+and products stay inside the float range and a statistic past it raises
+ValueError.  ``mean`` is the one mean of the statistics: the grid mean and
+``analytics.mean_var`` take theirs from it.  ``paired`` is the one argument
+rule of the paired statistics.
 """
 
 from __future__ import annotations
@@ -143,18 +147,41 @@ def exact_dot(a: np.ndarray, b: np.ndarray) -> float:
     return exact_sum(np.multiply(a, b))
 
 
-def pow2_scaled(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """(y, e) with x == y * 2**e and the largest magnitude of y in [0.5, 1),
-    unless x is all zeros (then y is x and e is 0).
+def scaled_mean(x: np.ndarray) -> tuple[np.ndarray, float, int]:
+    """(y, mu, e): e is the power of two that puts the largest magnitude of
+    y = x * 2**-e in [0.5, 1) (0 when x is all zeros), and mu the exact mean
+    of y.
 
-    The scale is exact unless a value becomes subnormal, so a statistic
-    computed on the result and scaled back by ``ldexp`` keeps the bits of one
-    computed on x, and its sums of squares and products can neither overflow
-    nor underflow to zero.  ``pearson`` here, and ``mean_var`` and
-    ``vol_beta`` in ``analytics``, scale their inputs by it.
+    Scaling is exact unless a value becomes subnormal.  A statistic computed
+    from y or mu and scaled back by ``ldexp`` therefore has the bits of one
+    computed on x unless it or a scaled value is subnormal at either scale:
+    ``ldexp(mu, e)`` is ``exact_mean(x)`` but in those cases, and it cannot
+    overflow.  ``centred`` and ``mean`` read it.
     """
-    _, exponent = np.frexp(np.max(np.abs(x)))
-    return np.ldexp(x, -exponent), int(exponent)
+    _, e = np.frexp(np.abs(x).max(initial=0.0))
+    y = np.ldexp(x, -e)
+    return y, exact_mean(y), int(e)
+
+
+def centred(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """(y - mu, e) of ``scaled_mean(x)``: deviations whose sums of squares
+    and products can neither overflow nor underflow to zero.  ``variance``
+    and ``pearson`` here, and ``vol_beta`` in ``analytics``, read them."""
+    y, mu, e = scaled_mean(x)
+    return y - mu, e
+
+
+def paired(
+    a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray, statistic: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """a and b as float arrays of one shape with at least 2 points; else
+    ValueError ``length mismatch`` or ``<statistic> needs at least 2 points``."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError("length mismatch")
+    if len(a) < 2:
+        raise ValueError(f"{statistic} needs at least 2 points")
+    return a, b
 
 
 def ldexp_or_error(x: float, e: int) -> float:
@@ -165,24 +192,28 @@ def ldexp_or_error(x: float, e: int) -> float:
         raise ValueError("statistic past the float range") from exc
 
 
+def mean(values: Sequence[float] | np.ndarray) -> float:
+    """Population mean, computed on the values scaled by a power of two
+    (``scaled_mean``) and scaled back, so it is a float whenever they are."""
+    return math.ldexp(*scaled_mean(values)[1:])
+
+
+def variance(values: Sequence[float] | np.ndarray) -> float:
+    """Population variance (divisor n, never n-1), computed on the deviations
+    of the values scaled by a power of two (``centred``) and scaled back; a
+    variance past the float range raises ValueError."""
+    d, e = centred(values)
+    return ldexp_or_error(exact_mean(d * d), 2 * e)
+
+
 def pearson(a: Sequence[float] | np.ndarray, b: Sequence[float] | np.ndarray) -> float:
     """Pearson correlation; errors when either side has zero variance.
 
-    Each side is scaled by a power of two first (``pow2_scaled``), so
-    values near either end of the float range correlate like any others.
+    Each side is scaled by a power of two and centred first (``centred``),
+    so values near either end of the float range correlate like any others.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("length mismatch")
-    n = len(a)
-    if n < 2:
-        raise ValueError("correlation needs at least 2 points")
-    (a, _), (b, _) = pow2_scaled(a), pow2_scaled(b)
-    da = a - exact_mean(a)
-    db = b - exact_mean(b)
-    va = exact_dot(da, da)
-    vb = exact_dot(db, db)
+    (da, _), (db, _) = map(centred, paired(a, b, "correlation"))
+    va, vb = exact_dot(da, da), exact_dot(db, db)
     if va == 0.0 or vb == 0.0:
         raise ValueError("undefined correlation: zero variance")
     r = exact_dot(da, db) / math.sqrt(va * vb)

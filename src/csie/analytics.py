@@ -16,12 +16,12 @@ reduce each row with ``_util.exact_rowsums``, so each value has the bits of
 the single-window computation.
 
 Mean, variance, covariance all use the population divisor n throughout.
-The variance, the Pearson correlation and the beta are computed on their
-inputs scaled by one power of two (``_util.pow2_scaled``) and scaled back,
-which keeps their bits and keeps their squares and products inside the float
-range; a statistic that is itself past the float range raises ValueError,
-which a grid shows as NA.  The grid mean is ``exact_mean`` of the values as
-they are, so a variance past the float range does not cost the mean its cell.
+All four statistics are computed on their inputs scaled by one power of two
+(``_util.scaled_mean``) and scaled back, which keeps their bits and keeps
+their sums, squares and products inside the float range; a statistic that is itself past the float range
+raises ValueError, which a grid shows as NA.  The mean is a float whenever
+its values are, so a sum or a variance past the float range does not cost
+the mean its cell.
 The estimator modules load when a series is first rolled, so ``csie csie``
 does not load them.
 """
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._util import exact_dot, exact_mean, ldexp_or_error, pearson, pow2_scaled, window_means
+from ._util import centred, exact_dot, ldexp_or_error, mean, paired, pearson, variance, window_means
 from ._vocab import ALL_INTERVAL, ESTIMATOR_TAGS, INTERVAL_SEMANTICS
 
 if TYPE_CHECKING:
@@ -167,16 +167,10 @@ def rolling_estimate(
 
 
 def mean_var(values: Sequence[float] | np.ndarray) -> tuple[float, float]:
-    """Population mean and variance (divisor n, never n-1), computed on the
-    values scaled by a power of two (``pow2_scaled``) and scaled back; a
-    variance past the float range raises ValueError."""
-    values = np.asarray(values, dtype=float)
+    """``mean`` and ``variance`` of the values."""
     if len(values) == 0:
         raise ValueError("mean_var of empty sequence")
-    x, e = pow2_scaled(values)
-    mu = exact_mean(x)
-    d = x - mu
-    return math.ldexp(mu, e), ldexp_or_error(exact_mean(d * d), 2 * e)
+    return mean(values), variance(values)
 
 
 def align(a: DatedSeries, b: DatedSeries) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,21 +185,13 @@ def vol_beta(
     index_vol: Sequence[float] | np.ndarray, market_csie: Sequence[float] | np.ndarray
 ) -> float:
     """Cov(index volatility, market entropy) / Var(market entropy), computed
-    on each side scaled by a power of two (``pow2_scaled``) and scaled back;
-    a beta past the float range raises ValueError."""
-    v = np.asarray(index_vol, dtype=float)
-    m = np.asarray(market_csie, dtype=float)
-    if v.shape != m.shape:
-        raise ValueError("length mismatch")
-    if len(v) < 2:
-        raise ValueError("beta needs at least 2 points")
-    (v, ev), (m, em) = pow2_scaled(v), pow2_scaled(m)
-    dv = v - exact_mean(v)
-    dm = m - exact_mean(m)
-    var_m = exact_dot(dm, dm) / len(m)
+    on each side scaled by a power of two and centred (``centred``) and
+    scaled back; a beta past the float range raises ValueError."""
+    (dv, ev), (dm, em) = map(centred, paired(index_vol, market_csie, "beta"))
+    var_m = exact_dot(dm, dm) / len(dm)
     if var_m == 0.0:
         raise ValueError("zero market variance")
-    cov = exact_dot(dv, dm) / len(m)
+    cov = exact_dot(dv, dm) / len(dm)
     return ldexp_or_error(cov / var_m, ev - em)
 
 
@@ -214,8 +200,8 @@ def vol_beta(
 # and has a trailing "csie" column), and its value from the selected
 # (column, market) entries, which raises ValueError where it is undefined.
 STATISTICS: dict[str, tuple[bool, Callable[[np.ndarray, np.ndarray], float]]] = {
-    "mean": (False, lambda est, _: exact_mean(est)),
-    "variance": (False, lambda est, _: mean_var(est)[1]),
+    "mean": (False, lambda est, _: mean(est)),
+    "variance": (False, lambda est, _: variance(est)),
     "pearson": (True, pearson),
     "beta": (True, vol_beta),
 }

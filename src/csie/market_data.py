@@ -568,24 +568,28 @@ def _eod_files(
     (no usable row, bytes that are not UTF-8, a read error, or a day the
     caller refuses) goes to ``on_skip`` as ``skipped <file>: <reason>``, in
     date order.  A file's rejects reach ``on_reject`` as ``read`` delivers
-    them, before its result or its skip.  With ``day`` given, the names of
-    other dates, and those whose digits are no date, are dropped before any
-    check: they are neither statted, read nor reported.  Raises ValueError
-    when two files share a date, when there is no EOD file, or once every
-    file is read if none was usable.
+    them, before its result or its skip.  With ``day`` given, only the names
+    ending in that date's ``_<YYYYMMDD>.csv`` are dated: those of other
+    dates, and those whose digits are no date, are neither dated, statted,
+    read nor reported.  Raises ValueError when two files share a date, when
+    there is no EOD file, or once every file is read if none was usable.
     """
     dated: list[tuple[date, Path]] = []
     undated: list[str] = []
+    # isoformat, as strftime("%Y") does not zero-pad a year before 1000
+    suffix = "" if day is None else f"_{day.isoformat().replace('-', '')}.csv"
     for p in path.iterdir():
+        if not p.name.endswith(suffix):
+            continue
         try:
             d = eod_filename_date(p.name)[1]
         except _NotAnEodName:
             continue
         except ValueError as exc:
-            if day is None and p.is_file():
+            if p.is_file():
                 undated.append(f"skipped {p}: {exc}")
             continue
-        if (day is None or d == day) and p.is_file():
+        if p.is_file():
             dated.append((d, p))
     if on_skip is not None:
         for message in sorted(undated):

@@ -346,6 +346,23 @@ def test_beta_at_the_ends_of_the_float_range():
         vol_beta(np.array([1e300, -1e300]), np.array([1e-100, 2e-100]))
 
 
+def test_a_mean_whose_sum_overflows_is_the_mean():
+    assert STATISTICS["mean"][1](np.array([1e308, 1.5e308]), None) == 1.25e308  # was an error
+
+
+def test_a_grid_mean_whose_sum_overflows_keeps_its_cell():
+    values = [1.2e308 + 1e306 * i for i in range(20)]
+    rows = csie_rows(values)
+    index = make_index_series(np.random.default_rng(44), 20, start=rows[0].day)
+    grids = comparison_grids(index, rows, [], [10, ALL_INTERVAL], [1])
+    mean, variance = grids["mean"], grids["variance"]
+    for t, values_t, want in ((10, values[10:], 1.345e308), (ALL_INTERVAL, values, 1.295e308)):
+        cell = mean.cell(t, 1, "csie")  # was NA
+        assert cell == math.ldexp(exact_mean(np.ldexp(values_t, -8)), 8)
+        assert math.isclose(cell, want, rel_tol=1e-15)
+    assert variance.cell(10, 1, "csie") is None and variance.cell(ALL_INTERVAL, 1, "csie") is None
+
+
 # Zero and magnitudes from 2**-61 to 2**61, which stay normal scaled by 2**k
 # for |k| <= 900.
 NORMAL = st.one_of(
@@ -382,6 +399,14 @@ def test_mean_var_commutes_with_powers_of_two(x, k):
     if want is not ValueError:
         want = np.array([math.ldexp(mu, k), want]).tobytes()
     assert outcome(mean_var, np.ldexp(x, k)) == want
+
+
+@given(st.lists(NORMAL, min_size=1, max_size=30).map(np.array), SCALES)
+def test_the_grid_mean_is_the_exact_mean_and_commutes_with_powers_of_two(x, k):
+    mean = STATISTICS["mean"][1]
+    xk = np.ldexp(x, k)
+    assert outcome(mean, xk, None) == outcome(exact_mean, xk)
+    assert outcome(mean, xk, None) == outcome(math.ldexp, mean(x, None), k)
 
 
 @given(PAIRS, SCALES, SCALES)
@@ -531,7 +556,7 @@ def reslice_reference(index, rows, column, t, w, statistic, semantics="raw-days"
             return pearson(est, mkt)
         if statistic == "beta":
             return vol_beta(est, mkt)
-        return mean_var(est)[0 if statistic == "mean" else 1]
+        return exact_mean(est) if statistic == "mean" else mean_var(est)[1]
     except ValueError:
         return None
 

@@ -253,10 +253,15 @@ def test_the_check_finds_a_second_splitter():
     }
 
 
-# The one power-of-two scaling of the statistics and its callers: a second
-# caller of ``np.frexp`` would be a second copy of the scaling.
-SCALER_CALLERS = {"pow2_scaled": ["_util:pearson", "analytics:mean_var", "analytics:vol_beta"],
-                  "frexp": ["_util:pow2_scaled"]}
+# The one power-of-two scaling of the statistics, its deviations and the one
+# mean, with their callers: a second caller of ``np.frexp`` would be a second
+# copy of the scaling, and a second reader of ``scaled_mean`` a second mean.
+# The grid mean is a lambda of ``analytics.STATISTICS``, read outside any
+# function.
+SCALER_CALLERS = {"scaled_mean": ["_util:centred", "_util:mean"],
+                  "centred": ["_util:pearson", "_util:variance", "analytics:vol_beta"],
+                  "mean": ["analytics:", "analytics:mean_var"],
+                  "frexp": ["_util:scaled_mean"]}
 
 
 def _scaler_callers(sources: dict[str, str]) -> dict[str, list[str]]:
@@ -272,16 +277,21 @@ def test_the_statistics_share_one_scaling():
 def test_the_check_finds_a_second_scaling():
     planted = {
         "_util": (
-            "def pow2_scaled(x):\n    _, e = np.frexp(np.max(np.abs(x)))\n"
-            "    return np.ldexp(x, -e), int(e)\n"
-            "def pearson(a, b):\n    return pow2_scaled(a), pow2_scaled(b)\n"
+            "def scaled_mean(x):\n    _, e = np.frexp(np.max(np.abs(x)))\n"
+            "    y = np.ldexp(x, -e)\n    return y, exact_mean(y), int(e)\n"
+            "def centred(x):\n    y, mu, e = scaled_mean(x)\n    return y - mu, e\n"
+            "def mean(x):\n    return math.ldexp(*scaled_mean(x)[1:])\n"
+            "def pearson(a, b):\n    return centred(a), centred(b)\n"
         ),
         "analytics": (
-            "def mean_var(values):\n    return _util.pow2_scaled(values)\n"
+            "STATISTICS = {'mean': lambda est, _: mean(est)}\n"
+            "def mean_var(values):\n    return _util.scaled_mean(values)[1], mean(values)\n"
             "def vol_beta(v, m):\n    _, e = np.frexp(np.max(np.abs(m)))\n    return e\n"
         ),
     }
     assert _scaler_callers(planted) == {
-        "pow2_scaled": ["_util:pearson", "analytics:mean_var"],
-        "frexp": ["_util:pow2_scaled", "analytics:vol_beta"],
+        "scaled_mean": ["_util:centred", "_util:mean", "analytics:mean_var"],
+        "centred": ["_util:pearson"],
+        "mean": ["analytics:", "analytics:mean_var"],
+        "frexp": ["_util:scaled_mean", "analytics:vol_beta"],
     }

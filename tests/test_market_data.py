@@ -516,6 +516,29 @@ def test_read_eod_dir_sorted_and_filtered(tmp_path):
     ]
 
 
+@pytest.mark.parametrize("day", [date(2021, 6, 2), date(999, 6, 2)], ids=["2021", "year-999"])
+def test_a_listing_for_one_day_dates_only_the_names_of_that_day(tmp_path, monkeypatch, day):
+    stamp = day.isoformat().replace("-", "")
+    names = [f"SYN_{stamp}.csv", f"OTHER_{stamp}.csv", "SYN_20210601.csv",
+             "SYN_20210230.csv", f"SYN_{stamp}.csv.bak", "notes.txt"]
+    for name in names:
+        (tmp_path / name).write_text("AA,1,2,0.5,1.5,10\n")
+    dated = []
+
+    def counting(name):
+        dated.append(name)
+        return eod_filename_date(name)
+
+    monkeypatch.setattr(market_data, "eod_filename_date", counting)
+    skipped = []
+    with pytest.raises(ValueError, match="duplicate date"):
+        list(market_data._eod_files(tmp_path, parse_eod_file, on_skip=skipped.append, day=day))
+    assert sorted(dated) == [f"OTHER_{stamp}.csv", f"SYN_{stamp}.csv"] and skipped == []
+    (tmp_path / f"OTHER_{stamp}.csv").unlink()
+    [market_day] = market_data._eod_files(tmp_path, parse_eod_file, day=day)
+    assert market_day.day == day
+
+
 def test_read_eod_dir_duplicate_date_errors(tmp_path):
     (tmp_path / "A_20210601.csv").write_text("AA,1,2,0.5,1.5,10\n")
     (tmp_path / "B_20210601.csv").write_text("AA,1,2,0.5,1.5,10\n")
